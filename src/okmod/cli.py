@@ -250,6 +250,16 @@ def format_absolute(mat) -> str:
 # Oracles for `check`
 
 
+# cofactor expansion costs n! products; larger determinants are not checked
+_DET_ORACLE_MAX = 6
+
+
+def _det_oracle(field: NumberField, rows) -> FieldElement:
+    if len(rows) > _DET_ORACLE_MAX:
+        raise ValueError(f"det oracle limited to {_DET_ORACLE_MAX}x{_DET_ORACLE_MAX}")
+    return _cofactor_det(field, rows)
+
+
 def _cofactor_det(field: NumberField, rows) -> FieldElement:
     n = len(rows)
     if n == 1:
@@ -386,9 +396,10 @@ def main(argv=None) -> int:
             if not isinstance(matrix, PseudoMatrix):
                 raise ValueError("det expects a pseudo matrix file")
             value = determinant.det(field, matrix.rows)
+            expected = _det_oracle(field, matrix.rows) if args.check else None
             print(format_element(value))
             if args.check:
-                ok = value == _cofactor_det(field, matrix.rows)
+                ok = value == expected
                 print("PASS" if ok else "FAIL")
                 return 0 if ok else 3
             return 0
@@ -411,20 +422,24 @@ def main(argv=None) -> int:
         if op is None:
             op = "snf" if isinstance(matrix, BiPseudoMatrix) else "hnf"
         if op == "hnf":
+            if not isinstance(matrix, PseudoMatrix):
+                raise ValueError("check --op hnf expects a pseudo matrix file")
             out = pseudo_hnf(matrix, det_ideal)
             if args.canonical:
                 out = canonicalize(out)
             ok = check_hnf(matrix, out)
         elif op == "snf":
+            if not isinstance(matrix, BiPseudoMatrix):
+                raise ValueError("check --op snf expects a bi-pseudo matrix file")
             chain = pseudo_snf(matrix, det_ideal)
             ok = check_snf_chain(matrix, chain)
             if field.degree == 1:
                 ok = ok and check_snf_d1(matrix, chain)
         else:
-            if matrix.nrows > 6:
-                raise ValueError("det oracle limited to 6x6")
+            if not isinstance(matrix, PseudoMatrix):
+                raise ValueError("check --op det expects a pseudo matrix file")
             value = determinant.det(field, matrix.rows)
-            ok = value == _cofactor_det(field, matrix.rows)
+            ok = value == _det_oracle(field, matrix.rows)
         print("PASS" if ok else "FAIL")
         return 0 if ok else 3
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:

@@ -2,12 +2,12 @@
 
 The Gram matrix of the Hermitian trace form on the integral basis is
 enclosed to the requested accuracy, Cholesky-factored numerically, scaled by
-2^e and rounded to an integer matrix.  Reducing an ideal then means running a
-classical LLL (delta = 99/100, exact rational Gram-Schmidt) on the image of
-its Hermite basis under that integer embedding.  The output quality is not
-assumed: every reduced basis is checked against the first-vector and product
-bounds, with the rounding-quality constant already absorbed into the stored
-reduction parameter.
+2^e and rounded to an integer matrix.  Reducing an ideal then means running an
+integral LLL (delta = 99/100, Cohen's Algorithm 2.6.7 on the integer Gram
+matrix) on the image of its Hermite basis under that integer embedding.  The
+output quality is not assumed: every reduced basis is checked against the
+first-vector and product bounds, with the rounding-quality constant already
+absorbed into the stored reduction parameter.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import mpmath as mp
 from . import numeric
 from .numeric import Ball, frac_nth_root_ub, frac_sqrt_lb, frac_sqrt_ub, frac_up, mpf_to_fraction
 from .numberfield import FieldElement, NumberField
-from .zlinalg import Mat, det_bareiss
+from .zlinalg import Mat, det_bareiss, identity, mat_mul, solve_left, transpose
 
 LLL_DELTA = Fraction(99, 100)
 LLL_ETA = Fraction(501, 1000)
@@ -94,14 +94,14 @@ def _try_build(field: NumberField, e: int):
     r2 = _cholesky(centers, 2 * prec)
     chol_err = max(abs(a - b) for ra, rb in zip(r1, r2) for a, b in zip(ra, rb))
     scale = Fraction(1 << e)
-    r_e = [[_round_half_up(scale * x) for x in row] for row in r2]
+    r_e = [[_round_half_up(x.numerator << e, x.denominator) for x in row] for row in r2]
     if det_bareiss(r_e) == 0:
         return None, None
     # epsilon = r_e - 2^e * R_true, bounded by rounding + Cholesky/Gram slack
     eps_entry = Fraction(1, 2) + scale * frac_up(8 * chol_err + 8 * target, 64)
     eps_f = d * eps_entry  # Frobenius bound
-    s = _fraction_inv(r_e)
-    s_f = frac_sqrt_ub(sum(x * x for row in s for x in row))
+    s_num, s_den = solve_left(r_e, identity(d))
+    s_f = frac_sqrt_ub(Fraction(sum(x * x for row in s_num for x in row), s_den * s_den))
     det_re = abs(det_bareiss(r_e))
     ratio = Fraction(det_re) / (scale ** d) / frac_sqrt_lb(Fraction(abs(field.disc)))
     c_quality = (1 + eps_f * s_f) * frac_nth_root_ub(max(ratio, Fraction(1)), d, 96)
@@ -134,72 +134,62 @@ def _cholesky(centers: list[list[Fraction]], prec: int) -> list[list[Fraction]]:
         return [[mpf_to_fraction(low[i, j]) for j in range(d)] for i in range(d)]
 
 
-def _fraction_inv(a: Mat) -> list[list[Fraction]]:
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if work[r][col])
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-def _round_half_up(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+def _round_half_up(num: int, den: int) -> int:
+    """Nearest integer to num/den (den > 0), halves rounded up."""
+    return (2 * num + den) // (2 * den)
 
 
 # ---------------------------------------------------------------------------
-# Exact LLL on integer rows
+# Integral LLL
 
 
-def _lll_with_transform(b: Mat, u: Mat, delta: Fraction) -> None:
-    """In-place LLL on the rows of b, mirroring every operation on u."""
-    n = len(b)
+def _lll_with_transform(gram: Mat, u: Mat, delta: Fraction) -> None:
+    """In-place LLL of the lattice with Gram matrix ``gram``, applied to the rows of u.
 
-    def dot(x, y):
-        return sum(p * q for p, q in zip(x, y))
-
-    bstar: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    mu: list[list[Fraction]] = []
-
-    def recompute() -> None:
-        bstar.clear()
-        norms.clear()
-        mu.clear()
-        for i in range(n):
-            vec = [Fraction(x) for x in b[i]]
-            mu.append([Fraction(0)] * n)
-            for j in range(i):
-                mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], bstar[j])) / norms[j]
-                vec = [x - mu[i][j] * y for x, y in zip(vec, bstar[j])]
-            bstar.append(vec)
-            norms.append(dot(vec, vec))
-
-    recompute()
+    Integral version (Cohen, GTM 138, Alg. 2.6.7): d[i] is the Gram
+    determinant of the first i vectors and lam[i][j] = d[j+1] * mu[i][j], both
+    integers, and every division below is exact.  b_k is size-reduced against
+    b_(k-1), ..., b_0 before each Lovasz test; the decisions are those of the
+    rational algorithm with Gram-Schmidt coefficients mu.
+    """
+    n = len(gram)
+    p, q = delta.numerator, delta.denominator
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            x = gram[i][j]
+            for t in range(j):
+                x = (d[t + 1] * x - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = x
+            else:
+                d[i + 1] = x
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = _round_half_up(mu[k][j])
-                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+            dj = d[j + 1]
+            if 2 * abs(lk[j]) > dj:                     # |mu_kj| > 1/2
+                r = _round_half_up(lk[j], dj)
                 u[k] = [x - r * y for x, y in zip(u[k], u[j])]
+                lk[j] -= r * dj
+                lj = lam[j]
                 for t in range(j):
-                    mu[k][t] -= r * mu[j][t]
-                mu[k][j] -= r
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                    lk[t] -= r * lj[t]
+        lkk = lk[k - 1]
+        if q * (d[k + 1] * d[k - 1] + lkk * lkk) >= p * d[k] * d[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
-            recompute()
-            k = max(k - 1, 1)
+            continue
+        u[k], u[k - 1] = u[k - 1], u[k]
+        lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+        new_d = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lkk * t) // d[k]
+            lam[i][k - 1] = (new_d * t + lkk * lam[i][k]) // d[k + 1]
+        d[k] = new_d
+        k = max(k - 1, 1)
 
 
 def reduce_ideal_basis(ideal, ctx: LatticeContext) -> Mat:
@@ -211,9 +201,8 @@ def reduce_ideal_basis(ideal, ctx: LatticeContext) -> Mat:
     d = field.degree
     u = [list(row) for row in ideal.num]
     if d > 1:
-        emb = [[sum(u[i][t] * ctx.r_e[t][j] for t in range(d)) for j in range(d)]
-               for i in range(d)]
-        _lll_with_transform(emb, u, LLL_DELTA)
+        emb = mat_mul(u, ctx.r_e)
+        _lll_with_transform(mat_mul(emb, transpose(emb)), u, LLL_DELTA)
     _check_quality(ideal, u, ctx)
     return u
 

@@ -11,11 +11,11 @@ the integral basis with a minimal positive denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import numeric
 from .numeric import Ball, frac_sqrt_ub, frac_up, log2_ub
-from .zlinalg import Mat, det_bareiss, dixon_solve_left
+from .zlinalg import Mat, SingularMatrixError, det_bareiss, identity, solve_left
 
 
 class FieldError(ValueError):
@@ -136,24 +136,6 @@ def _poly_mul_mod(a: list[Fraction], b: list[Fraction], f: list[Fraction]) -> li
                 res[k - d + j] -= c * f[j]
     out = res[:d]
     return out + [Fraction(0)] * (d - len(out))
-
-
-def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    work = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise FieldError("basis matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
 
 
 def _sylvester_resultant(f: list[int], g: list[int]) -> int:
@@ -288,9 +270,8 @@ class NumberField:
             raise ZeroDivisionError("inverse of zero")
         num = FieldElement(self, list(a.coeffs), 1)
         m = self.regular_representation(num)
-        e1 = [1] + [0] * (self.degree - 1)
-        x = dixon_solve_left(m, e1)
-        return self.from_fractions([a.den * q for q in x])
+        (x,), den = solve_left(m, [[1] + [0] * (self.degree - 1)])
+        return FieldElement(self, [a.den * c for c in x], den)
 
     def norm(self, a: FieldElement) -> Fraction:
         num = FieldElement(self, list(a.coeffs), 1)
@@ -425,7 +406,13 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
     if disc_f == 0:
         raise FieldError("defining polynomial is not squarefree (gcd(f, f') != 1)")
 
-    binv = _fraction_inverse(basis)
+    scale = lcm(*(q.denominator for row in basis for q in row))
+    try:
+        binv_num, binv_den = solve_left([[int(q * scale) for q in row] for row in basis],
+                                        identity(d))
+    except SingularMatrixError:
+        raise FieldError("basis matrix is singular") from None
+    binv = [[Fraction(scale * x, binv_den) for x in row] for row in binv_num]
     m_cols = [[binv[j][i] for j in range(d)] for i in range(d)]  # M[i][j] = binv[j][i]
     if any(q.denominator != 1 for row in m_cols for q in row):
         raise FieldError("power basis is not integral over the given basis")
@@ -460,12 +447,7 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
         raise FieldError("trace matrix is not symmetric")
     if det_bareiss(trace_mat) != disc:
         raise FieldError("det of trace matrix does not match the discriminant")
-    tinv = _fraction_inverse([[Fraction(x) for x in row] for row in trace_mat])
-    trace_den = 1
-    for row in tinv:
-        for q in row:
-            trace_den = trace_den * q.denominator // gcd(trace_den, q.denominator)
-    trace_inv_num = [[int(q * trace_den) for q in row] for row in tinv]
+    trace_inv_num, trace_den = solve_left(trace_mat, identity(d))
 
     c3 = max(abs(x) for row in struct_t for s in row for x in s)
 

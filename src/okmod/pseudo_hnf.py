@@ -137,7 +137,8 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
     the module (computed from a witness minor when omitted).  The output has
     the triangular block with unit diagonal on top, integral coefficient
     ideals, and represents the same module.  With ``verify`` the working
-    norm bounds are asserted; ``trace`` (a list) collects per-iteration
+    norm bounds and the output shape are checked, raising RuntimeError on a
+    violation; ``trace`` (a list) collects per-iteration
     records of the largest active ideal minimum for diagnostics.
     """
     field = pm.field
@@ -158,7 +159,9 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
         b[idx], ideals[idx], _ = reduction.normalize_row(b[idx], ideals[idx], ctx, cache)
         if verify:
             nrm = ideals[idx].norm()
-            assert ideals[idx].is_integral() and nrm * nrm <= bound_sq
+            if not ideals[idx].is_integral() or nrm * nrm > bound_sq:
+                raise RuntimeError("verify: normalized coefficient ideal is not "
+                                   "integral or misses its norm bound")
 
     def record(stage: int) -> None:
         if trace is not None:
@@ -216,11 +219,11 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
     out_rows = b[n - m:] + b[:n - m]
     out_ideals = ideals[n - m:] + ideals[:n - m]
     if verify:
-        for r in range(m):
-            assert out_rows[r][r] == field.one()
-            assert all(not out_rows[r][t] for t in range(r + 1, m))
-        for r in range(m, n):
-            assert all(not x for x in out_rows[r])
+        if any(out_rows[r][r] != field.one() or any(out_rows[r][r + 1:m])
+               for r in range(m)):
+            raise RuntimeError("verify: output is not unit lower triangular")
+        if any(any(row) for row in out_rows[m:]):
+            raise RuntimeError("verify: trailing rows are not zero")
     return PseudoMatrix(field, out_rows, out_ideals, det_ideal=det_ideal)
 
 

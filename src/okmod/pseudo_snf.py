@@ -288,11 +288,13 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
                 if state.a[i][i]:
                     track = track + (state.col_ideals[i] * state.row_inv[i]).elt_mul(state.a[i][i])
                 if prev_track is not None and not step_over:
-                    assert prev_track.is_subset(track), "pivot content ideal shrank"
+                    if not prev_track.is_subset(track):
+                        raise RuntimeError("verify: pivot content ideal shrank")
                     # strict growth can stall on rounds whose eliminations are
                     # absorbed by the pivot; it must resume within a few rounds
                     stall = 0 if prev_track != track else stall + 1
-                    assert stall < 6, "pivot content ideal failed to grow"
+                    if stall >= 6:
+                        raise RuntimeError("verify: pivot content ideal failed to grow")
                 prev_track = track
             if step_over:
                 viol = offdiag_obstruction_scan(state, i)
@@ -325,7 +327,8 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
         prod = chain[0]
         for a in chain.ideals[1:]:
             prod = prod * a
-        assert prod == det_ideal, "divisor product differs from the determinantal ideal"
+        if prod != det_ideal:
+            raise RuntimeError("verify: divisor product differs from the determinantal ideal")
     return chain
 
 

@@ -15,6 +15,21 @@ from fractions import Fraction
 from . import lattice
 from .ideals import FractionalIdeal, IdealError
 from .numberfield import FieldElement
+from .zlinalg import identity, solve_left, vec_mat
+
+
+class ReducedBasis(list):
+    """Rows of a reduced ideal basis, carrying its inverse as ``adj / den``.
+
+    ``den > 0`` and ``basis^-1 = adj / den``; computed once, when the basis
+    enters a cache, so reducing against it needs no linear solve.
+    """
+
+    __slots__ = ("adj", "den")
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.adj, self.den = solve_left(rows, identity(len(rows)))
 
 
 class ReducedBasisCache:
@@ -28,40 +43,14 @@ class ReducedBasisCache:
         self.ctx = ctx
         self._map: dict = {}
 
-    def reduced_basis(self, ideal: FractionalIdeal):
+    def reduced_basis(self, ideal: FractionalIdeal) -> ReducedBasis:
         key = (ideal.num, ideal.den)
         basis = self._map.get(key)
         if basis is None:
             numerator = FractionalIdeal(ideal.field, [list(r) for r in ideal.num], 1)
-            basis = lattice.reduce_ideal_basis(numerator, self.ctx)
+            basis = ReducedBasis(lattice.reduce_ideal_basis(numerator, self.ctx))
             self._map[key] = basis
         return basis
-
-
-def _solve_in_basis(basis, coeffs) -> list[Fraction]:
-    """Rational coordinates y with y * basis = coeffs (basis rows nonsingular)."""
-    n = len(basis)
-    # Gauss-Jordan on the transposed system basis^t y^t = coeffs^t
-    aug = [[Fraction(basis[r][i]) for r in range(n)] + [Fraction(coeffs[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * g for x, g in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def _round_half_up(q: Fraction) -> int:
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
-
-
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
 
 
 def reduce_mod_ideal(alpha: FieldElement, a: FractionalIdeal,
@@ -76,18 +65,24 @@ def reduce_mod_ideal(alpha: FieldElement, a: FractionalIdeal,
     positive-box representative instead.
     """
     field = alpha.field
+    l = a.den
+    k = alpha.den
+    target = [l * c for c in alpha.coeffs]
     if basis is None:
         if cache is None:
             cache = field.basis_cache
         basis = cache.reduced_basis(a)
-    l = a.den
-    k = alpha.den
-    y = _solve_in_basis(basis, [l * c for c in alpha.coeffs])
-    rounder = _round_half_up if centered else _floor
-    r = [rounder(q / k) for q in y]
+        v, den = vec_mat(target, basis.adj), basis.den
+    else:
+        (v,), den = solve_left(basis, [target])
+    # coordinates of alpha in the basis are v / (den * k)
+    dk = den * k
+    if centered:
+        r = [lattice._round_half_up(x, dk) for x in v]
+    else:
+        r = [x // dk for x in v]
     d = field.degree
-    new = [l * alpha.coeffs[t] - k * sum(r[i] * basis[i][t] for i in range(d))
-           for t in range(d)]
+    new = [target[t] - k * sum(r[i] * basis[i][t] for i in range(d)) for t in range(d)]
     return FieldElement(field, new, k * l)
 
 

@@ -1,4 +1,4 @@
-"""Exact integer matrix kernels: HNF, Howell form, Dixon solving, SNF.
+"""Exact integer matrix kernels: HNF, Howell form, exact solving, SNF.
 
 Matrices are dense ``list[list[int]]`` with arbitrary-precision entries and
 rows spanning the lattice.  Two orientations are used:
@@ -17,7 +17,7 @@ is the Hermite form whenever ``lam * Z^m`` lies inside the row span.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 Mat = list[list[int]]
 
@@ -271,128 +271,40 @@ def hnf_with_modulus(a: Mat, lam: int) -> Mat:
 # Exact linear solving
 
 
-_DIXON_PRIMES: list[int] = []
+def solve_left(a: Mat, b: Mat) -> tuple[Mat, int]:
+    """Exact rational X with X * a = b (row convention), ``a`` square nonsingular.
 
-
-def _small_primes(count: int) -> list[int]:
-    while len(_DIXON_PRIMES) < count:
-        cand = _DIXON_PRIMES[-1] + 1 if _DIXON_PRIMES else 2
-        while any(cand % p == 0 for p in range(2, isqrt(cand) + 1)):
-            cand += 1
-        _DIXON_PRIMES.append(cand)
-    return _DIXON_PRIMES[:count]
-
-
-def _inverse_mod_p(a: Mat, p: int) -> Mat | None:
-    """Inverse of a mod p by Gauss-Jordan, or None if singular mod p."""
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("matrix not square")
-    work = [[x % p for x in row] + [1 if i == j else 0 for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] % p), None)
-        if piv is None:
-            return None
-        work[col], work[piv] = work[piv], work[col]
-        inv = pow(work[col][col], -1, p)
-        work[col] = [(x * inv) % p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-def _hadamard_bound(a: Mat) -> int:
-    """Integer upper bound on |det(a)| via column norms."""
-    n, _ = shape(a)
-    bound = 1
-    for col in zip(*a):
-        s = sum(x * x for x in col)
-        if s == 0:
-            return 0
-        bound *= isqrt(s) + 1
-    return bound
-
-
-def _rational_reconstruct(a: int, m: int, num_bound: int, den_bound: int) -> Fraction | None:
-    """p/q with p ≡ q*a mod m, |p| <= num_bound, 0 < q <= den_bound."""
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1 > num_bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > den_bound or r1 > num_bound:
-        return None
-    if gcd(r1, abs(s1)) not in (0, 1):
-        # still valid as long as it verifies; normalize below
-        pass
-    return Fraction(r1, s1) if s1 > 0 else Fraction(-r1, -s1)
-
-
-def dixon_solve_right(a: Mat, b: list[int]) -> list[Fraction]:
-    """Exact rational solution x of a x = b (column convention), a nonsingular.
-
-    p-adic lifting with the smallest prime where ``a`` is invertible; the
-    candidate is verified by exact multiplication, retrying with the next
-    admissible prime on failure.
+    Fraction-free Gauss-Jordan elimination on the transposed system
+    a^t X^t = b^t: each step divides exactly by the previous pivot, so every
+    entry stays an integer minor.  Returns (N, D) with X = N / D, D > 0 and
+    gcd(D, content(N)) = 1, i.e. D is the least common denominator of X.
+    ``solve_left(a, identity(n))`` is the inverse of ``a``.
     """
     n, m = shape(a)
     if n != m:
         raise ValueError("matrix not square")
-    if len(b) != n:
+    if any(len(row) != n for row in b):
         raise ValueError("dimension mismatch")
-    had = _hadamard_bound(a)
-    if had == 0:
-        raise SingularMatrixError("zero column")
-    tries = had.bit_length() + 2
-    bnorm = isqrt(sum(x * x for x in b)) + 1
-    den_bound = had
-    num_bound = max(1, had * bnorm)
-    target = 2 * num_bound * den_bound
-    usable = 0
-    for p in _small_primes(tries):
-        ainv_p = _inverse_mod_p(a, p)
-        if ainv_p is None:
-            continue
-        usable += 1
-        sol = _dixon_lift(a, b, p, ainv_p, target, num_bound, den_bound)
-        if sol is not None:
-            return sol
-    if usable == 0:
-        raise SingularMatrixError("matrix is singular")
-    raise SingularMatrixError("verification failed for every candidate prime")
-
-
-def _dixon_lift(a: Mat, b: list[int], p: int, ainv_p: Mat, target: int,
-                num_bound: int, den_bound: int) -> list[Fraction] | None:
-    n = len(a)
-    x_digits = [0] * n
-    pk = 1
-    r = list(b)
-    while pk <= target:
-        d = [sum(ainv_p[i][j] * (r[j] % p) for j in range(n)) % p for i in range(n)]
-        for i in range(n):
-            x_digits[i] += d[i] * pk
-        r = [(r[i] - sum(a[i][j] * d[j] for j in range(n))) // p for i in range(n)]
-        pk *= p
-    sol: list[Fraction] = []
-    for i in range(n):
-        f = _rational_reconstruct(x_digits[i] % pk, pk, num_bound, den_bound)
-        if f is None:
-            return None
-        sol.append(f)
-    for i in range(n):
-        if sum(Fraction(a[i][j]) * sol[j] for j in range(n)) != b[i]:
-            return None
-    return sol
-
-
-def dixon_solve_left(a: Mat, b: list[int]) -> list[Fraction]:
-    """Exact rational solution x of x a = b (row convention)."""
-    return dixon_solve_right(transpose(a), b)
+    work = [list(col) + [row[i] for row in b] for i, col in enumerate(zip(*a))]
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        work[col], work[piv] = work[piv], work[col]
+        prow = work[col]
+        p = prow[col]
+        for r in range(n):
+            if r != col:
+                f = work[r][col]
+                work[r] = [(p * x - f * y) // prev for x, y in zip(work[r], prow)]
+        prev = p
+    # every diagonal entry now equals the last pivot, +-det(a)
+    num = [[work[i][n + t] for i in range(n)] for t in range(len(b))]
+    g = gcd(prev, *(x for row in num for x in row))
+    if prev < 0:
+        g = -g
+    return [[x // g for x in row] for row in num], prev // g
 
 
 def solve_left_triangular(h: Mat, c: list[Fraction | int]) -> list[Fraction]:

@@ -274,3 +274,31 @@ def test_seed_echo(tmp_path):
     m = write(tmp_path, "b.bpm", BIPSEUDO_FILE)
     code, out = run_cli(["snf", "--field", f, "--matrix", m, "--seed", "42"])
     assert code == 0 and out.startswith("# seed 42")
+
+
+@pytest.mark.parametrize("op, matrix_text, kind", [
+    ("hnf", BIPSEUDO_FILE, "pseudo"),
+    ("det", BIPSEUDO_FILE, "pseudo"),
+    ("snf", PSEUDO_FILE, "bi-pseudo"),
+], ids=["hnf-on-bipseudo", "det-on-bipseudo", "snf-on-pseudo"])
+def test_check_op_wrong_matrix_kind(tmp_path, capsys, op, matrix_text, kind):
+    field_text = RAT_FIELD if matrix_text is BIPSEUDO_FILE else GAUSS_FIELD
+    f = write(tmp_path, "k.field", field_text)
+    m = write(tmp_path, "m.matrix", matrix_text)
+    code, out = run_cli(["check", "--op", op, "--field", f, "--matrix", m])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: check --op {op} expects a {kind} matrix file\n"
+
+
+def test_det_check_refuses_large_matrix(tmp_path, capsys):
+    # I + v v^t with v = (0, 1, ..., 6): determinant 1 + |v|^2 = 92
+    n = 7
+    lines = [f"pseudo {n} {n}"] + ["ideal hnf\n1\nden 1"] * n
+    lines += ["  ".join(f"{int(i == j) + i * j} / 1" for j in range(n)) for i in range(n)]
+    f = write(tmp_path, "r.field", RAT_FIELD)
+    m = write(tmp_path, "big.pm", "\n".join(lines) + "\n")
+    code, out = run_cli(["det", "--field", f, "--matrix", m, "--check"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: det oracle limited to 6x6\n"
+    code, out = run_cli(["det", "--field", f, "--matrix", m])
+    assert code == 0 and out.splitlines()[0] == "92 / 1"

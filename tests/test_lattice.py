@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from okmod import FractionalIdeal, build_context, reduce_ideal_basis, shortest_basis_element
-from okmod.zlinalg import hnf
+from okmod import (FractionalIdeal, build_context, build_field, reduce_ideal_basis,
+                   shortest_basis_element)
+from okmod.lattice import LLL_DELTA, _lll_with_transform
+from okmod.zlinalg import hnf, mat_mul, transpose
 
 from conftest import get_field, random_ideal, seeded
 
@@ -131,3 +133,88 @@ def test_build_context_custom_exponent():
     two = FractionalIdeal.from_generators(K, [K.from_int(2)])
     basis = reduce_ideal_basis(two, ctx)
     assert same_lattice(K, basis, two.num)
+
+
+def reference_lll(b, u, delta):
+    """Classical LLL with exact rational Gram-Schmidt, recomputed after every
+    swap: the reference that the integral LLL must match step for step."""
+    n = len(b)
+
+    def dot(x, y):
+        return sum(p * q for p, q in zip(x, y))
+
+    def gram_schmidt():
+        bstar, norms = [], []
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            vec = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                mu[i][j] = dot(b[i], bstar[j]) / norms[j]
+                vec = [x - mu[i][j] * y for x, y in zip(vec, bstar[j])]
+            bstar.append(vec)
+            norms.append(dot(vec, vec))
+        return norms, mu
+
+    norms, mu = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                q = mu[k][j]
+                r = (2 * q.numerator + q.denominator) // (2 * q.denominator)
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - r * y for x, y in zip(u[k], u[j])]
+                for t in range(j):
+                    mu[k][t] -= r * mu[j][t]
+                mu[k][j] -= r
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            norms, mu = gram_schmidt()
+            k = max(k - 1, 1)
+
+
+LLL_FIELDS = {
+    "Qm5": [5, 0, 1],
+    "cubic": [-1, -1, 0, 1],
+    "quartic": [-1, -1, 0, 0, 1],
+    "quintic": [-1, -1, 0, 0, 0, 1],
+}
+
+
+@pytest.mark.parametrize("name", list(LLL_FIELDS))
+def test_integral_lll_matches_rational_reference(name):
+    K = get_field(name) if name in ("Qm5", "cubic") else build_field(LLL_FIELDS[name])
+    ctx = K.lattice_context
+    lrng = seeded(f"test_lattice-lll-{name}", 1)
+    swaps = 0
+    for _ in range(8):
+        a = random_ideal(lrng, K, lim=60)
+        start = [list(r) for r in a.num]
+        emb = mat_mul(start, ctx.r_e)
+        u_ref = [r[:] for r in start]
+        reference_lll([r[:] for r in emb], u_ref, LLL_DELTA)
+        u_new = [r[:] for r in start]
+        _lll_with_transform(mat_mul(emb, transpose(emb)), u_new, LLL_DELTA)
+        assert u_new == u_ref
+        assert reduce_ideal_basis(a, ctx) == u_ref
+        swaps += u_ref != start
+    assert swaps > 0
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 0], [1, 1]],              # mu = 1/2: no size reduction
+    [[2, 0], [-1, 3]],             # mu = -1/2
+    [[2, 0], [3, 1]],              # mu = 3/2: rounds half up to 2
+    [[10, 0, 0], [1, 7, 7]],       # Lovasz equality B_1 = (delta - mu^2) B_0: no swap
+    [[10, 0, 0], [1, 7, 6]],       # just below it: swap
+])
+def test_integral_lll_ties(rows):
+    n = len(rows)
+    u_ref = [[int(i == j) for j in range(n)] for i in range(n)]
+    reference_lll([r[:] for r in rows], u_ref, LLL_DELTA)
+    u_new = [[int(i == j) for j in range(n)] for i in range(n)]
+    _lll_with_transform(mat_mul(rows, transpose(rows)), u_new, LLL_DELTA)
+    assert u_new == u_ref

@@ -1,5 +1,8 @@
 """Euclidean step, modular pseudo-Hermite form, canonicalization, absolutes."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -297,3 +300,27 @@ def test_absolute_invariant_under_valid_forms(field):
         can = canonicalize(out)
         assert module_hnf(pm) == module_hnf(out) == module_hnf(can)
         done += 1
+
+
+def test_verify_raises_with_assertions_off():
+    # a normalize_row that returns a non-integral ideal must be caught by
+    # verify=True even under python -O, which strips assert statements
+    script = """
+from fractions import Fraction
+from okmod import FractionalIdeal, PseudoMatrix, build_field, pseudo_hnf, reduction
+K = build_field([5, 0, 1])
+half = FractionalIdeal.from_rational(K, Fraction(1, 2))
+reduction.normalize_row = lambda row, a, ctx, cache: (row, half, K.one())
+u = FractionalIdeal.unit(K)
+pm = PseudoMatrix(K, [[K.from_int(2), K.one()], [K.one(), K.from_int(3)]], [u, u])
+try:
+    pseudo_hnf(pm, verify=True)
+except RuntimeError as exc:
+    print("raised:", exc)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: verify: normalized coefficient ideal")

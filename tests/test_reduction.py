@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from okmod import FractionalIdeal, ReducedBasisCache, normalize_row, reduce_mod_ideal
 from okmod.reduction import check_reduced_bound
+from okmod.zlinalg import det_bareiss
 
 from conftest import get_field, random_element, random_ideal, seeded
 
@@ -140,3 +141,47 @@ def test_cache_reuses_bases(field):
     b1 = cache.reduced_basis(a)
     b2 = cache.reduced_basis(a)
     assert b1 is b2
+
+
+def fraction_reduce(alpha, a, basis, centered):
+    """Reference reduction: y * basis = l * alpha by rational Gauss-Jordan,
+    then y / k rounded half up (centered) or down."""
+    n = len(basis)
+    l, k = a.den, alpha.den
+    aug = [[Fraction(basis[r][i]) for r in range(n)] + [Fraction(l * alpha.coeffs[i])]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * g for x, g in zip(aug[r], aug[col])]
+    y = [aug[i][n] / k for i in range(n)]
+    r = [(2 * q.numerator + q.denominator) // (2 * q.denominator) if centered
+         else q.numerator // q.denominator for q in y]
+    new = [l * alpha.coeffs[t] - k * sum(r[i] * basis[i][t] for i in range(n))
+           for t in range(n)]
+    return alpha.field.element(new, k * l)
+
+
+def test_cached_reduction_matches_fraction_solve(field):
+    # a stream of its own, so the other tests keep their inputs
+    rrng = seeded("test_reduction-reference", 1)
+    cache = ReducedBasisCache(field.lattice_context)
+    signs = set()
+    for _ in range(30):
+        a = random_ideal(rrng, field, fractional=True)
+        x = random_element(rrng, field, lim=500, max_den=9)
+        basis = cache.reduced_basis(a)
+        signs.add(det_bareiss(basis) > 0)
+        hermite = [list(r) for r in a.num]
+        for centered in (True, False):
+            want = fraction_reduce(x, a, basis, centered)
+            assert reduce_mod_ideal(x, a, cache, centered=centered) == want
+            assert (reduce_mod_ideal(x, a, basis=hermite, centered=centered)
+                    == fraction_reduce(x, a, hermite, centered))
+    # the inverse's denominator is kept positive whatever the basis orientation
+    if field.degree > 1:
+        assert signs == {True, False}

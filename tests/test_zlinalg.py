@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 import pytest
 
 from okmod import zlinalg as zl
@@ -181,13 +182,20 @@ def cramer_solve(a, b):
     return out
 
 
-def test_dixon_trivial():
-    assert zl.dixon_solve_right([[2, 1], [1, 1]], [3, 2]) == [Fraction(1), Fraction(1)]
+def solve_right(a, b):
+    """x with a x = b, through the left solver on the transpose."""
+    (num,), den = zl.solve_left(zl.transpose(a), [b])
+    assert den > 0
+    return [Fraction(x, den) for x in num]
+
+
+def test_solve_left_trivial():
+    assert solve_right([[2, 1], [1, 1]], [3, 2]) == [Fraction(1), Fraction(1)]
     b = [7, -3, 11]
-    assert zl.dixon_solve_right(zl.identity(3), b) == [Fraction(x) for x in b]
+    assert solve_right(zl.identity(3), b) == [Fraction(x) for x in b]
 
 
-def test_dixon_matches_cramer():
+def test_solve_left_matches_cramer():
     rng = random.Random(SEED + 5)
     done = 0
     while done < 25:
@@ -196,19 +204,24 @@ def test_dixon_matches_cramer():
         if zl.det_bareiss(a) == 0:
             continue
         b = [rng.randint(-20, 20) for _ in range(n)]
-        assert zl.dixon_solve_right(a, b) == cramer_solve(a, b)
+        assert solve_right(a, b) == cramer_solve(a, b)
+        # the inverse form: lowest terms, and a^-1 * a = I exactly
+        num, den = zl.solve_left(a, zl.identity(n))
+        assert gcd(den, *(x for row in num for x in row)) == 1
+        assert zl.mat_mul(num, a) == [[den * x for x in row] for row in zl.identity(n)]
         done += 1
 
 
-def test_dixon_left_orientation():
+def test_solve_left_orientation():
     a = [[2, 1], [1, 1]]
-    x = zl.dixon_solve_left(a, [3, 2])
+    (num,), den = zl.solve_left(a, [[3, 2]])
+    x = [Fraction(v, den) for v in num]
     assert [x[0] * 2 + x[1] * 1, x[0] * 1 + x[1] * 1] == [3, 2]
 
 
-def test_dixon_singular_raises():
+def test_solve_left_singular_raises():
     with pytest.raises(zl.SingularMatrixError):
-        zl.dixon_solve_right([[1, 2], [2, 4]], [1, 1])
+        solve_right([[1, 2], [2, 4]], [1, 1])
 
 
 def test_back_substitute_examples():
