@@ -13,7 +13,6 @@ import random
 from okmod import (FractionalIdeal, PseudoMatrix, build_field, canonicalize,
                    determinantal_ideal_multiple, module_hnf, pseudo_hnf,
                    to_absolute)
-from okmod.pseudo_hnf import diagnostic_bounds
 from okmod.numeric import frac_sqrt_ub
 
 rng = random.Random(23)
@@ -46,8 +45,6 @@ print("triangular block with unit diagonal:")
 for r in range(pm.ncols):
     print("  ", [str(e) for e in out.rows[r]], " ideal:", out.ideals[r])
 print("module preserved:", module_hnf(pm) == module_hnf(out))
-b_id, b_e = diagnostic_bounds(K, dd)
-print(f"diagnostic size bounds: ideals {float(b_id):.1f}, entries {float(b_e):.1f}")
 print("largest active ideal minimum seen:", max(trace) if trace else "-",
       " vs static bound", float(frac_sqrt_ub(K.lattice_context.norm_bound_sq())))
 

@@ -336,9 +336,6 @@ def _build_argparser() -> argparse.ArgumentParser:
                     help="canonicalize the pseudo-Hermite output")
     ap.add_argument("--check", action="store_true",
                     help="run the matching oracle after computing")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="reserved concurrency knob; outputs are identical "
-                         "and this build computes sequentially")
     ap.add_argument("--seed", type=int, default=None,
                     help="echoed for reproducibility bookkeeping; the "
                          "computations themselves are deterministic")
@@ -349,9 +346,6 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
     if args.seed is not None:
         print(f"# seed {args.seed}")
     try:

@@ -170,7 +170,15 @@ def product_of_ideals(ideals: list[FractionalIdeal]) -> FractionalIdeal:
     return work[0]
 
 
-def _scale_rows_integral(rows: list[list[FieldElement]]):
+def det_times_ideals(field: NumberField, rows: list[list[FieldElement]],
+                     ideals, witness: bool = False) -> FractionalIdeal:
+    """det(A) times the product of the ideals a_i of a pseudo-matrix (A, (a_i)).
+
+    The rows are scaled to integral ones and the determinant is divided by the
+    product of the scales.  A must be square, unless ``witness`` is set: then
+    A needs full column rank and the minor is the witness one of
+    ``rank_and_submatrix``, with the ideals of its rows only.
+    """
     scaled = []
     dens = []
     for row in rows:
@@ -179,24 +187,28 @@ def _scale_rows_integral(rows: list[list[FieldElement]]):
             den = den * e.den // gcd(den, e.den)
         scaled.append([e * den for e in row])
         dens.append(den)
-    return scaled, dens
+    if witness:
+        s, ridx, _, dt = rank_and_submatrix(field, scaled)
+        if s < len(rows[0]):
+            raise RankDeficiencyError(f"pseudo-matrix has rank {s} < {len(rows[0])}")
+    else:
+        ridx = range(len(rows))
+        dt = det(field, scaled)
+        if not dt:
+            raise SingularMatrixError("pseudo-matrix is singular")
+    den_prod = 1
+    for i in ridx:
+        den_prod *= dens[i]
+    elt = field.scalar_div(dt, den_prod)
+    return product_of_ideals([ideals[i] for i in ridx]).elt_mul(elt)
 
 
 def determinantal_ideal(pm) -> FractionalIdeal:
     """det(A) times the product of the coefficient ideals, for square A."""
-    field = pm.field
     n = len(pm.rows)
     if any(len(r) != n for r in pm.rows):
         raise ValueError("determinantal ideal of a non-square pseudo-matrix")
-    scaled, dens = _scale_rows_integral(pm.rows)
-    dt = det(field, scaled)
-    if not dt:
-        raise SingularMatrixError("pseudo-matrix is singular")
-    den_prod = 1
-    for x in dens:
-        den_prod *= x
-    elt = field.scalar_div(dt, den_prod)
-    return product_of_ideals(list(pm.ideals)).elt_mul(elt)
+    return det_times_ideals(pm.field, pm.rows, pm.ideals)
 
 
 def determinantal_ideal_multiple(pm) -> FractionalIdeal:
@@ -205,15 +217,4 @@ def determinantal_ideal_multiple(pm) -> FractionalIdeal:
     One witness minor's determinantal ideal: divisible by the gcd of all of
     them, which is all a modular normal-form pass needs.
     """
-    field = pm.field
-    n = len(pm.rows)
-    m = len(pm.rows[0])
-    scaled, dens = _scale_rows_integral(pm.rows)
-    s, ridx, cidx, det_sub = rank_and_submatrix(field, scaled)
-    if s < m:
-        raise RankDeficiencyError(f"pseudo-matrix has rank {s} < {m}")
-    den_prod = 1
-    for i in ridx:
-        den_prod *= dens[i]
-    elt = field.scalar_div(det_sub, den_prod)
-    return product_of_ideals([pm.ideals[i] for i in ridx]).elt_mul(elt)
+    return det_times_ideals(pm.field, pm.rows, pm.ideals, witness=True)

@@ -2,10 +2,10 @@
 
 A fractional ideal is stored as an integral numerator ideal, given by its
 unique lower-triangular Hermite basis over the integral basis, divided by a
-minimal positive integer denominator.  All Hermite computations run through
-``hnf_with_modulus`` whenever a multiple of the largest elementary divisor is
-known (products and gcds of ideal minima), which is what keeps the entries
-small; plain ``hnf`` is the fallback.
+minimal positive integer denominator.  Every Hermite computation runs
+through ``hnf_with_modulus`` with a known multiple of the largest elementary
+divisor (products and gcds of ideal minima and norms), which is what keeps
+the entries small.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from math import gcd
 
 from .numberfield import FieldElement, NumberField
 from .numeric import log2_ub
-from .zlinalg import (Mat, back_substitute, hnf, hnf_with_modulus, identity,
-                      solve_left_triangular, transpose)
+from .zlinalg import Mat, hnf_with_modulus, identity, mat_mul, solve_left, transpose
 
 
 class IdealError(ValueError):
@@ -75,20 +74,16 @@ class FractionalIdeal:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_row_lattice(cls, field: NumberField, rows: Mat, den: int = 1,
-                         multiple: int | None = None) -> "FractionalIdeal":
+    def from_row_lattice(cls, field: NumberField, rows: Mat, den: int,
+                         multiple: int) -> "FractionalIdeal":
         """Ideal den^-1 * (Z-lattice of the rows); the rows must already span
         an O_K-stable lattice.  ``multiple`` is any positive integer with
-        multiple * Z^d inside the row span, enabling the modular Hermite path.
+        multiple * Z^d inside the row span.
         """
         work = [list(r) for r in rows if any(r)]
         if not work:
             raise IdealError("zero ideal is not representable")
-        if multiple:
-            num = hnf_with_modulus(work, multiple)
-        else:
-            num = hnf(work)
-        return cls(field, num, den)
+        return cls(field, hnf_with_modulus(work, multiple), den)
 
     @classmethod
     def from_generators(cls, field: NumberField, gens) -> "FractionalIdeal":
@@ -106,7 +101,7 @@ class FractionalIdeal:
             m = field.regular_representation(scaled)
             rows.extend(m)
             lam = gcd(lam, abs(field.norm(scaled).numerator))
-        return cls.from_row_lattice(field, rows, den, multiple=lam or None)
+        return cls.from_row_lattice(field, rows, den, multiple=lam)
 
     @classmethod
     def principal(cls, field: NumberField, elt: FieldElement) -> "FractionalIdeal":
@@ -227,40 +222,49 @@ class FractionalIdeal:
     def inverse(self) -> "FractionalIdeal":
         """Exact inverse via the trace dual.
 
-        For the integral numerator b: form b * B with B the codifferent
-        numerator (through its two-element representation) and Hermite basis
-        H.  An element x lies in b^-1 iff x T H^t vanishes mod den(T^-1), so
-        the rows of min(b) * b^-1 solve the upper-triangular system
-        H^t Y = min(b) * (den * T^-1), recovered by substitution modulo
-        min(b)^2.
+        For the integral numerator b, let H be the Hermite basis of b * B,
+        where T is the trace matrix and B = den(T^-1) * (codifferent) the
+        codifferent numerator, formed through its two-element representation.
+        The trace dual of b * B is den(T^-1)^-1 * b^-1, so the rows of X with
+        X * T * H^t = den(T^-1) * I span b^-1.  For X = N / D, D * Z^d lies in
+        the span of N because b^-1 contains O_K.
         """
         field = self.field
         d = field.degree
-        mn = self.num[0][0]
         d1, d2, m1, m2 = field.two_element_rep
         rows: Mat = []
         for u in self.num:
             rows.append([sum(u[i] * m1[i][k] for i in range(d)) for k in range(d)])
             rows.append([sum(u[i] * m2[i][k] for i in range(d)) for k in range(d)])
-        lam = mn * field.codifferent_numerator.num[0][0]
+        lam = self.num[0][0] * field.codifferent_numerator.num[0][0]
         h = hnf_with_modulus(rows, lam)
-        rhs = [[mn * x for x in row] for row in field.trace_inv_num]
-        # flip the upper-triangular transposed system into lower form
-        ht = transpose(h)
-        flipped = [row[::-1] for row in ht[::-1]]
-        z = back_substitute(flipped, rhs[::-1], mn * mn)
-        y = z[::-1]
-        num_inv = hnf_with_modulus(y, mn)
-        inv_integral = FractionalIdeal(field, num_inv, mn)
+        rhs = [[field.trace_den if i == j else 0 for j in range(d)] for i in range(d)]
+        num, den = solve_left(mat_mul(field.trace_mat, transpose(h)), rhs)
+        inv_integral = FractionalIdeal(field, hnf_with_modulus(num, den), den)
         return inv_integral.int_mul(self.den) if self.den > 1 else inv_integral
 
     # -- predicates ------------------------------------------------------------
 
     def contains(self, alpha: FieldElement) -> bool:
+        """Whether den * alpha lies in the lattice of the Hermite numerator,
+        decided by exact division from the last column."""
         if not alpha:
             return True
-        y = solve_left_triangular([list(r) for r in self.num], list(alpha.coeffs))
-        return all((q * self.den / alpha.den).denominator == 1 for q in y)
+        v = []
+        for c in alpha.coeffs:
+            q, r = divmod(c * self.den, alpha.den)
+            if r:
+                return False
+            v.append(q)
+        for j in range(self.field.degree - 1, -1, -1):
+            row = self.num[j]
+            q, r = divmod(v[j], row[j])
+            if r:
+                return False
+            if q:
+                for k in range(j):
+                    v[k] -= q * row[k]
+        return True
 
     __contains__ = contains
 

@@ -336,7 +336,7 @@ class NumberField:
         if self._codifferent is None:
             from .ideals import FractionalIdeal
             self._codifferent = FractionalIdeal.from_row_lattice(
-                self, self.trace_inv_num, 1)
+                self, self.trace_inv_num, 1, multiple=self.trace_den)
         return self._codifferent
 
     @property

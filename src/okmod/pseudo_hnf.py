@@ -11,8 +11,6 @@ through the absolute integer Hermite form.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import determinant, reduction
 from .ideals import FractionalIdeal, IdealError, idempotents
 from .numberfield import FieldElement, NumberField
@@ -91,21 +89,6 @@ def to_absolute(pm: PseudoMatrix) -> Mat:
 def module_hnf(pm: PseudoMatrix) -> Mat:
     """Canonical integer Hermite form of the absolute module lattice."""
     return hnf(to_absolute(pm))
-
-
-def diagnostic_bounds(field: NumberField, det_ideal: FractionalIdeal):
-    """Diagnostic size bounds for the elimination: (ideal bound, entry bound).
-
-    The working coefficient ideals stay below d^4 + d^2 log|disc| in size and
-    the reduced entries below S(det_ideal)/d + (that)/d + C; reported by the
-    measurement tooling, not enforced.
-    """
-    from .numeric import log2_ub
-    d = field.degree
-    disc = abs(field.disc)
-    b_id = Fraction(d ** 4) + (d * d * log2_ub(disc) if disc > 1 else Fraction(0))
-    b_e = det_ideal.size() / d + b_id / d + field.growth_constant
-    return b_id, b_e
 
 
 def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,

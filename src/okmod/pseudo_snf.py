@@ -14,7 +14,6 @@ from . import determinant, reduction
 from .ideals import FractionalIdeal, IdealError
 from .numberfield import FieldElement, NumberField
 from .pseudo_hnf import euclidean_step
-from .zlinalg import SingularMatrixError
 
 
 class BiPseudoMatrix:
@@ -334,16 +333,7 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
 
 def quotient_determinantal_ideal(bp: BiPseudoMatrix) -> FractionalIdeal:
     """det(A) * prod(a_j) * prod(b_i)^-1, the modulus of the quotient."""
-    field = bp.field
-    scaled, dens = determinant._scale_rows_integral(bp.rows)
-    dt = determinant.det(field, scaled)
-    if not dt:
-        raise SingularMatrixError("bi-pseudo matrix is singular")
-    den_prod = 1
-    for x in dens:
-        den_prod *= x
-    elt = field.scalar_div(dt, den_prod)
-    out = determinant.product_of_ideals(list(bp.col_ideals)).elt_mul(elt)
+    out = determinant.det_times_ideals(bp.field, bp.rows, bp.col_ideals)
     for b in bp.row_ideals:
         out = out * b.inverse()
     return out

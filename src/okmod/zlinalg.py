@@ -1,22 +1,17 @@
-"""Exact integer matrix kernels: HNF, Howell form, exact solving, SNF.
+"""Exact integer matrix kernels: HNF, modular HNF, exact solving, SNF.
 
 Matrices are dense ``list[list[int]]`` with arbitrary-precision entries and
-rows spanning the lattice.  Two orientations are used:
+rows spanning the lattice.  Hermite forms are lower triangular with positive
+diagonal and every entry below a pivot reduced into ``[0, pivot)``, so the
+(1,1) entry of an ideal basis is the ideal's minimum.
 
-* Hermite forms are lower triangular with positive diagonal and every entry
-  below a pivot reduced into ``[0, pivot)``, so the (1,1) entry of an ideal
-  basis is the ideal's minimum.
-* Howell forms over ``Z/N`` are kept in the usual row-echelon orientation
-  (pivot columns increase with the row index).
-
-``hnf_with_modulus`` connects the two: the canonical lift of the Howell form
-modulo ``lam**2``, computed on the column-reversed matrix and reversed back,
-is the Hermite form whenever ``lam * Z^m`` lies inside the row span.
+``hnf_with_modulus`` is the Hermite form modulo a known multiple ``lam``
+(Domich, Kannan and Trotter; Cohen, GTM 138, Alg. 2.4.8): it never lets an
+entry grow past ``lam``.  Plain ``hnf`` is the independent reference.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 Mat = list[list[int]]
@@ -76,10 +71,6 @@ def vec_mat(v: list[int], a: Mat) -> list[int]:
     if len(v) != n:
         raise ValueError("dimension mismatch")
     return [sum(v[i] * a[i][j] for i in range(n)) for j in range(m)]
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
 
 
 def content(a: Mat) -> int:
@@ -162,109 +153,48 @@ def hnf(a: Mat) -> Mat:
     return [row[::-1] for _, row in reversed(ech)]
 
 
-# ---------------------------------------------------------------------------
-# Howell form over Z/N
-
-
-def _unit_to_divisor(x: int, n: int) -> int:
-    """Unit u mod n with u*x congruent to gcd(x, n); x nonzero mod n."""
-    g = gcd(x, n)
-    if g == n:
-        raise ValueError("x is zero mod n")
-    step = n // g
-    _, u, _ = ext_gcd((x // g) % step, step)
-    u %= step
-    if u == 0:
-        u = step
-    while gcd(u, n) != 1:
-        u += step
-    return u % n
-
-
-def _howell_echelon(rows: Mat, m: int, n: int) -> dict[int, list[int]]:
-    pivots: dict[int, list[int]] = {}
-    work = [[x % n for x in row] for row in rows]
-    while work:
-        r = work.pop()
-        j = next((k for k, x in enumerate(r) if x), None)
-        if j is None:
-            continue
-        if j in pivots:
-            p = pivots[j]
-            g, u, v = ext_gcd(p[j], r[j])
-            a, b = p[j] // g, r[j] // g
-            newp = [(u * x + v * y) % n for x, y in zip(p, r)]
-            newr = [(a * y - b * x) % n for x, y in zip(p, r)]
-            pivots[j] = newp
-            work.append(newr)
-        else:
-            pivots[j] = r
-    return pivots
-
-
-def howell(a: Mat, modulus: int) -> Mat:
-    """Howell form of the row span of ``a`` over Z/modulus (echelon orientation).
-
-    The output rows are the nonzero rows: pivot columns strictly increase,
-    each pivot divides the modulus, entries above a pivot are reduced into
-    [0, pivot), and every span element whose leading coordinates vanish lies
-    in the span of the trailing rows.
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    _, m = shape(a)
-    n = modulus
-    pivots = _howell_echelon(a, m, n)
-    # close the span under annihilator rows so the zero-prefix property holds
-    changed = True
-    while changed:
-        changed = False
-        for j in sorted(pivots):
-            row = pivots[j]
-            c = n // gcd(row[j], n)
-            if c == 1:
-                continue
-            extra = [(c * x) % n for x in row]
-            if any(extra):
-                before = {k: v[:] for k, v in pivots.items()}
-                merged = _howell_echelon(list(pivots.values()) + [extra], m, n)
-                if {k: v for k, v in merged.items()} != before:
-                    pivots = merged
-                    changed = True
-                    break
-    # normalize pivots to divisors of the modulus, reduce above pivots
-    out: list[tuple[int, list[int]]] = []
-    for j in sorted(pivots):
-        row = pivots[j]
-        u = _unit_to_divisor(row[j], n)
-        out.append((j, [(u * x) % n for x in row]))
-    for t, (jt, rt) in enumerate(out):
-        for s in range(t):
-            row_s = out[s][1]
-            q = row_s[jt] // rt[jt]
-            if q:
-                out[s] = (out[s][0], [(x - q * y) % n for x, y in zip(row_s, rt)])
-    return [row for _, row in out]
-
-
 def hnf_with_modulus(a: Mat, lam: int) -> Mat:
-    """HNF of ``a`` computed modulo lam**2, valid when lam*Z^m is in the row span.
+    """Hermite normal form of span(a) + lam * Z^m, with no entry above lam.
 
-    Equal to hnf(stack(a, lam*I)).  All arithmetic stays modulo lam**2; the
-    canonical lift of the Howell form is returned.  If the precondition fails
-    the result is undefined (a RankDeficiencyError is raised when this is
-    detectable).
+    Equal to hnf(a) whenever lam * Z^m lies inside the row span of ``a``.
+    The rows are reduced mod lam, and each column j, from the last, gets the
+    pivot row lam * e_j into which every row with a nonzero j-th entry is
+    folded by an extended gcd: column j exactly, the columns left of it mod
+    lam, since lam * e_k for k < j is still to be added.  Rows left with a
+    zero in column j go on to the next column.  The entries left of each
+    pivot are reduced into [0, pivot) at the end.
     """
     if lam <= 0:
         raise ValueError("modulus must be positive")
-    n, m = shape(a)
-    if lam == 1:
-        return identity(m)
-    rev = [row[::-1] for row in a]
-    rows = howell(rev, lam * lam)
-    if len(rows) != m or any(rows[j][j] == 0 for j in range(m)):
-        raise RankDeficiencyError("lam*Z^m not contained in the row span")
-    return [row[::-1] for row in reversed(rows)]
+    _, m = shape(a)
+    work = [[x % lam for x in row] for row in a]
+    out: Mat = []
+    for j in range(m - 1, -1, -1):
+        piv = [0] * j + [lam]
+        rest = []
+        for row in work:
+            y = row[j]
+            if y:
+                g, u, v = ext_gcd(piv[j], y)
+                s, t = piv[j] // g, y // g
+                pairs = list(zip(piv, row[:j]))
+                piv = [(u * w + v * x) % lam for w, x in pairs] + [g]
+                row = [(s * x - t * w) % lam for w, x in pairs]
+            else:
+                row = row[:j]
+            if any(row):
+                rest.append(row)
+        out.append(piv + [0] * (m - 1 - j))
+        work = rest
+    out.reverse()
+    for i in range(m):
+        row = out[i]
+        for k in range(i - 1, -1, -1):
+            q = row[k] // out[k][k]
+            if q:
+                row = [x - q * y for x, y in zip(row, out[k])]
+        out[i] = row
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,61 +235,6 @@ def solve_left(a: Mat, b: Mat) -> tuple[Mat, int]:
     if prev < 0:
         g = -g
     return [[x // g for x in row] for row in num], prev // g
-
-
-def solve_left_triangular(h: Mat, c: list[Fraction | int]) -> list[Fraction]:
-    """Exact rational y with y * h = c for lower-triangular h with nonzero diagonal."""
-    n, m = shape(h)
-    if n != m or len(c) != n:
-        raise ValueError("dimension mismatch")
-    y: list[Fraction] = [Fraction(0)] * n
-    rest = [Fraction(x) for x in c]
-    for j in range(n - 1, -1, -1):
-        if h[j][j] == 0:
-            raise SingularMatrixError("zero diagonal entry")
-        y[j] = rest[j] / h[j][j]
-        if y[j]:
-            for k in range(j):
-                rest[k] -= y[j] * h[j][k]
-    return y
-
-
-def back_substitute(h: Mat, b: Mat, modulus: int) -> Mat:
-    """Solve h X = b for integral X, working modulo ``modulus`` and lifting.
-
-    ``h`` must be lower triangular with nonzero diagonal and the system must
-    have an integral solution; a non-divisible step raises ValueError.  The
-    working modulus is extended internally by the diagonal product so every
-    division is decided exactly; entries of X are returned in [0, modulus).
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    n, m = shape(h)
-    if n != m:
-        raise ValueError("matrix not square")
-    nb, k = shape(b)
-    if nb != n:
-        raise ValueError("dimension mismatch")
-    diag_prod = 1
-    for i in range(n):
-        if h[i][i] == 0:
-            raise ValueError("zero diagonal entry")
-        diag_prod *= abs(h[i][i])
-    big = modulus * diag_prod
-    x = zero_matrix(n, k)
-    for col in range(k):
-        mod_cur = big
-        vals = [0] * n
-        for i in range(n):
-            v = (b[i][col] - sum(h[i][j] * vals[j] for j in range(i))) % mod_cur
-            q, r = divmod(v, h[i][i])
-            if r:
-                raise ValueError("non-divisibility during substitution; no integral solution")
-            mod_cur //= abs(h[i][i])
-            vals[i] = q % mod_cur if mod_cur > 1 else 0
-        for i in range(n):
-            x[i][col] = vals[i] % modulus
-    return x
 
 
 def det_bareiss(a: Mat) -> int:

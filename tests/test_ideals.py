@@ -8,7 +8,7 @@ import pytest
 from okmod import FractionalIdeal, IdealError, idempotents
 from okmod.zlinalg import hnf
 
-from conftest import get_field, random_ideal, seeded
+from conftest import get_field, random_element, random_ideal, seeded
 
 rng = seeded("test_ideals")
 
@@ -168,6 +168,28 @@ def test_membership_matches_solving(field):
         outside = a.basis_elements()[0] * Fraction(1, 2)
         if not a.contains(outside):
             assert not a.contains(outside)
+
+
+def test_membership_matches_fraction_solve(field):
+    # reference: solve y * num = den * alpha over Q from the last column and
+    # test y for integrality
+    local = seeded("test_ideals membership", offset=1)
+    seen = set()
+    for _ in range(40):
+        a = random_ideal(local, field, fractional=True)
+        alpha = random_element(local, field, lim=12, max_den=4)
+        if local.random() < 0.5:
+            alpha = alpha * a.basis_elements()[-1]
+        rest = [Fraction(c * a.den, alpha.den) for c in alpha.coeffs]
+        y = [Fraction(0)] * field.degree
+        for j in range(field.degree - 1, -1, -1):
+            y[j] = rest[j] / a.num[j][j]
+            for k in range(j):
+                rest[k] -= y[j] * a.num[j][k]
+        expected = all(q.denominator == 1 for q in y)
+        assert a.contains(alpha) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_idempotents_examples():

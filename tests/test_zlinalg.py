@@ -47,19 +47,6 @@ def reference_hnf(a):
     return out
 
 
-def span_mod(rows, m, modulus):
-    seen = {tuple([0] * m)}
-    frontier = [tuple([0] * m)]
-    while frontier:
-        v = frontier.pop()
-        for r in rows:
-            w = tuple((x + y) % modulus for x, y in zip(v, r))
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
 def test_hnf_trivial_cases():
     assert zl.hnf([[2]]) == [[2]]
     for n in (1, 2, 4):
@@ -100,42 +87,11 @@ def test_hnf_row_span_preserved():
             h = zl.hnf(a)
         except zl.RankDeficiencyError:
             continue
-        # rows of a lie in the span of h and vice versa (triangular solving)
-        for row in a:
-            y = zl.solve_left_triangular(h, row)
-            assert all(f.denominator == 1 for f in y)
+        # rows of a lie in the span of h and vice versa (exact solving)
+        _, den = zl.solve_left(h, a)
+        assert den == 1
         # h rows in span of a: stack and compare spans via hnf equality
         assert zl.hnf(a + h) == h
-
-
-def test_howell_trivial():
-    assert zl.howell([[2]], 4) == [[2]]
-    for m in (2, 5, 9):
-        assert zl.howell(zl.identity(3), m) == zl.identity(3)
-
-
-def test_howell_derived_example():
-    assert zl.howell([[2, 1]], 4) == [[2, 1], [0, 2]]
-
-
-def test_howell_span_equality_by_enumeration():
-    rng = random.Random(SEED + 2)
-    for _ in range(40):
-        modulus = rng.choice([2, 3, 4, 6, 8, 9, 12])
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 3)
-        a = [[rng.randint(0, modulus - 1) for _ in range(m)] for _ in range(n)]
-        if not any(any(r) for r in a):
-            continue
-        h = zl.howell(a, modulus)
-        assert span_mod(a, m, modulus) == span_mod(h, m, modulus)
-        # pivot structure: strictly increasing pivots dividing the modulus
-        last = -1
-        for row in h:
-            j = next(k for k, x in enumerate(row) if x)
-            assert j > last
-            assert modulus % row[j] == 0
-            last = j
 
 
 def test_hnf_with_modulus_trivial():
@@ -159,17 +115,41 @@ def test_hnf_with_modulus_matches_stacked_hnf():
         assert zl.hnf_with_modulus(a, lam) == expected
 
 
-def test_howell_lift_equals_hnf_under_lemma_hypothesis():
+def with_modulus_rows(a, lam):
+    m = len(a[0])
+    return a + [[lam if i == j else 0 for j in range(m)] for i in range(m)]
+
+
+def test_hnf_with_modulus_is_hnf_of_span_plus_modulus():
+    # the lam * I rows are not part of the input: the result is the HNF of
+    # span(a) + lam * Z^m whether or not lam * Z^m lies in span(a)
     rng = random.Random(SEED + 4)
-    for _ in range(30):
-        m = rng.randint(1, 4)
-        lam = rng.randint(2, 12)
-        a = [[rng.randint(-20, 20) for _ in range(m)] for _ in range(rng.randint(1, 4))]
-        a += [[lam if i == j else 0 for j in range(m)] for i in range(m)]
-        h = zl.hnf(a)
-        rows = zl.howell([r[::-1] for r in a], lam * lam)
-        lifted = [row[::-1] for row in reversed(rows)]
-        assert lifted == h
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 6)
+        lam = rng.choice([1, 2, 12, rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 12)])
+        a = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(m)] for _ in range(n)]
+        h = zl.hnf_with_modulus(a, lam)
+        assert h == zl.hnf(with_modulus_rows(a, lam))
+        assert all(0 <= x <= lam for row in h for x in row)
+
+
+def test_hnf_with_modulus_edge_cases():
+    # lam = 1: the whole of Z^m
+    assert zl.hnf_with_modulus([[5, 7, -3]], 1) == zl.identity(3)
+    # fewer rows than columns
+    a = [[4, 6, 2]]
+    assert zl.hnf_with_modulus(a, 8) == zl.hnf(with_modulus_rows(a, 8))
+    # all-zero rows, alone and among others
+    assert zl.hnf_with_modulus([[0, 0], [0, 0]], 6) == [[6, 0], [0, 6]]
+    a = [[0, 0, 0], [3, 0, 9], [0, 0, 0]]
+    assert zl.hnf_with_modulus(a, 9) == zl.hnf(with_modulus_rows(a, 9))
+    # a pivot equal to lam: no row reaches the last column
+    a = [[2, 0], [1, 0]]
+    assert zl.hnf_with_modulus(a, 10) == [[1, 0], [0, 10]]
+    assert zl.hnf_with_modulus(a, 10) == zl.hnf(with_modulus_rows(a, 10))
+    with pytest.raises(ValueError):
+        zl.hnf_with_modulus([[1]], 0)
 
 
 def cramer_solve(a, b):
@@ -222,32 +202,6 @@ def test_solve_left_orientation():
 def test_solve_left_singular_raises():
     with pytest.raises(zl.SingularMatrixError):
         solve_right([[1, 2], [2, 4]], [1, 1])
-
-
-def test_back_substitute_examples():
-    assert zl.back_substitute([[2, 0], [1, 1]], [[2, 0], [1, 1]], 10) == zl.identity(2)
-    b = [[3, 1], [2, 5], [0, 7]]
-    assert zl.back_substitute(zl.identity(3), b, 100) == b
-
-
-def test_back_substitute_reconstructs_random_solutions():
-    rng = random.Random(SEED + 6)
-    for _ in range(40):
-        n = 3
-        h = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i):
-                h[i][j] = rng.randint(-5, 5)
-            h[i][i] = rng.choice([1, 2, 3, 5, -2])
-        modulus = rng.randint(7, 60)
-        x = [[rng.randint(0, modulus - 1) for _ in range(2)] for _ in range(n)]
-        b = zl.mat_mul(h, x)
-        assert zl.back_substitute(h, b, modulus) == x
-
-
-def test_back_substitute_non_divisible_raises():
-    with pytest.raises(ValueError):
-        zl.back_substitute([[2, 0], [0, 2]], [[1, 0], [0, 2]], 9)
 
 
 def test_z_snf_fixed_cases():
