@@ -2,9 +2,9 @@
 """Multi-modular determinants over a ring of integers.
 
 The determinant of an integral matrix is computed in the residue fields of
-enough small unramified primes (split by factoring the defining polynomial),
-glued back by polynomial and integer Chinese remaindering, and recovered by
-a symmetric lift under a proven coefficient bound.
+enough word-size unramified primes (split by factoring the defining
+polynomial), glued back by polynomial and integer Chinese remaindering, and
+recovered by a symmetric lift under a proven coefficient bound.
 """
 
 import random

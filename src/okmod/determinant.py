@@ -1,10 +1,12 @@
-"""Determinants over rings of integers by the small-prime CRT method.
+"""Determinants over rings of integers by the multi-modular CRT method.
 
 The determinant of an integral matrix is computed in every residue field of
-enough unramified primes, recombined by the two-stage Chinese remainder
-construction and lifted symmetrically; the prime budget comes from a proven
-coefficient bound, so the lift is exact.  Rectangular rank probing reuses the
-same plans to find a witness nonsingular submatrix.
+enough word-size unramified primes, recombined by the two-stage Chinese
+remainder construction and lifted symmetrically; the prime budget comes from
+a proven coefficient bound, so the lift is exact.  Rectangular rank probing
+reuses the same plans to find a witness nonsingular submatrix.  Both run one
+greedy elimination over F_p[x]/(g), on the matrix held as deg g dense F_p
+planes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from . import residues
 from .ideals import FractionalIdeal
 from .numberfield import FieldElement, NumberField
 from .numeric import frac_sqrt_ub, log2_ub
-from .residues import Poly, poly_inverse_mod, poly_mod, poly_mul, poly_sub
+from .residues import Poly, poly_inverse_mod, poly_mod, poly_mul, poly_trim
 from .zlinalg import SingularMatrixError, RankDeficiencyError
 
 
@@ -44,28 +46,74 @@ def det_bound(field: NumberField, n: int, height: int) -> Fraction:
     return log2_ub(max(bound, Fraction(2)))
 
 
-def _gauss_det(mat: list[list[Poly]], g: Poly, p: int) -> Poly:
-    n = len(mat)
-    sign = 1
-    det: Poly = (1,)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col]), None)
+def _mult_matrix(a, g: Poly, p: int) -> list[list[int]]:
+    """k x k matrix of multiplication by a on F_p[x]/(g), g monic of degree k."""
+    k = len(g) - 1
+    col = list(a) + [0] * (k - len(a))
+    cols = [col]
+    for _ in range(k - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [(x - top * y) % p for x, y in zip(col, g)]
+        cols.append(col)
+    return [[c[t] for c in cols] for t in range(k)]
+
+
+def _residue_planes(rows: list[list[FieldElement]], sys) -> list[list[list[list[int]]]]:
+    """Per factor of sys, the k dense F_p planes [t][i][j] of the projected matrix."""
+    proj = [[residues.project_element(e, sys) for e in row] for row in rows]
+    out = []
+    for fi, g in enumerate(sys.factors):
+        out.append([[[e[fi][t] if t < len(e[fi]) else 0 for e in row] for row in proj]
+                    for t in range(len(g) - 1)])
+    return out
+
+
+def _eliminate(planes: list[list[list[int]]], g: Poly, p: int):
+    """Greedy echelon form over F_p[x]/(g) of a matrix held as dense planes.
+
+    For each column in turn, the first live row with a nonzero entry becomes
+    the pivot row and the column is cleared from the other live rows; only
+    the columns right of it are updated, each multiplier acting through its
+    multiplication matrix.  Returns the pivot rows and columns (original
+    indices) and the determinant: the signed product of the pivots if every
+    row holds a pivot, else zero.  The planes are overwritten.
+    """
+    n = len(planes[0])
+    m = len(planes[0][0]) if n else 0
+    alive = list(range(n))
+    rows_out: list[int] = []
+    cols_out: list[int] = []
+    prod: Poly = (1,)
+    for col in range(m):
+        piv = next((r for r in alive if any(pl[r][col] for pl in planes)), None)
         if piv is None:
-            return ()
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            sign = -sign
-        pivot = mat[col][col]
-        det = poly_mod(poly_mul(det, pivot, p), g, p)
-        inv = poly_inverse_mod(pivot, g, p)
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                f = poly_mod(poly_mul(mat[r][col], inv, p), g, p)
-                mat[r] = [poly_sub(x, poly_mod(poly_mul(f, y, p), g, p), p)
-                          for x, y in zip(mat[r], mat[col])]
-    if sign < 0:
-        det = tuple((-x) % p for x in det)
-    return det
+            continue
+        alive.remove(piv)
+        rows_out.append(piv)
+        cols_out.append(col)
+        pivot = poly_trim([pl[piv][col] for pl in planes], p)
+        prod = poly_mod(poly_mul(prod, pivot, p), g, p)
+        inv = _mult_matrix(poly_inverse_mod(pivot, g, p), g, p)
+        tails = [pl[piv][col + 1:] for pl in planes]
+        for r in alive:
+            a = [pl[r][col] for pl in planes]
+            if not any(a):
+                continue
+            f = [sum(x * y for x, y in zip(row, a)) % p for row in inv]
+            mult = _mult_matrix(f, g, p)
+            for t, pl in enumerate(planes):
+                acc = pl[r][col + 1:]
+                for c, tail in zip(mult[t], tails):
+                    if c:
+                        acc = [x - c * y for x, y in zip(acc, tail)]
+                pl[r][col + 1:] = [x % p for x in acc]
+    if len(rows_out) < n:
+        prod = ()
+    elif sum(a > b for i, a in enumerate(rows_out) for b in rows_out[i + 1:]) % 2:
+        prod = tuple((-x) % p for x in prod)
+    return rows_out, cols_out, prod
 
 
 def det(field: NumberField, rows: list[list[FieldElement]]) -> FieldElement:
@@ -79,42 +127,11 @@ def det(field: NumberField, rows: list[list[FieldElement]]) -> FieldElement:
     per_prime = []
     for p in plan.primes:
         sys = field.residue_system(p)
-        proj = [[residues.project_element(e, sys) for e in row] for row in rows]
-        vals = []
-        for fi, g in enumerate(sys.factors):
-            mat = [[proj[i][j][fi] for j in range(n)] for i in range(n)]
-            vals.append(_gauss_det(mat, g, p))
+        vals = [_eliminate(planes, g, p)[2]
+                for g, planes in zip(sys.factors, _residue_planes(rows, sys))]
         per_prime.append(residues.crt_combine_factors(vals, sys))
     coeffs = residues.crt_combine_primes(per_prime, plan, field.degree)
     return residues.lift_to_field(coeffs, field, plan.modulus)
-
-
-def _echelon_pivots(mat: list[list[Poly]], g: Poly, p: int) -> tuple[list[int], list[int]]:
-    """Pivot (row, column) indices of a greedy echelonization, original indices."""
-    n, m = len(mat), len(mat[0])
-    work = [row[:] for row in mat]
-    alive = list(range(n))
-    rows_out: list[int] = []
-    cols_out: list[int] = []
-    for col in range(m):
-        hit = None
-        for idx, orig in enumerate(alive):
-            if work[idx][col]:
-                hit = idx
-                break
-        if hit is None:
-            continue
-        rows_out.append(alive[hit])
-        cols_out.append(col)
-        pivot_row = work.pop(hit)
-        alive.pop(hit)
-        inv = poly_inverse_mod(pivot_row[col], g, p)
-        for idx in range(len(work)):
-            if work[idx][col]:
-                f = poly_mod(poly_mul(work[idx][col], inv, p), g, p)
-                work[idx] = [poly_sub(x, poly_mod(poly_mul(f, y, p), g, p), p)
-                             for x, y in zip(work[idx], pivot_row)]
-    return rows_out, cols_out
 
 
 def rank_and_submatrix(field: NumberField, rows: list[list[FieldElement]]):
@@ -138,10 +155,8 @@ def rank_and_submatrix(field: NumberField, rows: list[list[FieldElement]]):
     best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
     for p in plan.primes:
         sys = field.residue_system(p)
-        proj = [[residues.project_element(e, sys) for e in row] for row in rows]
-        for fi, g in enumerate(sys.factors):
-            mat = [[proj[i][j][fi] for j in range(m)] for i in range(n)]
-            ridx, cidx = _echelon_pivots(mat, g, p)
+        for g, planes in zip(sys.factors, _residue_planes(rows, sys)):
+            ridx, cidx, _ = _eliminate(planes, g, p)
             if len(ridx) > best_rank:
                 best_rank = len(ridx)
                 best = (tuple(sorted(ridx)), tuple(sorted(cidx)))

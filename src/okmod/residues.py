@@ -1,10 +1,13 @@
-"""Small-prime residue machinery: splitting, projections, two-stage CRT.
+"""Word-size prime residue machinery: splitting, projections, two-stage CRT.
 
 Polynomials over F_p are coefficient tuples, constant term first, with no
-trailing zeros.  Factorization is fully deterministic: distinct-degree
-splitting first, then equal-degree splitting by scanning gcd(g, v - s) over
-the kernel vectors v of the Frobenius endomorphism and the field elements s,
-which is affordable because the planned primes are small.
+trailing zeros.  Prime plans take the primes just below 2^62, so a
+determinant needs a handful of them.  Factorization is fully deterministic:
+distinct-degree splitting first, then equal-degree splitting of g by a kernel
+vector v of the Frobenius endomorphism (Berlekamp), through
+gcd((v + s)^((p-1)/2) - 1, g) for s = 0, 1, 2, ...: two distinct values of v
+modulo the irreducible factors differ in quadratic character for (p-1)/2 of
+the shifts s, so the scan stops after about two of them.
 """
 
 from __future__ import annotations
@@ -164,7 +167,10 @@ def _split_equal_degree(g: Poly, p: int) -> list[Poly]:
         if len(v) <= 1:
             continue
         for s in range(p):
-            h = poly_gcd(poly_sub(v, (s,), p), g, p)
+            w = poly_add(v, (s,), p)
+            if p > 2:
+                w = poly_sub(poly_pow_mod(w, (p - 1) // 2, g, p), (1,), p)
+            h = poly_gcd(w, g, p)
             if 1 < len(h) < len(g):
                 rest = poly_divmod(g, h, p)[0]
                 return _split_equal_degree(h, p) + _split_equal_degree(rest, p)
@@ -207,7 +213,8 @@ class ResidueSystem:
     p: int
     fbar: Poly
     factors: tuple[Poly, ...]
-    proj_table: tuple[tuple[Poly, ...], ...]  # [factor][basis index]
+    # [factor][t][j]: coefficient of x^t in basis element j mod the factor
+    proj_mats: tuple[tuple[tuple[int, ...], ...], ...]
     crt_mults: tuple[Poly, ...]  # u_i * (fbar / fbar_i) mod fbar
 
 
@@ -221,57 +228,27 @@ def split_prime(field: NumberField, p: int) -> ResidueSystem:
     factors = tuple(factor_squarefree(fbar, p))
     if sum(len(g) - 1 for g in factors) != field.degree:
         raise ResidueError("factorization degrees do not sum to the field degree")
-    d = field.degree
-    m_mod = [[x % p for x in row] for row in field.power_to_basis]
-    minv = _matrix_inverse_mod_p(m_mod, p)
-    # column i of minv = power-basis coordinates of the i-th basis element
-    proj = []
+    # the basis over the power basis: its denominators divide the index, so
+    # they are units mod p
+    cols = [poly_trim([q.numerator * pow(q.denominator, -1, p) for q in row], p)
+            for row in field.basis_pow]
+    proj, mults = [], []
     for g in factors:
-        per_basis = []
-        for i in range(d):
-            col = [minv[j][i] for j in range(d)]
-            per_basis.append(poly_mod(poly_trim(col, p), g, p))
-        proj.append(tuple(per_basis))
-    mults = []
-    for g in factors:
+        images = [poly_mod(c, g, p) for c in cols]
+        proj.append(tuple(tuple(c[t] if t < len(c) else 0 for c in images)
+                          for t in range(len(g) - 1)))
         rest = poly_divmod(fbar, g, p)[0]
-        u = poly_inverse_mod(rest, g, p)
-        mults.append(poly_mod(poly_mul(u, rest, p), fbar, p))
+        mults.append(poly_mod(poly_mul(poly_inverse_mod(rest, g, p), rest, p), fbar, p))
     return ResidueSystem(field, p, fbar, factors, tuple(proj), tuple(mults))
-
-
-def _matrix_inverse_mod_p(a, p):
-    n = len(a)
-    work = [[a[i][j] % p for j in range(n)] + [1 if i == j else 0 for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] % p), None)
-        if piv is None:
-            raise ResidueError("power-basis transformation singular mod p")
-        work[col], work[piv] = work[piv], work[col]
-        inv = pow(work[col][col], -1, p)
-        work[col] = [(x * inv) % p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
 
 
 def project_element(beta: FieldElement, sys: ResidueSystem) -> list[Poly]:
     """Images of an integral element in each residue field F_p[x]/(fbar_i)."""
     if beta.den != 1:
         raise FieldError("projection requires an integral element")
-    p = sys.p
-    coeffs = [c % p for c in beta.coeffs]
-    out = []
-    for fi, table in enumerate(sys.proj_table):
-        acc: Poly = ()
-        for j, c in enumerate(coeffs):
-            if c:
-                acc = poly_add(acc, poly_trim([c * x for x in table[j]], p), p)
-        out.append(poly_mod(acc, sys.factors[fi], p))
-    return out
+    coeffs = beta.coeffs
+    return [poly_trim([sum(x * c for x, c in zip(row, coeffs)) for row in mat], sys.p)
+            for mat in sys.proj_mats]
 
 
 def crt_combine_factors(values: list[Poly], sys: ResidueSystem) -> Poly:
@@ -299,7 +276,7 @@ class PrimePlan:
 
 
 def plan_primes(field: NumberField, log_bound) -> PrimePlan:
-    """First primes coprime to disc(f) with product > 2^(log_bound + 1)."""
+    """First primes below 2^62 coprime to disc(f) with product > 2^(log_bound + 1)."""
     log_bound = Fraction(log_bound)
     if log_bound <= 0:
         raise ResidueError("bound must be positive")
@@ -309,26 +286,33 @@ def plan_primes(field: NumberField, log_bound) -> PrimePlan:
     target = 1 << (ceiling + 1)
     primes: list[int] = []
     n_prod = 1
-    cand = 2
+    cand = (1 << 62) - 1
     while n_prod <= target:
-        if all(cand % q for q in primes_below(cand)):
-            if field.disc_f % cand:
-                primes.append(cand)
-                n_prod *= cand
-        cand += 1
+        if field.disc_f % cand and _is_prime(cand):
+            primes.append(cand)
+            n_prod *= cand
+        cand -= 2
     return PrimePlan(log_bound, tuple(primes), n_prod)
 
 
-_PRIME_TABLE: list[int] = [2]
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def primes_below(n: int) -> list[int]:
-    while _PRIME_TABLE[-1] * _PRIME_TABLE[-1] < n:
-        c = _PRIME_TABLE[-1] + 1
-        while any(c % q == 0 for q in _PRIME_TABLE if q * q <= c):
-            c += 1
-        _PRIME_TABLE.append(c)
-    return [q for q in _PRIME_TABLE if q * q <= n]
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases above: exact for odd 37 < n < 3.18 * 10^23."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def symmetric_lift(x: int, n: int) -> int:

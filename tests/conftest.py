@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,12 +14,24 @@ FIELD_SPECS = {
     "cubic": ([-1, -1, 0, 1], None),
 }
 
+# fields beyond the standing four: index > 1 basis transport, quartic and
+# quintic degrees, a cyclotomic field
+EXTRA_SPECS = {
+    "golden": ([-5, 0, 1], [[1, 0], [Fraction(1, 2), Fraction(1, 2)]]),
+    # the classic non-monogenic cubic: 2 divides the index of every power basis
+    "dedekind": ([-8, -2, -1, 1],
+                 [[1, 0, 0], [0, 1, 0], [0, Fraction(1, 2), Fraction(1, 2)]]),
+    "quartic": ([-1, -1, 0, 0, 1], None),
+    "zeta5": ([1, 1, 1, 1, 1], None),
+    "quintic": ([-1, -1, 0, 0, 0, 1], None),
+}
+
 _FIELDS = {}
 
 
 def get_field(name):
     if name not in _FIELDS:
-        poly, basis = FIELD_SPECS[name]
+        poly, basis = {**FIELD_SPECS, **EXTRA_SPECS}[name]
         _FIELDS[name] = build_field(poly, basis)
     return _FIELDS[name]
 
@@ -45,6 +58,30 @@ def random_ideal(rng, K, lim=6, fractional=False):
     if fractional and rng.random() < 0.5:
         a = FractionalIdeal.from_rational(K, Fraction(1, rng.randint(2, 5))) * a
     return a
+
+
+def check_prime_plan(K, bound):
+    """Properties of plan_primes(K, bound), decided with sympy apart from okmod."""
+    from sympy import isprime, prevprime
+
+    from okmod import plan_primes
+    plan = plan_primes(K, bound)
+    assert plan_primes(K, bound) == plan
+    # the first primes below 2^62 that do not divide disc(f), so distinct
+    expected, q = [], 1 << 62
+    while len(expected) < len(plan.primes):
+        q = prevprime(q)
+        if K.disc_f % q:
+            expected.append(q)
+    assert list(plan.primes) == expected
+    assert all(isprime(q) and K.disc_f % q for q in plan.primes)
+    target = 2 ** (math.ceil(Fraction(bound)) + 1)
+    product = 1
+    for q in plan.primes:
+        assert product <= target
+        product *= q
+    assert plan.modulus == product > target
+    return plan
 
 
 def seeded(name, offset=0):

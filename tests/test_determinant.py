@@ -10,7 +10,7 @@ from okmod.determinant import entry_height, product_of_ideals
 from okmod.pseudo_hnf import PseudoMatrix
 from okmod.zlinalg import SingularMatrixError, RankDeficiencyError
 
-from conftest import get_field, random_ideal, seeded
+from conftest import EXTRA_SPECS, FIELD_SPECS, get_field, random_ideal, seeded
 
 rng = seeded("test_determinant")
 
@@ -62,6 +62,12 @@ def test_det_bound_covers_small_cases():
             assert log2_ub(2 * coeff) <= bound
 
 
+# the standing four fields and those beyond them, whose bases are not power
+# bases or whose disc(f) has index divisors
+ALL_FIELDS = [*FIELD_SPECS, *EXTRA_SPECS]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, indirect=True)
 def test_det_matches_cofactor_oracle(field):
     for n in (1, 2, 3, 4, 5):
         for _ in range(3):
@@ -97,6 +103,7 @@ def test_rank_examples():
     assert s == 0 and ds == one
 
 
+@pytest.mark.parametrize("field", ALL_FIELDS, indirect=True)
 def test_rank_matches_minor_oracle(field):
     for _ in range(4):
         n, m = 4, 2

@@ -1,8 +1,6 @@
 """Spot checks on fields beyond the standing four: index > 1 basis transport,
 quartic and quintic degrees, a cyclotomic field."""
 
-from fractions import Fraction
-
 import pytest
 
 from okmod import (FractionalIdeal, PseudoMatrix, build_field, idempotents,
@@ -11,29 +9,13 @@ from okmod import (FractionalIdeal, PseudoMatrix, build_field, idempotents,
 from okmod.reduction import ReducedBasisCache, check_reduced_bound
 from okmod.zlinalg import RankDeficiencyError
 
-from conftest import seeded
+from conftest import EXTRA_SPECS, check_prime_plan, get_field, seeded
 
 rng = seeded("test_higher_degree")
 
-EXTRA_SPECS = {
-    "golden": ([-5, 0, 1], [[1, 0], [Fraction(1, 2), Fraction(1, 2)]]),
-    # the classic non-monogenic cubic: 2 divides the index of every power basis
-    "dedekind": ([-8, -2, -1, 1],
-                 [[1, 0, 0], [0, 1, 0], [0, Fraction(1, 2), Fraction(1, 2)]]),
-    "quartic": ([-1, -1, 0, 0, 1], None),
-    "zeta5": ([1, 1, 1, 1, 1], None),
-    "quintic": ([-1, -1, 0, 0, 0, 1], None),
-}
-
-_CACHE = {}
-
-
 @pytest.fixture(params=list(EXTRA_SPECS), scope="module")
 def xfield(request):
-    if request.param not in _CACHE:
-        poly, basis = EXTRA_SPECS[request.param]
-        _CACHE[request.param] = build_field(poly, basis)
-    return _CACHE[request.param]
+    return get_field(request.param)
 
 
 def rand_elt(K, lim=9, max_den=1):
@@ -61,10 +43,10 @@ def test_construction_facts():
 
 
 def test_dedekind_prime_plan_skips_index_divisor():
-    from okmod import plan_primes
-    K = build_field(*EXTRA_SPECS["dedekind"])
-    plan = plan_primes(K, 20)
-    assert 2 not in plan.primes and plan.primes[0] == 3
+    K = get_field("dedekind")
+    assert K.index == 2
+    for bound in (20, 150, 500):
+        check_prime_plan(K, bound)
 
 
 def test_element_and_ideal_algebra(xfield):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from okmod import plan_primes, project_element, split_prime
+from okmod import build_field, plan_primes, project_element, split_prime
 from okmod import residues as rs
 
-from conftest import get_field, seeded
+from conftest import check_prime_plan, get_field, seeded
 
 rng = seeded("test_residues")
 
@@ -33,6 +33,26 @@ def test_factor_random_products():
             for g in chosen:
                 f = rs.poly_mul(f, g, p)
             assert rs.factor_squarefree(f, p) == sorted(chosen, key=lambda q: (len(q), q))
+
+
+def test_factor_word_size_products():
+    # distinct linear and irreducible quadratic factors mod a 62-bit prime;
+    # x^2 + b x + c is irreducible when b^2 - 4c is a non-square (Euler)
+    local = seeded("test_residues word size", offset=1)
+    p = (1 << 62) - 57
+    for _ in range(6):
+        n_lin, n_quad = local.randint(1, 3), local.randint(2, 3)
+        chosen = set()
+        while len(chosen) < n_lin:
+            chosen.add((local.randrange(p), 1))
+        while len(chosen) < n_lin + n_quad:
+            b, c = local.randrange(p), local.randrange(p)
+            if pow(b * b - 4 * c, (p - 1) // 2, p) == p - 1:
+                chosen.add((c, b, 1))
+        f = (1,)
+        for g in chosen:
+            f = rs.poly_mul(f, g, p)
+        assert rs.factor_squarefree(f, p) == sorted(chosen, key=lambda q: (len(q), q))
 
 
 def test_split_prime_examples():
@@ -94,15 +114,13 @@ def test_crt_factors_examples():
 
 
 def test_plan_primes_examples():
-    Q = get_field("Q")
-    plan = plan_primes(Q, 10)
-    assert plan.primes == (2, 3, 5, 7, 11)
-    assert plan.modulus == 2310
-    K = get_field("Qi")
-    plan = plan_primes(K, 6)
-    assert plan.primes[0] == 3 and 2 not in plan.primes
-    for p in plan.primes:
-        assert K.disc_f % p
+    for name, bound in (("Q", 10), ("Qi", 6), ("Qm5", 130), ("cubic", 400)):
+        check_prime_plan(get_field(name), bound)
+    # disc(x^2 - q) = 4q with q the first candidate prime: q is skipped
+    q = (1 << 62) - 57
+    assert q % 4 == 3
+    plan = check_prime_plan(build_field([-q, 0, 1]), 200)
+    assert q not in plan.primes
 
 
 def test_crt_primes_examples():
