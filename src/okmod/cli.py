@@ -336,9 +336,6 @@ def _build_argparser() -> argparse.ArgumentParser:
                     help="canonicalize the pseudo-Hermite output")
     ap.add_argument("--check", action="store_true",
                     help="run the matching oracle after computing")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="echoed for reproducibility bookkeeping; the "
-                         "computations themselves are deterministic")
     ap.add_argument("--op", choices=["hnf", "snf", "det"], default=None,
                     help="oracle selection for the check command")
     return ap
@@ -346,8 +343,6 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
-    if args.seed is not None:
-        print(f"# seed {args.seed}")
     try:
         field = parse_field_file(args.field)
         matrix = parse_matrix_file(args.matrix, field)

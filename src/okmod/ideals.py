@@ -222,22 +222,17 @@ class FractionalIdeal:
     def inverse(self) -> "FractionalIdeal":
         """Exact inverse via the trace dual.
 
-        For the integral numerator b, let H be the Hermite basis of b * B,
-        where T is the trace matrix and B = den(T^-1) * (codifferent) the
-        codifferent numerator, formed through its two-element representation.
-        The trace dual of b * B is den(T^-1)^-1 * b^-1, so the rows of X with
-        X * T * H^t = den(T^-1) * I span b^-1.  For X = N / D, D * Z^d lies in
-        the span of N because b^-1 contains O_K.
+        For the integral numerator b, let H be the Hermite basis of the
+        product b * B, where T is the trace matrix and B = den(T^-1) *
+        (codifferent) the codifferent numerator.  The trace dual of b * B is
+        den(T^-1)^-1 * b^-1, so the rows of X with X * T * H^t = den(T^-1) * I
+        span b^-1.  For X = N / D, D * Z^d lies in the span of N because b^-1
+        contains O_K.
         """
         field = self.field
         d = field.degree
-        d1, d2, m1, m2 = field.two_element_rep
-        rows: Mat = []
-        for u in self.num:
-            rows.append([sum(u[i] * m1[i][k] for i in range(d)) for k in range(d)])
-            rows.append([sum(u[i] * m2[i][k] for i in range(d)) for k in range(d)])
-        lam = self.num[0][0] * field.codifferent_numerator.num[0][0]
-        h = hnf_with_modulus(rows, lam)
+        numerator = self if self.den == 1 else FractionalIdeal(field, self.num, 1)
+        h = (numerator * field.codifferent_numerator).num
         rhs = [[field.trace_den if i == j else 0 for j in range(d)] for i in range(d)]
         num, den = solve_left(mat_mul(field.trace_mat, transpose(h)), rhs)
         inv_integral = FractionalIdeal(field, hnf_with_modulus(num, den), den)

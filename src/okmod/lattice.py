@@ -8,6 +8,20 @@ matrix) on the image of its Hermite basis under that integer embedding.  The
 output quality is not assumed: every reduced basis is checked against the
 first-vector and product bounds, with the rounding-quality constant already
 absorbed into the stored reduction parameter.
+
+The integer embedding r_e is also the one certificate of T2 sizes.  Let R be
+the true Cholesky factor, T2(x) = |xR|^2 for an integer coefficient vector x,
+and write r_e = 2^e R + E.  The build bounds the Frobenius norm of E by eps_f
+and that of r_e^-1 by s_f, so
+
+    2^e xR = x r_e (I - r_e^-1 E)  gives  2^e |xR| <= (1 + eps_f s_f) |x r_e|,
+
+and the stored c_quality is at least 1 + eps_f s_f.  Hence
+
+    T2(x / den) <= c_quality^2 |x r_e|^2 / (4^e den^2),
+
+a bound decided by exact integer arithmetic, with no evaluation at the roots
+(``LatticeContext.t2_bound``).
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ import mpmath as mp
 from . import numeric
 from .numeric import Ball, frac_nth_root_ub, frac_sqrt_lb, frac_sqrt_ub, frac_up, mpf_to_fraction
 from .numberfield import FieldElement, NumberField
-from .zlinalg import Mat, det_bareiss, identity, mat_mul, solve_left, transpose
+from .zlinalg import Mat, det_bareiss, identity, mat_mul, solve_left, transpose, vec_mat
 
 LLL_DELTA = Fraction(99, 100)
 LLL_ETA = Fraction(501, 1000)
@@ -43,6 +57,12 @@ class LatticeContext:
         self.ell_sq = ell_sq
         self.quality_sq = quality_sq
         self.c_quality = c_quality
+
+    def t2_bound(self, coeffs, den: int = 1) -> Fraction:
+        """Certified upper bound c_quality^2 |x r_e|^2 / (4^e den^2) on
+        T2(x / den) for an integer coefficient vector x."""
+        v = vec_mat(coeffs, self.r_e)
+        return self.c_quality ** 2 * Fraction(sum(t * t for t in v), den * den << 2 * self.e)
 
     def norm_bound_sq(self) -> Fraction:
         """Upper bound for N(a)^2 <= bound after normalization: (l^(d^2) sqrt|disc|)^2."""
@@ -208,20 +228,16 @@ def reduce_ideal_basis(ideal, ctx: LatticeContext) -> Mat:
 
 
 def _check_quality(ideal, basis: Mat, ctx: LatticeContext) -> None:
-    field = ctx.field
-    d = field.degree
+    d = ctx.field.degree
     if d == 1:
         # the basis is the single generator: both bounds hold with equality,
-        # which the rounded-up enclosure cannot certify
+        # which the rounded-up certificate cannot confirm
         return
     nrm = ideal.norm()
-    disc = abs(field.disc)
+    disc = abs(ctx.field.disc)
     prod_rhs = ctx.quality_sq ** (d * (d - 1) // 2) * disc * nrm * nrm
     first_rhs = ctx.quality_sq ** (d * (d - 1)) * disc * nrm * nrm
-    ubs = []
-    for row in basis:
-        _, ub = field.norm_sq_bounds(field.element(row))
-        ubs.append(ub)
+    ubs = [ctx.t2_bound(row) for row in basis]
     prod = Fraction(1)
     for ub in ubs:
         prod *= ub

@@ -169,6 +169,9 @@ class NumberField:
         self._codifferent = None
         self._two_elt = None
         self._residue_systems: dict[int, object] = {}
+        # primes below 2^62 not dividing disc(f), in decreasing order;
+        # extended on demand by residues.plan_primes
+        self.admissible_primes: list[int] = []
         self._basis_cache = None
 
     # -- constructors ------------------------------------------------------
@@ -186,21 +189,6 @@ class NumberField:
 
     def element(self, coeffs, den: int = 1) -> FieldElement:
         return FieldElement(self, coeffs, den)
-
-    def from_fractions(self, fracs: list[Fraction]) -> FieldElement:
-        den = 1
-        for q in fracs:
-            den = den * q.denominator // gcd(den, q.denominator)
-        coeffs = [int(q * den) for q in fracs]
-        return FieldElement(self, coeffs, den)
-
-    def from_power_coords(self, fracs: list[Fraction]) -> FieldElement:
-        out = [Fraction(0)] * self.degree
-        for j, q in enumerate(fracs):
-            if q:
-                for i in range(self.degree):
-                    out[i] += q * self.power_to_basis[i][j]
-        return self.from_fractions(out)
 
     def to_power_coords(self, elt: FieldElement) -> list[Fraction]:
         d = self.degree
@@ -308,19 +296,6 @@ class NumberField:
                 prec *= 2
         return self._roots
 
-    def norm_sq_bounds(self, a: FieldElement) -> tuple[Fraction, Fraction]:
-        """Certified enclosure of the squared T2 norm of an element."""
-        if not a:
-            return Fraction(0), Fraction(0)
-        p = self.to_power_coords(a)
-        lb = Fraction(0)
-        ub = Fraction(0)
-        for root in self.roots():
-            v = numeric.eval_at_root(p, root)
-            lb += v.abs_sq_lb()
-            ub += v.abs_sq_ub()
-        return lb, frac_up(ub, 128)
-
     # -- lazy heavyweight attachments ----------------------------------------
 
     @property
@@ -344,7 +319,7 @@ class NumberField:
         """A pair of integral elements generating the codifferent numerator.
 
         Found by a deterministic search over small combinations of the reduced
-        basis, in increasing certified-norm order, validated by ideal equality.
+        basis, in increasing certified T2 order, validated by ideal equality.
         Regular representations of both generators are returned alongside.
         """
         if self._two_elt is None:
@@ -479,15 +454,11 @@ def _attach_constants(field: NumberField) -> None:
 
     The coefficient-to-T2 constant must satisfy |alpha| <= C1 * max|a_i|,
     which needs the triangle-inequality factor d on top of max_i |omega_i|.
+    Both it and the coefficient bound come from one set of enclosures of the
+    basis elements at the roots.
     """
     d = field.degree
     omegas = [field.element([1 if t == i else 0 for t in range(d)]) for i in range(d)]
-    c1_sq = Fraction(0)
-    for w in omegas:
-        _, ub = field.norm_sq_bounds(w)
-        c1_sq = max(c1_sq, ub)
-    c1_sq *= d * d
-    field.embed_bound_sq = c1_sq
 
     # coefficient bound: max column 2-norm of the inverse embedding matrix,
     # via exact inverse of the ball centers plus a Neumann residual bound
@@ -513,6 +484,10 @@ def _attach_constants(field: NumberField) -> None:
         if eta < Fraction(1, 2):
             break
         prec_extra *= 2
+    c1_sq = max(frac_up(sum(v.abs_sq_ub() for v in row), 128) for row in vals)
+    c1_sq *= d * d
+    field.embed_bound_sq = c1_sq
+
     amp = eta / (1 - eta)
     c2 = Fraction(0)
     row_sums = [sum(y_abs[i][j] for j in range(d)) for i in range(d)]

@@ -136,9 +136,6 @@ class Ball:
     def __add__(self, other: "Ball") -> "Ball":
         return Ball(self.re + other.re, self.im + other.im, frac_up(self.r + other.r))
 
-    def __sub__(self, other: "Ball") -> "Ball":
-        return Ball(self.re - other.re, self.im - other.im, frac_up(self.r + other.r))
-
     def __mul__(self, other: "Ball") -> "Ball":
         re = self.re * other.re - self.im * other.im
         im = self.re * other.im + self.im * other.re
@@ -154,22 +151,9 @@ class Ball:
     def abs_ub(self) -> Fraction:
         return frac_sqrt_ub(self.abs_sq_center()) + self.r
 
-    def abs_lb(self) -> Fraction:
-        v = frac_sqrt_lb(self.abs_sq_center()) - self.r
-        return v if v > 0 else Fraction(0)
-
     def abs_sq_ub(self) -> Fraction:
         u = self.abs_ub()
         return u * u
-
-    def abs_sq_lb(self) -> Fraction:
-        l = self.abs_lb()
-        return l * l
-
-    def real_bounds(self) -> tuple[Fraction, Fraction]:
-        """Enclosure of the real part when the true value is known to be real."""
-        slack = self.r + abs(self.im)
-        return self.re - slack, self.re + slack
 
 
 def _poly_eval_complex(coeffs: list[Fraction], z: Complex) -> Complex:

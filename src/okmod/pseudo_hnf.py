@@ -14,7 +14,8 @@ from __future__ import annotations
 from . import determinant, reduction
 from .ideals import FractionalIdeal, IdealError, idempotents
 from .numberfield import FieldElement, NumberField
-from .zlinalg import Mat, RankDeficiencyError, hnf
+from .zlinalg import (Mat, RankDeficiencyError, det_bareiss, hnf_with_modulus, mat_mul,
+                      transpose)
 
 
 class PseudoMatrix:
@@ -87,8 +88,18 @@ def to_absolute(pm: PseudoMatrix) -> Mat:
 
 
 def module_hnf(pm: PseudoMatrix) -> Mat:
-    """Canonical integer Hermite form of the absolute module lattice."""
-    return hnf(to_absolute(pm))
+    """Canonical integer Hermite form of the absolute module lattice.
+
+    For A = to_absolute(pm), det(A^t A) is by Cauchy-Binet the sum of the
+    squares of the full minors of A, each a multiple of the lattice index, so
+    it is a modulus for ``hnf_with_modulus``; it is 0 exactly when A lacks
+    full column rank.
+    """
+    a = to_absolute(pm)
+    lam = det_bareiss(mat_mul(transpose(a), a))
+    if lam == 0:
+        raise RankDeficiencyError("module does not have full rank")
+    return hnf_with_modulus(a, lam)
 
 
 def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,
@@ -215,13 +226,16 @@ def canonicalize(pm: PseudoMatrix) -> PseudoMatrix:
 
     Off-diagonal entries are replaced by their canonical representatives
     modulo b_r^-1 * b_j, computed against the numerator Hermite basis with
-    floor rounding, so equal modules yield identical objects.
+    floor rounding, and the zero rows below the m pivot rows carry O_K, so
+    equal modules yield identical objects.
     """
     field = pm.field
     n, m = pm.nrows, pm.ncols
     for r in range(m):
         if pm.rows[r][r] != field.one() or any(pm.rows[r][t] for t in range(r + 1, m)):
             raise ValueError("input is not in pseudo-Hermite form")
+    if any(any(row) for row in pm.rows[m:]):
+        raise ValueError("input is not in pseudo-Hermite form")
     rows = [r[:] for r in pm.rows]
     for r in range(1, m):
         inv_r = pm.ideals[r].inverse()
@@ -234,4 +248,5 @@ def canonicalize(pm: PseudoMatrix) -> PseudoMatrix:
             lam = beta - reduced if beta else None
             if lam:
                 rows[r] = [x - lam * y for x, y in zip(rows[r], rows[j])]
-    return PseudoMatrix(field, rows, list(pm.ideals), det_ideal=pm.det_ideal)
+    ideals = pm.ideals[:m] + [FractionalIdeal.unit(field)] * (n - m)
+    return PseudoMatrix(field, rows, ideals, det_ideal=pm.det_ideal)

@@ -97,7 +97,7 @@ def reduction_bound_sq_scaled(a: FractionalIdeal, ctx: lattice.LatticeContext) -
 def check_reduced_bound(alpha: FieldElement, a: FractionalIdeal,
                         ctx: lattice.LatticeContext) -> bool:
     """Certified check of the reduction output bound (exact comparison)."""
-    _, ub = ctx.field.norm_sq_bounds(alpha)
+    ub = ctx.t2_bound(alpha.coeffs, alpha.den)
     d = ctx.field.degree
     return ub ** d <= reduction_bound_sq_scaled(a, ctx)
 

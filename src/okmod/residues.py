@@ -284,15 +284,20 @@ def plan_primes(field: NumberField, log_bound) -> PrimePlan:
     if ceiling < log_bound:
         ceiling += 1
     target = 1 << (ceiling + 1)
-    primes: list[int] = []
+    # the admissible primes found so far are kept on the field, in order,
+    # and extended only when a plan needs more of them
+    known = field.admissible_primes
+    count = 0
     n_prod = 1
-    cand = (1 << 62) - 1
     while n_prod <= target:
-        if field.disc_f % cand and _is_prime(cand):
-            primes.append(cand)
-            n_prod *= cand
-        cand -= 2
-    return PrimePlan(log_bound, tuple(primes), n_prod)
+        if count == len(known):
+            cand = known[-1] - 2 if known else (1 << 62) - 1
+            while not (field.disc_f % cand and _is_prime(cand)):
+                cand -= 2
+            known.append(cand)
+        n_prod *= known[count]
+        count += 1
+    return PrimePlan(log_bound, tuple(known[:count]), n_prod)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -1,11 +1,12 @@
 """Deterministic two-element representation of the codifferent numerator.
 
 Candidates are small integer combinations of the reduced basis of the ideal,
-tried in increasing certified-norm order; the first pair whose generated
-ideal matches the full Hermite basis is accepted.  The search box grows until
-a pair is found, which must happen since for any fixed nonzero first
-generator a complementary second generator exists in a bounded set of residue
-representatives.
+tried in increasing order of their certified T2 bound from the lattice
+context (a fixed multiple of the exact integer |x r_e|^2); the first pair
+whose generated ideal matches the full Hermite basis is accepted.  The search
+box grows until a pair is found, which must happen since for any fixed
+nonzero first generator a complementary second generator exists in a bounded
+set of residue representatives.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ def two_element_rep(field):
     from .ideals import FractionalIdeal
 
     target = field.codifferent_numerator
-    basis = lattice.reduce_ideal_basis(target, field.lattice_context)
+    ctx = field.lattice_context
+    basis = lattice.reduce_ideal_basis(target, ctx)
     d = field.degree
     k = 1
     while True:
@@ -36,9 +38,7 @@ def two_element_rep(field):
             if key in seen:
                 continue
             seen.add(key)
-            elt = field.element(coeffs)
-            _, ub = field.norm_sq_bounds(elt)
-            cands.append((ub, key, elt))
+            cands.append((ctx.t2_bound(coeffs), key, field.element(coeffs)))
         cands.sort(key=lambda t: (t[0], t[1]))
         cands = cands[:64]
         for s in range(1, 2 * len(cands) - 2):

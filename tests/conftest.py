@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from okmod import FractionalIdeal, build_field
+from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_up
 
 # the four standing test fields: Q, Q(i), Q(sqrt-5), and the cubic x^3 - x - 1
 FIELD_SPECS = {
@@ -25,6 +26,10 @@ EXTRA_SPECS = {
     "zeta5": ([1, 1, 1, 1, 1], None),
     "quintic": ([-1, -1, 0, 0, 0, 1], None),
 }
+
+# the standing four fields and those beyond them, whose bases are not power
+# bases or whose disc(f) has index divisors
+ALL_FIELDS = [*FIELD_SPECS, *EXTRA_SPECS]
 
 _FIELDS = {}
 
@@ -58,6 +63,23 @@ def random_ideal(rng, K, lim=6, fractional=False):
     if fractional and rng.random() < 0.5:
         a = FractionalIdeal.from_rational(K, Fraction(1, rng.randint(2, 5))) * a
     return a
+
+
+def norm_sq_bounds(K, a):
+    """Certified enclosure of the squared T2 norm of an element, by complex
+    ball evaluation at the roots: the test oracle for the library's integer
+    certificate ``LatticeContext.t2_bound``."""
+    if not a:
+        return Fraction(0), Fraction(0)
+    p = K.to_power_coords(a)
+    lb = Fraction(0)
+    ub = Fraction(0)
+    for root in K.roots():
+        v = eval_at_root(p, root)
+        low = max(frac_sqrt_lb(v.abs_sq_center()) - v.r, Fraction(0))
+        lb += low * low
+        ub += v.abs_sq_ub()
+    return lb, frac_up(ub, 128)
 
 
 def check_prime_plan(K, bound):

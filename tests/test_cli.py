@@ -269,13 +269,6 @@ def test_check_command_default_op(tmp_path):
     assert code == 0 and out.strip() == "PASS"
 
 
-def test_seed_echo(tmp_path):
-    f = write(tmp_path, "r.field", RAT_FIELD)
-    m = write(tmp_path, "b.bpm", BIPSEUDO_FILE)
-    code, out = run_cli(["snf", "--field", f, "--matrix", m, "--seed", "42"])
-    assert code == 0 and out.startswith("# seed 42")
-
-
 @pytest.mark.parametrize("op, matrix_text, kind", [
     ("hnf", BIPSEUDO_FILE, "pseudo"),
     ("det", BIPSEUDO_FILE, "pseudo"),

@@ -10,7 +10,7 @@ from okmod.determinant import entry_height, product_of_ideals
 from okmod.pseudo_hnf import PseudoMatrix
 from okmod.zlinalg import SingularMatrixError, RankDeficiencyError
 
-from conftest import EXTRA_SPECS, FIELD_SPECS, get_field, random_ideal, seeded
+from conftest import ALL_FIELDS, get_field, random_ideal, seeded
 
 rng = seeded("test_determinant")
 
@@ -60,11 +60,6 @@ def test_det_bound_covers_small_cases():
         if coeff:
             from okmod.numeric import log2_ub
             assert log2_ub(2 * coeff) <= bound
-
-
-# the standing four fields and those beyond them, whose bases are not power
-# bases or whose disc(f) has index divisors
-ALL_FIELDS = [*FIELD_SPECS, *EXTRA_SPECS]
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, indirect=True)

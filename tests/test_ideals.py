@@ -5,10 +5,11 @@ from math import gcd
 
 import pytest
 
-from okmod import FractionalIdeal, IdealError, idempotents
+from okmod import FractionalIdeal, IdealError, build_field, idempotents
 from okmod.zlinalg import hnf
 
-from conftest import get_field, random_element, random_ideal, seeded
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, get_field, random_element,
+                      random_ideal, seeded)
 
 rng = seeded("test_ideals")
 
@@ -108,6 +109,16 @@ def test_inverse_oracle(field):
     for _ in range(20):
         a = random_ideal(rng, field, fractional=True)
         assert a * a.inverse() == unit
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_inverse_needs_no_two_element_rep(name):
+    # the inverse reads the Hermite basis of b * B off the ideal product, so
+    # the two-element search never runs
+    K = build_field(*{**FIELD_SPECS, **EXTRA_SPECS}[name])
+    a = random_ideal(rng, K, fractional=True)
+    assert a * a.inverse() == FractionalIdeal.unit(K)
+    assert K._two_elt is None
 
 
 def test_inverse_denominator_is_minimum(field):

@@ -9,7 +9,8 @@ from okmod import (FractionalIdeal, build_context, build_field, reduce_ideal_bas
 from okmod.lattice import LLL_DELTA, _lll_with_transform
 from okmod.zlinalg import hnf, mat_mul, transpose
 
-from conftest import get_field, random_ideal, seeded
+from conftest import (ALL_FIELDS, get_field, norm_sq_bounds, random_element, random_ideal,
+                      seeded)
 
 rng = seeded("test_lattice")
 
@@ -73,7 +74,7 @@ def test_reduce_unit_ideal_shortest_is_unit_norm(field):
     u = FractionalIdeal.unit(field)
     alpha = shortest_basis_element(u, field.lattice_context)
     # |alpha|^2 = d exactly characterizes the roots of unity in O_K
-    lb, ub = field.norm_sq_bounds(alpha)
+    lb, ub = norm_sq_bounds(field, alpha)
     assert lb <= field.degree <= ub
     assert ub < field.degree + Fraction(1, 2)
     assert abs(field.norm(alpha)) == 1
@@ -111,13 +112,30 @@ def test_reduced_bases_quality_and_unimodularity(field):
         nrm = a.norm()
         ubs = []
         for row in basis:
-            _, ub = field.norm_sq_bounds(field.element(row))
+            _, ub = norm_sq_bounds(field, field.element(row))
             ubs.append(ub)
         prod = Fraction(1)
         for ub in ubs:
             prod *= ub
         assert prod <= ctx.quality_sq ** (d * (d - 1) // 2) * disc * nrm * nrm
         assert ubs[0] ** d <= ctx.quality_sq ** (d * (d - 1)) * disc * nrm * nrm
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, indirect=True)
+def test_t2_bound_dominates_ball_oracle(field):
+    # the integer certificate is an upper bound on T2 (never below the
+    # ball oracle's certified lower bound) and as sharp as the ball bound
+    ctx = field.lattice_context
+    local = seeded("test_t2_bound_dominates_ball_oracle")
+    for max_den in (1, 9):
+        for _ in range(15):
+            a = random_element(local, field, lim=60, max_den=max_den)
+            lb, ub = norm_sq_bounds(field, a)
+            bound = ctx.t2_bound(a.coeffs, a.den)
+            assert lb <= bound <= ub * Fraction(1001, 1000)
+    for row in reduce_ideal_basis(random_ideal(local, field), ctx):
+        lb, _ = norm_sq_bounds(field, field.element(row))
+        assert lb <= ctx.t2_bound(row)
 
 
 def test_reduction_is_deterministic(field):

@@ -6,7 +6,7 @@ import pytest
 
 from okmod import FieldError, build_field
 
-from conftest import get_field, random_element, seeded
+from conftest import ALL_FIELDS, get_field, norm_sq_bounds, random_element, seeded
 
 rng = seeded("test_numberfield")
 
@@ -139,7 +139,7 @@ def test_norm_bounded_by_t2_power(field):
     d = field.degree
     for _ in range(20):
         a = random_element(rng, field, lim=20)
-        _, ub = field.norm_sq_bounds(a)
+        _, ub = norm_sq_bounds(field, a)
         lhs = abs(field.norm(a)) ** 2 * Fraction(d) ** d
         assert lhs <= ub ** d
 
@@ -158,6 +158,38 @@ def test_size_growth_inequalities(field):
         assert field.size(field.inv(a)) <= (2 * d - 1) * field.size(a) + c
         assert field.size(a + b) <= 2 * (field.size(a) + field.size(b))
     assert field.size(field.zero()) == 0
+
+
+# embed_bound_sq, coeff_bound and growth_constant as first derived, with C1
+# from a separate ball evaluation of each basis element at the roots
+FIELD_CONSTANTS = {
+    "Q": ("1", "1", "0"),
+    "Qi": ("8", "26087635650665564425/36893488147419103232", "196609/32768"),
+    "Qm5": ("425352958651173079329224393135869434671/10633823966279326983230456482242756608",
+            "3501423185924133744920824963/4951760157141521099596496896", "174389/16384"),
+    "cubic": ("3230426911267120162261020541104831551739/85070591730234615865843651857942052864",
+              "7159275454714133817411390961/9903520314283042199192993792", "3094767/131072"),
+    "golden": ("510423550381407695195068044993811487535/42535295865117307932921825928971026432",
+               "61369870793672105125741622333/79228162514264337593543950336", "234945/32768"),
+    "dedekind": ("5788661816740921550501258087792244823509/21267647932558653966460912964485513216",
+                 "97013332444444306649735887741/158456325028528675187087900672",
+                 "1192689/32768"),
+    "quartic": ("539777015228352638228203618595384956625/5316911983139663491615228241121378304",
+                "102162236964824091165319555365/158456325028528675187087900672",
+                "436839/8192"),
+    "zeta5": ("340282366920938463463374607431768211457/5316911983139663491615228241121378304",
+              "25054144837504793118641380157/39614081257132168796771975168", "393217/8192"),
+    "quintic": ("8729876357021226759585943791009960802075/42535295865117307932921825928971026432",
+                "99853802860550242391806329261/158456325028528675187087900672",
+                "12584825/131072"),
+}
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_field_constants_unchanged(name):
+    K = get_field(name)
+    c1_sq, c2, growth = (Fraction(x) for x in FIELD_CONSTANTS[name])
+    assert (K.embed_bound_sq, K.coeff_bound, K.growth_constant) == (c1_sq, c2, growth)
 
 
 def test_scalar_errors():

@@ -27,6 +27,30 @@ def random_pseudo(field, n, m, lim=9, with_ideals=True):
     return PseudoMatrix(field, rows, ideals)
 
 
+# -- absolute oracle ----------------------------------------------------------
+
+
+def test_module_hnf_matches_plain_hnf(field):
+    # module_hnf works modulo det(A^t A); plain hnf stays the reference on
+    # inputs small enough for it
+    done = 0
+    while done < 8:
+        n = rng.randint(1, 3 if field.degree == 3 else 4)
+        pm = random_pseudo(field, n, rng.randint(1, n))
+        try:
+            ref = hnf(to_absolute(pm))
+        except RankDeficiencyError:
+            with pytest.raises(RankDeficiencyError):
+                module_hnf(pm)
+            continue
+        assert module_hnf(pm) == ref
+        done += 1
+    u = FractionalIdeal.unit(field)
+    one = field.one()
+    with pytest.raises(RankDeficiencyError):
+        module_hnf(PseudoMatrix(field, [[one, one], [one + one, one + one]], [u, u]))
+
+
 # -- euclidean step ---------------------------------------------------------
 
 
@@ -259,10 +283,39 @@ def test_canonicalize_unique_across_row_orders(field):
         done += 1
 
 
+def test_canonicalize_independent_of_determinantal_multiple(field):
+    # the zero rows of a tall form carry whatever ideal the elimination left
+    # there, which depends on the multiple of the determinantal ideal used;
+    # the canonical form must not
+    local = seeded("test_canonicalize_independent_of_determinantal_multiple", 1)
+    u = FractionalIdeal.unit(field)
+    done = 0
+    while done < 6:
+        rows = [[field.element([local.randint(-9, 9) for _ in range(field.degree)])
+                 for _ in range(2)] for _ in range(4)]
+        ideals = [random_ideal(local, field) if local.random() < 0.5 else u
+                  for _ in range(4)]
+        pm = PseudoMatrix(field, rows, ideals)
+        try:
+            dd = determinantal_ideal_multiple(pm)
+        except RankDeficiencyError:
+            continue
+        c1 = canonicalize(pseudo_hnf(pm, dd))
+        for p in (2, 3):
+            c2 = canonicalize(pseudo_hnf(pm, dd * FractionalIdeal.from_rational(field, p)))
+            assert c1.rows == c2.rows and c1.ideals == c2.ideals
+        assert all(a.is_unit() for a in c1.ideals[2:])
+        done += 1
+
+
 def test_canonicalize_requires_hermite_shape():
     Q = get_field("Q")
     u = FractionalIdeal.unit(Q)
     pm = PseudoMatrix(Q, [[Q.from_int(2)]], [u])
+    with pytest.raises(ValueError):
+        canonicalize(pm)
+    # a nonzero row below the pivot rows
+    pm = PseudoMatrix(Q, [[Q.one()], [Q.one()]], [u, u])
     with pytest.raises(ValueError):
         canonicalize(pm)
 

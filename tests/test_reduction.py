@@ -6,7 +6,7 @@ from okmod import FractionalIdeal, ReducedBasisCache, normalize_row, reduce_mod_
 from okmod.reduction import check_reduced_bound
 from okmod.zlinalg import det_bareiss
 
-from conftest import get_field, random_element, random_ideal, seeded
+from conftest import get_field, norm_sq_bounds, random_element, random_ideal, seeded
 
 rng = seeded("test_reduction")
 
@@ -89,7 +89,7 @@ def test_normalize_examples():
     u = FractionalIdeal.unit(K)
     row, ideal, scalar = normalize_row([K.element([5, 3])], u)
     assert ideal.is_unit()
-    lb, ub = K.norm_sq_bounds(scalar)
+    lb, ub = norm_sq_bounds(K, scalar)
     assert lb == ub == 2  # unit-norm-bound scaling element
 
 

@@ -123,6 +123,19 @@ def test_plan_primes_examples():
     assert q not in plan.primes
 
 
+def test_plan_primes_extend_the_field_list():
+    # plans of growing and shrinking bounds on one field read and extend one
+    # list of admissible primes; each is still the plan sympy predicts
+    K = build_field([-1, -1, 0, 1])
+    assert K.admissible_primes == []
+    small = check_prime_plan(K, 20)
+    assert K.admissible_primes == list(small.primes)
+    big = check_prime_plan(K, 500)
+    assert K.admissible_primes == list(big.primes)
+    assert check_prime_plan(K, 150).primes == big.primes[:3]
+    assert K.admissible_primes == list(big.primes)
+
+
 def test_crt_primes_examples():
     Q = get_field("Q")
     plan = rs.PrimePlan(rs.Fraction(3), (3, 5), 15)
