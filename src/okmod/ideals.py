@@ -6,6 +6,11 @@ minimal positive integer denominator.  Every Hermite computation runs
 through ``hnf_with_modulus`` with a known multiple of the largest elementary
 divisor (products and gcds of ideal minima and norms), which is what keeps
 the entries small.
+
+Identities skip the Hermite kernel where the answer is known: ``O_K`` is
+recognized from its minimum in O(1), ``a * O_K = a`` and ``O_K^-1 = O_K``,
+and multiplying by a rational p/q scales the Hermite numerator by |p| and the
+denominator by q.
 """
 
 from __future__ import annotations
@@ -126,7 +131,9 @@ class FractionalIdeal:
         return self.den == 1
 
     def is_unit(self) -> bool:
-        return self.den == 1 and self.num == tuple(tuple(r) for r in identity(self.field.degree))
+        """Whether this is O_K: an integral ideal of minimum 1 contains 1, the
+        first integral basis element."""
+        return self.den == 1 and self.num[0][0] == 1
 
     def minimum(self) -> int:
         """Smallest positive rational integer in the ideal (integral ideals only)."""
@@ -185,6 +192,10 @@ class FractionalIdeal:
         if isinstance(other, int):
             return self.int_mul(other)
         self._same_field(other)
+        if self.is_unit():
+            return other
+        if other.is_unit():
+            return self
         field = self.field
         rows: Mat = []
         for u in self.num:
@@ -204,6 +215,11 @@ class FractionalIdeal:
             raise IdealError("multiplication by the zero element")
         field = self.field
         d = field.degree
+        if not any(alpha.coeffs[1:]):
+            # a rational p/q: |p| times a Hermite basis is a Hermite basis
+            p = abs(alpha.coeffs[0])
+            return FractionalIdeal(field, [[x * p for x in row] for row in self.num],
+                                   self.den * alpha.den)
         num_elt = field.element(list(alpha.coeffs))
         m = field.regular_representation(num_elt)
         rows = [[sum(u[i] * m[i][k] for i in range(d)) for k in range(d)]
@@ -229,6 +245,8 @@ class FractionalIdeal:
         span b^-1.  For X = N / D, D * Z^d lies in the span of N because b^-1
         contains O_K.
         """
+        if self.is_unit():
+            return self
         field = self.field
         d = field.degree
         numerator = self if self.den == 1 else FractionalIdeal(field, self.num, 1)
@@ -285,15 +303,15 @@ def idempotents(a: FractionalIdeal, b: FractionalIdeal) -> tuple[FieldElement, F
     integral ideals.
 
     Reads alpha off the first row of the lower-left block of the Hermite form
-    of the stacked 2d x 2d matrix [[Ma, Ma], [0, Mb]].
+    of the stacked 2d x 2d matrix [[Ma, Ma], [0, Mb]].  Its lower-right block
+    is the Hermite basis of a + b (lam * Z^(2d) lies in the span), so the
+    ideals are coprime exactly when its first pivot is 1.
     """
     if not (a.is_integral() and b.is_integral()):
         raise IdealError("idempotents require integral ideals")
     a._same_field(b)
     field = a.field
     d = field.degree
-    if not (a + b).is_unit():
-        raise IdealError("ideals are not coprime")
     big: Mat = []
     for row in a.num:
         big.append(list(row) + list(row))
@@ -301,6 +319,8 @@ def idempotents(a: FractionalIdeal, b: FractionalIdeal) -> tuple[FieldElement, F
         big.append([0] * d + list(row))
     lam = a.num[0][0] * b.num[0][0]
     h = hnf_with_modulus(big, lam)
+    if h[d][d] != 1:
+        raise IdealError("ideals are not coprime")
     v = h[d][:d]
     alpha = field.element(v)
     beta = field.one() + (-alpha)

@@ -256,6 +256,9 @@ class NumberField:
     def inv(self, a: FieldElement) -> FieldElement:
         if not a:
             raise ZeroDivisionError("inverse of zero")
+        if not any(a.coeffs[1:]):
+            # a rational c/q, the first basis element being 1
+            return self.scalar_div(self.from_int(a.den), a.coeffs[0])
         num = FieldElement(self, list(a.coeffs), 1)
         m = self.regular_representation(num)
         (x,), den = solve_left(m, [[1] + [0] * (self.degree - 1)])
@@ -335,7 +338,8 @@ class NumberField:
 
     @property
     def basis_cache(self):
-        """Field-wide reduced-basis cache shared by default across reductions."""
+        """Field-wide ``ReducedBasisCache`` for reductions and normalizations
+        called without a cache of their own."""
         if self._basis_cache is None:
             from .reduction import ReducedBasisCache
             self._basis_cache = ReducedBasisCache(self.lattice_context)

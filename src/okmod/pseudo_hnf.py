@@ -164,7 +164,7 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
 
     for i in range(n):
         normalize(i)
-        b[i] = _reduce_row(field, b[i], det_ideal * ideals[i].inverse(), cache)
+        b[i] = _reduce_row(field, b[i], det_ideal * cache.inverse(ideals[i]), cache)
 
     running = det_ideal
     for i in range(n - 1, n - m - 1, -1):
@@ -185,8 +185,8 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
             b[j], b[i] = new_j, new_i
             normalize(j)
             normalize(i)
-            b[j] = _reduce_row(field, b[j], det_ideal * ideals[j].inverse(), cache)
-            b[i] = _reduce_row(field, b[i], det_ideal * ideals[i].inverse(), cache)
+            b[j] = _reduce_row(field, b[j], det_ideal * cache.inverse(ideals[j]), cache)
+            b[i] = _reduce_row(field, b[i], det_ideal * cache.inverse(ideals[i]), cache)
             record(i)
         piv = b[i][col]
         if not piv:

@@ -33,7 +33,10 @@ class ReducedBasis(list):
 
 
 class ReducedBasisCache:
-    """Memoizes reduced numerator bases; reuse it when reducing many elements.
+    """Memoizes the ideal arithmetic of one elimination, keyed on the ideal's
+    (numerator, denominator): reduced numerator bases, inverses and the
+    ideal-only part of ``normalize_row``.  ``pseudo_hnf`` and ``pseudo_snf``
+    build one per call, so the memo dies with the call.
 
     Lookups and inserts are plain dict operations on immutable values, safe
     under concurrent readers; confine one cache per thread if in doubt.
@@ -42,6 +45,8 @@ class ReducedBasisCache:
     def __init__(self, ctx: lattice.LatticeContext):
         self.ctx = ctx
         self._map: dict = {}
+        self._inverses: dict = {}
+        self._normalizations: dict = {}
 
     def reduced_basis(self, ideal: FractionalIdeal) -> ReducedBasis:
         key = (ideal.num, ideal.den)
@@ -51,6 +56,21 @@ class ReducedBasisCache:
             basis = ReducedBasis(lattice.reduce_ideal_basis(numerator, self.ctx))
             self._map[key] = basis
         return basis
+
+    def inverse(self, ideal: FractionalIdeal) -> FractionalIdeal:
+        key = (ideal.num, ideal.den)
+        inv = self._inverses.get(key)
+        if inv is None:
+            inv = self._inverses[key] = ideal.inverse()
+        return inv
+
+    def normalization(self, ideal: FractionalIdeal, ctx: lattice.LatticeContext):
+        """(new_ideal, scalar, scalar^-1) of ``normalize_row`` for ``ideal``."""
+        key = (ideal.num, ideal.den)
+        hit = self._normalizations.get(key)
+        if hit is None:
+            hit = self._normalizations[key] = _normalize_ideal(ideal, ctx, self)
+        return hit
 
 
 def reduce_mod_ideal(alpha: FieldElement, a: FractionalIdeal,
@@ -109,13 +129,24 @@ def normalize_row(row: list[FieldElement], a: FractionalIdeal,
 
     Returns (new_row, new_ideal, scalar) with new_ideal = scalar * a integral
     of norm at most l^(d^2) sqrt|disc|, new_row = row / scalar, and the
-    products a*row_t = new_ideal*new_row_t unchanged.
+    products a*row_t = new_ideal*new_row_t unchanged.  The part that depends
+    on ``a`` alone is memoized in ``cache``.
     """
     field = a.field
     if ctx is None:
         ctx = field.lattice_context
     if cache is None:
         cache = field.basis_cache
+    new_ideal, scalar, inv_scalar = cache.normalization(a, ctx)
+    new_row = [field.mul(entry, inv_scalar) if entry else entry for entry in row]
+    return new_row, new_ideal, scalar
+
+
+def _normalize_ideal(a: FractionalIdeal, ctx: lattice.LatticeContext,
+                     cache: ReducedBasisCache):
+    """(new_ideal, scalar, scalar^-1) of ``normalize_row``; raises when the
+    new ideal is not integral or misses its norm bound."""
+    field = a.field
     k = a.den
     numerator = FractionalIdeal(field, [list(r) for r in a.num], 1)
     binv = numerator.inverse()
@@ -129,6 +160,4 @@ def normalize_row(row: list[FieldElement], a: FractionalIdeal,
     nrm = new_ideal.norm()
     if nrm * nrm > ctx.norm_bound_sq():
         raise lattice.QualityError("normalized ideal misses its norm bound")
-    inv_scalar = field.inv(scalar)
-    new_row = [field.mul(entry, inv_scalar) if entry else entry for entry in row]
-    return new_row, new_ideal, scalar
+    return new_ideal, scalar, field.inv(scalar)

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from okmod import FractionalIdeal, IdealError, build_field, idempotents
-from okmod.zlinalg import hnf
+from okmod.zlinalg import hnf, identity, solve_left
 
 from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, get_field, random_element,
                       random_ideal, seeded)
@@ -225,6 +225,12 @@ def test_idempotents_requires_coprime():
     two = FractionalIdeal.from_generators(K, [K.from_int(2)])
     with pytest.raises(IdealError):
         idempotents(two, two)
+    K = get_field("Qm5")
+    p2 = FractionalIdeal.from_generators(K, [K.from_int(2), K.element([1, 1])])
+    six = FractionalIdeal.principal(K, K.from_int(6))
+    for a, b in ((p2, six), (six, p2), (p2, p2), (six, six)):
+        with pytest.raises(IdealError, match="not coprime"):
+            idempotents(a, b)
 
 
 def test_idempotents_random(field):
@@ -238,3 +244,121 @@ def test_idempotents_random(field):
         assert a.contains(al) and b.contains(be)
         assert al + be == field.one()
         done += 1
+
+
+# -- identity fast paths against the generic route ------------------------------
+
+
+def generic_product(a, b):
+    """Reference a * b: plain hnf of the pairwise products of the numerators."""
+    na = FractionalIdeal(a.field, [list(r) for r in a.num], 1)
+    nb = FractionalIdeal(b.field, [list(r) for r in b.num], 1)
+    return FractionalIdeal(a.field, product_lattice(na, nb), a.den * b.den)
+
+
+def generic_elt_mul(a, alpha):
+    """Reference a * alpha: plain hnf of the numerator rows times the regular
+    representation of the numerator of alpha."""
+    K = a.field
+    m = K.regular_representation(K.element(list(alpha.coeffs)))
+    rows = [[sum(u[i] * m[i][k] for i in range(K.degree)) for k in range(K.degree)]
+            for u in a.num]
+    return FractionalIdeal(K, hnf(rows), a.den * alpha.den)
+
+
+def generic_inv(K, alpha):
+    """Reference alpha^-1: solve x * M = e_1 for the regular representation M
+    of the numerator of alpha."""
+    m = K.regular_representation(K.element(list(alpha.coeffs)))
+    (x,), den = solve_left(m, [[1] + [0] * (K.degree - 1)])
+    return K.element([alpha.den * c for c in x], den)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_is_unit_matches_identity_comparison(name):
+    K = get_field(name)
+    local = seeded("test_ideals is_unit", offset=2)
+    d = K.degree
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    samples = [FractionalIdeal.unit(K), FractionalIdeal(K, ident, 3),
+               FractionalIdeal.from_rational(K, Fraction(1, 2)),
+               FractionalIdeal.from_rational(K, 5)]
+    for _ in range(10):
+        a = random_ideal(local, K, fractional=True)
+        samples += [a, a * a.inverse(), a + FractionalIdeal.from_rational(K, 7)]
+    for a in samples:
+        assert a.is_unit() == (a.den == 1 and a.num == tuple(map(tuple, ident)))
+    assert {a.is_unit() for a in samples} == {True, False}
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_unit_ideal_fast_paths_match_generic_route(name):
+    K = get_field(name)
+    local = seeded("test_ideals unit fast paths", offset=3)
+    unit = FractionalIdeal.unit(K)
+    assert unit.inverse() == unit
+    # identity numerator over a denominator takes the generic route
+    third = FractionalIdeal(K, identity(K.degree), 3)
+    assert third.inverse() == FractionalIdeal.from_rational(K, 3)
+    for _ in range(6):
+        a = random_ideal(local, K, fractional=True)
+        ref = generic_product(a, unit)
+        assert a * unit == ref and unit * a == ref and ref == a
+        assert unit * unit == generic_product(unit, unit)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_rational_fast_paths_match_generic_route(name):
+    K = get_field(name)
+    local = seeded("test_ideals rational fast paths", offset=4)
+    rationals = [Fraction(1), Fraction(-1), Fraction(-6), Fraction(3, 4), Fraction(-5, 6),
+                 Fraction(12, 7)]
+    for q in rationals:
+        c = K.from_int(q.numerator) / q.denominator
+        assert K.inv(c) == generic_inv(K, c)
+        assert K.inv(c) * c == K.one()
+        for _ in range(3):
+            a = random_ideal(local, K, fractional=True)
+            assert a.elt_mul(c) == generic_elt_mul(a, c)
+    # the generic routes agree with the fast ones on non-rational elements too
+    for _ in range(4):
+        x = random_element(local, K, lim=7, max_den=3)
+        a = random_ideal(local, K, fractional=True)
+        assert K.inv(x) == generic_inv(K, x)
+        assert a.elt_mul(x) == generic_elt_mul(a, x)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_fast_paths_still_refuse_zero(name):
+    K = get_field(name)
+    unit = FractionalIdeal.unit(K)
+    with pytest.raises(ZeroDivisionError):
+        K.inv(K.zero())
+    with pytest.raises(IdealError):
+        unit.elt_mul(K.zero())
+    with pytest.raises(IdealError):
+        FractionalIdeal.from_rational(K, 0)
+    with pytest.raises(IdealError):
+        unit.int_mul(0)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_idempotents_refuse_non_coprime_pairs(name):
+    # the coprimality test reads the Hermite form of the stacked matrix; the
+    # reference is the Hermite form of the sum
+    K = get_field(name)
+    local = seeded("test_ideals non-coprime", offset=5)
+    refused = 0
+    for _ in range(12):
+        a = random_ideal(local, K)
+        # b shares every prime of a with the first pair; the second is random
+        for b in (a * random_ideal(local, K), random_ideal(local, K)):
+            if (a + b).is_unit():
+                al, be = idempotents(a, b)
+                assert al + be == K.one()
+            else:
+                with pytest.raises(IdealError, match="not coprime"):
+                    idempotents(a, b)
+                refused += 1
+    assert refused
+

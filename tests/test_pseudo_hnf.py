@@ -13,7 +13,7 @@ from okmod import (FractionalIdeal, PseudoMatrix, canonicalize,
 from okmod.ideals import IdealError
 from okmod.zlinalg import RankDeficiencyError, hnf
 
-from conftest import get_field, random_element, random_ideal, seeded
+from conftest import ALL_FIELDS, get_field, random_element, random_ideal, seeded
 
 rng = seeded("test_pseudo_hnf")
 
@@ -377,3 +377,27 @@ except RuntimeError as exc:
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: verify: normalized coefficient ideal")
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_pseudo_hnf_memo_lives_one_call(name):
+    # pseudo_hnf memoizes on a cache of its own: the field-wide cache is left
+    # as it was, and a second call recomputes the same output
+    K = get_field(name)
+    local = seeded("test_pseudo_hnf memo scope", offset=1)
+    u = FractionalIdeal.unit(K)
+    shared = K.basis_cache
+    before = (dict(shared._map), dict(shared._inverses), dict(shared._normalizations))
+    while True:
+        rows = [[K.element([local.randint(-9, 9) for _ in range(K.degree)])
+                 for _ in range(3)] for _ in range(4)]
+        ideals = [random_ideal(local, K) if local.random() < 0.5 else u for _ in range(4)]
+        pm = PseudoMatrix(K, rows, ideals)
+        try:
+            first = pseudo_hnf(pm)
+        except RankDeficiencyError:
+            continue
+        break
+    second = pseudo_hnf(pm)
+    assert (first.rows, first.ideals) == (second.rows, second.ideals)
+    assert (dict(shared._map), dict(shared._inverses), dict(shared._normalizations)) == before

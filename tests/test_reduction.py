@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
+
 from okmod import FractionalIdeal, ReducedBasisCache, normalize_row, reduce_mod_ideal
 from okmod.reduction import check_reduced_bound
 from okmod.zlinalg import det_bareiss
 
-from conftest import get_field, norm_sq_bounds, random_element, random_ideal, seeded
+from conftest import ALL_FIELDS, get_field, norm_sq_bounds, random_element, random_ideal, seeded
 
 rng = seeded("test_reduction")
 
@@ -185,3 +187,35 @@ def test_cached_reduction_matches_fraction_solve(field):
     # the inverse's denominator is kept positive whatever the basis orientation
     if field.degree > 1:
         assert signs == {True, False}
+
+
+# -- the per-call memo ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_cache_inverse_matches_fresh_inverse(name):
+    K = get_field(name)
+    local = seeded("test_reduction cache inverse", offset=1)
+    cache = ReducedBasisCache(K.lattice_context)
+    for _ in range(6):
+        a = random_ideal(local, K, fractional=True)
+        inv = cache.inverse(a)
+        assert inv == a.inverse()
+        # an equal ideal built apart hits the memo
+        twin = FractionalIdeal(K, [list(r) for r in a.num], a.den)
+        assert cache.inverse(twin) is inv
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_normalize_row_warm_cache_matches_fresh(name):
+    K = get_field(name)
+    local = seeded("test_reduction warm normalize", offset=2)
+    ctx = K.lattice_context
+    warm = ReducedBasisCache(ctx)
+    for _ in range(5):
+        a = random_ideal(local, K, fractional=True)
+        first = [random_element(local, K, lim=15, max_den=4) for _ in range(3)]
+        row = [random_element(local, K, lim=15, max_den=4) for _ in range(3)]
+        normalize_row(first, a, ctx, warm)
+        assert normalize_row(row, a, ctx, warm) == normalize_row(
+            row, a, ctx, ReducedBasisCache(ctx))
