@@ -341,6 +341,32 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+def _run(op: str, label: str, matrix, det_ideal, canonical: bool, check: bool):
+    """Printed result of ``op`` (hnf, snf or det) on ``matrix`` and a thunk for
+    its oracle verdict.  ``label`` names the command in refusals; the det
+    oracle runs before the result is returned, so an oversized one refuses
+    before anything is printed."""
+    field = matrix.field
+    if op == "snf":
+        if not isinstance(matrix, BiPseudoMatrix):
+            raise ValueError(f"{label} expects a bi-pseudo matrix file")
+        chain = pseudo_snf(matrix, det_ideal)
+        return format_chain(chain), lambda: check_snf_chain(matrix, chain) and (
+            field.degree != 1 or check_snf_d1(matrix, chain))
+    if not isinstance(matrix, PseudoMatrix):
+        raise ValueError(f"{label} expects a pseudo matrix file")
+    if op == "hnf":
+        if not matrix.module_in_ring_power():
+            raise ValueError("module is not contained in O_K^m; scale the rows first")
+        out = pseudo_hnf(matrix, det_ideal)
+        if canonical:
+            out = canonicalize(out)
+        return format_pseudo(out), lambda: check_hnf(matrix, out)
+    value = determinant.det(field, matrix.rows)
+    expected = _det_oracle(field, matrix.rows) if check else None
+    return format_element(value), lambda: value == expected
+
+
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
@@ -355,43 +381,6 @@ def main(argv=None) -> int:
 
     command = args.command
     try:
-        if command in ("hnf", "canonical"):
-            if not isinstance(matrix, PseudoMatrix):
-                raise ValueError("hnf expects a pseudo matrix file")
-            if not matrix.module_in_ring_power():
-                raise ValueError("module is not contained in O_K^m; scale the rows first")
-            out = pseudo_hnf(matrix, det_ideal)
-            if args.canonical or command == "canonical":
-                out = canonicalize(out)
-            print(format_pseudo(out))
-            if args.check:
-                ok = check_hnf(matrix, out)
-                print("PASS" if ok else "FAIL")
-                return 0 if ok else 3
-            return 0
-        if command == "snf":
-            if not isinstance(matrix, BiPseudoMatrix):
-                raise ValueError("snf expects a bi-pseudo matrix file")
-            chain = pseudo_snf(matrix, det_ideal)
-            print(format_chain(chain))
-            if args.check:
-                ok = check_snf_chain(matrix, chain)
-                if field.degree == 1:
-                    ok = ok and check_snf_d1(matrix, chain)
-                print("PASS" if ok else "FAIL")
-                return 0 if ok else 3
-            return 0
-        if command == "det":
-            if not isinstance(matrix, PseudoMatrix):
-                raise ValueError("det expects a pseudo matrix file")
-            value = determinant.det(field, matrix.rows)
-            expected = _det_oracle(field, matrix.rows) if args.check else None
-            print(format_element(value))
-            if args.check:
-                ok = value == expected
-                print("PASS" if ok else "FAIL")
-                return 0 if ok else 3
-            return 0
         if command == "detideal":
             if not isinstance(matrix, PseudoMatrix):
                 raise ValueError("detideal expects a pseudo matrix file")
@@ -406,29 +395,18 @@ def main(argv=None) -> int:
                 raise ValueError("absolute expects a pseudo matrix file")
             print(format_absolute(to_absolute(matrix)))
             return 0
-        # command == "check"
-        op = args.op
-        if op is None:
-            op = "snf" if isinstance(matrix, BiPseudoMatrix) else "hnf"
-        if op == "hnf":
-            if not isinstance(matrix, PseudoMatrix):
-                raise ValueError("check --op hnf expects a pseudo matrix file")
-            out = pseudo_hnf(matrix, det_ideal)
-            if args.canonical:
-                out = canonicalize(out)
-            ok = check_hnf(matrix, out)
-        elif op == "snf":
-            if not isinstance(matrix, BiPseudoMatrix):
-                raise ValueError("check --op snf expects a bi-pseudo matrix file")
-            chain = pseudo_snf(matrix, det_ideal)
-            ok = check_snf_chain(matrix, chain)
-            if field.degree == 1:
-                ok = ok and check_snf_d1(matrix, chain)
+        if command == "check":
+            op = args.op or ("snf" if isinstance(matrix, BiPseudoMatrix) else "hnf")
+            _text, verdict = _run(op, f"check --op {op}", matrix, det_ideal,
+                                  args.canonical, check=True)
         else:
-            if not isinstance(matrix, PseudoMatrix):
-                raise ValueError("check --op det expects a pseudo matrix file")
-            value = determinant.det(field, matrix.rows)
-            ok = value == _det_oracle(field, matrix.rows)
+            op = "hnf" if command == "canonical" else command
+            text, verdict = _run(op, op, matrix, det_ideal,
+                                 args.canonical or command == "canonical", args.check)
+            print(text)
+            if not args.check:
+                return 0
+        ok = verdict()
         print("PASS" if ok else "FAIL")
         return 0 if ok else 3
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:

@@ -6,6 +6,13 @@ quotient-preserving normalizations drive it to the identity while extracting
 the divisor chain; off-diagonal obstructions (entries whose content is not
 yet divisible by the pivot's) are folded into the pivot row before a divisor
 is finalized, exactly like the classical Smith procedure over Z.
+
+The elimination is written once, for columns.  The working state keeps one
+ideal per side, the column ideals a_j and the inverse row ideals b_i^-1 that
+the Euclidean steps act on, and takes their inverses from the per-call memo.
+Mirroring the state (A -> A^T, a_j <-> b_i^-1) turns rows into columns, so
+the row pass and the initial row normalization are the column ones on the
+mirror.
 """
 
 from __future__ import annotations
@@ -85,51 +92,48 @@ class DivisorChain:
 
 
 class SnfState:
-    """Working state of the elimination; exposed for the pivot-step operations."""
+    """Working state of the elimination, keeping a_j and b_i^-1 (inverses from
+    ``cache.inverse``); exposed for the pivot-step operations."""
 
     def __init__(self, bp: BiPseudoMatrix, det_ideal: FractionalIdeal):
-        field = bp.field
-        self.field = field
+        self.field = bp.field
+        self.cache = reduction.ReducedBasisCache(bp.field.lattice_context)
         self.a = [row[:] for row in bp.rows]
-        self.row_ideals = list(bp.row_ideals)
         self.col_ideals = list(bp.col_ideals)
-        self.row_inv = [x.inverse() for x in self.row_ideals]
-        self.col_inv = [x.inverse() for x in self.col_ideals]
+        self.row_inv = [self.cache.inverse(b) for b in bp.row_ideals]
         self.modulus = det_ideal
-        self.ctx = field.lattice_context
-        self.cache = reduction.ReducedBasisCache(self.ctx)
 
     @property
     def n(self) -> int:
         return len(self.a)
 
+    def transpose(self) -> None:
+        """Mirror the state: A -> A^T and a_j <-> b_i^-1.
+
+        a_ij in b_i a_j^-1 reads a_ji in (a_j^-1) (b_i^-1)^-1, so the mirror
+        is a state again, and a row step here is a column step on the mirror.
+        """
+        self.a = [list(col) for col in zip(*self.a)]
+        self.col_ideals, self.row_inv = self.row_inv, self.col_ideals
+
     def reduce_entry(self, r: int, c: int) -> None:
         e = self.a[r][c]
         if e:
-            mod_ideal = self.modulus * self.col_inv[c] * self.row_ideals[r]
+            inv = self.cache.inverse
+            mod_ideal = self.modulus * inv(self.col_ideals[c]) * inv(self.row_inv[r])
             self.a[r][c] = reduction.reduce_mod_ideal(e, mod_ideal, self.cache)
 
-    def normalize_row_pair(self, i: int) -> None:
-        """Normalize (A_i, b_i^-1); quotient-preserving by the scaling lemma."""
-        field = self.field
-        self.a[i], new_inv, scalar = reduction.normalize_row(
-            self.a[i], self.row_inv[i], self.ctx, self.cache)
-        self.row_inv[i] = new_inv
-        self.row_ideals[i] = self.row_ideals[i].elt_mul(field.inv(scalar))
-
     def normalize_col_pair(self, j: int) -> None:
-        field = self.field
-        col = [self.a[r][j] for r in range(self.n)]
-        col, new_ideal, scalar = reduction.normalize_row(
-            col, self.col_ideals[j], self.ctx, self.cache)
-        for r in range(self.n):
-            self.a[r][j] = col[r]
-        self.col_ideals[j] = new_ideal
-        self.col_inv[j] = self.col_inv[j].elt_mul(field.inv(scalar))
+        """Normalize (column j, a_j); quotient-preserving by the scaling lemma."""
+        col, self.col_ideals[j], _ = reduction.normalize_row(
+            [row[j] for row in self.a], self.col_ideals[j], self.cache.ctx, self.cache)
+        for row, x in zip(self.a, col):
+            row[j] = x
 
 
-def col_pivot(state: SnfState, i: int) -> None:
-    """Clear row i left of the pivot by column gcd steps.
+def col_pivot(state: SnfState, i: int) -> bool:
+    """Clear row i left of the pivot by column gcd steps; True when nothing
+    needed elimination.
 
     When the entry's content ideal already lies inside the pivot's, the
     Euclidean step is taken with the degenerate splitting (1/pivot, 0), i.e.
@@ -139,82 +143,49 @@ def col_pivot(state: SnfState, i: int) -> None:
     """
     a = state.a
     field = state.field
+    ideals = state.col_ideals
+    step_over = True
     for j in range(i - 1, -1, -1):
         if not a[i][j]:
             continue
+        step_over = False
         if not a[i][i]:
+            # a swap refills column i above the pivot
             for r in range(state.n):
                 a[r][i], a[r][j] = a[r][j], a[r][i]
-            state.col_ideals[i], state.col_ideals[j] = state.col_ideals[j], state.col_ideals[i]
-            state.col_inv[i], state.col_inv[j] = state.col_inv[j], state.col_inv[i]
+            ideals[i], ideals[j] = ideals[j], ideals[i]
             continue
         lam = field.mul(a[i][j], field.inv(a[i][i]))
-        if (state.col_ideals[i] * state.col_inv[j]).contains(lam):
+        if (ideals[i] * state.cache.inverse(ideals[j])).contains(lam):
             for r in range(state.n):
                 a[r][j] = a[r][j] - lam * a[r][i]
             for k in range(i + 1):
                 state.reduce_entry(k, j)
             continue
-        g, ginv, gamma, delta = euclidean_step(state.col_ideals[i], state.col_ideals[j],
-                                               a[i][i], a[i][j])
+        g, ginv, gamma, delta = euclidean_step(ideals[i], ideals[j], a[i][i], a[i][j])
         piv, other = a[i][i], a[i][j]
         for r in range(state.n):
             x, y = a[r][j], a[r][i]
             a[r][j] = piv * x - other * y
             a[r][i] = gamma * y + delta * x
-        state.col_ideals[j] = state.col_ideals[i] * state.col_ideals[j] * ginv
-        state.col_inv[j] = state.col_inv[i] * state.col_inv[j] * g
-        state.col_ideals[i] = g
-        state.col_inv[i] = ginv
+        ideals[j] = ideals[i] * ideals[j] * ginv
+        ideals[i] = g
         state.normalize_col_pair(j)
         state.normalize_col_pair(i)
         for k in range(i + 1):
             state.reduce_entry(k, j)
             state.reduce_entry(k, i)
+    return step_over
 
 
 def row_pivot(state: SnfState, i: int) -> bool:
     """Clear column i above the pivot; True when nothing needed elimination.
 
-    Divisible entries are removed by a transvection (degenerate splitting) so
-    row i is not refilled; see col_pivot.
+    This is col_pivot on the mirrored state (see SnfState.transpose).
     """
-    a = state.a
-    field = state.field
-    step_over = True
-    for j in range(i - 1, -1, -1):
-        if not a[j][i]:
-            continue
-        if not a[i][i]:
-            # swapping refills row i left of the pivot; force another round
-            a[i], a[j] = a[j], a[i]
-            state.row_ideals[i], state.row_ideals[j] = state.row_ideals[j], state.row_ideals[i]
-            state.row_inv[i], state.row_inv[j] = state.row_inv[j], state.row_inv[i]
-            step_over = False
-            continue
-        lam = field.mul(a[j][i], field.inv(a[i][i]))
-        if (state.row_ideals[j] * state.row_inv[i]).contains(lam):
-            a[j] = [x - lam * y for x, y in zip(a[j], a[i])]
-            for k in range(i + 1):
-                state.reduce_entry(j, k)
-            step_over = False
-            continue
-        g, ginv, gamma, delta = euclidean_step(state.row_inv[i], state.row_inv[j],
-                                               a[i][i], a[j][i])
-        piv, other = a[i][i], a[j][i]
-        old_j, old_i = a[j], a[i]
-        a[j] = [piv * x - other * y for x, y in zip(old_j, old_i)]
-        a[i] = [gamma * y + delta * x for x, y in zip(old_j, old_i)]
-        state.row_inv[j] = state.row_inv[j] * state.row_inv[i] * ginv
-        state.row_ideals[j] = state.row_ideals[j] * state.row_ideals[i] * g
-        state.row_inv[i] = g
-        state.row_ideals[i] = ginv
-        state.normalize_row_pair(j)
-        state.normalize_row_pair(i)
-        for k in range(i + 1):
-            state.reduce_entry(j, k)
-            state.reduce_entry(i, k)
-        step_over = False
+    state.transpose()
+    step_over = col_pivot(state, i)
+    state.transpose()
     return step_over
 
 
@@ -223,6 +194,7 @@ def offdiag_obstruction_scan(state: SnfState, i: int):
     candidate divisor, with a witness multiplier from b_i b_k^-1."""
     a = state.a
     field = state.field
+    inv = state.cache.inverse
     piv = a[i][i]
     cand = None
     if piv:
@@ -235,10 +207,10 @@ def offdiag_obstruction_scan(state: SnfState, i: int):
             content = (state.col_ideals[l] * state.row_inv[k]).elt_mul(e)
             if cand is not None and content.is_subset(cand):
                 continue
-            gid = state.row_ideals[i] * state.row_inv[k]
+            gid = inv(state.row_inv[i]) * state.row_inv[k]
             target = None
             if piv:
-                target = (state.col_ideals[i] * state.col_inv[l]).elt_mul(piv)
+                target = (state.col_ideals[i] * inv(state.col_ideals[l])).elt_mul(piv)
             for h_row in gid.num:
                 gelt = FieldElement(field, list(h_row), gid.den)
                 if not gelt:
@@ -258,20 +230,22 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
     """Elementary divisor chain of the quotient presented by ``bp``.
 
     ``det_ideal`` must equal det(A) * prod(a_j) * prod(b_i)^-1 (it is computed
-    when omitted).  The output ideals are integral, each contains the one
-    before it, and their product is exactly ``det_ideal``.
+    when omitted); a non-integral one is refused with IdealError.  The output
+    ideals are integral, each contains the one before it, and their product
+    is exactly ``det_ideal``.
     """
     field = bp.field
     n = bp.n
     if det_ideal is None:
         det_ideal = quotient_determinantal_ideal(bp)
-    if not det_ideal.is_integral() and verify:
+    if not det_ideal.is_integral():
         raise IdealError("determinantal ideal of an integral quotient must be integral")
     state = SnfState(bp, det_ideal)
-    for j in range(n):
-        state.normalize_col_pair(j)
-    for i in range(n):
-        state.normalize_row_pair(i)
+    # the columns, then the rows as the columns of the mirror
+    for _side in range(2):
+        for j in range(n):
+            state.normalize_col_pair(j)
+        state.transpose()
     for r in range(n):
         for c in range(n):
             state.reduce_entry(r, c)
@@ -310,17 +284,14 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
         piv = state.a[i][i]
         if piv:
             state.col_ideals[i] = state.col_ideals[i].elt_mul(piv)
-            state.col_inv[i] = state.col_inv[i].elt_mul(field.inv(piv))
-            state.a[i][i] = field.one()
             d_i = state.col_ideals[i] * state.row_inv[i] + state.modulus
         else:
             # pivot class absorbed by the modulus
             d_i = state.modulus
-            state.col_ideals[i] = state.modulus * state.row_ideals[i]
-            state.col_inv[i] = state.col_ideals[i].inverse()
-            state.a[i][i] = field.one()
+            state.col_ideals[i] = state.modulus * state.cache.inverse(state.row_inv[i])
+        state.a[i][i] = field.one()
         divisors[i] = d_i
-        state.modulus = state.modulus * d_i.inverse()
+        state.modulus = state.modulus * state.cache.inverse(d_i)
     chain = DivisorChain(divisors)
     if verify:
         prod = chain[0]

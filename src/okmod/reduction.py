@@ -64,12 +64,12 @@ class ReducedBasisCache:
             inv = self._inverses[key] = ideal.inverse()
         return inv
 
-    def normalization(self, ideal: FractionalIdeal, ctx: lattice.LatticeContext):
+    def normalization(self, ideal: FractionalIdeal):
         """(new_ideal, scalar, scalar^-1) of ``normalize_row`` for ``ideal``."""
         key = (ideal.num, ideal.den)
         hit = self._normalizations.get(key)
         if hit is None:
-            hit = self._normalizations[key] = _normalize_ideal(ideal, ctx, self)
+            hit = self._normalizations[key] = _normalize_ideal(ideal, self)
         return hit
 
 
@@ -130,20 +130,19 @@ def normalize_row(row: list[FieldElement], a: FractionalIdeal,
     Returns (new_row, new_ideal, scalar) with new_ideal = scalar * a integral
     of norm at most l^(d^2) sqrt|disc|, new_row = row / scalar, and the
     products a*row_t = new_ideal*new_row_t unchanged.  The part that depends
-    on ``a`` alone is memoized in ``cache``.
+    on ``a`` alone is memoized in ``cache`` (default: the field's
+    ``basis_cache``), whose lattice context gives the norm bound; ``ctx`` is
+    not read and stays only for positional callers.
     """
     field = a.field
-    if ctx is None:
-        ctx = field.lattice_context
     if cache is None:
         cache = field.basis_cache
-    new_ideal, scalar, inv_scalar = cache.normalization(a, ctx)
+    new_ideal, scalar, inv_scalar = cache.normalization(a)
     new_row = [field.mul(entry, inv_scalar) if entry else entry for entry in row]
     return new_row, new_ideal, scalar
 
 
-def _normalize_ideal(a: FractionalIdeal, ctx: lattice.LatticeContext,
-                     cache: ReducedBasisCache):
+def _normalize_ideal(a: FractionalIdeal, cache: ReducedBasisCache):
     """(new_ideal, scalar, scalar^-1) of ``normalize_row``; raises when the
     new ideal is not integral or misses its norm bound."""
     field = a.field
@@ -158,6 +157,6 @@ def _normalize_ideal(a: FractionalIdeal, ctx: lattice.LatticeContext,
     if not new_ideal.is_integral():
         raise IdealError("internal error: normalized ideal is not integral")
     nrm = new_ideal.norm()
-    if nrm * nrm > ctx.norm_bound_sq():
+    if nrm * nrm > cache.ctx.norm_bound_sq():
         raise lattice.QualityError("normalized ideal misses its norm bound")
     return new_ideal, scalar, field.inv(scalar)

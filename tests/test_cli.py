@@ -295,3 +295,29 @@ def test_det_check_refuses_large_matrix(tmp_path, capsys):
     assert capsys.readouterr().err == "error: det oracle limited to 6x6\n"
     code, out = run_cli(["det", "--field", f, "--matrix", m])
     assert code == 0 and out.splitlines()[0] == "92 / 1"
+
+
+HALF_ENTRY_FILE = """\
+pseudo 2 2
+ideal hnf
+1 0
+0 1
+den 1
+ideal hnf
+1 0
+0 1
+den 1
+1 0 / 2  0 0 / 1
+0 0 / 1  1 0 / 1
+"""
+
+
+@pytest.mark.parametrize("argv", [["hnf", "--check"], ["check", "--op", "hnf"]],
+                         ids=["hnf-check", "check-op-hnf"])
+def test_module_outside_ring_power_refused_up_front(tmp_path, capsys, argv):
+    f = write(tmp_path, "g.field", GAUSS_FIELD)
+    m = write(tmp_path, "half.pm", HALF_ENTRY_FILE)
+    code, out = run_cli([*argv, "--field", f, "--matrix", m])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "error: module is not contained in O_K^m; scale the rows first\n")

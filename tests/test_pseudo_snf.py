@@ -1,5 +1,6 @@
 """Pseudo-Smith form: divisor chains, oracles, pivot-step operations."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from okmod.ideals import IdealError
 from okmod.pseudo_snf import SnfState, col_pivot, offdiag_obstruction_scan, row_pivot
 from okmod.zlinalg import SingularMatrixError, det_bareiss, z_snf
 
-from conftest import get_field, random_ideal, seeded
+from conftest import ALL_FIELDS, get_field, random_ideal, seeded
 
 rng = seeded("test_pseudo_snf")
 
@@ -75,7 +76,7 @@ def test_d1_oracle_random():
         done += 1
 
 
-def random_integral_bp(field, n):
+def random_integral_bp(field, n, rng=rng):
     """Random integral bi-pseudo matrix built from basis products."""
     bI = [random_ideal(rng, field) for _ in range(n)]
     aI = [random_ideal(rng, field) for _ in range(n)]
@@ -174,6 +175,17 @@ def test_row_pivot_reports_no_op():
     assert row_pivot(state, 1) is True
 
 
+def test_pivots_report_elimination():
+    Q = get_field("Q")
+    for mat, pivot in (([[1, 3], [0, 5]], row_pivot), ([[1, 0], [3, 5]], col_pivot),
+                       ([[0, 3], [0, 0]], row_pivot), ([[0, 0], [3, 0]], col_pivot)):
+        bp = BiPseudoMatrix(Q, [[Q.from_int(x) for x in row] for row in mat],
+                            [FractionalIdeal.unit(Q)] * 2, [FractionalIdeal.unit(Q)] * 2,
+                            validate=False)
+        state = SnfState(bp, FractionalIdeal.unit(Q))
+        assert pivot(state, 1) is False
+
+
 def test_divisor_chain_validation():
     Q = get_field("Q")
     two = FractionalIdeal.from_rational(Q, 2)
@@ -183,3 +195,65 @@ def test_divisor_chain_validation():
         DivisorChain([two, six])
     with pytest.raises(IdealError):
         DivisorChain([FractionalIdeal.from_rational(Q, Fraction(1, 2))])
+
+
+def nonsingular_bp(field, local, n_max):
+    while True:
+        bp = random_integral_bp(field, local.randint(1, n_max), local)
+        try:
+            return bp, quotient_determinantal_ideal(bp)
+        except SingularMatrixError:
+            continue
+
+
+def transposed_bp(bp):
+    """(A^t, (a_j^-1), (b_i^-1)): the same quotient with rows and columns swapped."""
+    cols = [list(c) for c in zip(*bp.rows)]
+    return BiPseudoMatrix(bp.field, cols, [a.inverse() for a in bp.col_ideals],
+                          [b.inverse() for b in bp.row_ideals])
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_divisor_chain_of_transpose(name):
+    field = get_field(name)
+    local = seeded(f"test_pseudo_snf transpose {name}")
+    for _ in range(3):
+        bp, det_ideal = nonsingular_bp(field, local, 3)
+        bpt = transposed_bp(bp)
+        assert quotient_determinantal_ideal(bpt) == det_ideal
+        assert pseudo_snf(bpt, verify=True) == pseudo_snf(bp, verify=True)
+
+
+def assert_mirrored(state, mirror):
+    assert state.a == [list(c) for c in zip(*mirror.a)]
+    assert state.col_ideals == mirror.row_inv
+    assert state.row_inv == mirror.col_ideals
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_row_pivot_is_col_pivot_of_the_mirror(name):
+    field = get_field(name)
+    local = seeded(f"test_pseudo_snf mirror {name}")
+    for _ in range(3):
+        bp, det_ideal = nonsingular_bp(field, local, 3)
+        state = SnfState(bp, det_ideal)
+        mirror = SnfState(transposed_bp(bp), det_ideal)
+        assert_mirrored(state, mirror)
+        for i in range(bp.n - 1, -1, -1):
+            assert row_pivot(state, i) == col_pivot(mirror, i)
+            assert_mirrored(state, mirror)
+            assert col_pivot(state, i) == row_pivot(mirror, i)
+            assert_mirrored(state, mirror)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("name", ["Qm5", "cubic"])
+def test_non_integral_det_ideal_refused_up_front(name, verify, monkeypatch):
+    field = get_field(name)
+    local = seeded(f"test_pseudo_snf non-integral {name}")
+    bp, det_ideal = nonsingular_bp(field, local, 3)
+    bad = det_ideal * FractionalIdeal.from_rational(field, Fraction(1, 10007))
+    # the refusal must come before any elimination step
+    monkeypatch.setattr(importlib.import_module("okmod.pseudo_snf"), "SnfState", None)
+    with pytest.raises(IdealError, match="determinantal ideal"):
+        pseudo_snf(bp, bad, verify=verify)
