@@ -141,9 +141,20 @@ def _parse_ideal(ts: _Tokens, field: NumberField) -> FractionalIdeal:
         ts.expect("den")
         den = ts.take_int()
         try:
-            return FractionalIdeal(field, rows, den)
+            ideal = FractionalIdeal(field, rows, den)
         except IdealError as exc:
             raise ParseError(str(exc), ln) from exc
+        # the rows times every basis element span the smallest O_K-module
+        # containing them; its Hermite basis is the block itself exactly when
+        # the block is the canonical Hermite basis of an ideal
+        prods = [[sum(u[i] * field.struct[i][j][k] for i in range(d)) for k in range(d)]
+                 for u in rows for j in range(d)]
+        diag = 1
+        for i in range(d):
+            diag *= rows[i][i]
+        if zlinalg.hnf_with_modulus(prods, diag) != rows:
+            raise ParseError("ideal hnf block is not the Hermite basis of an ideal", ln)
+        return ideal
     if kind == "gens":
         count = ts.take_int()
         if count < 1:
@@ -368,6 +379,19 @@ def _run(op: str, label: str, matrix, det_ideal, canonical: bool, check: bool):
 
 
 def main(argv=None) -> int:
+    # entries are exact integers of any length: lift Python's int/str digit
+    # limit while the command runs, and restore it afterwards
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         field = parse_field_file(args.field)

@@ -27,6 +27,7 @@ a bound decided by exact integer arithmetic, with no evaluation at the roots
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 
@@ -129,20 +130,32 @@ def _try_build(field: NumberField, e: int):
 
 
 def _gram_balls(field: NumberField, prec: int) -> list[list[Ball]]:
+    """Enclosures of the Hermitian Gram entries sum_j w_i(z_j) conj(w_k(z_j)).
+
+    The centers are exact integer sums over one common denominator; the
+    radius sum_j |v_ij| r_kj + |v_kj| r_ij + r_ij r_kj, with |v| an upper
+    bound on the modulus of a center, is rounded up once.
+    """
     d = field.degree
     roots = field.roots(prec)
     omegas = [field.to_power_coords(field.element([1 if t == i else 0 for t in range(d)]))
               for i in range(d)]
     vals = [[numeric.eval_at_root(w, r) for r in roots] for w in omegas]
-    gram = []
+    den = lcm(*(x.denominator for row in vals for b in row for x in (b.re, b.im)))
+    re = [[b.re.numerator * (den // b.re.denominator) for b in row] for row in vals]
+    im = [[b.im.numerator * (den // b.im.denominator) for b in row] for row in vals]
+    mod = [[frac_sqrt_ub(b.abs_sq_center()) for b in row] for row in vals]
+    rad = [[b.r for b in row] for row in vals]
+    den_sq = den * den
+    gram = [[None] * d for _ in range(d)]
     for i in range(d):
-        row = []
-        for k in range(d):
-            acc = Ball(Fraction(0))
-            for j in range(d):
-                acc = acc + vals[i][j] * vals[k][j].conj()
-            row.append(acc)
-        gram.append(row)
+        for k in range(i, d):
+            c_re = sum(re[i][j] * re[k][j] + im[i][j] * im[k][j] for j in range(d))
+            c_im = sum(im[i][j] * re[k][j] - re[i][j] * im[k][j] for j in range(d))
+            r = frac_up(sum(mod[i][j] * rad[k][j] + mod[k][j] * rad[i][j] + rad[i][j] * rad[k][j]
+                            for j in range(d)))
+            gram[i][k] = Ball(Fraction(c_re, den_sq), Fraction(c_im, den_sq), r)
+            gram[k][i] = gram[i][k].conj()
     return gram
 
 

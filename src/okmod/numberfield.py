@@ -287,16 +287,33 @@ class NumberField:
         return s
 
     def roots(self, min_prec: int = 0) -> list[Ball]:
-        """Certified disjoint enclosures of the roots of the defining polynomial."""
+        """Certified disjoint enclosures of the roots of the defining
+        polynomial, every radius below 2^-want with want >= min_prec.
+
+        The first call solves at want bits, doubling the precision until the
+        radii are small enough.  The cache keeps the largest p with every
+        radius below 2^-p; a request above it refines the cached enclosures
+        by Newton's method at 32 guard bits above the request, and if that
+        fails its certificate the plain solve takes over at that precision.
+        """
         want = max(min_prec, 64 + 4 * max(abs(c) for c in self.poly).bit_length())
         if self._roots is None or self._root_prec < want:
-            prec = max(want, 64)
+            start = self._roots
+            prec = want if start is None else want + 32
             while True:
-                balls = numeric.certified_roots(list(self.poly), prec)
+                balls = numeric.certified_roots(list(self.poly), prec, start)
                 if balls is not None and all(b.r < Fraction(1, 1 << want) for b in balls):
-                    self._roots, self._root_prec = balls, prec
+                    # r < 2^-p  <=>  2^p <= (den - 1) // num; exact roots never
+                    # need refining
+                    self._roots = balls
+                    self._root_prec = min(
+                        (((b.r.denominator - 1) // b.r.numerator).bit_length() - 1
+                         for b in balls if b.r), default=float("inf"))
                     break
-                prec *= 2
+                if start is not None:
+                    start = None
+                else:
+                    prec *= 2
         return self._roots
 
     # -- lazy heavyweight attachments ----------------------------------------

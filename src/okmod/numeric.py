@@ -8,13 +8,19 @@ comparison.  Root enclosures use the classical bound
     min_j |x - z_j| <= deg(f) * |f(x)| / |f'(x)|,
 
 valid for any x with f'(x) != 0, which makes the disks rigorous; pairwise
-disjointness then pins one root per disk.
+disjointness then pins one root per disk.  A request for more precision
+refines the cached enclosures by Newton's method instead of solving again:
+the refined centers pass the same certificate (the disks above and their
+pairwise disjointness), and each refined disk must lie inside the disk it
+started from, so it encloses the same root.  Polynomials are evaluated by
+Horner's rule on integers over one common denominator of the point and the
+coefficients; the ball centers are dyadic, so that denominator is small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import mpmath as mp
 from mpmath.libmp import to_rational
@@ -133,15 +139,6 @@ class Ball:
         self.im = Fraction(im)
         self.r = Fraction(r)
 
-    def __add__(self, other: "Ball") -> "Ball":
-        return Ball(self.re + other.re, self.im + other.im, frac_up(self.r + other.r))
-
-    def __mul__(self, other: "Ball") -> "Ball":
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        r = self.abs_ub() * other.r + other.abs_ub() * self.r + self.r * other.r
-        return Ball(re, im, frac_up(r))
-
     def conj(self) -> "Ball":
         return Ball(self.re, -self.im, self.r)
 
@@ -157,24 +154,69 @@ class Ball:
 
 
 def _poly_eval_complex(coeffs: list[Fraction], z: Complex) -> Complex:
-    """Horner evaluation at an exact complex rational point."""
-    re, im = Fraction(0), Fraction(0)
+    """Horner evaluation at an exact complex rational point.
+
+    The loop runs on integers: with z = x / q and coefficients c_i = n_i / den,
+    it accumulates sum_i n_i x^i q^(n-1-i), and one division at the end gives
+    the exact value.  ``coeffs`` may hold ints or Fractions.
+    """
+    if not coeffs:
+        return Fraction(0), Fraction(0)
     zr, zi = z
-    for c in reversed(coeffs):
-        re, im = re * zr - im * zi + c, re * zi + im * zr
-    return re, im
+    q = lcm(zr.denominator, zi.denominator)
+    xr = zr.numerator * (q // zr.denominator)
+    xi = zi.numerator * (q // zi.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
+    re, im = coeffs[-1].numerator * (den // coeffs[-1].denominator), 0
+    qpow = 1
+    for c in reversed(coeffs[:-1]):
+        qpow *= q
+        re, im = (re * xr - im * xi + c.numerator * (den // c.denominator) * qpow,
+                  re * xi + im * xr)
+    return Fraction(re, den * qpow), Fraction(im, den * qpow)
 
 
 def _abs_sq(z: Complex) -> Fraction:
     return z[0] * z[0] + z[1] * z[1]
 
 
-def certified_roots(int_coeffs: list[int], prec: int) -> list[Ball] | None:
+def _newton(int_coeffs: list[int], start: list[Ball], prec: int) -> list | None:
+    """Newton's method at ``prec`` bits from the centers of ``start``.
+
+    Stops once a step is below 2^-(prec/2) relative to the root, after which
+    the next step would be lost in rounding; None if that never happens.
+    """
+    big_endian = [mp.mpf(c) for c in reversed(int_coeffs)]
+    tol = mp.ldexp(1, -(prec // 2))
+    out = []
+    for ball in start:
+        z = mp.mpc(mp.mpf(ball.re.numerator) / ball.re.denominator,
+                   mp.mpf(ball.im.numerator) / ball.im.denominator)
+        for _ in range(prec.bit_length() + 8):
+            fz, fpz = mp.polyval(big_endian, z, derivative=True)
+            if fpz == 0:
+                return None
+            step = fz / fpz
+            z -= step
+            if abs(step) <= tol * max(1, abs(z)):
+                break
+        else:
+            return None
+        out.append(z)
+    return out
+
+
+def certified_roots(int_coeffs: list[int], prec: int,
+                    start: list[Ball] | None = None) -> list[Ball] | None:
     """Disjoint certified root enclosures of a squarefree integer polynomial.
 
     ``int_coeffs`` is little-endian (constant first) with nonzero leading
-    coefficient.  Returns None when the requested precision was insufficient
-    to separate the disks; the caller doubles the precision and retries.
+    coefficient.  Without ``start`` the roots are solved from scratch at
+    ``prec`` bits; with ``start`` (certified enclosures, one per root) their
+    centers are refined by Newton's method at ``prec`` bits, and each new disk
+    must lie inside its start disk.  Returns None when the precision was
+    insufficient to separate the disks or the refinement failed its
+    certificate; the caller retries with a plain solve or more precision.
     """
     deg = len(int_coeffs) - 1
     if deg == 0:
@@ -183,20 +225,24 @@ def certified_roots(int_coeffs: list[int], prec: int) -> list[Ball] | None:
         z = Fraction(-int_coeffs[0], int_coeffs[1])
         return [Ball(z, Fraction(0), Fraction(0))]
     with mp.workprec(prec):
-        try:
-            rts = mp.polyroots([mp.mpf(c) for c in reversed(int_coeffs)],
-                               maxsteps=100 + prec, extraprec=prec)
-        except mp.libmp.NoConvergence:
-            return None
+        if start is None:
+            try:
+                rts = mp.polyroots([mp.mpf(c) for c in reversed(int_coeffs)],
+                                   maxsteps=100 + prec, extraprec=prec)
+            except mp.libmp.NoConvergence:
+                return None
+        else:
+            rts = _newton(int_coeffs, start, prec)
+            if rts is None:
+                return None
         centers: list[Complex] = []
         for z in rts:
             zc = mp.mpc(z)
             centers.append((mpf_to_fraction(zc.real), mpf_to_fraction(zc.imag)))
-    f = [Fraction(c) for c in int_coeffs]
-    fp = [Fraction(i * c) for i, c in enumerate(int_coeffs)][1:]
+    fp = [i * c for i, c in enumerate(int_coeffs)][1:]
     balls = []
     for z in centers:
-        fz = _abs_sq(_poly_eval_complex(f, z))
+        fz = _abs_sq(_poly_eval_complex(int_coeffs, z))
         fpz = _abs_sq(_poly_eval_complex(fp, z))
         if fpz == 0:
             return None
@@ -207,6 +253,11 @@ def certified_roots(int_coeffs: list[int], prec: int) -> list[Ball] | None:
             dist_sq = (balls[i].re - balls[j].re) ** 2 + (balls[i].im - balls[j].im) ** 2
             rad = balls[i].r + balls[j].r
             if dist_sq <= rad * rad * 4:
+                return None
+    if start is not None:
+        for new, old in zip(balls, start):
+            slack = old.r - new.r
+            if slack < 0 or (new.re - old.re) ** 2 + (new.im - old.im) ** 2 > slack * slack:
                 return None
     return balls
 

@@ -103,16 +103,17 @@ def module_hnf(pm: PseudoMatrix) -> Mat:
 
 
 def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,
-                   alpha: FieldElement, beta: FieldElement):
+                   alpha: FieldElement, beta: FieldElement, cache=None):
     """Ideal gcd with splitting data: g = alpha*a + beta*b, its inverse, and
-    gamma in a*g^-1, delta in b*g^-1 with alpha*gamma + beta*delta = 1."""
+    gamma in a*g^-1, delta in b*g^-1 with alpha*gamma + beta*delta = 1.
+    With a ``ReducedBasisCache``, the inverse of g comes from its memo."""
     if not alpha or not beta:
         raise ValueError("euclidean step requires nonzero elements")
     field = a.field
     aa = a.elt_mul(alpha)
     bb = b.elt_mul(beta)
     g = aa + bb
-    ginv = g.inverse()
+    ginv = g.inverse() if cache is None else cache.inverse(g)
     gamma_t, delta_t = idempotents(aa * ginv, bb * ginv)
     gamma = field.mul(gamma_t, field.inv(alpha))
     delta = field.mul(delta_t, field.inv(beta))
@@ -177,7 +178,7 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
                 ideals[i], ideals[j] = ideals[j], ideals[i]
                 continue
             g, ginv, gamma, delta = euclidean_step(ideals[j], ideals[i],
-                                                   b[j][col], b[i][col])
+                                                   b[j][col], b[i][col], cache)
             ideals[j], ideals[i] = ideals[j] * ideals[i] * ginv, g
             piv_j, piv_i = b[j][col], b[i][col]
             new_j = [piv_i * x - piv_j * y for x, y in zip(b[j], b[i])]
@@ -202,7 +203,7 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
             b[i][col] = field.one()
             running = FractionalIdeal.unit(field)
             continue
-        g, ginv, gamma, delta = euclidean_step(ideals[i], running, piv, field.one())
+        g, ginv, gamma, delta = euclidean_step(ideals[i], running, piv, field.one(), cache)
         new_modulus = running * ginv
         b[i] = [reduction.reduce_mod_ideal(gamma * x, new_modulus, cache) if x else x
                 for x in b[i]]

@@ -162,7 +162,8 @@ def col_pivot(state: SnfState, i: int) -> bool:
             for k in range(i + 1):
                 state.reduce_entry(k, j)
             continue
-        g, ginv, gamma, delta = euclidean_step(ideals[i], ideals[j], a[i][i], a[i][j])
+        g, ginv, gamma, delta = euclidean_step(ideals[i], ideals[j], a[i][i], a[i][j],
+                                               state.cache)
         piv, other = a[i][i], a[i][j]
         for r in range(state.n):
             x, y = a[r][j], a[r][i]
@@ -304,7 +305,7 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
 
 def quotient_determinantal_ideal(bp: BiPseudoMatrix) -> FractionalIdeal:
     """det(A) * prod(a_j) * prod(b_i)^-1, the modulus of the quotient."""
-    out = determinant.det_times_ideals(bp.field, bp.rows, bp.col_ideals)
-    for b in bp.row_ideals:
-        out = out * b.inverse()
-    return out
+    rows_prod = bp.row_ideals[0]
+    for b in bp.row_ideals[1:]:
+        rows_prod = rows_prod * b
+    return determinant.det_times_ideals(bp.field, bp.rows, bp.col_ideals) * rows_prod.inverse()

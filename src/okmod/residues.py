@@ -7,7 +7,11 @@ distinct-degree splitting first, then equal-degree splitting of g by a kernel
 vector v of the Frobenius endomorphism (Berlekamp), through
 gcd((v + s)^((p-1)/2) - 1, g) for s = 0, 1, 2, ...: two distinct values of v
 modulo the irreducible factors differ in quadratic character for (p-1)/2 of
-the shifts s, so the scan stops after about two of them.
+the shifts s, so the scan stops after about two of them.  The powers behind
+both steps (x^p for the distinct degrees, (v + s)^((p-1)/2) for the split)
+square and multiply on dense coefficient lists, and each product is reduced
+once against the modulus made monic, x^k = -low, with no trimming between
+steps.
 """
 
 from __future__ import annotations
@@ -87,14 +91,42 @@ def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
 
 
 def poly_pow_mod(a: Poly, e: int, mod: Poly, p: int) -> Poly:
-    result: Poly = (1,)
-    base = poly_mod(a, mod, p)
-    while e:
+    """a^e mod (mod, p) for mod of degree k >= 1, by square-and-multiply.
+
+    Residues are dense lists of k coefficients.  A product is formed on
+    unreduced integers and reduced once: its coefficients from the top down
+    fold through x^k = -low, where low is mod made monic without its leading
+    term, and a single pass mod p ends it.
+    """
+    k = len(mod) - 1
+    if e == 0:
+        return (1,)
+    inv_lead = pow(mod[-1], -1, p)
+    neg_low = [(-c * inv_lead) % p for c in mod[:-1]]
+
+    def mul(x: list[int], y: list[int]) -> list[int]:
+        prod = [0] * (2 * k - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    prod[i + j] += xi * yj
+        for t in range(2 * k - 2, k - 1, -1):
+            c = prod[t] % p
+            if c:
+                for j, n in enumerate(neg_low, t - k):
+                    prod[j] += c * n
+        return [c % p for c in prod[:k]]
+
+    base = list(poly_mod(a, mod, p))
+    base += [0] * (k - len(base))
+    result = None
+    while True:
         if e & 1:
-            result = poly_mod(poly_mul(result, base, p), mod, p)
-        base = poly_mod(poly_mul(base, base, p), mod, p)
+            result = base if result is None else mul(result, base)
         e >>= 1
-    return result
+        if not e:
+            return poly_trim(result, p)
+        base = mul(base, base)
 
 
 def poly_inverse_mod(a: Poly, mod: Poly, p: int) -> Poly:

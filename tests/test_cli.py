@@ -321,3 +321,66 @@ def test_module_outside_ring_power_refused_up_front(tmp_path, capsys, argv):
     assert code == 1 and out == ""
     assert capsys.readouterr().err == (
         "error: module is not contained in O_K^m; scale the rows first\n")
+
+
+QM5_FIELD = """\
+degree 2
+poly 5 0 1
+1 0 / 1
+0 1 / 1
+"""
+
+
+def ideal_text(rows):
+    return "ideal hnf\n" + "".join(f"{a} {b}\n" for a, b in rows) + "den 1\n"
+
+
+UNIT_ROWS = [(1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("rows", [[(2, 0), (5, 1)], [(2, 0), (0, 1)]],
+                         ids=["unreduced-hermite-basis", "not-an-ideal"])
+@pytest.mark.parametrize("kind", ["pseudo", "bipseudo"])
+def test_non_canonical_ideal_block_refused(tmp_path, capsys, kind, rows):
+    # over Q(sqrt-5): [[2,0],[5,1]] spans the ideal (2, 1+sqrt-5), whose
+    # Hermite basis is [[2,0],[1,1]]; 2Z + sqrt-5 Z is not an ideal at all
+    if kind == "pseudo":
+        text, line = "pseudo 1 1\n" + ideal_text(rows) + "1 0 / 1\n", 2
+    else:
+        text = "bipseudo 1\n" + ideal_text(UNIT_ROWS) + ideal_text(rows) + "2 0 / 1\n"
+        line = 6
+    f = write(tmp_path, "k.field", QM5_FIELD)
+    m = write(tmp_path, "m.matrix", text)
+    code, out = run_cli(["absolute" if kind == "pseudo" else "snf",
+                         "--field", f, "--matrix", m])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"parse error: line {line}: ideal hnf block is not the Hermite basis of an ideal\n")
+
+
+def test_canonical_ideal_block_accepted():
+    K = cli.parse_field_text(QM5_FIELD)
+    pm = cli.parse_matrix_text("pseudo 1 1\n" + ideal_text([(2, 0), (1, 1)]) + "1 0 / 1\n", K)
+    two = FractionalIdeal.from_generators(K, [K.from_int(2)])
+    assert pm.ideals[0] == FractionalIdeal.from_generators(K, [K.from_int(2), K.element([1, 1])])
+    assert two.is_subset(pm.ideals[0])
+
+
+def test_integers_of_any_length_round_trip(tmp_path):
+    # 5000 digits, past Python's default int/str limit of 4300, which this
+    # test sets and expects back after the command: the number stays a string
+    big = "9" * 2500 + "7" * 2500
+    f = write(tmp_path, "g.field", GAUSS_FIELD)
+    m = write(tmp_path, "big.pm", "pseudo 1 1\n" + ideal_text(UNIT_ROWS) + f"{big} 0 / 1\n")
+    has_limit = hasattr(sys, "set_int_max_str_digits")   # Python >= 3.10.7
+    if has_limit:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run_cli(["absolute", "--field", f, "--matrix", m])
+        assert not has_limit or sys.get_int_max_str_digits() == 4300
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(saved)
+    assert code == 0
+    assert out.split("\n")[1:3] == [f"{big} 0", f"0 {big}"]

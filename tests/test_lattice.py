@@ -6,7 +6,8 @@ import pytest
 
 from okmod import (FractionalIdeal, build_context, build_field, reduce_ideal_basis,
                    shortest_basis_element)
-from okmod.lattice import LLL_DELTA, _lll_with_transform
+from okmod.lattice import LLL_DELTA, _gram_balls, _lll_with_transform
+from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_up
 from okmod.zlinalg import hnf, mat_mul, transpose
 
 from conftest import (ALL_FIELDS, get_field, norm_sq_bounds, random_element, random_ideal,
@@ -142,6 +143,39 @@ def test_reduction_is_deterministic(field):
     ctx = field.lattice_context
     a = random_ideal(rng, field)
     assert reduce_ideal_basis(a, ctx) == reduce_ideal_basis(a, ctx)
+
+
+def reference_gram_entry(vi, vk):
+    """sum_j vi[j] * conj(vk[j]) as a sum of complex ball products, each
+    product and each partial sum with its radius rounded up: the reference."""
+    re = im = r = Fraction(0)
+    for x, y in zip(vi, vk):
+        re += x.re * y.re + x.im * y.im
+        im += x.im * y.re - x.re * y.im
+        r = frac_up(r + frac_up(x.abs_ub() * y.r + y.abs_ub() * x.r + x.r * y.r))
+    return re, im, r
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_gram_centers_equal_ball_products(name):
+    # equal centers; the radius summed once is no larger than the
+    # product-by-product one, and still covers what the disks allow:
+    # sum_j |v_ij| r_kj + |v_kj| r_ij + r_ij r_kj
+    K = get_field(name)
+    prec = K.lattice_context.e + 64
+    d = K.degree
+    roots = K.roots(prec)
+    vals = [[eval_at_root(K.to_power_coords(K.element([int(t == i) for t in range(d)])), r)
+             for r in roots] for i in range(d)]
+    gram = _gram_balls(K, prec)
+    for i in range(d):
+        for k in range(d):
+            re, im, r = reference_gram_entry(vals[i], vals[k])
+            assert (gram[i][k].re, gram[i][k].im) == (re, im)
+            assert gram[i][k].r <= r
+            assert gram[i][k].r >= sum(
+                frac_sqrt_lb(x.abs_sq_center()) * y.r + frac_sqrt_lb(y.abs_sq_center()) * x.r
+                + x.r * y.r for x, y in zip(vals[i], vals[k]))
 
 
 def test_build_context_custom_exponent():

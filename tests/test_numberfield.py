@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from okmod import FieldError, build_field
+from okmod import FieldError, build_field, numeric
 
-from conftest import ALL_FIELDS, get_field, norm_sq_bounds, random_element, seeded
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, get_field, norm_sq_bounds,
+                      random_element, seeded)
 
 rng = seeded("test_numberfield")
 
@@ -192,9 +194,184 @@ def test_field_constants_unchanged(name):
     assert (K.embed_bound_sq, K.coeff_bound, K.growth_constant) == (c1_sq, c2, growth)
 
 
+# the lattice context of each field as first derived (exponent e, integer
+# embedding r_e, c_quality, quality_sq): the root enclosures behind it may be
+# computed another way, but the context must not move
+LATTICE_CONTEXTS = {
+    "Q": (68, [
+        [295147905179352825856],
+    ], "590295810358705651717/590295810358705651712",
+        "1000000/738999"),
+    "Qi": (74, [
+        [26713738906281537970892, 0],
+        [0, 26713738906281537970892],
+    ], "79228162514264337593565150049/79228162514264337593543950336",
+        "6700631742588990106348989409/4951760157141521099596496896"),
+    "Qm5": (78, [
+        [427419822500504607534271, 0],
+        [0, 955739778042022442575126],
+    ], "39614081257132168796966119333/39614081257132168796771975168",
+        "26802526970355960425892695273/19807040628566084398385987584"),
+    "cubic": (80, [
+        [2093920942154385339393396, 0, 0],
+        [0, 2184322886604249250567811, 0],
+        [1395947294769590226262264, 886351315269453367092022, 1852617493930395641717048],
+    ], "19807040628566084398453599441/19807040628566084398385987584",
+        "53605053940711920851100505679/39614081257132168796771975168"),
+    "golden": (74, [
+        [26713738906281537970892, 0],
+        [13356869453140768985446, 29866868063813201330473],
+    ], "79228162514264337594432894017/79228162514264337593543950336",
+        "3350315871294495053321271623/2475880078570760549798248448"),
+    "dedekind": (88, [
+        [536043761191522646884709421, 0, 0],
+        [178681253730507548961569807, 1120429027436013686495202616, 0],
+        [536043761191522646884709421, 1176443776128022232939531798, 1106925137994827162273205485],
+    ], "39614081257132168796784121565/39614081257132168796771975168",
+        "53605053940711920850767413707/39614081257132168796771975168"),
+    "quartic": (90, [
+        [2475880078570760549798248448, 0, 0, 0],
+        [0, 2560015586369935975229801607, 0, 0],
+        [0, 525469101537662341426466233, 2732730141334259473987605299, 0],
+        [1856910058928070412348686336, 130382579288971326886752759, 1027494399312996017008840640,
+         2280986394968720678090362116],
+    ], "39614081257132168796787553325/39614081257132168796771975168",
+        "6700631742588990106345330989/4951760157141521099596496896"),
+    "zeta5": (86, [
+        [154742504910672534362390528, 0, 0, 0],
+        [-38685626227668133590597632, 149828786117363537904640030, 0, 0],
+        [-38685626227668133590597632, -49942928705787845968213343, 141259934240715478171599016, 0],
+        [-38685626227668133590597632, -49942928705787845968213343, -70629967120357739085799508,
+         122334691589378872649616114],
+    ], "79228162514264337593593529157/79228162514264337593543950336",
+        "26802526970355960425389633623/19807040628566084398385987584"),
+    "quintic": (98, [
+        [708638228457182841184406864643, 0, 0, 0, 0],
+        [0, 722447602180767831698574548221, 0, 0, 0],
+        [0, 131137777964170357916588435381, 750566968091113072144219580353, 0, 0],
+        [0, -34548824353192201769271999653, 263816533248765958451389924978,
+         780309273544377693574375281100, 0],
+        [566910582765746272947525491714, 56740207768387784362353153053,
+         -55226061248897809272416555997, 413225878501419797985709185969,
+         571052454356102910894688169619],
+    ], "79228162514264337593549121769/79228162514264337593543950336",
+        "53605053940711920850738040085/39614081257132168796771975168"),
+}
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_lattice_context_unchanged(name):
+    ctx = get_field(name).lattice_context
+    e, r_e, c_quality, quality_sq = LATTICE_CONTEXTS[name]
+    assert (ctx.e, ctx.r_e, ctx.c_quality, ctx.quality_sq) == (
+        e, r_e, Fraction(c_quality), Fraction(quality_sq))
+
+
 def test_scalar_errors():
     K = get_field("Qi")
     with pytest.raises(ZeroDivisionError):
         K.scalar_div(K.one(), 0)
     with pytest.raises(ZeroDivisionError):
         K.inv(K.zero())
+
+
+# -- root enclosures: refinement of the cached disks -------------------------
+
+
+def fresh_field(name):
+    poly, basis = {**FIELD_SPECS, **EXTRA_SPECS}[name]
+    return build_field(poly, basis)
+
+
+def ball_data(balls):
+    return [(b.re, b.im, b.r) for b in balls]
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_refined_roots_are_certified_inside_the_coarse_disks(name):
+    K = fresh_field(name)
+    coarse = K.roots()
+    prec = 400
+    fine = K.roots(prec)
+    assert len(fine) == len(coarse) == K.degree
+    for i, (f, c) in enumerate(zip(fine, coarse)):
+        assert f.r < Fraction(1, 1 << prec)
+        assert c.r - f.r >= 0
+        assert (f.re - c.re) ** 2 + (f.im - c.im) ** 2 <= (c.r - f.r) ** 2
+        for g in fine[i + 1:]:
+            assert (f.re - g.re) ** 2 + (f.im - g.im) ** 2 > (f.r + g.r) ** 2
+    # an independent solve, good to far below 2^-prec, puts one root in each
+    # disk (up to its own error, for the exact disks of radius 0)
+    with mp.workprec(3 * prec):
+        approx = mp.polyroots(list(reversed(K.poly)), maxsteps=400, extraprec=3 * prec)
+        for f in fine:
+            center = mp.mpc(mp.mpf(f.re.numerator) / f.re.denominator,
+                            mp.mpf(f.im.numerator) / f.im.denominator)
+            radius = mp.mpf(f.r.numerator) / f.r.denominator + mp.ldexp(1, -2 * prec)
+            assert sum(abs(mp.mpc(z) - center) <= radius for z in approx) == 1
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_roots_meet_every_requested_precision(name):
+    # including requests just above what the first solve asked for, which a
+    # cache keyed on the solve precision would answer with coarser disks
+    K = fresh_field(name)
+    for prec in range(64, 260):
+        assert all(b.r < Fraction(1, 1 << prec) for b in K.roots(prec))
+
+
+def newton_fails(coeffs, start, prec):
+    return None
+
+
+def newton_stalls(coeffs, start, prec):
+    return [mp.mpc(mp.mpf(b.re.numerator) / b.re.denominator,
+                   mp.mpf(b.im.numerator) / b.im.denominator) for b in start]
+
+
+def newton_swaps(coeffs, start, prec, newton=numeric._newton):
+    # sharp enclosures, but each of another root than its start disk
+    out = newton(coeffs, start, prec)
+    return out[1:] + out[:1]
+
+
+@pytest.mark.parametrize("newton", [newton_fails, newton_stalls, newton_swaps],
+                         ids=["no-convergence", "radius-too-large", "leaves-start-disk"])
+def test_refinement_failure_falls_back_to_plain_solve(monkeypatch, newton):
+    K = fresh_field("quartic")
+    K.roots()
+    solve = numeric.certified_roots
+    calls = []
+
+    def spy(coeffs, prec, start=None):
+        calls.append((prec, start is not None))
+        return solve(coeffs, prec, start)
+
+    monkeypatch.setattr(numeric, "certified_roots", spy)
+    monkeypatch.setattr(numeric, "_newton", newton)
+    fine = K.roots(300)
+    # the refinement at 32 guard bits is refused, the plain solve at the same
+    # precision takes over
+    assert calls == [(332, True), (332, False)]
+    assert ball_data(fine) == ball_data(solve(list(K.poly), 332))
+    assert all(b.r < Fraction(1, 1 << 300) for b in fine)
+
+
+def reference_horner(coeffs, z):
+    re, im = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        re, im = re * z[0] - im * z[1] + c, re * z[1] + im * z[0]
+    return re, im
+
+
+def test_integer_horner_matches_rational_horner():
+    local = seeded("test_numberfield horner", 1)
+    for _ in range(200):
+        n = local.randint(0, 7)
+        coeffs = [Fraction(local.randint(-10 ** 6, 10 ** 6), local.randint(1, 60))
+                  for _ in range(n)]
+        if local.random() < 0.3:
+            coeffs = [int(c) for c in coeffs]
+        z = tuple(Fraction(local.randint(-2 ** 70, 2 ** 70), 1 << local.randint(0, 80))
+                  for _ in range(2))
+        assert numeric._poly_eval_complex(coeffs, z) == reference_horner(coeffs, z)

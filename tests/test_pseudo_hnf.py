@@ -90,6 +90,23 @@ def test_euclidean_step_rejects_zero():
         euclidean_step(u, u, K.zero(), K.one())
 
 
+def test_euclidean_step_inverts_the_gcd_through_the_cache(monkeypatch):
+    from okmod.reduction import ReducedBasisCache
+    K = get_field("Qm5")
+    a = FractionalIdeal.from_generators(K, [K.from_int(2), K.element([1, 1])])
+    x, y = K.from_int(3), K.element([1, 1])
+    plain = euclidean_step(a, a, x, y)
+    g = plain[0]
+    inverted = []
+    real = FractionalIdeal.inverse
+    monkeypatch.setattr(FractionalIdeal, "inverse",
+                        lambda self: inverted.append(self == g) or real(self))
+    cache = ReducedBasisCache(K.lattice_context)
+    for _ in range(3):
+        assert euclidean_step(a, a, x, y, cache) == plain
+    assert inverted.count(True) == 1
+
+
 def test_euclidean_step_contract_random(field):
     for _ in range(10):
         a = random_ideal(rng, field, fractional=True)

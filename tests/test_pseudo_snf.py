@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, pseudo_snf,
+from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, determinant, pseudo_snf,
                    quotient_determinantal_ideal)
 from okmod.ideals import IdealError
 from okmod.pseudo_snf import SnfState, col_pivot, offdiag_obstruction_scan, row_pivot
@@ -13,7 +13,8 @@ from okmod.zlinalg import SingularMatrixError, det_bareiss, z_snf
 
 from conftest import ALL_FIELDS, get_field, random_ideal, seeded
 
-rng = seeded("test_pseudo_snf")
+# every randomized test draws from its own generator, so its inputs do not
+# depend on which other tests run before it
 
 
 def trivial_bp(Q, mat):
@@ -61,6 +62,7 @@ def test_singularity_detected():
 
 def test_d1_oracle_random():
     Q = get_field("Q")
+    rng = seeded("test_pseudo_snf d1 oracle", 1)
     done = 0
     while done < 25:
         n = rng.randint(1, 5)
@@ -76,7 +78,7 @@ def test_d1_oracle_random():
         done += 1
 
 
-def random_integral_bp(field, n, rng=rng):
+def random_integral_bp(field, n, rng):
     """Random integral bi-pseudo matrix built from basis products."""
     bI = [random_ideal(rng, field) for _ in range(n)]
     aI = [random_ideal(rng, field) for _ in range(n)]
@@ -96,10 +98,11 @@ def random_integral_bp(field, n, rng=rng):
 
 
 def test_chain_and_product_identity(field):
+    rng = seeded("test_pseudo_snf chain and product", 2)
     done = 0
     while done < 6:
         n = rng.randint(1, 3)
-        bp = random_integral_bp(field, n)
+        bp = random_integral_bp(field, n, rng)
         try:
             det_ideal = quotient_determinantal_ideal(bp)
         except SingularMatrixError:
@@ -113,6 +116,22 @@ def test_chain_and_product_identity(field):
         for i in range(1, n):
             assert chain[i - 1].is_subset(chain[i])
         done += 1
+
+
+def test_quotient_determinantal_ideal_inverts_once(monkeypatch):
+    field = get_field("Qm5")
+    rng = seeded("test_pseudo_snf one inverse", 4)
+    bp = random_integral_bp(field, 3, rng)
+    while any(b.is_unit() for b in bp.row_ideals):
+        bp = random_integral_bp(field, 3, rng)
+    expected = determinant.det_times_ideals(field, bp.rows, bp.col_ideals)
+    for b in bp.row_ideals:
+        expected = expected * b.inverse()
+    calls = []
+    real = FractionalIdeal.inverse
+    monkeypatch.setattr(FractionalIdeal, "inverse", lambda self: calls.append(self) or real(self))
+    assert quotient_determinantal_ideal(bp) == expected
+    assert len(calls) == 1
 
 
 def absolute_index(bp):
@@ -130,12 +149,13 @@ def absolute_index(bp):
 
 
 def test_quotient_order_matches_absolute_index():
+    rng = seeded("test_pseudo_snf absolute index", 3)
     for name in ("Q", "Qi"):
         field = get_field(name)
         done = 0
         while done < 6:
             n = rng.randint(1, 3)
-            bp = random_integral_bp(field, n)
+            bp = random_integral_bp(field, n, rng)
             try:
                 chain = pseudo_snf(bp, verify=True)
             except SingularMatrixError:

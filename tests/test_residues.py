@@ -55,6 +55,33 @@ def test_factor_word_size_products():
         assert rs.factor_squarefree(f, p) == sorted(chosen, key=lambda q: (len(q), q))
 
 
+def reference_pow_mod(a, e, mod, p):
+    """Square-and-multiply through poly_mul and poly_mod, each product
+    trimmed and divided out in full: the reference for poly_pow_mod."""
+    result = (1,)
+    base = rs.poly_mod(a, mod, p)
+    while e:
+        if e & 1:
+            result = rs.poly_mod(rs.poly_mul(result, base, p), mod, p)
+        base = rs.poly_mod(rs.poly_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [2, 3, (1 << 61) - 1, (1 << 62) - 57])
+def test_pow_mod_matches_reference(p):
+    local = seeded(f"test_residues pow_mod {p}", offset=2)
+    exponents = [0, 1, 2, 3, p - 1, p, p + 1, (p - 1) // 2]
+    for k in (1, 1, 2, 3, 4, 5):                   # degree-1 moduli twice
+        for e in exponents + [local.randrange(1, 1 << 64) for _ in range(4)]:
+            lead = 1 if local.random() < 0.5 else local.randrange(1, p)
+            mod = tuple(local.randrange(p) for _ in range(k)) + (lead,)
+            # below, at and above the degree of the modulus, with trailing zeros
+            n = local.choice([0, 1, k, k + 1, 2 * k + 3])
+            a = tuple(local.randrange(p) for _ in range(n)) + (0,) * local.randint(0, 2)
+            assert rs.poly_pow_mod(a, e, mod, p) == reference_pow_mod(a, e, mod, p)
+
+
 def test_split_prime_examples():
     K = get_field("Qi")
     sys5 = split_prime(K, 5)
