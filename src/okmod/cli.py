@@ -60,7 +60,8 @@ class _Tokens:
     def line(self) -> int:
         if self.pos < len(self.items):
             return self.items[self.pos][1]
-        return self.items[-1][1] if self.items else 0
+        # at the end of the file: its last token, or line 1 of an empty file
+        return self.items[-1][1] if self.items else 1
 
     def take(self) -> str:
         if self.pos >= len(self.items):
@@ -124,7 +125,7 @@ def parse_field_file(path: str) -> NumberField:
 def _parse_element(ts: _Tokens, field: NumberField) -> FieldElement:
     nums = [ts.take_int() for _ in range(field.degree)]
     ts.expect("/")
-    ln = ts.line if ts.peek() is not None else 0
+    ln = ts.line
     den = ts.take_int()
     if den <= 0:
         raise ParseError("element denominator must be positive", ln)
@@ -147,8 +148,7 @@ def _parse_ideal(ts: _Tokens, field: NumberField) -> FractionalIdeal:
         # the rows times every basis element span the smallest O_K-module
         # containing them; its Hermite basis is the block itself exactly when
         # the block is the canonical Hermite basis of an ideal
-        prods = [[sum(u[i] * field.struct[i][j][k] for i in range(d)) for k in range(d)]
-                 for u in rows for j in range(d)]
+        prods = [field.coeff_mul(u, e) for u in rows for e in zlinalg.identity(d)]
         diag = 1
         for i in range(d):
             diag *= rows[i][i]

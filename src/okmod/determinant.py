@@ -5,20 +5,32 @@ enough word-size unramified primes, recombined by the two-stage Chinese
 remainder construction and lifted symmetrically; the prime budget comes from
 a proven coefficient bound, so the lift is exact.  Rectangular rank probing
 reuses the same plans to find a witness nonsingular submatrix.  Both run one
-greedy elimination over F_p[x]/(g), on the matrix held as deg g dense F_p
-planes.
+greedy elimination over F_p[x]/(g), g a factor of degree k of f mod p.
+
+The elimination holds the matrix as k planes, the x^t coefficients of its
+residues, and each row of a plane as one Python integer: entry j sits in
+slot j, bits [w*j, w*(j+1)), so a row update is a few big-integer
+multiply-adds instead of a loop over entries.  Matrix rows are projected
+straight into their packed plane rows, one reduction mod p per slot.  A
+pivot row's tail is reduced once, made monic and stored as p - y, so
+clearing a column only adds: a live row gains at most k products below p^2
+per pivot, and an n-row matrix has at most n pivots.  Slots start below p,
+so they stay below p + n*k*p^2 < 2^w for w = 2*bitlen(p) + bitlen(n*k) + 1
+and no slot ever carries into the next; a slot is reduced mod p only when it
+is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import residues
 from .ideals import FractionalIdeal
 from .numberfield import FieldElement, NumberField
 from .numeric import frac_sqrt_ub, log2_ub
-from .residues import Poly, poly_inverse_mod, poly_mod, poly_mul, poly_trim
+from .residues import Poly, poly_inverse_mod, poly_trim
 from .zlinalg import SingularMatrixError, RankDeficiencyError
 
 
@@ -46,7 +58,7 @@ def det_bound(field: NumberField, n: int, height: int) -> Fraction:
     return log2_ub(max(bound, Fraction(2)))
 
 
-def _mult_matrix(a, g: Poly, p: int) -> list[list[int]]:
+def _mult_matrix(a, g: Poly, p: int) -> list[tuple[int, ...]]:
     """k x k matrix of multiplication by a on F_p[x]/(g), g monic of degree k."""
     k = len(g) - 1
     col = list(a) + [0] * (k - len(a))
@@ -57,63 +69,102 @@ def _mult_matrix(a, g: Poly, p: int) -> list[list[int]]:
         if top:
             col = [(x - top * y) % p for x, y in zip(col, g)]
         cols.append(col)
-    return [[c[t] for c in cols] for t in range(k)]
+    return list(zip(*cols))
 
 
-def _residue_planes(rows: list[list[FieldElement]], sys) -> list[list[list[list[int]]]]:
-    """Per factor of sys, the k dense F_p planes [t][i][j] of the projected matrix."""
-    proj = [[residues.project_element(e, sys) for e in row] for row in rows]
-    out = []
-    for fi, g in enumerate(sys.factors):
-        out.append([[[e[fi][t] if t < len(e[fi]) else 0 for e in row] for row in proj]
-                    for t in range(len(g) - 1)])
-    return out
+def _pack(values: list[int], w: int) -> int:
+    """values[j] in slot j, bits [w*j, w*(j+1)); each must be below 2^w."""
+    acc = 0
+    for v in reversed(values):
+        acc = acc << w | v
+    return acc
 
 
-def _eliminate(planes: list[list[list[int]]], g: Poly, p: int):
-    """Greedy echelon form over F_p[x]/(g) of a matrix held as dense planes.
+def _packed_planes(rows: list[list[FieldElement]], mat, p: int, w: int) -> list[list[int]]:
+    """The k planes of the projection of rows by mat, one packed int per row.
 
-    For each column in turn, the first live row with a nonzero entry becomes
-    the pivot row and the column is cleared from the other live rows; only
-    the columns right of it are updated, each multiplier acting through its
-    multiplication matrix.  Returns the pivot rows and columns (original
-    indices) and the determinant: the signed product of the pivots if every
-    row holds a pivot, else zero.  The planes are overwritten.
+    mat is the k x d projection of one residue factor (a row of
+    ``ResidueSystem.proj_mats``); slot j of row i in plane t is the x^t
+    coefficient of entry (i, j), reduced mod p.
+    """
+    return [[_pack([sum(map(mul, prow, e.coeffs)) % p for e in row], w) for row in rows]
+            for prow in mat]
+
+
+def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int):
+    """Greedy echelon form over F_p[x]/(g) of a matrix held as packed planes.
+
+    planes[t][i] holds row i of the x^t plane, entry j in slot j (bits
+    [w*j, w*(j+1))).  For each column in turn, the first live row with a
+    nonzero residue becomes the pivot row.  Its tail right of the column is
+    reduced once, made monic by the pivot inverse and stored negated, so
+    clearing the column from a live row with residue a only adds: plane t
+    gains sum_s M(a)[t][s] * negtail_s, M(a) the multiplication matrix.
+    The other rows' slots are reduced mod p only when read; w must be at
+    least ``_slot_width(p, n, k)`` so that no slot carries into the next.
+    Returns the pivot rows and columns (original indices) and the
+    determinant: the signed product of the pivots if every row holds a
+    pivot, else zero.  The planes are overwritten.
     """
     n = len(planes[0])
-    m = len(planes[0][0]) if n else 0
+    mask = (1 << w) - 1
     alive = list(range(n))
     rows_out: list[int] = []
     cols_out: list[int] = []
-    prod: Poly = (1,)
+    prod = [1] + [0] * (len(g) - 2)
     for col in range(m):
-        piv = next((r for r in alive if any(pl[r][col] for pl in planes)), None)
+        shift = w * col
+        piv = None
+        hits = []
+        for r in alive:
+            a = [(pl[r] >> shift & mask) % p for pl in planes]
+            if any(a):
+                if piv is None:
+                    piv, pivot = r, a
+                else:
+                    hits.append((r, a))
         if piv is None:
             continue
         alive.remove(piv)
         rows_out.append(piv)
         cols_out.append(col)
-        pivot = poly_trim([pl[piv][col] for pl in planes], p)
-        prod = poly_mod(poly_mul(prod, pivot, p), g, p)
+        pivot = poly_trim(pivot, p)
+        prod = [sum(map(mul, row, prod)) % p for row in _mult_matrix(pivot, g, p)]
+        if not hits or col == m - 1:
+            continue
         inv = _mult_matrix(poly_inverse_mod(pivot, g, p), g, p)
-        tails = [pl[piv][col + 1:] for pl in planes]
-        for r in alive:
-            a = [pl[r][col] for pl in planes]
-            if not any(a):
-                continue
-            f = [sum(x * y for x, y in zip(row, a)) % p for row in inv]
-            mult = _mult_matrix(f, g, p)
+        tails = []
+        for pl in planes:
+            x = pl[piv] >> shift + w
+            tail = []
+            for _ in range(m - col - 1):
+                tail.append((x & mask) % p)
+                x >>= w
+            tails.append(tail)
+        negtails = [_pack([-sum(map(mul, irow, entry)) % p for entry in zip(*tails)], w)
+                    << shift + w for irow in inv]
+        for r, a in hits:
+            mult = _mult_matrix(a, g, p)
             for t, pl in enumerate(planes):
-                acc = pl[r][col + 1:]
-                for c, tail in zip(mult[t], tails):
-                    if c:
-                        acc = [x - c * y for x, y in zip(acc, tail)]
-                pl[r][col + 1:] = [x % p for x in acc]
+                pl[r] += sum(map(mul, mult[t], negtails))
     if len(rows_out) < n:
-        prod = ()
-    elif sum(a > b for i, a in enumerate(rows_out) for b in rows_out[i + 1:]) % 2:
-        prod = tuple((-x) % p for x in prod)
-    return rows_out, cols_out, prod
+        return rows_out, cols_out, ()
+    if sum(a > b for i, a in enumerate(rows_out) for b in rows_out[i + 1:]) % 2:
+        prod = [-x for x in prod]
+    return rows_out, cols_out, poly_trim(prod, p)
+
+
+def _slot_width(p: int, n: int, k: int) -> int:
+    """Slot bits holding a residue below p plus n updates of k products below p^2."""
+    return 2 * p.bit_length() + (n * k).bit_length() + 1
+
+
+def _echelons(rows: list[list[FieldElement]], m: int, sys):
+    """``_eliminate`` of the n x m matrix rows in each residue field of sys."""
+    p, n = sys.p, len(rows)
+    for g, mat in zip(sys.factors, sys.proj_mats):
+        w = _slot_width(p, n, len(mat))
+        yield _eliminate(_packed_planes(rows, mat, p, w), m, g, p, w)
 
 
 def det(field: NumberField, rows: list[list[FieldElement]]) -> FieldElement:
@@ -127,8 +178,7 @@ def det(field: NumberField, rows: list[list[FieldElement]]) -> FieldElement:
     per_prime = []
     for p in plan.primes:
         sys = field.residue_system(p)
-        vals = [_eliminate(planes, g, p)[2]
-                for g, planes in zip(sys.factors, _residue_planes(rows, sys))]
+        vals = [prod for _, _, prod in _echelons(rows, n, sys)]
         per_prime.append(residues.crt_combine_factors(vals, sys))
     coeffs = residues.crt_combine_primes(per_prime, plan, field.degree)
     return residues.lift_to_field(coeffs, field, plan.modulus)
@@ -155,8 +205,7 @@ def rank_and_submatrix(field: NumberField, rows: list[list[FieldElement]]):
     best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
     for p in plan.primes:
         sys = field.residue_system(p)
-        for g, planes in zip(sys.factors, _residue_planes(rows, sys)):
-            ridx, cidx, _ = _eliminate(planes, g, p)
+        for ridx, cidx, _ in _echelons(rows, m, sys):
             if len(ridx) > best_rank:
                 best_rank = len(ridx)
                 best = (tuple(sorted(ridx)), tuple(sorted(cidx)))

@@ -27,26 +27,6 @@ class IdealError(ValueError):
     pass
 
 
-def _vec_mul(field: NumberField, u, v) -> list[int]:
-    """Coefficient vector of the product of two integral coefficient vectors."""
-    d = field.degree
-    out = [0] * d
-    struct = field.struct
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        srow = struct[i]
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            t = ui * vj
-            sij = srow[j]
-            for k in range(d):
-                if sij[k]:
-                    out[k] += t * sij[k]
-    return out
-
-
 class FractionalIdeal:
     """Nonzero fractional ideal of the ring of integers of a number field."""
 
@@ -200,7 +180,7 @@ class FractionalIdeal:
         rows: Mat = []
         for u in self.num:
             for v in other.num:
-                rows.append(_vec_mul(field, u, v))
+                rows.append(field.coeff_mul(u, v))
         lam = self.num[0][0] * other.num[0][0]
         return FractionalIdeal.from_row_lattice(field, rows, self.den * other.den,
                                                 multiple=lam)

@@ -218,40 +218,31 @@ class NumberField:
 
     # -- multiplicative structure -------------------------------------------
 
+    def coeff_mul(self, u, v) -> list[int]:
+        """Coefficient vector of the product of two coefficient vectors.
+
+        One pass over the nonzero structure constants of ``struct_terms``.
+        """
+        out = [0] * self.degree
+        terms = self.struct_terms
+        for i, ui in enumerate(u):
+            if ui:
+                row = terms[i]
+                for j, vj in enumerate(v):
+                    if vj:
+                        t = ui * vj
+                        for k, c in row[j]:
+                            out[k] += t * c
+        return out
+
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        d = self.degree
-        out = [0] * d
-        struct = self.struct
-        for i, ai in enumerate(a.coeffs):
-            if not ai:
-                continue
-            srow = struct[i]
-            for j, bj in enumerate(b.coeffs):
-                if not bj:
-                    continue
-                t = ai * bj
-                sij = srow[j]
-                for k in range(d):
-                    if sij[k]:
-                        out[k] += t * sij[k]
-        return FieldElement(self, out, a.den * b.den)
+        return FieldElement(self, self.coeff_mul(a.coeffs, b.coeffs), a.den * b.den)
 
     def regular_representation(self, gamma: FieldElement) -> Mat:
         """Matrix of beta -> gamma*beta in row convention: row(beta) @ M = row(gamma*beta)."""
         if gamma.den != 1:
             raise FieldError("regular representation requires an integral element")
-        d = self.degree
-        struct = self.struct
-        m = [[0] * d for _ in range(d)]
-        for i in range(d):
-            row = m[i]
-            for j, cj in enumerate(gamma.coeffs):
-                if cj:
-                    sij = struct[i][j]
-                    for k in range(d):
-                        if sij[k]:
-                            row[k] += cj * sij[k]
-        return m
+        return [self.coeff_mul(e, gamma.coeffs) for e in identity(self.degree)]
 
     def inv(self, a: FieldElement) -> FieldElement:
         if not a:
@@ -446,6 +437,9 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
     trace_inv_num, trace_den = solve_left(trace_mat, identity(d))
 
     c3 = max(abs(x) for row in struct_t for s in row for x in s)
+    # struct_terms[i][j]: the nonzero (k, c) of struct[i][j], for coeff_mul
+    terms = tuple(tuple(tuple((k, c) for k, c in enumerate(s) if c) for s in row)
+                  for row in struct_t)
 
     field = NumberField(
         _token=_BUILD_TOKEN,
@@ -454,6 +448,7 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
         basis_pow=tuple(tuple(row) for row in basis),
         power_to_basis=power_to_basis,
         struct=struct_t,
+        struct_terms=terms,
         trace_vec=trace_vec,
         trace_mat=trace_mat,
         trace_den=trace_den,

@@ -119,8 +119,8 @@ class SnfState:
     def reduce_entry(self, r: int, c: int) -> None:
         e = self.a[r][c]
         if e:
-            inv = self.cache.inverse
-            mod_ideal = self.modulus * inv(self.col_ideals[c]) * inv(self.row_inv[r])
+            inv, prod = self.cache.inverse, self.cache.product
+            mod_ideal = prod(prod(self.modulus, inv(self.col_ideals[c])), inv(self.row_inv[r]))
             self.a[r][c] = reduction.reduce_mod_ideal(e, mod_ideal, self.cache)
 
     def normalize_col_pair(self, j: int) -> None:

@@ -34,9 +34,9 @@ class ReducedBasis(list):
 
 class ReducedBasisCache:
     """Memoizes the ideal arithmetic of one elimination, keyed on the ideal's
-    (numerator, denominator): reduced numerator bases, inverses and the
-    ideal-only part of ``normalize_row``.  ``pseudo_hnf`` and ``pseudo_snf``
-    build one per call, so the memo dies with the call.
+    (numerator, denominator): reduced numerator bases, inverses, products
+    and the ideal-only part of ``normalize_row``.  ``pseudo_hnf`` and
+    ``pseudo_snf`` build one per call, so the memo dies with the call.
 
     Lookups and inserts are plain dict operations on immutable values, safe
     under concurrent readers; confine one cache per thread if in doubt.
@@ -46,6 +46,7 @@ class ReducedBasisCache:
         self.ctx = ctx
         self._map: dict = {}
         self._inverses: dict = {}
+        self._products: dict = {}
         self._normalizations: dict = {}
 
     def reduced_basis(self, ideal: FractionalIdeal) -> ReducedBasis:
@@ -63,6 +64,13 @@ class ReducedBasisCache:
         if inv is None:
             inv = self._inverses[key] = ideal.inverse()
         return inv
+
+    def product(self, a: FractionalIdeal, b: FractionalIdeal) -> FractionalIdeal:
+        key = (a.num, a.den, b.num, b.den)
+        prod = self._products.get(key)
+        if prod is None:
+            prod = self._products[key] = a * b
+        return prod
 
     def normalization(self, ideal: FractionalIdeal):
         """(new_ideal, scalar, scalar^-1) of ``normalize_row`` for ``ideal``."""

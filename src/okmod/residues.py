@@ -131,6 +131,8 @@ def poly_pow_mod(a: Poly, e: int, mod: Poly, p: int) -> Poly:
 
 def poly_inverse_mod(a: Poly, mod: Poly, p: int) -> Poly:
     """Inverse of a modulo an irreducible polynomial (extended Euclid)."""
+    if len(a) == 1 and a[0] % p:
+        return (pow(a[0], -1, p),)
     r0, r1 = mod, poly_mod(a, mod, p)
     t0, t1 = (), (1,)
     while r1:

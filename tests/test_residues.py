@@ -55,6 +55,16 @@ def test_factor_word_size_products():
         assert rs.factor_squarefree(f, p) == sorted(chosen, key=lambda q: (len(q), q))
 
 
+def test_inverse_of_constants():
+    p = (1 << 62) - 57
+    for mod in ((5, 1), (1, 0, 1), (1, 1, 0, 1)):
+        for c in (1, 2, p - 1, 12345, p + 3):
+            inv = rs.poly_inverse_mod((c,), mod, p)
+            assert inv == (pow(c, -1, p),) and c * inv[0] % p == 1
+        with pytest.raises(ZeroDivisionError):
+            rs.poly_inverse_mod((p,), mod, p)
+
+
 def reference_pow_mod(a, e, mod, p):
     """Square-and-multiply through poly_mul and poly_mod, each product
     trimmed and divided out in full: the reference for poly_pow_mod."""
