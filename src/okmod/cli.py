@@ -84,8 +84,18 @@ class _Tokens:
         except ValueError:
             raise ParseError(f"expected an integer, found '{tok}'", ln) from None
 
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
+    def take_positive(self, what: str) -> int:
+        """An integer that must be positive; a fault names the token's line."""
+        ln = self.line
+        value = self.take_int()
+        if value < 1:
+            raise ParseError(f"{what} must be positive", ln)
+        return value
+
+    def finish(self) -> None:
+        """Refuse anything left after the last expected token."""
+        if self.pos < len(self.items):
+            raise ParseError(f"trailing content '{self.peek()}'", self.line)
 
 
 # ---------------------------------------------------------------------------
@@ -95,22 +105,16 @@ class _Tokens:
 def parse_field_text(text: str) -> NumberField:
     ts = _Tokens(text)
     ts.expect("degree")
-    d = ts.take_int()
-    if d < 1:
-        raise ParseError("degree must be positive", ts.line)
+    d = ts.take_positive("degree")
     ts.expect("poly")
     coeffs = [ts.take_int() for _ in range(d + 1)]
     basis = []
     for _ in range(d):
         nums = [ts.take_int() for _ in range(d)]
         ts.expect("/")
-        ln = ts.line
-        den = ts.take_int()
-        if den <= 0:
-            raise ParseError("basis row denominator must be positive", ln)
+        den = ts.take_positive("basis row denominator")
         basis.append([Fraction(x, den) for x in nums])
-    if not ts.done():
-        raise ParseError(f"trailing content '{ts.peek()}'", ts.line)
+    ts.finish()
     try:
         return build_field(coeffs, basis)
     except FieldError as exc:
@@ -125,11 +129,7 @@ def parse_field_file(path: str) -> NumberField:
 def _parse_element(ts: _Tokens, field: NumberField) -> FieldElement:
     nums = [ts.take_int() for _ in range(field.degree)]
     ts.expect("/")
-    ln = ts.line
-    den = ts.take_int()
-    if den <= 0:
-        raise ParseError("element denominator must be positive", ln)
-    return field.element(nums, den)
+    return field.element(nums, ts.take_positive("element denominator"))
 
 
 def _parse_ideal(ts: _Tokens, field: NumberField) -> FractionalIdeal:
@@ -140,7 +140,7 @@ def _parse_ideal(ts: _Tokens, field: NumberField) -> FractionalIdeal:
     if kind == "hnf":
         rows = [[ts.take_int() for _ in range(d)] for _ in range(d)]
         ts.expect("den")
-        den = ts.take_int()
+        den = ts.take_positive("denominator")
         try:
             ideal = FractionalIdeal(field, rows, den)
         except IdealError as exc:
@@ -156,14 +156,12 @@ def _parse_ideal(ts: _Tokens, field: NumberField) -> FractionalIdeal:
             raise ParseError("ideal hnf block is not the Hermite basis of an ideal", ln)
         return ideal
     if kind == "gens":
-        count = ts.take_int()
-        if count < 1:
-            raise ParseError("generator count must be positive", ln)
+        count = ts.take_positive("generator count")
+        gens_ln = ts.line
         gens = [_parse_element(ts, field) for _ in range(count)]
-        try:
-            return FractionalIdeal.from_generators(field, gens)
-        except IdealError as exc:
-            raise ParseError(str(exc), ln) from exc
+        if not any(gens):
+            raise ParseError("at least one nonzero generator required", gens_ln)
+        return FractionalIdeal.from_generators(field, gens)
     raise ParseError(f"unknown ideal kind '{kind}'", ln)
 
 
@@ -178,8 +176,7 @@ def parse_matrix_text(text: str, field: NumberField):
             raise ParseError("dimensions must be positive", ln)
         ideals = [_parse_ideal(ts, field) for _ in range(n)]
         rows = [[_parse_element(ts, field) for _ in range(m)] for _ in range(n)]
-        if not ts.done():
-            raise ParseError(f"trailing content '{ts.peek()}'", ts.line)
+        ts.finish()
         return PseudoMatrix(field, rows, ideals)
     if kind == "bipseudo":
         n = ts.take_int()
@@ -188,13 +185,11 @@ def parse_matrix_text(text: str, field: NumberField):
         row_ideals = [_parse_ideal(ts, field) for _ in range(n)]
         col_ideals = [_parse_ideal(ts, field) for _ in range(n)]
         rows = [[_parse_element(ts, field) for _ in range(n)] for _ in range(n)]
-        if not ts.done():
-            raise ParseError(f"trailing content '{ts.peek()}'", ts.line)
-        bp = BiPseudoMatrix(field, rows, row_ideals, col_ideals, validate=False)
-        bad = bp.integrality_violation()
-        if bad is not None:
-            raise ParseError(f"entry {bad} violates b_i * a_j^-1 integrality", ln)
-        return bp
+        ts.finish()
+        try:
+            return BiPseudoMatrix(field, rows, row_ideals, col_ideals)
+        except IdealError as exc:
+            raise ParseError(str(exc), ln) from exc
     raise ParseError(f"unknown matrix header '{kind}'", ln)
 
 
@@ -207,8 +202,7 @@ def parse_ideal_file(path: str, field: NumberField) -> FractionalIdeal:
     with open(path, encoding="utf-8") as fh:
         ts = _Tokens(fh.read())
     out = _parse_ideal(ts, field)
-    if not ts.done():
-        raise ParseError(f"trailing content '{ts.peek()}'", ts.line)
+    ts.finish()
     return out
 
 
@@ -266,13 +260,10 @@ _DET_ORACLE_MAX = 6
 
 
 def _det_oracle(field: NumberField, rows) -> FieldElement:
-    if len(rows) > _DET_ORACLE_MAX:
-        raise ValueError(f"det oracle limited to {_DET_ORACLE_MAX}x{_DET_ORACLE_MAX}")
-    return _cofactor_det(field, rows)
-
-
-def _cofactor_det(field: NumberField, rows) -> FieldElement:
+    """Cofactor expansion along the first row, independent of ``det``."""
     n = len(rows)
+    if n > _DET_ORACLE_MAX:
+        raise ValueError(f"det oracle limited to {_DET_ORACLE_MAX}x{_DET_ORACLE_MAX}")
     if n == 1:
         return rows[0][0]
     acc = field.zero()
@@ -280,7 +271,7 @@ def _cofactor_det(field: NumberField, rows) -> FieldElement:
         if not rows[0][j]:
             continue
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _cofactor_det(field, minor)
+        term = rows[0][j] * _det_oracle(field, minor)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
 
@@ -317,11 +308,7 @@ def check_snf_d1(bp: BiPseudoMatrix, chain: DivisorChain) -> bool:
 
 
 def check_snf_chain(bp: BiPseudoMatrix, chain: DivisorChain) -> bool:
-    det_ideal = quotient_determinantal_ideal(bp)
-    prod = chain[0]
-    for a in chain.ideals[1:]:
-        prod = prod * a
-    if prod != det_ideal:
+    if determinant.product_of_ideals(chain.ideals) != quotient_determinantal_ideal(bp):
         return False
     for i in range(1, len(chain)):
         if not chain[i - 1].is_subset(chain[i]):

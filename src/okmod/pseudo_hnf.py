@@ -57,14 +57,10 @@ class PseudoMatrix:
 
     def module_in_ring_power(self) -> bool:
         """Exact test that every a_i * row_i lies inside O_K^m."""
-        for row, a in zip(self.rows, self.ideals):
-            basis = a.basis_elements()
-            for entry in row:
-                if not entry:
-                    continue
-                for eps in basis:
-                    if (eps * entry).den != 1:
-                        return False
+        try:
+            to_absolute(self)
+        except IdealError:
+            return False
         return True
 
 

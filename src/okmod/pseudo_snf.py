@@ -28,8 +28,7 @@ class BiPseudoMatrix:
 
     __slots__ = ("field", "rows", "row_ideals", "col_ideals")
 
-    def __init__(self, field: NumberField, rows, row_ideals, col_ideals,
-                 validate: bool = True):
+    def __init__(self, field: NumberField, rows, row_ideals, col_ideals):
         rows = [list(r) for r in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
@@ -40,10 +39,9 @@ class BiPseudoMatrix:
         self.rows = rows
         self.row_ideals = list(row_ideals)
         self.col_ideals = list(col_ideals)
-        if validate:
-            bad = self.integrality_violation()
-            if bad is not None:
-                raise IdealError(f"entry {bad} is not in b_i * a_j^-1")
+        bad = self.integrality_violation()
+        if bad is not None:
+            raise IdealError(f"entry {bad} is not in b_i * a_j^-1")
 
     @property
     def n(self) -> int:
@@ -295,17 +293,12 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
         state.modulus = state.modulus * state.cache.inverse(d_i)
     chain = DivisorChain(divisors)
     if verify:
-        prod = chain[0]
-        for a in chain.ideals[1:]:
-            prod = prod * a
-        if prod != det_ideal:
+        if determinant.product_of_ideals(chain.ideals) != det_ideal:
             raise RuntimeError("verify: divisor product differs from the determinantal ideal")
     return chain
 
 
 def quotient_determinantal_ideal(bp: BiPseudoMatrix) -> FractionalIdeal:
     """det(A) * prod(a_j) * prod(b_i)^-1, the modulus of the quotient."""
-    rows_prod = bp.row_ideals[0]
-    for b in bp.row_ideals[1:]:
-        rows_prod = rows_prod * b
+    rows_prod = determinant.product_of_ideals(bp.row_ideals)
     return determinant.det_times_ideals(bp.field, bp.rows, bp.col_ideals) * rows_prod.inverse()

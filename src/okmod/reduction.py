@@ -139,12 +139,14 @@ def normalize_row(row: list[FieldElement], a: FractionalIdeal,
     of norm at most l^(d^2) sqrt|disc|, new_row = row / scalar, and the
     products a*row_t = new_ideal*new_row_t unchanged.  The part that depends
     on ``a`` alone is memoized in ``cache`` (default: the field's
-    ``basis_cache``), whose lattice context gives the norm bound; ``ctx`` is
-    not read and stays only for positional callers.
+    ``basis_cache``), whose lattice context gives the norm bound; a ``ctx``
+    other than that context is refused with ValueError.
     """
     field = a.field
     if cache is None:
         cache = field.basis_cache
+    if ctx is not None and ctx is not cache.ctx:
+        raise ValueError("ctx is not the lattice context of the cache")
     new_ideal, scalar, inv_scalar = cache.normalization(a)
     new_row = [field.mul(entry, inv_scalar) if entry else entry for entry in row]
     return new_row, new_ideal, scalar

@@ -7,7 +7,8 @@ diagonal and every entry below a pivot reduced into ``[0, pivot)``, so the
 
 ``hnf_with_modulus`` is the Hermite form modulo a known multiple ``lam``
 (Domich, Kannan and Trotter; Cohen, GTM 138, Alg. 2.4.8): it never lets an
-entry grow past ``lam``.  Plain ``hnf`` is the independent reference.
+entry grow past ``lam``; every caller knows such a multiple (a norm or a
+minimum of an ideal, ``det(A^t A)``), so no unbounded echelon form is needed.
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ def transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)]
 
 
-def stack(a: Mat, b: Mat) -> Mat:
-    if len(a[0]) != len(b[0]):
-        raise ValueError("column count mismatch")
-    return mat_copy(a) + mat_copy(b)
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     n, k = shape(a)
     k2, m = shape(b)
@@ -71,14 +66,6 @@ def vec_mat(v: list[int], a: Mat) -> list[int]:
     if len(v) != n:
         raise ValueError("dimension mismatch")
     return [sum(v[i] * a[i][j] for i in range(n)) for j in range(m)]
-
-
-def content(a: Mat) -> int:
-    g = 0
-    for row in a:
-        for x in row:
-            g = gcd(g, x)
-    return g
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -100,63 +87,10 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 # Hermite normal form
 
 
-def _echelon_hnf_upper(rows: Mat, m: int) -> list[tuple[int, list[int]]]:
-    """Row-echelon HNF over Z, pivots ascending, entries above pivots reduced.
-
-    Returns a list of (pivot column, row) sorted by pivot column.
-    """
-    pivots: dict[int, list[int]] = {}
-    work = [row[:] for row in rows]
-    while work:
-        r = work.pop()
-        j = next((k for k, x in enumerate(r) if x), None)
-        if j is None:
-            continue
-        if j in pivots:
-            p = pivots[j]
-            g, u, v = ext_gcd(p[j], r[j])
-            a, b = p[j] // g, r[j] // g
-            newp = [u * x + v * y for x, y in zip(p, r)]
-            newr = [a * y - b * x for x, y in zip(p, r)]
-            pivots[j] = newp
-            work.append(newr)
-        else:
-            pivots[j] = r
-    out: list[tuple[int, list[int]]] = []
-    for j in sorted(pivots):
-        row = pivots[j]
-        if row[j] < 0:
-            row = [-x for x in row]
-        out.append((j, row))
-    # reduce entries above each pivot into [0, pivot)
-    for t, (jt, rt) in enumerate(out):
-        for s in range(t):
-            row_s = out[s][1]
-            q = row_s[jt] // rt[jt]
-            if q:
-                out[s] = (out[s][0], [x - q * y for x, y in zip(row_s, rt)])
-    return out
-
-
-def hnf(a: Mat) -> Mat:
-    """Lower-triangular Hermite normal form of the row span of ``a``.
-
-    Requires full column rank; raises RankDeficiencyError otherwise.  The
-    result is m x m with positive diagonal and entries below a pivot reduced
-    into [0, pivot).
-    """
-    n, m = shape(a)
-    rev = [row[::-1] for row in a]
-    ech = _echelon_hnf_upper(rev, m)
-    if len(ech) < m:
-        raise RankDeficiencyError(f"matrix has column rank {len(ech)} < {m}")
-    return [row[::-1] for _, row in reversed(ech)]
-
-
 def hnf_with_modulus(a: Mat, lam: int) -> Mat:
     """Hermite normal form of span(a) + lam * Z^m, with no entry above lam.
 
-    Equal to hnf(a) whenever lam * Z^m lies inside the row span of ``a``.
+    Equal to the Hermite form of span(a) whenever lam * Z^m lies inside it.
     The rows are reduced mod lam, and each column j, from the last, gets the
     pivot row lam * e_j into which every row with a nonzero j-th entry is
     folded by an extended gcd: column j exactly, the columns left of it mod
@@ -207,7 +141,7 @@ def solve_left(a: Mat, b: Mat) -> tuple[Mat, int]:
     Fraction-free Gauss-Jordan elimination on the transposed system
     a^t X^t = b^t: each step divides exactly by the previous pivot, so every
     entry stays an integer minor.  Returns (N, D) with X = N / D, D > 0 and
-    gcd(D, content(N)) = 1, i.e. D is the least common denominator of X.
+    gcd(D, entries of N) = 1, i.e. D is the least common denominator of X.
     ``solve_left(a, identity(n))`` is the inverse of ``a``.
     """
     n, m = shape(a)

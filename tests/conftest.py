@@ -7,6 +7,7 @@ import pytest
 
 from okmod import FractionalIdeal, build_field
 from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_up
+from okmod.zlinalg import RankDeficiencyError, ext_gcd, shape
 
 # the four standing test fields: Q, Q(i), Q(sqrt-5), and the cubic x^3 - x - 1
 FIELD_SPECS = {
@@ -81,6 +82,58 @@ def norm_sq_bounds(K, a):
         lb += low * low
         ub += v.abs_sq_ub()
     return lb, frac_up(ub, 128)
+
+
+def echelon_hnf_upper(rows, m):
+    """Row-echelon HNF over Z, pivots ascending, entries above pivots reduced.
+
+    Returns a list of (pivot column, row) sorted by pivot column; canonical
+    for any rank.  A plain echelon form with no modulus: the test reference
+    of the library's modular ``hnf_with_modulus``.
+    """
+    pivots = {}
+    work = [row[:] for row in rows]
+    while work:
+        r = work.pop()
+        j = next((k for k, x in enumerate(r) if x), None)
+        if j is None:
+            continue
+        if j in pivots:
+            p = pivots[j]
+            g, u, v = ext_gcd(p[j], r[j])
+            a, b = p[j] // g, r[j] // g
+            pivots[j] = [u * x + v * y for x, y in zip(p, r)]
+            work.append([a * y - b * x for x, y in zip(p, r)])
+        else:
+            pivots[j] = r
+    out = []
+    for j in sorted(pivots):
+        row = pivots[j]
+        if row[j] < 0:
+            row = [-x for x in row]
+        out.append((j, row))
+    # reduce entries above each pivot into [0, pivot)
+    for t, (jt, rt) in enumerate(out):
+        for s in range(t):
+            row_s = out[s][1]
+            q = row_s[jt] // rt[jt]
+            if q:
+                out[s] = (out[s][0], [x - q * y for x, y in zip(row_s, rt)])
+    return out
+
+
+def hnf(a):
+    """Lower-triangular Hermite normal form of the row span of ``a``.
+
+    Requires full column rank; raises RankDeficiencyError otherwise.  The
+    result is m x m with positive diagonal and entries below a pivot reduced
+    into [0, pivot).
+    """
+    _, m = shape(a)
+    ech = echelon_hnf_upper([row[::-1] for row in a], m)
+    if len(ech) < m:
+        raise RankDeficiencyError(f"matrix has column rank {len(ech)} < {m}")
+    return [row[::-1] for _, row in reversed(ech)]
 
 
 def check_prime_plan(K, bound):

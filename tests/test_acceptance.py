@@ -18,9 +18,9 @@ from okmod import residues as rs
 from okmod import zlinalg as zl
 from okmod.numeric import frac_sqrt_ub
 from okmod.reduction import ReducedBasisCache, check_reduced_bound, normalize_row, reduce_mod_ideal
-from okmod.zlinalg import RankDeficiencyError, det_bareiss, hnf, hnf_with_modulus, z_snf
+from okmod.zlinalg import RankDeficiencyError, det_bareiss, hnf_with_modulus, z_snf
 
-from conftest import get_field
+from conftest import echelon_hnf_upper, get_field, hnf
 
 SEED = 20250810
 FIELDS = ("Q", "Qi", "Qm5", "cubic")
@@ -113,7 +113,7 @@ def _row_lattice(field, row, ideal, scale):
             assert prod.den == 1
             flat.extend(prod.coeffs)
         rows.append(flat)
-    return zl._echelon_hnf_upper(rows, len(rows[0]))
+    return echelon_hnf_upper(rows, len(rows[0]))
 
 
 def test_criterion_4_normalization_contract():

@@ -134,7 +134,7 @@ den 1
 """
     with pytest.raises(cli.ParseError) as err:
         cli.parse_matrix_text(bad, K)
-    assert "(0, 0)" in str(err.value)
+    assert err.value.line == 1 and "(0, 0)" in str(err.value)
 
 
 def test_roundtrip_random(field):
@@ -356,6 +356,19 @@ def test_non_canonical_ideal_block_refused(tmp_path, capsys, kind, rows):
     assert code == 2 and out == ""
     assert capsys.readouterr().err == (
         f"parse error: line {line}: ideal hnf block is not the Hermite basis of an ideal\n")
+
+
+@pytest.mark.parametrize("block, line, message", [
+    ("ideal hnf\n1 0\n0 1\nden 0\n", 5, "denominator must be positive"),
+    ("ideal gens 1\n0 0 / 1\n", 3, "at least one nonzero generator required"),
+], ids=["hnf-den-0", "zero-generator"])
+def test_ideal_block_fault_names_its_own_line(tmp_path, capsys, block, line, message):
+    # the faulty token's line, not the block's 'ideal' line (line 2)
+    f = write(tmp_path, "g.field", GAUSS_FIELD)
+    m = write(tmp_path, "m.pm", "pseudo 1 1\n" + block + "1 0 / 1\n")
+    code, out = run_cli(["hnf", "--field", f, "--matrix", m])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"parse error: line {line}: {message}\n"
 
 
 def test_canonical_ideal_block_accepted():

@@ -14,8 +14,6 @@ from okmod.zlinalg import SingularMatrixError, RankDeficiencyError
 
 from conftest import ALL_FIELDS, get_field, random_ideal, seeded
 
-rng = seeded("test_determinant")
-
 
 def cofactor_det(field, rows):
     n = len(rows)
@@ -31,9 +29,8 @@ def cofactor_det(field, rows):
     return acc
 
 
-def random_matrix(field, n, m=None, lim=9, gen=None):
+def random_matrix(gen, field, n, m=None, lim=9):
     m = m or n
-    gen = gen or rng
     return [[field.element([gen.randint(-lim, lim) for _ in range(field.degree)])
              for _ in range(m)] for _ in range(n)]
 
@@ -150,9 +147,10 @@ def test_det_examples():
 
 
 def test_det_bound_covers_small_cases():
+    rng = seeded("test_determinant::test_det_bound_covers_small_cases")
     K = get_field("Qi")
     for _ in range(5):
-        rows = random_matrix(K, 2)
+        rows = random_matrix(rng, K, 2)
         d = cofactor_det(K, rows)
         bound = det_bound(K, 2, entry_height(rows))
         coeff = max((abs(c) for c in d.coeffs), default=0)
@@ -163,17 +161,19 @@ def test_det_bound_covers_small_cases():
 
 @pytest.mark.parametrize("field", ALL_FIELDS, indirect=True)
 def test_det_matches_cofactor_oracle(field):
+    rng = seeded("test_determinant::test_det_matches_cofactor_oracle")
     for n in (1, 2, 3, 4, 5):
         for _ in range(3):
-            rows = random_matrix(field, n)
+            rows = random_matrix(rng, field, n)
             assert det(field, rows) == cofactor_det(field, rows)
 
 
 def test_det_multiplicative(field):
+    rng = seeded("test_determinant::test_det_multiplicative")
     n = 3
     for _ in range(3):
-        a = random_matrix(field, n, lim=5)
-        b = random_matrix(field, n, lim=5)
+        a = random_matrix(rng, field, n, lim=5)
+        b = random_matrix(rng, field, n, lim=5)
         ab = [[sum((a[i][k] * b[k][j] for k in range(n)), field.zero())
                for j in range(n)] for i in range(n)]
         assert det(field, ab) == det(field, a) * det(field, b)
@@ -199,9 +199,10 @@ def test_rank_examples():
 
 @pytest.mark.parametrize("field", ALL_FIELDS, indirect=True)
 def test_rank_matches_minor_oracle(field):
+    rng = seeded("test_determinant::test_rank_matches_minor_oracle")
     for _ in range(4):
         n, m = 4, 2
-        rows = random_matrix(field, n, m, lim=4)
+        rows = random_matrix(rng, field, n, m, lim=4)
         s, ridx, cidx, ds = rank_and_submatrix(field, rows)
         # brute-force rank via minors
         best = 0
@@ -265,10 +266,11 @@ def test_determinantal_multiple_examples():
 
 
 def test_determinantal_multiple_contained_in_gcd_oracle(field):
+    rng = seeded("test_determinant::test_determinantal_multiple_contained_in_gcd_oracle")
     u = FractionalIdeal.unit(field)
     for _ in range(3):
         n, m = 5, 3
-        rows = random_matrix(field, n, m, lim=4)
+        rows = random_matrix(rng, field, n, m, lim=4)
         ideals = [random_ideal(rng, field) if rng.random() < 0.4 else u for _ in range(n)]
         pm = PseudoMatrix(field, rows, ideals)
         try:
@@ -315,7 +317,7 @@ def test_eliminate_matches_dense_gauss_at_small_primes(name, p):
     for fi, g in enumerate(sys.factors):
         k = len(g) - 1
         for n, m in ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (5, 3), (6, 4), (4, 2)):
-            rows = random_matrix(K, n, m, lim=4, gen=local)
+            rows = random_matrix(local, K, n, m, lim=4)
             ref = projected(rows, sys, fi)
             w = _slot_width(p, n, k)
             planes = _packed_planes(rows, sys.proj_mats[fi], p, w)
@@ -379,8 +381,9 @@ def test_rank_of_matrices_built_to_rank(name):
 
 
 def test_det_of_one_by_one_and_zero_matrices(field):
+    rng = seeded("test_determinant::test_det_of_one_by_one_and_zero_matrices")
     for _ in range(3):
-        a = random_matrix(field, 1)
+        a = random_matrix(rng, field, 1)
         assert det(field, a) == a[0][0]
     zero = field.zero()
     assert det(field, [[zero]]) == zero
@@ -410,9 +413,10 @@ def test_pivots_in_the_last_column(field):
 def test_entries_vanishing_mod_the_first_prime(field):
     # multiples of the first plan prime vanish there, so the pivots at that
     # prime differ from those over K
+    rng = seeded("test_determinant::test_entries_vanishing_mod_the_first_prime")
     q = plan_primes(field, 1).primes[0]
     for _ in range(3):
-        base = random_matrix(field, 4, lim=3)
+        base = random_matrix(rng, field, 4, lim=3)
         rows = [[e * q if (i + j) % 3 else e for j, e in enumerate(row)]
                 for i, row in enumerate(base)]
         assert det(field, rows) == laplace_det(field, rows)
@@ -424,7 +428,7 @@ def test_entries_vanishing_mod_the_first_prime(field):
 def test_tall_twelve_by_eight(name):
     field = get_field(name)
     local = seeded(f"test_determinant tall {name}")
-    rows = random_matrix(field, 12, 8, lim=9, gen=local)
+    rows = random_matrix(local, field, 12, 8, lim=9)
     s, ridx, cidx, ds = rank_and_submatrix(field, rows)
     assert s == 8 and cidx == tuple(range(8)) and len(ridx) == 8
     sub = [[rows[i][j] for j in cidx] for i in ridx]

@@ -6,12 +6,10 @@ from math import gcd
 import pytest
 
 from okmod import FractionalIdeal, IdealError, build_field, idempotents
-from okmod.zlinalg import hnf, identity, solve_left
+from okmod.zlinalg import identity, solve_left
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, get_field, random_element,
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, get_field, hnf, random_element,
                       random_ideal, seeded)
-
-rng = seeded("test_ideals")
 
 
 def lattice_of(ideal):
@@ -84,6 +82,7 @@ def test_product_examples():
 def test_product_against_lattice_oracle(field):
     # compare the modular product path against a plain-hnf pairwise-product
     # oracle on the integral numerators
+    rng = seeded("test_ideals::test_product_against_lattice_oracle")
     for _ in range(12):
         a = FractionalIdeal(field, [list(r) for r in random_ideal(rng, field).num], 1)
         b = FractionalIdeal(field, [list(r) for r in random_ideal(rng, field).num], 1)
@@ -105,6 +104,7 @@ def test_inverse_examples():
 
 
 def test_inverse_oracle(field):
+    rng = seeded("test_ideals::test_inverse_oracle")
     unit = FractionalIdeal.unit(field)
     for _ in range(20):
         a = random_ideal(rng, field, fractional=True)
@@ -115,6 +115,7 @@ def test_inverse_oracle(field):
 def test_inverse_needs_no_two_element_rep(name):
     # the inverse reads the Hermite basis of b * B off the ideal product, so
     # the two-element search never runs
+    rng = seeded("test_ideals::test_inverse_needs_no_two_element_rep")
     K = build_field(*{**FIELD_SPECS, **EXTRA_SPECS}[name])
     a = random_ideal(rng, K, fractional=True)
     assert a * a.inverse() == FractionalIdeal.unit(K)
@@ -122,12 +123,14 @@ def test_inverse_needs_no_two_element_rep(name):
 
 
 def test_inverse_denominator_is_minimum(field):
+    rng = seeded("test_ideals::test_inverse_denominator_is_minimum")
     for _ in range(12):
         a = random_ideal(rng, field)
         assert a.inverse().den == a.minimum()
 
 
 def test_norm_multiplicativity(field):
+    rng = seeded("test_ideals::test_norm_multiplicativity")
     for _ in range(15):
         a = random_ideal(rng, field, fractional=True)
         b = random_ideal(rng, field)
@@ -135,6 +138,7 @@ def test_norm_multiplicativity(field):
 
 
 def test_minimum_divisibility_laws(field):
+    rng = seeded("test_ideals::test_minimum_divisibility_laws")
     for _ in range(15):
         a = random_ideal(rng, field)
         b = random_ideal(rng, field)
@@ -146,6 +150,7 @@ def test_minimum_divisibility_laws(field):
 
 
 def test_size_inequalities(field):
+    rng = seeded("test_ideals::test_size_inequalities")
     d = field.degree
     for _ in range(15):
         a = random_ideal(rng, field, fractional=True)
@@ -170,6 +175,7 @@ def test_membership_examples():
 
 
 def test_membership_matches_solving(field):
+    rng = seeded("test_ideals::test_membership_matches_solving")
     for _ in range(15):
         a = random_ideal(rng, field, fractional=True)
         # every basis element is a member; basis elements of 2a are as well
@@ -234,6 +240,7 @@ def test_idempotents_requires_coprime():
 
 
 def test_idempotents_random(field):
+    rng = seeded("test_ideals::test_idempotents_random")
     done = 0
     while done < 10:
         a = random_ideal(rng, field)

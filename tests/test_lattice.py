@@ -8,9 +8,9 @@ from okmod import (FractionalIdeal, build_context, build_field, reduce_ideal_bas
                    shortest_basis_element)
 from okmod.lattice import LLL_DELTA, _gram_balls, _lll_with_transform
 from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_up
-from okmod.zlinalg import hnf, mat_mul, transpose
+from okmod.zlinalg import mat_mul, transpose
 
-from conftest import (ALL_FIELDS, get_field, norm_sq_bounds, random_element, random_ideal,
+from conftest import (ALL_FIELDS, get_field, hnf, norm_sq_bounds, random_element, random_ideal,
                       seeded)
 
 rng = seeded("test_lattice")

@@ -10,8 +10,6 @@ from okmod import FieldError, build_field, numeric
 from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, get_field, norm_sq_bounds,
                       random_element, seeded)
 
-rng = seeded("test_numberfield")
-
 
 def test_build_gaussian_integers():
     K = get_field("Qi")
@@ -70,6 +68,7 @@ def test_regular_representation():
 
 
 def test_regular_representation_matches_symbolic_multiplication(field):
+    rng = seeded("test_numberfield::test_regular_representation_matches_symbolic_multiplication")
     for _ in range(20):
         g = random_element(rng, field)
         m = field.regular_representation(g)
@@ -85,6 +84,7 @@ def test_regular_representation_requires_integral():
 
 
 def test_mul_matches_power_basis_polynomials(field):
+    rng = seeded("test_numberfield::test_mul_matches_power_basis_polynomials")
     d = field.degree
     poly = [Fraction(c) for c in field.poly]
 
@@ -109,6 +109,7 @@ def test_mul_matches_power_basis_polynomials(field):
 
 
 def test_ring_axioms(field):
+    rng = seeded("test_numberfield::test_ring_axioms")
     for _ in range(15):
         a = random_element(rng, field, max_den=4)
         b = random_element(rng, field, max_den=4)
@@ -119,6 +120,7 @@ def test_ring_axioms(field):
 
 
 def test_inverse_and_canonicality(field):
+    rng = seeded("test_numberfield::test_inverse_and_canonicality")
     for _ in range(25):
         a = random_element(rng, field, max_den=5)
         assert a * field.inv(a) == field.one()
@@ -130,6 +132,7 @@ def test_inverse_and_canonicality(field):
 
 
 def test_norm_multiplicativity(field):
+    rng = seeded("test_numberfield::test_norm_multiplicativity")
     for _ in range(20):
         a = random_element(rng, field, max_den=3)
         b = random_element(rng, field, max_den=3)
@@ -138,6 +141,7 @@ def test_norm_multiplicativity(field):
 
 def test_norm_bounded_by_t2_power(field):
     # |N(alpha)| <= |alpha|^d / d^(d/2) on integral elements
+    rng = seeded("test_numberfield::test_norm_bounded_by_t2_power")
     d = field.degree
     for _ in range(20):
         a = random_element(rng, field, lim=20)
@@ -151,6 +155,7 @@ def test_size_growth_inequalities(field):
     # derivation actually carried out needs (2d-1)*S, not d*S: the numerator
     # of the inverse has coefficients of the order |alpha|^(d-1), an
     # S-contribution of (d-1)*S(alpha) on top of the denominator's d*S(alpha)
+    rng = seeded("test_numberfield::test_size_growth_inequalities")
     c = field.growth_constant
     d = field.degree
     for _ in range(20):

@@ -11,9 +11,9 @@ from okmod import (FractionalIdeal, PseudoMatrix, canonicalize,
                    determinantal_ideal, determinantal_ideal_multiple,
                    euclidean_step, module_hnf, pseudo_hnf, to_absolute)
 from okmod.ideals import IdealError
-from okmod.zlinalg import RankDeficiencyError, hnf
+from okmod.zlinalg import RankDeficiencyError
 
-from conftest import ALL_FIELDS, get_field, random_element, random_ideal, seeded
+from conftest import ALL_FIELDS, get_field, hnf, random_element, random_ideal, seeded
 
 rng = seeded("test_pseudo_hnf")
 

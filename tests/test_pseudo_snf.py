@@ -200,8 +200,7 @@ def test_pivots_report_elimination():
     for mat, pivot in (([[1, 3], [0, 5]], row_pivot), ([[1, 0], [3, 5]], col_pivot),
                        ([[0, 3], [0, 0]], row_pivot), ([[0, 0], [3, 0]], col_pivot)):
         bp = BiPseudoMatrix(Q, [[Q.from_int(x) for x in row] for row in mat],
-                            [FractionalIdeal.unit(Q)] * 2, [FractionalIdeal.unit(Q)] * 2,
-                            validate=False)
+                            [FractionalIdeal.unit(Q)] * 2, [FractionalIdeal.unit(Q)] * 2)
         state = SnfState(bp, FractionalIdeal.unit(Q))
         assert pivot(state, 1) is False
 

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from okmod import FractionalIdeal, ReducedBasisCache, normalize_row, reduce_mod_ideal
+from okmod import (FractionalIdeal, ReducedBasisCache, build_context, normalize_row,
+                   reduce_mod_ideal)
 from okmod.reduction import check_reduced_bound
 from okmod.zlinalg import det_bareiss
 
-from conftest import ALL_FIELDS, get_field, norm_sq_bounds, random_element, random_ideal, seeded
-
-rng = seeded("test_reduction")
+from conftest import (ALL_FIELDS, echelon_hnf_upper, get_field, norm_sq_bounds, random_element,
+                      random_ideal, seeded)
 
 
 def test_reduce_rational_rounding():
@@ -21,6 +21,7 @@ def test_reduce_rational_rounding():
 
 
 def test_reduce_zero_fixed_point(field):
+    rng = seeded("test_reduction::test_reduce_zero_fixed_point")
     a = random_ideal(rng, field)
     assert reduce_mod_ideal(field.zero(), a) == field.zero()
 
@@ -35,6 +36,7 @@ def test_reduce_gaussian_example():
 
 
 def test_reduce_membership_and_bound(field):
+    rng = seeded("test_reduction::test_reduce_membership_and_bound")
     ctx = field.lattice_context
     cache = ReducedBasisCache(ctx)
     for _ in range(40):
@@ -51,6 +53,7 @@ def test_reduce_membership_and_bound(field):
 def test_reduce_canonical_with_hnf_basis(field):
     # floor rounding against the Hermite basis is a class function: elements
     # in the same class reduce to the same representative
+    rng = seeded("test_reduction::test_reduce_canonical_with_hnf_basis")
     cache = ReducedBasisCache(field.lattice_context)
     for _ in range(15):
         a = random_ideal(rng, field)
@@ -67,9 +70,8 @@ def row_lattice(field, row, ideal, scale):
     """Z-lattice of ideal*row inside K^m (scaled integral), canonical echelon.
 
     Rank d in ambient dimension d*m, so the full-rank hnf() does not apply;
-    the internal echelon form is canonical for any rank.
+    the reference echelon form is canonical for any rank.
     """
-    from okmod.zlinalg import _echelon_hnf_upper
     rows = []
     for eps in ideal.basis_elements():
         flat = []
@@ -78,7 +80,7 @@ def row_lattice(field, row, ideal, scale):
             assert prod.den == 1
             flat.extend(prod.coeffs)
         rows.append(flat)
-    return _echelon_hnf_upper(rows, len(rows[0]))
+    return echelon_hnf_upper(rows, len(rows[0]))
 
 
 def test_normalize_examples():
@@ -108,6 +110,7 @@ def test_normalize_fractional_example():
 
 
 def test_normalize_contract(field):
+    rng = seeded("test_reduction::test_normalize_contract")
     ctx = field.lattice_context
     cache = ReducedBasisCache(ctx)
     for _ in range(25):
@@ -125,9 +128,23 @@ def test_normalize_contract(field):
         assert row_lattice(field, row, a, scale) == row_lattice(field, nrow, nid, scale)
 
 
+def test_normalize_refuses_a_foreign_context(field):
+    # the norm bound comes from the cache's context; another one is refused,
+    # not silently ignored
+    a = FractionalIdeal.from_rational(field, 3)
+    row = [field.one()]
+    foreign = build_context(field, 8)
+    with pytest.raises(ValueError):
+        normalize_row(row, a, foreign)
+    with pytest.raises(ValueError):
+        normalize_row(row, a, foreign, ReducedBasisCache(field.lattice_context))
+    assert normalize_row(row, a, foreign, ReducedBasisCache(foreign))[1].is_integral()
+
+
 def test_denominator_bound_after_normalization(field):
     # for a pseudo-row of an integral module the entry denominators divide
     # the minimum of the (integral) coefficient ideal
+    rng = seeded("test_reduction::test_denominator_bound_after_normalization")
     for _ in range(15):
         a = random_ideal(rng, field)
         # integral module: entries from a^-1 ensure a * entry is integral
@@ -138,6 +155,7 @@ def test_denominator_bound_after_normalization(field):
 
 
 def test_cache_reuses_bases(field):
+    rng = seeded("test_reduction::test_cache_reuses_bases")
     cache = ReducedBasisCache(field.lattice_context)
     a = random_ideal(rng, field)
     b1 = cache.reduced_basis(a)

@@ -7,8 +7,6 @@ from okmod import residues as rs
 
 from conftest import check_prime_plan, get_field, seeded
 
-rng = seeded("test_residues")
-
 
 def test_factor_gaussian_polynomial():
     assert rs.factor_squarefree((1, 0, 1), 5) == [(2, 1), (3, 1)]
@@ -24,6 +22,7 @@ def test_factor_equal_degree_split():
 
 def test_factor_random_products():
     # rebuild random squarefree products and factor them back
+    rng = seeded("test_residues::test_factor_random_products")
     smalls = {2: [(0, 1), (1, 1)], 3: [(0, 1), (1, 1), (2, 1), (1, 0, 1)],
               5: [(0, 1), (2, 1), (3, 1), (1, 1, 1)]}
     for p, irreducibles in smalls.items():
@@ -127,6 +126,7 @@ def test_projection_examples():
 
 
 def test_projection_is_ring_homomorphism(field):
+    rng = seeded("test_residues::test_projection_is_ring_homomorphism")
     plan = plan_primes(field, 16)
     sys = split_prime(field, plan.primes[-1])
     p = sys.p
@@ -189,6 +189,7 @@ def test_lift_examples():
 
 
 def test_round_trip_identity(field):
+    rng = seeded("test_residues::test_round_trip_identity")
     plan = plan_primes(field, 24)
     systems = [split_prime(field, p) for p in plan.primes]
     half = plan.modulus // 2
