@@ -7,6 +7,14 @@ every working coefficient ideal integral and norm-bounded by field invariants
 running modulus (a divisor of the supplied multiple of the determinantal
 ideal).  The module itself is preserved exactly, which the tests check
 through the absolute integer Hermite form.
+
+Most Euclidean steps are degenerate: alpha*a already lies in beta*b, most
+often with beta = 1 and b = O_K.  The splitting is then (0, beta^-1) with
+g = beta*b, exactly the values of the general path, so ``euclidean_step``
+returns it without an ideal sum or idempotents.  When moreover beta = 1 and
+the normalization of b is the identity, the row update leaves the pivot
+row and both ideals as they are, and the elimination only subtracts
+alpha times the pivot row from the other row.
 """
 
 from __future__ import annotations
@@ -102,17 +110,33 @@ def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,
                    alpha: FieldElement, beta: FieldElement, cache=None):
     """Ideal gcd with splitting data: g = alpha*a + beta*b, its inverse, and
     gamma in a*g^-1, delta in b*g^-1 with alpha*gamma + beta*delta = 1.
-    With a ``ReducedBasisCache``, the inverse of g comes from its memo."""
+    With a ``ReducedBasisCache``, the inverse of g and the ideal b*a^-1 come
+    from its memo.
+
+    When alpha*a lies in beta*b, that is alpha/beta in b*a^-1, the step is
+    degenerate and returns (beta*b, (beta*b)^-1, 0, beta^-1), with g = b
+    itself when beta = 1, and needs no ideal sum and no idempotents.  These
+    are the values of the general path: the canonical alpha*a + beta*b is
+    then beta*b, and ``idempotents(alpha*a*g^-1, O_K)`` reads its first
+    element as the canonical representative of 0 modulo a lattice, which
+    is 0.
+    """
     if not alpha or not beta:
         raise ValueError("euclidean step requires nonzero elements")
     field = a.field
+    beta_inv = field.inv(beta)
+    quotient = b * a.inverse() if cache is None else cache.product(b, cache.inverse(a))
+    if quotient.contains(field.mul(alpha, beta_inv)):
+        g = b if beta == 1 else b.elt_mul(beta)
+        ginv = g.inverse() if cache is None else cache.inverse(g)
+        return g, ginv, field.zero(), beta_inv
     aa = a.elt_mul(alpha)
     bb = b.elt_mul(beta)
     g = aa + bb
     ginv = g.inverse() if cache is None else cache.inverse(g)
     gamma_t, delta_t = idempotents(aa * ginv, bb * ginv)
     gamma = field.mul(gamma_t, field.inv(alpha))
-    delta = field.mul(delta_t, field.inv(beta))
+    delta = field.mul(delta_t, beta_inv)
     return g, ginv, gamma, delta
 
 
@@ -159,9 +183,13 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
             active = [ideals[t] for t in range(stage + 1)]
             trace.append(max(a.minimum() for a in active))
 
+    def reduce(idx: int) -> None:
+        modulus = cache.product(det_ideal, cache.inverse(ideals[idx]))
+        b[idx] = _reduce_row(field, b[idx], modulus, cache)
+
     for i in range(n):
         normalize(i)
-        b[i] = _reduce_row(field, b[i], det_ideal * cache.inverse(ideals[i]), cache)
+        reduce(i)
 
     running = det_ideal
     for i in range(n - 1, n - m - 1, -1):
@@ -175,15 +203,21 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
                 continue
             g, ginv, gamma, delta = euclidean_step(ideals[j], ideals[i],
                                                    b[j][col], b[i][col], cache)
-            ideals[j], ideals[i] = ideals[j] * ideals[i] * ginv, g
             piv_j, piv_i = b[j][col], b[i][col]
-            new_j = [piv_i * x - piv_j * y for x, y in zip(b[j], b[i])]
-            new_i = [gamma * x + delta * y for x, y in zip(b[j], b[i])]
-            b[j], b[i] = new_j, new_i
+            if not gamma and g is ideals[i] and cache.normalization(g)[:2] == (g, 1):
+                # degenerate step with pivot 1 on a row whose normalization is
+                # the identity: the general update leaves row i and both
+                # ideals as they are, and row i is reduced already
+                b[j] = [x - piv_j * y for x, y in zip(b[j], b[i])]
+            else:
+                ideals[j], ideals[i] = ideals[j] * ideals[i] * ginv, g
+                new_j = [piv_i * x - piv_j * y for x, y in zip(b[j], b[i])]
+                new_i = [gamma * x + delta * y for x, y in zip(b[j], b[i])]
+                b[j], b[i] = new_j, new_i
+                normalize(i)
+                reduce(i)
             normalize(j)
-            normalize(i)
-            b[j] = _reduce_row(field, b[j], det_ideal * cache.inverse(ideals[j]), cache)
-            b[i] = _reduce_row(field, b[i], det_ideal * cache.inverse(ideals[i]), cache)
+            reduce(j)
             record(i)
         piv = b[i][col]
         if not piv:

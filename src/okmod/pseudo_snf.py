@@ -154,7 +154,7 @@ def col_pivot(state: SnfState, i: int) -> bool:
             ideals[i], ideals[j] = ideals[j], ideals[i]
             continue
         lam = field.mul(a[i][j], field.inv(a[i][i]))
-        if (ideals[i] * state.cache.inverse(ideals[j])).contains(lam):
+        if state.cache.product(ideals[i], state.cache.inverse(ideals[j])).contains(lam):
             for r in range(state.n):
                 a[r][j] = a[r][j] - lam * a[r][i]
             for k in range(i + 1):

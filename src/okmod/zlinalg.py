@@ -69,18 +69,21 @@ def vec_mat(v: list[int], a: Mat) -> list[int]:
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
+    """Return (g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0.
+
+    v is the inverse of b/g modulo |a/g| (C-level ``pow``), and u follows by
+    exact division; a zero input or a/g = +-1 is answered directly.
+    """
+    g = gcd(a, b)
+    if not b:
+        return g, -1 if a < 0 else 1, 0
+    if not a:
+        return g, 0, -1 if b < 0 else 1
+    a1, b1 = a // g, b // g
+    if a1 == 1 or a1 == -1:
+        return g, a1, 0
+    v = pow(b1, -1, abs(a1))
+    return g, (1 - v * b1) // a1, v
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from okmod import FractionalIdeal, build_field
 from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_up
-from okmod.zlinalg import RankDeficiencyError, ext_gcd, shape
+from okmod.ideals import idempotents
+from okmod.zlinalg import RankDeficiencyError, shape
 
 # the four standing test fields: Q, Q(i), Q(sqrt-5), and the cubic x^3 - x - 1
 FIELD_SPECS = {
@@ -67,6 +68,21 @@ def random_ideal(rng, K, lim=6, fractional=False):
     return a
 
 
+def reference_euclidean_step(a, b, alpha, beta):
+    """The general Euclidean step, with no degenerate branch and no memo:
+    g = alpha*a + beta*b by an ideal sum and the splitting from
+    ``idempotents``.  The test reference of ``euclidean_step``."""
+    field = a.field
+    aa = a.elt_mul(alpha)
+    bb = b.elt_mul(beta)
+    g = aa + bb
+    ginv = g.inverse()
+    gamma_t, delta_t = idempotents(aa * ginv, bb * ginv)
+    gamma = field.mul(gamma_t, field.inv(alpha))
+    delta = field.mul(delta_t, field.inv(beta))
+    return g, ginv, gamma, delta
+
+
 def norm_sq_bounds(K, a):
     """Certified enclosure of the squared T2 norm of an element, by complex
     ball evaluation at the roots: the test oracle for the library's integer
@@ -82,6 +98,22 @@ def norm_sq_bounds(K, a):
         lb += low * low
         ub += v.abs_sq_ub()
     return lb, frac_up(ub, 128)
+
+
+def euclid(a, b):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b), g >= 0, by the plain
+    extended Euclidean algorithm: the test reference of ``zlinalg.ext_gcd``."""
+    old_r, r = a, b
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_u, u = u, old_u - q * u
+        old_v, v = v, old_v - q * v
+    if old_r < 0:
+        old_r, old_u, old_v = -old_r, -old_u, -old_v
+    return old_r, old_u, old_v
 
 
 def echelon_hnf_upper(rows, m):
@@ -100,7 +132,7 @@ def echelon_hnf_upper(rows, m):
             continue
         if j in pivots:
             p = pivots[j]
-            g, u, v = ext_gcd(p[j], r[j])
+            g, u, v = euclid(p[j], r[j])
             a, b = p[j] // g, r[j] // g
             pivots[j] = [u * x + v * y for x, y in zip(p, r)]
             work.append([a * y - b * x for x, y in zip(p, r)])

@@ -1,5 +1,6 @@
 """Euclidean step, modular pseudo-Hermite form, canonicalization, absolutes."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -13,12 +14,11 @@ from okmod import (FractionalIdeal, PseudoMatrix, canonicalize,
 from okmod.ideals import IdealError
 from okmod.zlinalg import RankDeficiencyError
 
-from conftest import ALL_FIELDS, get_field, hnf, random_element, random_ideal, seeded
+from conftest import (ALL_FIELDS, get_field, hnf, random_element, random_ideal,
+                      reference_euclidean_step, seeded)
 
-rng = seeded("test_pseudo_hnf")
 
-
-def random_pseudo(field, n, m, lim=9, with_ideals=True):
+def random_pseudo(rng, field, n, m, lim=9, with_ideals=True):
     u = FractionalIdeal.unit(field)
     rows = [[field.element([rng.randint(-lim, lim) for _ in range(field.degree)])
              for _ in range(m)] for _ in range(n)]
@@ -31,12 +31,13 @@ def random_pseudo(field, n, m, lim=9, with_ideals=True):
 
 
 def test_module_hnf_matches_plain_hnf(field):
+    rng = seeded("test_pseudo_hnf::test_module_hnf_matches_plain_hnf")
     # module_hnf works modulo det(A^t A); plain hnf stays the reference on
     # inputs small enough for it
     done = 0
     while done < 8:
         n = rng.randint(1, 3 if field.degree == 3 else 4)
-        pm = random_pseudo(field, n, rng.randint(1, n))
+        pm = random_pseudo(rng, field, n, rng.randint(1, n))
         try:
             ref = hnf(to_absolute(pm))
         except RankDeficiencyError:
@@ -108,6 +109,7 @@ def test_euclidean_step_inverts_the_gcd_through_the_cache(monkeypatch):
 
 
 def test_euclidean_step_contract_random(field):
+    rng = seeded("test_pseudo_hnf::test_euclidean_step_contract_random")
     for _ in range(10):
         a = random_ideal(rng, field, fractional=True)
         b = random_ideal(rng, field, fractional=True)
@@ -119,6 +121,77 @@ def test_euclidean_step_contract_random(field):
         assert (a * ginv).contains(gamma)
         assert (b * ginv).contains(delta)
         assert x * gamma + y * delta == field.one()
+
+
+def _element_of(rng, ideal):
+    """Nonzero random integer combination of an ideal's Hermite basis."""
+    while True:
+        e = sum((rng.randint(-3, 3) * eps for eps in ideal.basis_elements()),
+                ideal.field.zero())
+        if e:
+            return e
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_euclidean_step_matches_the_general_step(name):
+    # the degenerate branch returns exactly what the general path returns,
+    # with and without a memo, on each kind of input
+    from okmod.reduction import ReducedBasisCache
+    rng = seeded("test_pseudo_hnf::test_euclidean_step_matches_the_general_step")
+    K = get_field(name)
+    u = FractionalIdeal.unit(K)
+    cache = ReducedBasisCache(K.lattice_context)
+    kinds = {"unit": 0, "degenerate": 0, "general": 0}
+    for _ in range(4):
+        a = random_ideal(rng, K)
+        x = random_element(rng, K, max_den=3)
+        # b = O_K and beta = 1: the common step of the elimination
+        cases = [("unit", a, u, x, K.one())]
+        # alpha = beta*t with t in b and a integral, so alpha*a lies in beta*b
+        b = random_ideal(rng, K, fractional=True)
+        while True:
+            beta = random_element(rng, K, max_den=2)
+            if abs(beta.norm()) != 1:
+                break
+        cases.append(("degenerate", a, b, beta * _element_of(rng, b), beta))
+        cases.append(("general", random_ideal(rng, K, fractional=True), b,
+                      random_element(rng, K, max_den=3), beta))
+        for kind, a_, b_, alpha, beta_ in cases:
+            ref = reference_euclidean_step(a_, b_, alpha, beta_)
+            assert euclidean_step(a_, b_, alpha, beta_) == ref
+            assert euclidean_step(a_, b_, alpha, beta_, cache) == ref
+            kinds[kind] += not ref[2]
+    assert kinds["degenerate"] == 4 and kinds["general"] < 4
+
+
+def test_degenerate_steps_skip_idempotents(monkeypatch):
+    # on a seeded 6x6 input over Q(sqrt-5) some steps are degenerate, so
+    # idempotents runs less often than the Euclidean step
+    ph = importlib.import_module("okmod.pseudo_hnf")  # the name is also a function
+    rng = seeded("test_pseudo_hnf::test_degenerate_steps_skip_idempotents")
+    K = get_field("Qm5")
+    calls = {"euclidean_step": 0, "idempotents": 0}
+
+    def counted(name):
+        real = getattr(ph, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ph, name, wrapper)
+
+    counted("euclidean_step")
+    counted("idempotents")
+    while True:
+        pm = random_pseudo(rng, K, 6, 6)
+        try:
+            dd = determinantal_ideal_multiple(pm)
+        except RankDeficiencyError:
+            continue
+        break
+    out = pseudo_hnf(pm, dd, verify=True)
+    assert module_hnf(out) == module_hnf(pm)
+    assert 0 < calls["idempotents"] < calls["euclidean_step"]
 
 
 # -- pseudo-HNF -------------------------------------------------------------
@@ -157,11 +230,12 @@ def test_gaussian_three_row_example():
 
 
 def test_master_oracle(field):
+    rng = seeded("test_pseudo_hnf::test_master_oracle")
     done = 0
     while done < 8:
         n = rng.randint(2, 6)
         m = rng.randint(1, min(4, n))
-        pm = random_pseudo(field, n, m)
+        pm = random_pseudo(rng, field, n, m)
         try:
             dd = determinantal_ideal_multiple(pm)
         except RankDeficiencyError:
@@ -177,10 +251,11 @@ def test_master_oracle(field):
 
 
 def test_determinantal_ideal_preserved(field):
+    rng = seeded("test_pseudo_hnf::test_determinantal_ideal_preserved")
     done = 0
     while done < 5:
         n = m = rng.randint(2, 3)
-        pm = random_pseudo(field, n, m)
+        pm = random_pseudo(rng, field, n, m)
         try:
             exact = determinantal_ideal(pm)
         except Exception:
@@ -192,13 +267,14 @@ def test_determinantal_ideal_preserved(field):
 
 
 def test_coefficient_ideal_norm_bound(field):
+    rng = seeded("test_pseudo_hnf::test_coefficient_ideal_norm_bound")
     # runtime trace: active ideal minima stay below the static bound
     ctx = field.lattice_context
     from okmod.numeric import frac_sqrt_ub
     bound = frac_sqrt_ub(ctx.norm_bound_sq())
     done = 0
     while done < 4:
-        pm = random_pseudo(field, 4, 3)
+        pm = random_pseudo(rng, field, 4, 3)
         try:
             dd = determinantal_ideal_multiple(pm)
         except RankDeficiencyError:
@@ -212,10 +288,11 @@ def test_coefficient_ideal_norm_bound(field):
 
 
 def test_denominator_bound(field):
+    rng = seeded("test_pseudo_hnf::test_denominator_bound")
     # while a row's ideal is integral every entry denominator divides its minimum
     done = 0
     while done < 5:
-        pm = random_pseudo(field, 3, 2)
+        pm = random_pseudo(rng, field, 3, 2)
         try:
             dd = determinantal_ideal_multiple(pm)
         except RankDeficiencyError:
@@ -230,11 +307,12 @@ def test_denominator_bound(field):
 
 
 def test_any_determinantal_multiple_works(field):
+    rng = seeded("test_pseudo_hnf::test_any_determinantal_multiple_works")
     # the modulus only needs to be a nonzero multiple of the determinantal
     # ideal; an inflated one must give the same module
     done = 0
     while done < 3:
-        pm = random_pseudo(field, 3, 2)
+        pm = random_pseudo(rng, field, 3, 2)
         try:
             dd = determinantal_ideal_multiple(pm)
         except RankDeficiencyError:
@@ -268,9 +346,10 @@ def test_canonicalize_d1_reduction():
 
 
 def test_canonicalize_fixed_point(field):
+    rng = seeded("test_pseudo_hnf::test_canonicalize_fixed_point")
     done = 0
     while done < 3:
-        pm = random_pseudo(field, 3, 3)
+        pm = random_pseudo(rng, field, 3, 3)
         try:
             dd = determinantal_ideal_multiple(pm)
         except RankDeficiencyError:
@@ -282,10 +361,11 @@ def test_canonicalize_fixed_point(field):
 
 
 def test_canonicalize_unique_across_row_orders(field):
+    rng = seeded("test_pseudo_hnf::test_canonicalize_unique_across_row_orders")
     done = 0
     while done < 4:
         n, m = 4, 2
-        pm = random_pseudo(field, n, m)
+        pm = random_pseudo(rng, field, n, m)
         perm = list(range(n))
         rng.shuffle(perm)
         pm2 = PseudoMatrix(field, [pm.rows[p] for p in perm],
@@ -359,9 +439,10 @@ def test_to_absolute_rejects_fractional_module():
 
 
 def test_absolute_invariant_under_valid_forms(field):
+    rng = seeded("test_pseudo_hnf::test_absolute_invariant_under_valid_forms")
     done = 0
     while done < 3:
-        pm = random_pseudo(field, 3, 2)
+        pm = random_pseudo(rng, field, 3, 2)
         try:
             dd = determinantal_ideal_multiple(pm)
         except RankDeficiencyError:

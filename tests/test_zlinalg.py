@@ -136,6 +136,18 @@ def test_hnf_with_modulus_is_hnf_of_span_plus_modulus():
         assert all(0 <= x <= lam for row in h for x in row)
 
 
+def test_ext_gcd_bezout_identity():
+    edge = [(0, 0), (0, 5), (0, -5), (7, 0), (-7, 0), (1, 1), (-1, 1), (1, -1),
+            (6, 3), (-6, 3), (3, 6), (3, -6), (12, 18), (-12, -18), (1, 10 ** 40),
+            (10 ** 40 + 1, -(10 ** 40)), (2 ** 64, 2 ** 63)]
+    rng = random.Random(SEED)
+    pairs = edge + [(rng.randint(-10 ** d, 10 ** d), rng.randint(-10 ** d, 10 ** d))
+                    for d in (1, 3, 12, 40) for _ in range(50)]
+    for a, b in pairs:
+        g, u, v = zl.ext_gcd(a, b)
+        assert u * a + v * b == g == gcd(a, b), (a, b)
+
+
 def test_hnf_with_modulus_edge_cases():
     # lam = 1: the whole of Z^m
     assert zl.hnf_with_modulus([[5, 7, -3]], 1) == zl.identity(3)
