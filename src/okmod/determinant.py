@@ -10,14 +10,17 @@ greedy elimination over F_p[x]/(g), g a factor of degree k of f mod p.
 The elimination holds the matrix as k planes, the x^t coefficients of its
 residues, and each row of a plane as one Python integer: entry j sits in
 slot j, bits [w*j, w*(j+1)), so a row update is a few big-integer
-multiply-adds instead of a loop over entries.  Matrix rows are projected
-straight into their packed plane rows, one reduction mod p per slot.  A
-pivot row's tail is reduced once, made monic and stored as p - y, so
-clearing a column only adds: a live row gains at most k products below p^2
-per pivot, and an n-row matrix has at most n pivots.  Slots start below p,
-so they stay below p + n*k*p^2 < 2^w for w = 2*bitlen(p) + bitlen(n*k) + 1
-and no slot ever carries into the next; a slot is reduced mod p only when it
-is read.
+multiply-adds instead of a loop over entries.  Each call packs the matrix
+once, coefficient by coefficient, shifted by the entry height H into
+[0, 2H]; a plane row of a residue factor is then d multiply-adds of these
+packed rows by the factor's projection, plus one constant below p that
+cancels the shift, so slots start below d*p*(2H+1) + p.  A pivot row's tail
+is reduced once and turned into the k packed planes of x^s * (-pivot^-1 *
+tail), s < k, slots below p; a live row with residue sum_s a_s x^s clears
+the column by adding sum_s a_s times them, at most k <= d products below
+p^2 per pivot, and an n-row matrix has at most n pivots.  So slots stay
+below p * (d*(2H+1) + 1 + n*d*p), whose bit length is w, and no slot ever
+carries into the next; a slot is reduced mod p only when it is read.
 """
 
 from __future__ import annotations
@@ -80,15 +83,52 @@ def _pack(values: list[int], w: int) -> int:
     return acc
 
 
-def _packed_planes(rows: list[list[FieldElement]], mat, p: int, w: int) -> list[list[int]]:
-    """The k planes of the projection of rows by mat, one packed int per row.
+def _coefficient_rows(rows: list[list[FieldElement]], d: int, h: int,
+                      p: int) -> tuple[list[list[int]], int]:
+    """Packed coefficient rows of an n x m integral matrix, and their slot width.
+
+    Row i gives d ints: coefficient c of entry j, plus h, in slot j.  With h
+    the entry height these lie in [0, 2h].  The width serves every prime up
+    to p: a slot starts below d*p*(2h+1) + p and takes at most n pivot
+    updates of at most d products below p^2 each.
+    """
+    w = (p * (d * (2 * h + 1) + 1 + len(rows) * d * p)).bit_length()
+    return [[_pack([e.coeffs[c] + h for e in row], w) for c in range(d)] for row in rows], w
+
+
+def _packed_planes(crows: list[list[int]], mat, p: int, h: int, ones: int) -> list[list[int]]:
+    """The k planes of the projection by mat of the coefficient rows crows.
 
     mat is the k x d projection of one residue factor (a row of
-    ``ResidueSystem.proj_mats``); slot j of row i in plane t is the x^t
-    coefficient of entry (i, j), reduced mod p.
+    ``ResidueSystem.proj_mats``) and ones has a 1 in every slot.  Slot j of
+    row i in plane t is congruent mod p to the x^t coefficient of entry
+    (i, j): plane t is sum_c mat[t][c] * crows[i][c], and one constant per
+    plane, below p, cancels the shift by h.
     """
-    return [[_pack([sum(map(mul, prow, e.coeffs)) % p for e in row], w) for row in rows]
-            for prow in mat]
+    planes = []
+    for prow in mat:
+        base = -h * sum(prow) % p * ones
+        planes.append([sum(map(mul, prow, crow)) + base for crow in crows])
+    return planes
+
+
+def _shifted_tails(tails: list[list[int]], inv, g: Poly, p: int, w: int) -> list[list[int]]:
+    """out[t][s]: plane t of x^s * (-inv * tail) mod g, packed, slots below p.
+
+    tails[t][j] is the x^t coefficient of tail entry j.  The shift by x
+    moves plane t to t + 1 and folds the top plane back through x^k = -low.
+    """
+    k = len(g) - 1
+    cur = [[-sum(map(mul, irow, entry)) % p for entry in zip(*tails)]
+           for irow in _mult_matrix(inv, g, p)]
+    out = [[_pack(plane, w)] for plane in cur]
+    for _ in range(k - 1):
+        top = cur[-1]
+        cur = [[-g[0] * c % p for c in top]] + [
+            [(x - gt * c) % p for x, c in zip(cur[t - 1], top)] for t, gt in enumerate(g[1:k], 1)]
+        for packed, plane in zip(out, cur):
+            packed.append(_pack(plane, w))
+    return out
 
 
 def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int):
@@ -96,15 +136,18 @@ def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int):
 
     planes[t][i] holds row i of the x^t plane, entry j in slot j (bits
     [w*j, w*(j+1))).  For each column in turn, the first live row with a
-    nonzero residue becomes the pivot row.  Its tail right of the column is
-    reduced once, made monic by the pivot inverse and stored negated, so
-    clearing the column from a live row with residue a only adds: plane t
-    gains sum_s M(a)[t][s] * negtail_s, M(a) the multiplication matrix.
-    The other rows' slots are reduced mod p only when read; w must be at
-    least ``_slot_width(p, n, k)`` so that no slot carries into the next.
-    Returns the pivot rows and columns (original indices) and the
-    determinant: the signed product of the pivots if every row holds a
-    pivot, else zero.  The planes are overwritten.
+    nonzero residue becomes the pivot row, and every live row then drops
+    the column's slot, so that slot 0 is always the current column.  The
+    pivot row's tail right of the column is reduced once and turned into the
+    k packed planes X_s of x^s * (-pivot^-1 * tail), s < k, slots below p
+    (``_shifted_tails``); a live row with residue a = sum_s a_s x^s clears
+    the column by adding sum_s a_s * X_s, plane by plane, at most k products
+    below p^2 per pivot.  Other slots are reduced mod p only when read; w
+    must be large enough for n such updates (``_coefficient_rows``) so that
+    no slot carries into the next.  Returns the pivot rows and columns
+    (original indices) and the determinant: the signed product of the
+    pivots if every row holds a pivot, else zero.  The planes are
+    overwritten.
     """
     n = len(planes[0])
     mask = (1 << w) - 1
@@ -113,40 +156,39 @@ def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int):
     cols_out: list[int] = []
     prod = [1] + [0] * (len(g) - 2)
     for col in range(m):
-        shift = w * col
         piv = None
         hits = []
         for r in alive:
-            a = [(pl[r] >> shift & mask) % p for pl in planes]
+            a = [(pl[r] & mask) % p for pl in planes]
             if any(a):
                 if piv is None:
                     piv, pivot = r, a
                 else:
                     hits.append((r, a))
-        if piv is None:
+        if piv is not None:
+            alive.remove(piv)
+            rows_out.append(piv)
+            cols_out.append(col)
+            prod = [sum(map(mul, row, prod)) % p for row in _mult_matrix(pivot, g, p)]
+        if col == m - 1:
+            break
+        for pl in planes:
+            for r in alive:
+                pl[r] >>= w
+        if not hits:
             continue
-        alive.remove(piv)
-        rows_out.append(piv)
-        cols_out.append(col)
-        pivot = poly_trim(pivot, p)
-        prod = [sum(map(mul, row, prod)) % p for row in _mult_matrix(pivot, g, p)]
-        if not hits or col == m - 1:
-            continue
-        inv = _mult_matrix(poly_inverse_mod(pivot, g, p), g, p)
         tails = []
         for pl in planes:
-            x = pl[piv] >> shift + w
+            x = pl[piv] >> w
             tail = []
             for _ in range(m - col - 1):
                 tail.append((x & mask) % p)
                 x >>= w
             tails.append(tail)
-        negtails = [_pack([-sum(map(mul, irow, entry)) % p for entry in zip(*tails)], w)
-                    << shift + w for irow in inv]
+        shifted = _shifted_tails(tails, poly_inverse_mod(pivot, g, p), g, p, w)
         for r, a in hits:
-            mult = _mult_matrix(a, g, p)
-            for t, pl in enumerate(planes):
-                pl[r] += sum(map(mul, mult[t], negtails))
+            for pl, xt in zip(planes, shifted):
+                pl[r] += sum(map(mul, a, xt))
     if len(rows_out) < n:
         return rows_out, cols_out, ()
     if sum(a > b for i, a in enumerate(rows_out) for b in rows_out[i + 1:]) % 2:
@@ -154,17 +196,13 @@ def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int):
     return rows_out, cols_out, poly_trim(prod, p)
 
 
-def _slot_width(p: int, n: int, k: int) -> int:
-    """Slot bits holding a residue below p plus n updates of k products below p^2."""
-    return 2 * p.bit_length() + (n * k).bit_length() + 1
-
-
-def _echelons(rows: list[list[FieldElement]], m: int, sys):
-    """``_eliminate`` of the n x m matrix rows in each residue field of sys."""
-    p, n = sys.p, len(rows)
+def _echelons(crows: list[list[int]], m: int, sys, h: int, w: int):
+    """``_eliminate`` in each residue field of sys of the matrix with m
+    columns whose coefficient rows, of height h and width w, are crows."""
+    p = sys.p
+    ones = _pack([1] * m, w)
     for g, mat in zip(sys.factors, sys.proj_mats):
-        w = _slot_width(p, n, len(mat))
-        yield _eliminate(_packed_planes(rows, mat, p, w), m, g, p, w)
+        yield _eliminate(_packed_planes(crows, mat, p, h, ones), m, g, p, w)
 
 
 def det(field: NumberField, rows: list[list[FieldElement]]) -> FieldElement:
@@ -174,11 +212,13 @@ def det(field: NumberField, rows: list[list[FieldElement]]) -> FieldElement:
         raise ValueError("matrix not square")
     if any(e.den != 1 for r in rows for e in r):
         raise ValueError("determinant requires integral entries")
-    plan = residues.plan_primes(field, det_bound(field, n, entry_height(rows)))
+    h = entry_height(rows)
+    plan = residues.plan_primes(field, det_bound(field, n, h))
+    crows, w = _coefficient_rows(rows, field.degree, h, max(plan.primes))
     per_prime = []
     for p in plan.primes:
         sys = field.residue_system(p)
-        vals = [prod for _, _, prod in _echelons(rows, n, sys)]
+        vals = [prod for _, _, prod in _echelons(crows, n, sys, h, w)]
         per_prime.append(residues.crt_combine_factors(vals, sys))
     coeffs = residues.crt_combine_primes(per_prime, plan, field.degree)
     return residues.lift_to_field(coeffs, field, plan.modulus)
@@ -200,12 +240,14 @@ def rank_and_submatrix(field: NumberField, rows: list[list[FieldElement]]):
         raise ValueError("rank probing requires integral entries")
     if all(not e for r in rows for e in r):
         return 0, (), (), field.one()
-    plan = residues.plan_primes(field, det_bound(field, m, entry_height(rows)))
+    h = entry_height(rows)
+    plan = residues.plan_primes(field, det_bound(field, m, h))
+    crows, w = _coefficient_rows(rows, field.degree, h, max(plan.primes))
     best_rank = 0
     best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
     for p in plan.primes:
         sys = field.residue_system(p)
-        for ridx, cidx, _ in _echelons(rows, m, sys):
+        for ridx, cidx, _ in _echelons(crows, m, sys, h, w):
             if len(ridx) > best_rank:
                 best_rank = len(ridx)
                 best = (tuple(sorted(ridx)), tuple(sorted(cidx)))

@@ -7,17 +7,21 @@ distinct-degree splitting first, then equal-degree splitting of g by a kernel
 vector v of the Frobenius endomorphism (Berlekamp), through
 gcd((v + s)^((p-1)/2) - 1, g) for s = 0, 1, 2, ...: two distinct values of v
 modulo the irreducible factors differ in quadratic character for (p-1)/2 of
-the shifts s, so the scan stops after about two of them.  The powers behind
-both steps (x^p for the distinct degrees, (v + s)^((p-1)/2) for the split)
-square and multiply on dense coefficient lists, and each product is reduced
-once against the modulus made monic, x^k = -low, with no trimming between
-steps.
+the shifts s, so the scan stops after about two of them.  x^p mod f is
+computed once per prime, and with it the rows x^(i*p) mod f of Frobenius on
+F_p[x]/(f): the distinct-degree loop takes x^(p^e) from them by one
+vector-matrix product per degree, and the Berlekamp matrix of every factor
+g is those rows reduced mod g, which are x^(i*p) mod g since g divides f.
+The powers (x^p, and (v + s)^((p-1)/2) for the split) square and multiply
+on dense coefficient lists, and each product is reduced once against the
+modulus made monic, x^k = -low, with no trimming between steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .numberfield import FieldElement, FieldError, NumberField
 
@@ -129,37 +133,57 @@ def poly_pow_mod(a: Poly, e: int, mod: Poly, p: int) -> Poly:
         base = mul(base, base)
 
 
-def poly_inverse_mod(a: Poly, mod: Poly, p: int) -> Poly:
-    """Inverse of a modulo an irreducible polynomial (extended Euclid)."""
-    if len(a) == 1 and a[0] % p:
-        return (pow(a[0], -1, p),)
-    r0, r1 = mod, poly_mod(a, mod, p)
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, p), p)
-    if len(r0) != 1:
+def poly_inverse_mod(a, mod: Poly, p: int) -> Poly:
+    """Inverse of a modulo an irreducible polynomial, by extended Euclid.
+
+    a may be any coefficient sequence, trailing zeros allowed.  The
+    remainders r and their cofactors t (t * a = r mod ``mod``) are dense
+    lists of residues.  A step cancels the top of r0 by x^s * r1 without
+    dividing: r0 <- lead(r1) * r0 - lead(r0) * x^s * r1, and t0 likewise.
+    The run stops at a constant remainder, so one modular inverse ends it,
+    and every cofactor it forms has degree below k = deg(mod): the
+    cofactors are lists of k coefficients.
+    """
+    r0, r1 = [c % p for c in mod], [c % p for c in a]
+    while r1 and not r1[-1]:
+        r1.pop()
+    k = len(r0) - 1
+    t0, t1 = [0] * k, [1] + [0] * (k - 1)
+    while len(r1) > 1:
+        lead = r1[-1]
+        while len(r0) >= len(r1):
+            s = len(r0) - len(r1)
+            c = r0[-1]
+            r0 = [lead * x % p for x in r0[:s]] + [(lead * x - c * y) % p
+                                                   for x, y in zip(r0[s:], r1)]
+            t0 = [lead * x % p for x in t0[:s]] + [(lead * x - c * y) % p
+                                                   for x, y in zip(t0[s:], t1)]
+            while r0 and not r0[-1]:
+                r0.pop()
+        r0, r1, t0, t1 = r1, r0, t1, t0
+    if not r1:
         raise ZeroDivisionError("element is not invertible")
-    inv = pow(r0[0], -1, p)
-    return poly_trim([x * inv for x in t0], p)
+    inv = pow(r1[0], -1, p)
+    return poly_trim([x * inv for x in t1], p)
 
 
 # ---------------------------------------------------------------------------
 # Deterministic factorization of squarefree monic polynomials
 
 
-def _frobenius_kernel(g: Poly, p: int) -> list[Poly]:
-    """Basis of the kernel of (Frobenius - id) on F_p[x]/(g)."""
+def _frobenius_kernel(g: Poly, p: int, frob: list[Poly]) -> list[Poly]:
+    """Basis of the kernel of (Frobenius - id) on F_p[x]/(g).
+
+    frob[i] is x^(i*p) modulo a multiple f of g, for i < deg f; reduced
+    mod g, these are the rows of Frobenius on F_p[x]/(g).
+    """
     n = len(g) - 1
     rows = []
-    xp = poly_pow_mod((0, 1), p, g, p)
-    cur: Poly = (1,)
     for i in range(n):
+        cur = poly_mod(frob[i], g, p)
         row = list(cur) + [0] * (n - len(cur))
         row[i] = (row[i] - 1) % p
         rows.append(row)
-        cur = poly_mod(poly_mul(cur, xp, p), g, p)
     # kernel of the matrix acting on row vectors: v * Q = 0
     mat = [rows[i][:] for i in range(n)]
     # transpose so we solve M y = 0 with y the coefficient column
@@ -190,11 +214,12 @@ def _frobenius_kernel(g: Poly, p: int) -> list[Poly]:
     return basis
 
 
-def _split_equal_degree(g: Poly, p: int) -> list[Poly]:
-    """All monic irreducible factors of a squarefree g (deterministic)."""
+def _split_equal_degree(g: Poly, p: int, frob: list[Poly]) -> list[Poly]:
+    """All monic irreducible factors of a squarefree g (deterministic);
+    frob as for ``_frobenius_kernel``."""
     if len(g) <= 2:
         return [g]
-    kernel = _frobenius_kernel(g, p)
+    kernel = _frobenius_kernel(g, p, frob)
     if len(kernel) <= 1:
         return [g]
     for v in kernel:
@@ -207,27 +232,43 @@ def _split_equal_degree(g: Poly, p: int) -> list[Poly]:
             h = poly_gcd(w, g, p)
             if 1 < len(h) < len(g):
                 rest = poly_divmod(g, h, p)[0]
-                return _split_equal_degree(h, p) + _split_equal_degree(rest, p)
+                return _split_equal_degree(h, p, frob) + _split_equal_degree(rest, p, frob)
     raise ResidueError("equal-degree splitting failed on reducible input")
 
 
 def factor_squarefree(f: Poly, p: int) -> list[Poly]:
-    """Monic irreducible factors of a squarefree monic polynomial mod p."""
+    """Monic irreducible factors of a squarefree monic polynomial mod p.
+
+    x^p mod f is the one power taken.  Frobenius, h -> h^p, is linear on
+    F_p[x]/(f) with rows x^(i*p) mod f, so x^(p^e) is one vector-matrix
+    product from x^(p^(e-1)); values are kept mod f, which leaves the gcd
+    with every divisor of f unchanged.  The same rows, reduced mod each
+    factor, give Berlekamp's matrices.
+    """
     out: list[Poly] = []
     rest = f
-    e = 1
+    n = len(f) - 1
     x = (0, 1)
+    if n >= 2:
+        xp = poly_pow_mod(x, p, f, p)
+        frob = [(1,)]
+        for _ in range(n - 1):
+            frob.append(poly_mod(poly_mul(frob[-1], xp, p), f, p))
+    e = 1
     xq = x
     while len(rest) - 1 >= 2 * e:
-        xq = poly_pow_mod(xq, p, rest, p)
+        acc = [0] * n
+        for c, row in zip(xq, frob):
+            for t, y in enumerate(row):
+                acc[t] += c * y
+        xq = poly_trim(acc, p)
         g = poly_gcd(poly_sub(xq, x, p), rest, p)
         if len(g) > 1:
             if len(g) - 1 == e:
                 out.append(g)
             else:
-                out.extend(_split_equal_degree(g, p))
+                out.extend(_split_equal_degree(g, p, frob))
             rest = poly_divmod(rest, g, p)[0]
-            xq = poly_mod(xq, rest, p)
         e += 1
     if len(rest) > 1:
         out.append(rest)
@@ -335,10 +376,18 @@ def plan_primes(field: NumberField, log_bound) -> PrimePlan:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the product of the odd primes below 100
+_ODD_PRIMORIAL_100 = 1152783981972759212376551073665878035
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the bases above: exact for odd 37 < n < 3.18 * 10^23."""
+    """Exact for odd 97 < n < 3.18 * 10^23.
+
+    One gcd with the odd primes below 100 rejects most composites; the rest
+    go to Miller-Rabin with the bases above.
+    """
+    if gcd(n, _ODD_PRIMORIAL_100) != 1:
+        return False
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in _MR_BASES:

@@ -10,7 +10,6 @@ from okmod import cli
 
 from conftest import get_field, random_element, random_ideal, seeded
 
-rng = seeded("test_cli")
 
 GAUSS_FIELD = """\
 degree 2
@@ -138,6 +137,7 @@ den 1
 
 
 def test_roundtrip_random(field):
+    rng = seeded("test_cli::test_roundtrip_random")
     u = FractionalIdeal.unit(field)
     for _ in range(5):
         n, m = rng.randint(1, 3), rng.randint(1, 3)

@@ -7,8 +7,8 @@ import pytest
 from okmod import (FractionalIdeal, det, det_bound, determinantal_ideal,
                    determinantal_ideal_multiple, plan_primes, project_element,
                    rank_and_submatrix)
-from okmod.determinant import (_eliminate, _packed_planes, _slot_width, entry_height,
-                               product_of_ideals)
+from okmod.determinant import (_coefficient_rows, _eliminate, _pack, _packed_planes,
+                               entry_height, product_of_ideals)
 from okmod.pseudo_hnf import PseudoMatrix
 from okmod.zlinalg import SingularMatrixError, RankDeficiencyError
 
@@ -124,11 +124,18 @@ def projected(rows, sys, fi):
     return [[dense(project_element(e, sys)[fi], k) for e in row] for row in rows]
 
 
-def run_eliminate(rows, sys, fi):
-    g, mat, p = sys.factors[fi], sys.proj_mats[fi], sys.p
+def packed(rows, sys, fi):
+    """The planes of rows in residue factor fi, packed as det packs them."""
     m = len(rows[0]) if rows else 0
-    w = _slot_width(p, len(rows), len(g) - 1)
-    return _eliminate(_packed_planes(rows, mat, p, w), m, g, p, w)
+    h = entry_height(rows)
+    crows, w = _coefficient_rows(rows, sys.field.degree, h, sys.p)
+    return _packed_planes(crows, sys.proj_mats[fi], sys.p, h, _pack([1] * m, w)), w
+
+
+def run_eliminate(rows, sys, fi):
+    m = len(rows[0]) if rows else 0
+    planes, w = packed(rows, sys, fi)
+    return _eliminate(planes, m, sys.factors[fi], sys.p, w)
 
 
 def test_det_bound_properties():
@@ -166,6 +173,11 @@ def test_det_matches_cofactor_oracle(field):
         for _ in range(3):
             rows = random_matrix(rng, field, n)
             assert det(field, rows) == cofactor_det(field, rows)
+    # coefficients far above the plan primes widen every slot
+    for n in (1, 2, 3):
+        rows = random_matrix(rng, field, n, lim=2 ** 200)
+        assert det(field, rows) == cofactor_det(field, rows)
+    assert det(field, []) == field.one()
 
 
 def test_det_multiplicative(field):
@@ -319,8 +331,7 @@ def test_eliminate_matches_dense_gauss_at_small_primes(name, p):
         for n, m in ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (5, 3), (6, 4), (4, 2)):
             rows = random_matrix(local, K, n, m, lim=4)
             ref = projected(rows, sys, fi)
-            w = _slot_width(p, n, k)
-            planes = _packed_planes(rows, sys.proj_mats[fi], p, w)
+            planes, w = packed(rows, sys, fi)
             assert unpack(planes, m, w, p) == ref
             ridx, cidx, prod = _eliminate(planes, m, g, p, w)
             rank, ref_det = ref_rank_det(ref, g, p)
@@ -336,7 +347,7 @@ def test_eliminate_matches_dense_gauss_at_small_primes(name, p):
                 assert any(sub_det) and dense(sub_prod, k) == sub_det
 
 
-@pytest.mark.parametrize("name", ["Q", "Qi", "cubic"])
+@pytest.mark.parametrize("name", ALL_FIELDS)
 def test_eliminate_at_word_size_without_carries(name):
     # residues near p fill every slot update with products near p^2
     K = get_field(name)

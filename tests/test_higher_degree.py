@@ -11,14 +11,13 @@ from okmod.zlinalg import RankDeficiencyError
 
 from conftest import EXTRA_SPECS, check_prime_plan, get_field, seeded
 
-rng = seeded("test_higher_degree")
 
 @pytest.fixture(params=list(EXTRA_SPECS), scope="module")
 def xfield(request):
     return get_field(request.param)
 
 
-def rand_elt(K, lim=9, max_den=1):
+def rand_elt(rng, K, lim=9, max_den=1):
     while True:
         den = rng.randint(1, max_den) if max_den > 1 else 1
         e = K.element([rng.randint(-lim, lim) for _ in range(K.degree)], den)
@@ -26,10 +25,10 @@ def rand_elt(K, lim=9, max_den=1):
             return e
 
 
-def rand_ideal(K):
-    a = FractionalIdeal.from_generators(K, [rand_elt(K, 5)])
+def rand_ideal(rng, K):
+    a = FractionalIdeal.from_generators(K, [rand_elt(rng, K, 5)])
     if rng.random() < 0.5:
-        a = a + FractionalIdeal.from_generators(K, [rand_elt(K, 5)])
+        a = a + FractionalIdeal.from_generators(K, [rand_elt(rng, K, 5)])
     return a
 
 
@@ -50,33 +49,36 @@ def test_dedekind_prime_plan_skips_index_divisor():
 
 
 def test_element_and_ideal_algebra(xfield):
+    rng = seeded("test_higher_degree::test_element_and_ideal_algebra")
     u = FractionalIdeal.unit(xfield)
     for _ in range(10):
-        x = rand_elt(xfield, 15, 4)
+        x = rand_elt(rng, xfield, 15, 4)
         assert x * xfield.inv(x) == xfield.one()
-        a = rand_ideal(xfield)
+        a = rand_ideal(rng, xfield)
         assert a * a.inverse() == u
         assert a.inverse().den == a.minimum()
 
 
 def test_reduction_and_normalization(xfield):
+    rng = seeded("test_higher_degree::test_reduction_and_normalization")
     ctx = xfield.lattice_context
     cache = ReducedBasisCache(ctx)
     for _ in range(8):
-        a = rand_ideal(xfield)
-        x = rand_elt(xfield, 40, 5)
+        a = rand_ideal(rng, xfield)
+        x = rand_elt(rng, xfield, 40, 5)
         red = reduce_mod_ideal(x, a, cache)
         assert a.contains(x - red)
         assert check_reduced_bound(red, a, ctx)
-        nrow, nid, _ = normalize_row([rand_elt(xfield, 8, 2)], a, ctx, cache)
+        nrow, nid, _ = normalize_row([rand_elt(rng, xfield, 8, 2)], a, ctx, cache)
         assert nid.is_integral()
         assert nid.norm() ** 2 <= ctx.norm_bound_sq()
 
 
 def test_idempotents(xfield):
+    rng = seeded("test_higher_degree::test_idempotents")
     done = 0
     while done < 3:
-        a, b = rand_ideal(xfield), rand_ideal(xfield)
+        a, b = rand_ideal(rng, xfield), rand_ideal(rng, xfield)
         if not (a + b).is_unit():
             continue
         al, be = idempotents(a, b)
@@ -85,12 +87,13 @@ def test_idempotents(xfield):
 
 
 def test_pseudo_hnf_oracle(xfield):
+    rng = seeded("test_higher_degree::test_pseudo_hnf_oracle")
     u = FractionalIdeal.unit(xfield)
     done = 0
     while done < 3:
         n, m = 3, 2
-        rows = [[rand_elt(xfield, 6) for _ in range(m)] for _ in range(n)]
-        ideals = [rand_ideal(xfield) if rng.random() < 0.4 else u for _ in range(n)]
+        rows = [[rand_elt(rng, xfield, 6) for _ in range(m)] for _ in range(n)]
+        ideals = [rand_ideal(rng, xfield) if rng.random() < 0.4 else u for _ in range(n)]
         pm = PseudoMatrix(xfield, rows, ideals)
         try:
             dd = determinantal_ideal_multiple(pm)

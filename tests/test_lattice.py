@@ -13,8 +13,6 @@ from okmod.zlinalg import mat_mul, transpose
 from conftest import (ALL_FIELDS, get_field, hnf, norm_sq_bounds, random_element, random_ideal,
                       seeded)
 
-rng = seeded("test_lattice")
-
 
 def test_context_rationals():
     Q = get_field("Q")
@@ -101,6 +99,7 @@ def test_reduce_requires_integral():
 
 
 def test_reduced_bases_quality_and_unimodularity(field):
+    rng = seeded("test_lattice::test_reduced_bases_quality_and_unimodularity")
     ctx = field.lattice_context
     d = field.degree
     disc = abs(field.disc)
@@ -140,6 +139,7 @@ def test_t2_bound_dominates_ball_oracle(field):
 
 
 def test_reduction_is_deterministic(field):
+    rng = seeded("test_lattice::test_reduction_is_deterministic")
     ctx = field.lattice_context
     a = random_ideal(rng, field)
     assert reduce_ideal_basis(a, ctx) == reduce_ideal_basis(a, ctx)

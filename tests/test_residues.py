@@ -5,7 +5,8 @@ import pytest
 from okmod import build_field, plan_primes, project_element, split_prime
 from okmod import residues as rs
 
-from conftest import check_prime_plan, get_field, seeded
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, check_prime_plan, get_field,
+                      seeded)
 
 
 def test_factor_gaussian_polynomial():
@@ -52,6 +53,55 @@ def test_factor_word_size_products():
         for g in chosen:
             f = rs.poly_mul(f, g, p)
         assert rs.factor_squarefree(f, p) == sorted(chosen, key=lambda q: (len(q), q))
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_factor_matches_sympy_at_word_size(name):
+    # the defining polynomial and random products of it with a monic cubic,
+    # against sympy's own factorization over F_p
+    sympy = pytest.importorskip("sympy")
+    K = get_field(name)
+    local = seeded(f"test_residues::test_factor_matches_sympy_at_word_size {name}")
+    x = sympy.Symbol("x")
+
+    def reference(f, p):
+        """Monic irreducible factors in okmod's order, or None if f is not squarefree."""
+        _, facs = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()
+        if any(e > 1 for _, e in facs):
+            return None
+        monic = []
+        for q, _ in facs:
+            c = [int(a) for a in reversed(q.all_coeffs())]
+            inv = pow(c[-1], -1, p)
+            monic.append(rs.poly_trim([a * inv for a in c], p))
+        return sorted(monic, key=lambda q: (len(q), q))
+
+    for p in plan_primes(K, 150).primes:
+        f = rs.poly_trim(list(K.poly), p)
+        assert rs.factor_squarefree(f, p) == reference(f, p)
+        g = rs.poly_mul(f, tuple(local.randrange(p) for _ in range(3)) + (1,), p)
+        expected = reference(g, p)
+        if expected is not None:
+            assert rs.factor_squarefree(g, p) == expected
+
+
+# strong pseudoprimes to the first Miller-Rabin bases whose prime factors
+# all exceed 100, so that the gcd with the small primes lets them through
+STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    top = 1 << 62
+    for n in range(top - 20001, top, 2):
+        assert rs._is_prime(n) == sympy.isprime(n), n
+    # a strong pseudoprime to every base from 2 to 31: only base 37 rejects it
+    assert STRONG_PSEUDOPRIMES[-1] == 149491 * 747451 * 34233211
+    for n in STRONG_PSEUDOPRIMES:
+        assert min(sympy.factorint(n)) > 100
+        assert not rs._is_prime(n)
+        assert rs._is_prime(sympy.prevprime(n)) and rs._is_prime(sympy.nextprime(n))
 
 
 def test_inverse_of_constants():
@@ -158,6 +208,9 @@ def test_plan_primes_examples():
     assert q % 4 == 3
     plan = check_prime_plan(build_field([-q, 0, 1]), 200)
     assert q not in plan.primes
+    # every test field, built afresh so that its primes are searched for
+    for poly, basis in {**FIELD_SPECS, **EXTRA_SPECS}.values():
+        check_prime_plan(build_field(poly, basis), 1200)
 
 
 def test_plan_primes_extend_the_field_list():
