@@ -27,12 +27,12 @@ a bound decided by exact integer arithmetic, with no evaluation at the roots
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 import mpmath as mp
 
 from . import numeric
-from .numeric import Ball, frac_nth_root_ub, frac_sqrt_lb, frac_sqrt_ub, frac_up, mpf_to_fraction
+from .numeric import (Ball, frac_nth_root_ub, frac_sqrt_lb, frac_sqrt_ub, frac_up, mpf_to_fraction,
+                      over_common_denominator)
 from .numberfield import FieldElement, NumberField
 from .zlinalg import Mat, det_bareiss, identity, mat_mul, solve_left, transpose, vec_mat
 
@@ -133,27 +133,32 @@ def _gram_balls(field: NumberField, prec: int) -> list[list[Ball]]:
     """Enclosures of the Hermitian Gram entries sum_j w_i(z_j) conj(w_k(z_j)).
 
     The centers are exact integer sums over one common denominator; the
-    radius sum_j |v_ij| r_kj + |v_kj| r_ij + r_ij r_kj, with |v| an upper
-    bound on the modulus of a center, is rounded up once.
+    radius sum_j |v_ij| r_kj + |v_kj| r_ij + r_ij r_kj, with |v| the
+    ``Ball.center_abs_ub`` bound on the modulus of a center, is summed on
+    integers over one denominator and rounded up once.  Both are sums over
+    the roots, so the order of the roots does not matter.
     """
     d = field.degree
     roots = field.roots(prec)
     omegas = [field.to_power_coords(field.element([1 if t == i else 0 for t in range(d)]))
               for i in range(d)]
-    vals = [[numeric.eval_at_root(w, r) for r in roots] for w in omegas]
-    den = lcm(*(x.denominator for row in vals for b in row for x in (b.re, b.im)))
-    re = [[b.re.numerator * (den // b.re.denominator) for b in row] for row in vals]
-    im = [[b.im.numerator * (den // b.im.denominator) for b in row] for row in vals]
-    mod = [[frac_sqrt_ub(b.abs_sq_center()) for b in row] for row in vals]
-    rad = [[b.r for b in row] for row in vals]
+    vals = [b for w in omegas for b in (numeric.eval_at_root(w, r) for r in roots)]
+    # entry (i, j), the value of w_i at root j, sits at index i*d + j
+    nums, den = over_common_denominator([x for b in vals for x in (b.re, b.im)])
+    re, im = nums[0::2], nums[1::2]
+    mods, m_den = over_common_denominator([b.center_abs_ub() for b in vals])
+    rads, r_den = over_common_denominator([b.r for b in vals])
     den_sq = den * den
+    r_scale = m_den * r_den * r_den
     gram = [[None] * d for _ in range(d)]
     for i in range(d):
         for k in range(i, d):
-            c_re = sum(re[i][j] * re[k][j] + im[i][j] * im[k][j] for j in range(d))
-            c_im = sum(im[i][j] * re[k][j] - re[i][j] * im[k][j] for j in range(d))
-            r = frac_up(sum(mod[i][j] * rad[k][j] + mod[k][j] * rad[i][j] + rad[i][j] * rad[k][j]
-                            for j in range(d)))
+            row_i, row_k = range(i * d, i * d + d), range(k * d, k * d + d)
+            c_re = sum(re[s] * re[t] + im[s] * im[t] for s, t in zip(row_i, row_k))
+            c_im = sum(im[s] * re[t] - re[s] * im[t] for s, t in zip(row_i, row_k))
+            r = frac_up(Fraction(sum((mods[s] * rads[t] + mods[t] * rads[s]) * r_den
+                                     + rads[s] * rads[t] * m_den
+                                     for s, t in zip(row_i, row_k)), r_scale))
             gram[i][k] = Ball(Fraction(c_re, den_sq), Fraction(c_im, den_sq), r)
             gram[k][i] = gram[i][k].conj()
     return gram

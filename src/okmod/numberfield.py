@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import numeric
-from .numeric import Ball, frac_sqrt_ub, frac_up, log2_ub
+from .numeric import Ball, frac_sqrt_ub, frac_up, log2_ub, over_common_denominator
 from .zlinalg import Mat, SingularMatrixError, det_bareiss, identity, solve_left
 
 
@@ -471,52 +471,27 @@ def _attach_constants(field: NumberField) -> None:
     The coefficient-to-T2 constant must satisfy |alpha| <= C1 * max|a_i|,
     which needs the triangle-inequality factor d on top of max_i |omega_i|.
     Both it and the coefficient bound come from one set of enclosures of the
-    basis elements at the roots.
+    basis elements at the roots (``_conversion_constants``), at doubled
+    precision until those are fine enough.
     """
     d = field.degree
-    omegas = [field.element([1 if t == i else 0 for t in range(d)]) for i in range(d)]
+    omegas = [field.to_power_coords(field.element([1 if t == i else 0 for t in range(d)]))
+              for i in range(d)]
 
-    # coefficient bound: max column 2-norm of the inverse embedding matrix,
-    # via exact inverse of the ball centers plus a Neumann residual bound
     prec_extra = 32
     while True:
         roots = field.roots(prec_extra)
-        vals = [[numeric.eval_at_root(field.to_power_coords(w), r) for r in roots]
-                for w in omegas]
-        centers = [[(b.re, b.im) for b in row] for row in vals]
-        try:
-            y = _complex_inverse(centers)
-        except ZeroDivisionError:
-            prec_extra *= 2
-            continue
-        y_abs = [[frac_sqrt_ub(re * re + im * im) for re, im in row] for row in y]
-        eta = Fraction(0)
-        for i in range(d):
-            row_rad = [vals[i][j].r for j in range(d)]
-            row_sum = Fraction(0)
-            for k in range(d):
-                row_sum += sum(row_rad[j] * y_abs[j][k] for j in range(d))
-            eta = max(eta, row_sum)
-        if eta < Fraction(1, 2):
+        consts = _conversion_constants([[numeric.eval_at_root(w, r) for r in roots]
+                                        for w in omegas])
+        if consts is not None:
             break
         prec_extra *= 2
-    c1_sq = max(frac_up(sum(v.abs_sq_ub() for v in row), 128) for row in vals)
-    c1_sq *= d * d
+    c1_sq, c2 = consts
     field.embed_bound_sq = c1_sq
-
-    amp = eta / (1 - eta)
-    c2 = Fraction(0)
-    row_sums = [sum(y_abs[i][j] for j in range(d)) for i in range(d)]
-    for k in range(d):
-        s = Fraction(0)
-        for i in range(d):
-            v = y_abs[i][k] + amp * row_sums[i]
-            s += v * v
-        c2 = max(c2, frac_sqrt_ub(s))
-    field.coeff_bound = frac_up(c2, 96)
+    field.coeff_bound = c2
 
     log_c1 = log2_ub(c1_sq) / 2 if c1_sq > 1 else Fraction(0)
-    log_c2 = log2_ub(field.coeff_bound) if field.coeff_bound > 1 else Fraction(0)
+    log_c2 = log2_ub(c2) if c2 > 1 else Fraction(0)
     log_d = log2_ub(d) if d > 1 else Fraction(0)
     log_c3 = log2_ub(field.struct_bound) if field.struct_bound > 1 else Fraction(0)
     arm1 = 2 * d * log_d + d * log_c3
@@ -524,34 +499,84 @@ def _attach_constants(field: NumberField) -> None:
     field.growth_constant = max(arm1, arm2)
 
 
-def _complex_inverse(mat):
-    """Exact inverse of a complex rational matrix given as (re, im) pairs."""
-    n = len(mat)
-    work = [[(Fraction(re), Fraction(im)) for re, im in row]
-            + [(Fraction(1 if i == j else 0), Fraction(0)) for j in range(n)]
-            for i, row in enumerate(mat)]
+def _conversion_constants(vals: list[list[Ball]]) -> tuple[Fraction, Fraction] | None:
+    """(C1^2, C2) from the enclosures vals[i][j] of basis element i at root j,
+    or None when they are too coarse: the matrix of centers is singular or
+    the Neumann residual eta reaches 1/2.
 
-    def cmul(a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    C1^2 is d^2 times the largest row sum of squared modulus bounds.  C2 is
+    the largest column 2-norm of the exact inverse y of the centers, each
+    entry |y_ik| widened by eta / (1 - eta) times row sum i of |y|, where
+    eta = max_i sum_j r_ij * (sum_k |y_jk|).  Every sum runs on integers over
+    one common denominator and every rounded quantity is reduced once; each
+    is a sum or a maximum over the roots, so the order of the roots does not
+    matter.
+    """
+    d = len(vals)
+    y_abs = _inverse_moduli(vals)
+    if y_abs is None:
+        return None
+    ys, y_den = over_common_denominator([x for row in y_abs for x in row])
+    row_sums = [sum(ys[j * d:(j + 1) * d]) for j in range(d)]
+    rads, r_den = over_common_denominator([b.r for row in vals for b in row])
+    eta_num = max(sum(rads[i * d + j] * row_sums[j] for j in range(d)) for i in range(d))
+    eta_den = r_den * y_den
+    if 2 * eta_num >= eta_den:
+        return None
+    c1_sq = max(frac_up(_abs_sq_ub_sum(row), 128) for row in vals) * (d * d)
+    a, b = eta_num, eta_den - eta_num  # eta / (1 - eta) = a / b
+    den_sq = (b * y_den) ** 2
+    c2 = max(frac_sqrt_ub(Fraction(sum((b * ys[i * d + k] + a * row_sums[i]) ** 2
+                                       for i in range(d)), den_sq))
+             for k in range(d))
+    return c1_sq, frac_up(c2, 96)
 
-    def csub(a, b):
-        return (a[0] - b[0], a[1] - b[1])
 
-    def cinv(a):
-        q = a[0] * a[0] + a[1] * a[1]
-        if q == 0:
-            raise ZeroDivisionError
-        return (a[0] / q, -a[1] / q)
+def _abs_sq_ub_sum(balls: list[Ball]) -> Fraction:
+    """sum_j (|center_j| + r_j)^2, with ``Ball.center_abs_ub`` for |center_j|."""
+    nums, den = over_common_denominator([b.center_abs_ub() for b in balls]
+                                        + [b.r for b in balls])
+    n = len(balls)
+    return Fraction(sum((nums[j] + nums[n + j]) ** 2 for j in range(n)), den * den)
 
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != (0, 0)), None)
+
+def _inverse_moduli(vals: list[list[Ball]]) -> list[list[Fraction]] | None:
+    """``frac_sqrt_ub(|y_ab|^2)`` for the exact inverse y of the matrix V of
+    ball centers; None if V is singular.
+
+    Row i of V is a Gaussian-integer row over its own denominator den_i, so
+    V = diag(den)^-1 M and y = M^-1 diag(den).  M^-1 comes from fraction-free
+    Gauss-Jordan elimination over Z[i] on M^t X^t = I: every entry stays a
+    minor of M, each step divides exactly by the previous pivot (t / q is
+    t * conj(q) / |q|^2), and at the end every diagonal entry is the last
+    pivot q, so M^-1[a][b] = work[b][d + a] / q.
+    """
+    d = len(vals)
+    cols, dens = [], []
+    for row in vals:
+        nums, den = over_common_denominator([x for ball in row for x in (ball.re, ball.im)])
+        cols.append(list(zip(nums[::2], nums[1::2])))
+        dens.append(den)
+    work = [[cols[j][i] for j in range(d)] + [(int(i == k), 0) for k in range(d)]
+            for i in range(d)]
+    qr, qi, nq = 1, 0, 1
+    for col in range(d):
+        piv = next((r for r in range(col, d) if work[r][col] != (0, 0)), None)
         if piv is None:
-            raise ZeroDivisionError
+            return None
         work[col], work[piv] = work[piv], work[col]
-        inv = cinv(work[col][col])
-        work[col] = [cmul(x, inv) for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != (0, 0):
-                f = work[r][col]
-                work[r] = [csub(x, cmul(f, y)) for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+        prow = work[col]
+        pr, pi = prow[col]
+        for r in range(d):
+            if r != col:
+                fr, fi = work[r][col]
+                out = []
+                for (xr, xi), (yr, yi) in zip(work[r], prow):
+                    tr = pr * xr - pi * xi - fr * yr + fi * yi
+                    ti = pr * xi + pi * xr - fr * yi - fi * yr
+                    out.append(((tr * qr + ti * qi) // nq, (ti * qr - tr * qi) // nq))
+                work[r] = out
+        qr, qi, nq = pr, pi, pr * pr + pi * pi
+    return [[frac_sqrt_ub(Fraction(dens[b] ** 2 * (work[b][d + a][0] ** 2
+                                                   + work[b][d + a][1] ** 2), nq))
+             for b in range(d)] for a in range(d)]

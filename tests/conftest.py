@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from okmod import FractionalIdeal, build_field
-from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_up
+from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_sqrt_ub, frac_up
 from okmod.ideals import idempotents
 from okmod.zlinalg import RankDeficiencyError, shape
 
@@ -42,6 +42,15 @@ def get_field(name):
         poly, basis = {**FIELD_SPECS, **EXTRA_SPECS}[name]
         _FIELDS[name] = build_field(poly, basis)
     return _FIELDS[name]
+
+
+def first_and_gram_roots(name):
+    """A freshly built field, and its roots as the first solve left them and
+    at the precision of its Gram matrix."""
+    poly, basis = {**FIELD_SPECS, **EXTRA_SPECS}[name]
+    K = build_field(poly, basis)
+    first = K.roots()
+    return K, [first, K.roots(get_field(name).lattice_context.e + 64)]
 
 
 @pytest.fixture(params=list(FIELD_SPECS), scope="session")
@@ -83,6 +92,57 @@ def reference_euclidean_step(a, b, alpha, beta):
     return g, ginv, gamma, delta
 
 
+def abs_sq(z):
+    """|z|^2 of a complex rational (re, im)."""
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def abs_sq_center(ball):
+    return abs_sq((ball.re, ball.im))
+
+
+def abs_ub(ball):
+    """Upper bound on the modulus of any point of a ball, on Fractions."""
+    return frac_sqrt_ub(abs_sq_center(ball)) + ball.r
+
+
+def abs_sq_ub(ball):
+    u = abs_ub(ball)
+    return u * u
+
+
+def reference_horner(coeffs, z):
+    """Horner's rule on Fractions at a complex rational point (re, im)."""
+    re, im = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        re, im = re * z[0] - im * z[1] + c, re * z[1] + im * z[0]
+    return re, im
+
+
+def reference_log2_ub(x, fbits=16):
+    """Dyadic upper bound on log2(x) by repeated squaring on Fractions, each
+    square rounded up by ``frac_up(., 96)``: the reference of ``log2_ub``."""
+    m = Fraction(x)
+    if m <= 0:
+        raise ValueError("log of non-positive value")
+    e = m.numerator.bit_length() - m.denominator.bit_length()
+    m = m / Fraction(2) ** e
+    while m >= 2:
+        m /= 2
+        e += 1
+    while m < 1:
+        m *= 2
+        e -= 1
+    frac_acc = 0
+    for _ in range(fbits):
+        m = frac_up(m * m, 96)
+        frac_acc <<= 1
+        if m >= 2:
+            frac_acc += 1
+            m /= 2
+    return Fraction(e) + Fraction(frac_acc + 1, 1 << fbits)
+
+
 def norm_sq_bounds(K, a):
     """Certified enclosure of the squared T2 norm of an element, by complex
     ball evaluation at the roots: the test oracle for the library's integer
@@ -94,9 +154,9 @@ def norm_sq_bounds(K, a):
     ub = Fraction(0)
     for root in K.roots():
         v = eval_at_root(p, root)
-        low = max(frac_sqrt_lb(v.abs_sq_center()) - v.r, Fraction(0))
+        low = max(frac_sqrt_lb(abs_sq_center(v)) - v.r, Fraction(0))
         lb += low * low
-        ub += v.abs_sq_ub()
+        ub += abs_sq_ub(v)
     return lb, frac_up(ub, 128)
 
 

@@ -7,11 +7,11 @@ import pytest
 from okmod import (FractionalIdeal, build_context, build_field, reduce_ideal_basis,
                    shortest_basis_element)
 from okmod.lattice import LLL_DELTA, _gram_balls, _lll_with_transform
-from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_up
+from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_sqrt_ub, frac_up
 from okmod.zlinalg import mat_mul, transpose
 
-from conftest import (ALL_FIELDS, get_field, hnf, norm_sq_bounds, random_element, random_ideal,
-                      seeded)
+from conftest import (ALL_FIELDS, abs_sq_center, abs_ub, get_field, hnf, norm_sq_bounds,
+                      random_element, random_ideal, seeded)
 
 
 def test_context_rationals():
@@ -152,7 +152,7 @@ def reference_gram_entry(vi, vk):
     for x, y in zip(vi, vk):
         re += x.re * y.re + x.im * y.im
         im += x.im * y.re - x.re * y.im
-        r = frac_up(r + frac_up(x.abs_ub() * y.r + y.abs_ub() * x.r + x.r * y.r))
+        r = frac_up(r + frac_up(abs_ub(x) * y.r + abs_ub(y) * x.r + x.r * y.r))
     return re, im, r
 
 
@@ -173,8 +173,12 @@ def test_gram_centers_equal_ball_products(name):
             re, im, r = reference_gram_entry(vals[i], vals[k])
             assert (gram[i][k].re, gram[i][k].im) == (re, im)
             assert gram[i][k].r <= r
+            # the integer radius sum is the one-rounding sum on Fractions
+            assert gram[i][k].r == frac_up(sum(
+                frac_sqrt_ub(abs_sq_center(x)) * y.r + frac_sqrt_ub(abs_sq_center(y)) * x.r
+                + x.r * y.r for x, y in zip(vals[i], vals[k])))
             assert gram[i][k].r >= sum(
-                frac_sqrt_lb(x.abs_sq_center()) * y.r + frac_sqrt_lb(y.abs_sq_center()) * x.r
+                frac_sqrt_lb(abs_sq_center(x)) * y.r + frac_sqrt_lb(abs_sq_center(y)) * x.r
                 + x.r * y.r for x, y in zip(vals[i], vals[k]))
 
 

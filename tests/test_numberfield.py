@@ -6,9 +6,11 @@ import mpmath as mp
 import pytest
 
 from okmod import FieldError, build_field, numeric
+from okmod.numberfield import _conversion_constants, _inverse_moduli
+from okmod.numeric import Ball, eval_at_root, frac_sqrt_ub, frac_up
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, get_field, norm_sq_bounds,
-                      random_element, seeded)
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, abs_sq, abs_sq_ub, first_and_gram_roots,
+                      get_field, norm_sq_bounds, random_element, reference_horner, seeded)
 
 
 def test_build_gaussian_integers():
@@ -272,6 +274,103 @@ def test_lattice_context_unchanged(name):
         e, r_e, Fraction(c_quality), Fraction(quality_sq))
 
 
+def reference_complex_inverse(mat):
+    """Gauss-Jordan inverse of a complex rational matrix of (re, im) pairs on
+    Fractions; ZeroDivisionError if it is singular."""
+    n = len(mat)
+    work = [[(Fraction(re), Fraction(im)) for re, im in row]
+            + [(Fraction(1 if i == j else 0), Fraction(0)) for j in range(n)]
+            for i, row in enumerate(mat)]
+
+    def cmul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def csub(a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    def cinv(a):
+        q = a[0] * a[0] + a[1] * a[1]
+        if q == 0:
+            raise ZeroDivisionError
+        return (a[0] / q, -a[1] / q)
+
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col] != (0, 0)), None)
+        if piv is None:
+            raise ZeroDivisionError
+        work[col], work[piv] = work[piv], work[col]
+        inv = cinv(work[col][col])
+        work[col] = [cmul(x, inv) for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != (0, 0):
+                f = work[r][col]
+                work[r] = [csub(x, cmul(f, y)) for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def reference_conversion_constants(vals):
+    """(C1^2, C2) by the loops on Fractions: the reference of
+    ``_conversion_constants``, None where it must give None."""
+    d = len(vals)
+    try:
+        y = reference_complex_inverse([[(b.re, b.im) for b in row] for row in vals])
+    except ZeroDivisionError:
+        return None
+    y_abs = [[frac_sqrt_ub(abs_sq(z)) for z in row] for row in y]
+    eta = Fraction(0)
+    for i in range(d):
+        row_rad = [vals[i][j].r for j in range(d)]
+        row_sum = Fraction(0)
+        for k in range(d):
+            row_sum += sum(row_rad[j] * y_abs[j][k] for j in range(d))
+        eta = max(eta, row_sum)
+    if eta >= Fraction(1, 2):
+        return None
+    c1_sq = max(frac_up(sum(abs_sq_ub(v) for v in row), 128) for row in vals) * d * d
+    amp = eta / (1 - eta)
+    c2 = Fraction(0)
+    row_sums = [sum(y_abs[i][j] for j in range(d)) for i in range(d)]
+    for k in range(d):
+        s = Fraction(0)
+        for i in range(d):
+            v = y_abs[i][k] + amp * row_sums[i]
+            s += v * v
+        c2 = max(c2, frac_sqrt_ub(s))
+    return c1_sq, frac_up(c2, 96)
+
+
+def basis_values(K, roots):
+    d = K.degree
+    return [[eval_at_root(K.to_power_coords(K.element([int(t == i) for t in range(d)])), r)
+             for r in roots] for i in range(d)]
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_integer_constants_match_the_fraction_loops(name):
+    # the inverse moduli, the Neumann residual and C1, C2 from the same
+    # enclosures, at the precision of the first solve and of the Gram matrix
+    K, levels = first_and_gram_roots(name)
+    for roots in levels:
+        vals = basis_values(K, roots)
+        y = reference_complex_inverse([[(b.re, b.im) for b in row] for row in vals])
+        assert _inverse_moduli(vals) == [[frac_sqrt_ub(abs_sq(z)) for z in row] for row in y]
+        assert _conversion_constants(vals) == reference_conversion_constants(vals)
+    assert _conversion_constants(basis_values(K, levels[0])) == (K.embed_bound_sq, K.coeff_bound)
+
+
+def test_integer_constants_refuse_what_the_loops_refuse():
+    K = get_field("cubic")
+    vals = basis_values(K, K.roots())
+    # a singular matrix of centers, and radii too large for eta < 1/2
+    singular = [vals[0], vals[0], vals[2]]
+    assert _inverse_moduli(singular) is None
+    assert reference_conversion_constants(singular) is None
+    assert _conversion_constants(singular) is None
+    wide = [[Ball(b.re, b.im, Fraction(4)) for b in row] for row in vals]
+    assert reference_conversion_constants(wide) is None
+    assert _conversion_constants(wide) is None
+
+
 def test_scalar_errors():
     K = get_field("Qi")
     with pytest.raises(ZeroDivisionError):
@@ -362,13 +461,6 @@ def test_refinement_failure_falls_back_to_plain_solve(monkeypatch, newton):
     assert all(b.r < Fraction(1, 1 << 300) for b in fine)
 
 
-def reference_horner(coeffs, z):
-    re, im = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        re, im = re * z[0] - im * z[1] + c, re * z[1] + im * z[0]
-    return re, im
-
-
 def test_integer_horner_matches_rational_horner():
     local = seeded("test_numberfield horner", 1)
     for _ in range(200):
@@ -379,4 +471,6 @@ def test_integer_horner_matches_rational_horner():
             coeffs = [int(c) for c in coeffs]
         z = tuple(Fraction(local.randint(-2 ** 70, 2 ** 70), 1 << local.randint(0, 80))
                   for _ in range(2))
-        assert numeric._poly_eval_complex(coeffs, z) == reference_horner(coeffs, z)
+        nums, den = numeric.over_common_denominator(coeffs)
+        re, im, q = numeric._horner(nums, z)
+        assert (Fraction(re, den * q), Fraction(im, den * q)) == reference_horner(coeffs, z)

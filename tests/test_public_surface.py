@@ -48,3 +48,15 @@ def test_benchmark_selftest_passes():
             os.rmdir(work)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest: PASS" in proc.stdout
+
+
+def test_a_cold_field_needs_only_mpmath():
+    # mpmath is the one runtime dependency; the float start of the root
+    # solve is plain Python, so nothing pulls in numpy
+    code = ("import sys\nimport okmod\nokmod.build_field([-1, -1, 0, 0, 1]).lattice_context\n"
+            "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
