@@ -285,6 +285,14 @@ def det_times_ideals(field: NumberField, rows: list[list[FieldElement]],
     A needs full column rank and the minor is the witness one of
     ``rank_and_submatrix``, with the ideals of its rows only.
     """
+    delta, prod = _det_and_ideals(field, rows, ideals, witness)
+    return prod.elt_mul(delta)
+
+
+def _det_and_ideals(field: NumberField, rows: list[list[FieldElement]], ideals,
+                    witness: bool = False) -> tuple[FieldElement, FractionalIdeal]:
+    """The factors (delta, P) of ``det_times_ideals``, which is P * delta:
+    the (witness) minor's determinant and the product of its rows' ideals."""
     scaled = []
     dens = []
     for row in rows:
@@ -305,8 +313,7 @@ def det_times_ideals(field: NumberField, rows: list[list[FieldElement]],
     den_prod = 1
     for i in ridx:
         den_prod *= dens[i]
-    elt = field.scalar_div(dt, den_prod)
-    return product_of_ideals([ideals[i] for i in ridx]).elt_mul(elt)
+    return field.scalar_div(dt, den_prod), product_of_ideals([ideals[i] for i in ridx])
 
 
 def determinantal_ideal(pm) -> FractionalIdeal:

@@ -22,6 +22,16 @@ and the stored c_quality is at least 1 + eps_f s_f.  Hence
 
 a bound decided by exact integer arithmetic, with no evaluation at the roots
 (``LatticeContext.t2_bound``).
+
+The quality certificate of a reduced basis is integer-only as well: with
+s_i = |x_i r_e|^2, both bounds become inequalities between integers, the
+s_i times constants in c_quality, quality_sq, |disc| and 4^(e d) that each
+context computes once (``_quality_constants``), and the squared norm.
+
+An LLL may also start from a given basis of the ideal
+(``reduce_start_basis``), which is first checked to be one: the basis cache
+of ``reduction`` starts a factored modulus eps * Q from eps times a reduced
+basis of Q this way.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import numeric
+from .ideals import IdealError
 from .numeric import (Ball, frac_nth_root_ub, frac_sqrt_lb, frac_sqrt_ub, frac_up, mpf_to_fraction,
                       over_common_denominator)
 from .numberfield import FieldElement, NumberField
@@ -48,7 +59,7 @@ class QualityError(RuntimeError):
 class LatticeContext:
     """Precomputed rounded-embedding data for one number field."""
 
-    __slots__ = ("field", "e", "r_e", "ell_sq", "quality_sq", "c_quality")
+    __slots__ = ("field", "e", "r_e", "ell_sq", "quality_sq", "c_quality", "quality_consts")
 
     def __init__(self, field: NumberField, e: int, r_e: Mat,
                  ell_sq: Fraction, quality_sq: Fraction, c_quality: Fraction):
@@ -58,6 +69,8 @@ class LatticeContext:
         self.ell_sq = ell_sq
         self.quality_sq = quality_sq
         self.c_quality = c_quality
+        self.quality_consts = _quality_constants(field.degree, abs(field.disc), e,
+                                                 quality_sq, c_quality)
 
     def t2_bound(self, coeffs, den: int = 1) -> Fraction:
         """Certified upper bound c_quality^2 |x r_e|^2 / (4^e den^2) on
@@ -232,34 +245,69 @@ def _lll_with_transform(gram: Mat, u: Mat, delta: Fraction) -> None:
 
 def reduce_ideal_basis(ideal, ctx: LatticeContext) -> Mat:
     """Quality-checked reduced basis (rows, integral-basis coordinates) of an
-    integral ideal."""
+    integral ideal, reduced from its Hermite basis."""
+    if ideal.den != 1:
+        raise ValueError("reduction expects an integral ideal")
+    return _reduce(ideal, [list(row) for row in ideal.num], ctx)
+
+
+def reduce_start_basis(ideal, start: Mat, ctx: LatticeContext) -> Mat:
+    """Quality-checked reduced basis of an integral ideal, reduced from
+    ``start``, which must be a Z-basis of the ideal: every row lies in it and
+    |det(start)| is its norm, or IdealError is raised."""
     if ideal.den != 1:
         raise ValueError("reduction expects an integral ideal")
     field = ctx.field
-    d = field.degree
-    u = [list(row) for row in ideal.num]
-    if d > 1:
+    u = [list(row) for row in start]
+    if (len(u) != field.degree or not all(ideal.contains(field.element(row)) for row in u)
+            or abs(det_bareiss(u)) != ideal.norm()):
+        raise IdealError("internal error: start rows are not a basis of the ideal")
+    return _reduce(ideal, u, ctx)
+
+
+def _reduce(ideal, u: Mat, ctx: LatticeContext) -> Mat:
+    """LLL of the basis rows u of the integral ideal in place, on the Gram
+    matrix of their integer embeddings, and the quality certificate."""
+    if ctx.field.degree > 1:
         emb = mat_mul(u, ctx.r_e)
         _lll_with_transform(mat_mul(emb, transpose(emb)), u, LLL_DELTA)
     _check_quality(ideal, u, ctx)
     return u
 
 
+def _quality_constants(d: int, disc: int, e: int, quality_sq: Fraction,
+                       c_quality: Fraction) -> tuple[int, int, int, int]:
+    """Integers (a_prod, b_prod, a_first, b_first) that clear the
+    denominators of the two quality bounds of ``_check_quality``.
+
+    With s_i = |x_i r_e|^2, T2 is bounded by c^2 s_i / 4^e (c = c_quality), so
+    prod_i ub_i <= q^(d(d-1)/2) |disc| N^2 (q = quality_sq) holds exactly when
+    a_prod * prod_i s_i <= b_prod * N^2, and ub_0^d <= q^(d(d-1)) |disc| N^2
+    exactly when a_first * s_0^d <= b_first * N^2.
+    """
+    cn, cd = c_quality.numerator ** (2 * d), c_quality.denominator ** (2 * d)
+    qn, qd = quality_sq.numerator, quality_sq.denominator
+    rhs = disc * cd << 2 * e * d
+    k = d * (d - 1) // 2
+    return cn * qd ** k, rhs * qn ** k, cn * qd ** (2 * k), rhs * qn ** (2 * k)
+
+
 def _check_quality(ideal, basis: Mat, ctx: LatticeContext) -> None:
+    """Both certified bounds on the reduced basis of the integral ideal, as
+    integer inequalities (see ``_quality_constants``)."""
     d = ctx.field.degree
     if d == 1:
         # the basis is the single generator: both bounds hold with equality,
         # which the rounded-up certificate cannot confirm
         return
     nrm = ideal.norm()
-    disc = abs(ctx.field.disc)
-    prod_rhs = ctx.quality_sq ** (d * (d - 1) // 2) * disc * nrm * nrm
-    first_rhs = ctx.quality_sq ** (d * (d - 1)) * disc * nrm * nrm
-    ubs = [ctx.t2_bound(row) for row in basis]
-    prod = Fraction(1)
-    for ub in ubs:
-        prod *= ub
-    if prod > prod_rhs or ubs[0] ** d > first_rhs:
+    nrm_sq = nrm.numerator * nrm.numerator
+    a_prod, b_prod, a_first, b_first = ctx.quality_consts
+    sizes = [sum(t * t for t in vec_mat(row, ctx.r_e)) for row in basis]
+    prod = a_prod
+    for s in sizes:
+        prod *= s
+    if prod > b_prod * nrm_sq or a_first * sizes[0] ** d > b_first * nrm_sq:
         raise QualityError(
             "reduced basis missed its certified bound; rebuild the lattice "
             "context with a larger precision exponent")

@@ -19,7 +19,7 @@ alpha times the pivot row from the other row.
 
 from __future__ import annotations
 
-from . import determinant, reduction
+from . import determinant, lattice, reduction
 from .ideals import FractionalIdeal, IdealError, idempotents
 from .numberfield import FieldElement, NumberField
 from .zlinalg import (Mat, RankDeficiencyError, det_bareiss, hnf_with_modulus, mat_mul,
@@ -155,17 +155,43 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
     norm bounds and the output shape are checked, raising RuntimeError on a
     violation; ``trace`` (a list) collects per-iteration
     records of the largest active ideal minimum for diagnostics.
+
+    A reduced basis or normalization that misses its certified bound
+    (``QualityError``) reruns the elimination once on a lattice context
+    built at twice the precision exponent; a second miss propagates.
     """
     field = pm.field
-    n, m = pm.nrows, pm.ncols
-    if n < m:
+    if pm.nrows < pm.ncols:
         raise RankDeficiencyError("fewer rows than columns")
     if det_ideal is None:
         det_ideal = pm.det_ideal
+    factor = None
     if det_ideal is None:
-        det_ideal = determinant.determinantal_ideal_multiple(pm)
+        # the witness minor's determinant delta and its rows' ideals P: the
+        # reduction moduli det_ideal * a^-1 are delta * (P * a^-1), whose
+        # reduced bases start from delta times those of the small P * a^-1
+        factor = determinant._det_and_ideals(field, pm.rows, pm.ideals, witness=True)
+        det_ideal = factor[1].elt_mul(factor[0])
     ctx = field.lattice_context
+    start = None if trace is None else len(trace)
+    try:
+        return _eliminate(pm, det_ideal, factor, ctx, verify, trace)
+    except lattice.QualityError:
+        if trace is not None:
+            del trace[start:]
+        ctx = lattice.build_context(field, 2 * ctx.e)
+        return _eliminate(pm, det_ideal, factor, ctx, verify, trace)
+
+
+def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, factor, ctx,
+               verify: bool, trace: list | None) -> PseudoMatrix:
+    """The elimination of ``pseudo_hnf`` with its own cache on ``ctx``;
+    ``factor`` is (delta, P) with det_ideal = delta * P, or None."""
+    field = pm.field
+    n, m = pm.nrows, pm.ncols
     cache = reduction.ReducedBasisCache(ctx)
+    if factor is not None:
+        cache.record_factor(det_ideal, *factor)
     b = [r[:] for r in pm.rows]
     ideals = list(pm.ideals)
     bound_sq = ctx.norm_bound_sq()
@@ -234,7 +260,7 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
             running = FractionalIdeal.unit(field)
             continue
         g, ginv, gamma, delta = euclidean_step(ideals[i], running, piv, field.one(), cache)
-        new_modulus = running * ginv
+        new_modulus = cache.product(running, ginv)
         b[i] = [reduction.reduce_mod_ideal(gamma * x, new_modulus, cache) if x else x
                 for x in b[i]]
         ideals[i] = g

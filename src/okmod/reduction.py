@@ -6,6 +6,11 @@ difference inside the ideal by construction.  With an LLL-reduced basis the
 output satisfies the certified trace-form bound; with the Hermite basis and
 floor rounding it is the unique canonical representative of its class, which
 is what the uniqueness pass of the pseudo-Hermite form uses.
+
+``ReducedBasisCache`` memoizes the ideal arithmetic of one elimination, and
+keeps a factor map, ideal -> (eps, Q) with ideal = eps * Q and Q small: the
+reduced basis of such an ideal starts its LLL from eps times the reduced
+basis of Q rather than from its Hermite basis.
 """
 
 from __future__ import annotations
@@ -19,17 +24,21 @@ from .zlinalg import identity, solve_left, vec_mat
 
 
 class ReducedBasis(list):
-    """Rows of a reduced ideal basis, carrying its inverse as ``adj / den``.
-
-    ``den > 0`` and ``basis^-1 = adj / den``; computed once, when the basis
-    enters a cache, so reducing against it needs no linear solve.
+    """Rows of a reduced ideal basis, with its inverse ``adj / den`` solved
+    the first time a reduction needs it: ``den > 0`` and basis^-1 = adj / den.
     """
 
-    __slots__ = ("adj", "den")
+    __slots__ = ("_inverse",)
 
     def __init__(self, rows):
         super().__init__(rows)
-        self.adj, self.den = solve_left(rows, identity(len(rows)))
+        self._inverse = None
+
+    def inverse(self) -> tuple:
+        """(adj, den) of the basis inverse."""
+        if self._inverse is None:
+            self._inverse = solve_left(self, identity(len(self)))
+        return self._inverse
 
 
 class ReducedBasisCache:
@@ -38,8 +47,15 @@ class ReducedBasisCache:
     and the ideal-only part of ``normalize_row``.  ``pseudo_hnf`` and
     ``pseudo_snf`` build one per call, so the memo dies with the call.
 
+    It also knows factorizations ideal = eps * Q with Q small: ``pseudo_hnf``
+    records its determinantal multiple delta * P, and ``product(a, b)`` with
+    a = eps * Q records a * b = eps * (Q * b).  A reduced basis of such an
+    ideal starts its LLL from eps times the reduced basis of Q, which is
+    nearly reduced already, instead of from the Hermite basis.
+
     Lookups and inserts are plain dict operations on immutable values, safe
-    under concurrent readers; confine one cache per thread if in doubt.
+    under concurrent readers (two readers may both solve a basis's inverse,
+    with equal results); confine one cache per thread if in doubt.
     """
 
     def __init__(self, ctx: lattice.LatticeContext):
@@ -48,14 +64,32 @@ class ReducedBasisCache:
         self._inverses: dict = {}
         self._products: dict = {}
         self._normalizations: dict = {}
+        self._factors: dict = {}
+
+    def record_factor(self, ideal: FractionalIdeal, eps: FieldElement,
+                      q: FractionalIdeal) -> None:
+        """Note that ideal = eps * q; checked when a reduced basis uses it."""
+        self._factors[(ideal.num, ideal.den)] = (eps, q)
 
     def reduced_basis(self, ideal: FractionalIdeal) -> ReducedBasis:
         key = (ideal.num, ideal.den)
         basis = self._map.get(key)
         if basis is None:
-            numerator = FractionalIdeal(ideal.field, [list(r) for r in ideal.num], 1)
-            basis = ReducedBasis(lattice.reduce_ideal_basis(numerator, self.ctx))
-            self._map[key] = basis
+            field = ideal.field
+            numerator = FractionalIdeal(field, [list(r) for r in ideal.num], 1)
+            factor = self._factors.get(key)
+            if factor is None or field.degree == 1 or factor[1] == ideal:
+                rows = lattice.reduce_ideal_basis(numerator, self.ctx)
+            else:
+                # den * ideal = (den * eps / Q.den) * numerator of Q
+                eps, q = factor
+                scale = field.scalar_div(field.scalar_mul(ideal.den, eps), q.den)
+                start = [field.mul(scale, field.element(r)) for r in self.reduced_basis(q)]
+                if any(x.den != 1 for x in start):
+                    raise IdealError("internal error: start rows are not a basis of the ideal")
+                rows = lattice.reduce_start_basis(numerator, [x.coeffs for x in start],
+                                                  self.ctx)
+            basis = self._map[key] = ReducedBasis(rows)
         return basis
 
     def inverse(self, ideal: FractionalIdeal) -> FractionalIdeal:
@@ -70,6 +104,10 @@ class ReducedBasisCache:
         prod = self._products.get(key)
         if prod is None:
             prod = self._products[key] = a * b
+            factor = self._factors.get((a.num, a.den))
+            if factor is not None:
+                eps, q = factor
+                self._factors[(prod.num, prod.den)] = (eps, self.product(q, b))
         return prod
 
     def normalization(self, ideal: FractionalIdeal):
@@ -100,7 +138,8 @@ def reduce_mod_ideal(alpha: FieldElement, a: FractionalIdeal,
         if cache is None:
             cache = field.basis_cache
         basis = cache.reduced_basis(a)
-        v, den = vec_mat(target, basis.adj), basis.den
+        adj, den = basis.inverse()
+        v = vec_mat(target, adj)
     else:
         (v,), den = solve_left(basis, [target])
     # coordinates of alpha in the basis are v / (den * k)

@@ -257,3 +257,21 @@ def seeded(name, offset=0):
     seed = zlib.crc32(name.encode()) + offset
     print(f"[seed] {name} seed={seed}")
     return random.Random(seed)
+
+
+def reference_quality_holds(ideal, basis, ctx):
+    """Both certified bounds of a reduced basis of the integral ideal, on
+    Fractions through ``LatticeContext.t2_bound``: the reference of the
+    integer decision in ``lattice._check_quality``."""
+    d = ctx.field.degree
+    if d == 1:
+        return True
+    nrm = ideal.norm()
+    disc = abs(ctx.field.disc)
+    prod_rhs = ctx.quality_sq ** (d * (d - 1) // 2) * disc * nrm * nrm
+    first_rhs = ctx.quality_sq ** (d * (d - 1)) * disc * nrm * nrm
+    ubs = [ctx.t2_bound(row) for row in basis]
+    prod = Fraction(1)
+    for ub in ubs:
+        prod *= ub
+    return not (prod > prod_rhs or ubs[0] ** d > first_rhs)

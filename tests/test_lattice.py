@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from okmod import (FractionalIdeal, build_context, build_field, reduce_ideal_basis,
-                   shortest_basis_element)
-from okmod.lattice import LLL_DELTA, _gram_balls, _lll_with_transform
+from okmod import (FractionalIdeal, IdealError, QualityError, build_context, build_field,
+                   reduce_ideal_basis, shortest_basis_element)
+from okmod.lattice import (LLL_DELTA, _check_quality, _gram_balls, _lll_with_transform,
+                           reduce_start_basis)
 from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_sqrt_ub, frac_up
 from okmod.zlinalg import mat_mul, transpose
 
 from conftest import (ALL_FIELDS, abs_sq_center, abs_ub, get_field, hnf, norm_sq_bounds,
-                      random_element, random_ideal, seeded)
+                      random_element, random_ideal, reference_quality_holds, seeded)
 
 
 def test_context_rationals():
@@ -189,6 +190,102 @@ def test_build_context_custom_exponent():
     two = FractionalIdeal.from_generators(K, [K.from_int(2)])
     basis = reduce_ideal_basis(two, ctx)
     assert same_lattice(K, basis, two.num)
+
+
+def integer_quality_holds(ideal, basis, ctx):
+    try:
+        _check_quality(ideal, basis, ctx)
+    except QualityError:
+        return False
+    return True
+
+
+def test_integer_certificate_matches_the_fraction_reference():
+    # contexts are built fresh, one after another in one process, at the
+    # default exponent and at twice it, so constants that outlived their
+    # context (or were shared between two) would show as a wrong decision
+    rng = seeded("test_lattice::test_integer_certificate_matches_the_fraction_reference")
+    for name in ALL_FIELDS:
+        K = get_field(name)
+        for e in (None, 2 * K.lattice_context.e):
+            ctx = build_context(K, e)
+            passed = refused = 0
+            for _ in range(6):
+                a = random_ideal(rng, K, lim=60)
+                basis = reduce_ideal_basis(a, ctx)
+                assert reference_quality_holds(a, basis, ctx)
+                # one size-reduction step undone: either decision is possible
+                near = [list(r) for r in basis]
+                if K.degree > 1:
+                    near[0] = [x + rng.randint(1, 3) * y for x, y in zip(near[0], near[-1])]
+                assert integer_quality_holds(a, near, ctx) == reference_quality_holds(a, near, ctx)
+                big = FractionalIdeal.principal(K, random_element(rng, K, lim=10 ** 4))
+                hermite = [list(r) for r in big.num]
+                holds = reference_quality_holds(big, hermite, ctx)
+                assert integer_quality_holds(big, hermite, ctx) == holds
+                passed += holds
+                refused += not holds
+                if K.degree > 1:
+                    with pytest.raises(QualityError):
+                        _check_quality(big, hermite, ctx)
+            # degree 1 has nothing to certify: every basis is its generator
+            assert (refused, passed) == ((0, 6) if K.degree == 1 else (6, 0))
+            if K.degree > 1:
+                # at the smallest norm the reference accepts, with the
+                # shortest row first (the product bound decides) and last
+                # (the first-vector bound decides)
+                for rows in (basis, basis[::-1]):
+                    n = smallest_accepted_norm(rows, ctx)
+                    assert integer_quality_holds(NormOnly(n), rows, ctx)
+                    assert not integer_quality_holds(NormOnly(n - 1), rows, ctx)
+            del ctx
+
+
+class NormOnly:
+    """All the certificate reads of an ideal: its norm."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def norm(self):
+        return Fraction(self.n)
+
+
+def smallest_accepted_norm(rows, ctx):
+    hi = 1
+    while not reference_quality_holds(NormOnly(hi), rows, ctx):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reference_quality_holds(NormOnly(mid), rows, ctx):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_reduction_from_a_start_basis(name):
+    K = get_field(name)
+    ctx = K.lattice_context
+    rng = seeded(f"test_lattice::test_reduction_from_a_start_basis[{name}]")
+    # inside 2 O_K, so 1 and a row plus 1 lie outside it
+    a = random_ideal(rng, K, lim=60).int_mul(2)
+    unimodular = [[1 if i == j else (rng.randint(-3, 3) if j < i else 0)
+                   for j in range(K.degree)] for i in range(K.degree)]
+    start = mat_mul(unimodular, [list(r) for r in a.num])
+    basis = reduce_start_basis(a, start, ctx)
+    assert same_lattice(K, basis, a.num)
+    assert reference_quality_holds(a, basis, ctx)
+    doubled = [[2 * x for x in row] for row in start]
+    outside = [row[:] for row in start]
+    outside[-1][0] += 1
+    for bad in (doubled, outside, start[1:]):
+        if K.degree == 1 and bad is not doubled:
+            continue
+        with pytest.raises(IdealError, match="not a basis of the ideal"):
+            reduce_start_basis(a, bad, ctx)
 
 
 def reference_lll(b, u, delta):

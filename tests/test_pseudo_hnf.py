@@ -11,6 +11,7 @@ import pytest
 from okmod import (FractionalIdeal, PseudoMatrix, canonicalize,
                    determinantal_ideal, determinantal_ideal_multiple,
                    euclidean_step, module_hnf, pseudo_hnf, to_absolute)
+from okmod import determinant, lattice, reduction
 from okmod.ideals import IdealError
 from okmod.zlinalg import RankDeficiencyError
 
@@ -499,3 +500,105 @@ def test_pseudo_hnf_memo_lives_one_call(name):
     second = pseudo_hnf(pm)
     assert (first.rows, first.ideals) == (second.rows, second.ideals)
     assert (dict(shared._map), dict(shared._inverses), dict(shared._normalizations)) == before
+
+
+# -- warm-started moduli and the QualityError retry ---------------------------
+
+
+def full_rank_pseudo(K, label, n=4, m=3):
+    local = seeded(label)
+    u = FractionalIdeal.unit(K)
+    while True:
+        rows = [[K.element([local.randint(-9, 9) for _ in range(K.degree)])
+                 for _ in range(m)] for _ in range(n)]
+        ideals = [random_ideal(local, K) if local.random() < 0.5 else u for _ in range(n)]
+        pm = PseudoMatrix(K, rows, ideals)
+        try:
+            determinantal_ideal_multiple(pm)
+        except RankDeficiencyError:
+            continue
+        return pm
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_warm_and_cold_moduli_give_one_canonical_form(name, monkeypatch):
+    # without det_ideal the moduli delta * (P * a^-1) start their LLL from
+    # delta times a reduced basis of P * a^-1; a supplied det_ideal starts
+    # from the Hermite basis; the canonical forms must agree
+    K = get_field(name)
+    warm_starts = []
+    real = lattice.reduce_start_basis
+
+    def spy(ideal, start, ctx):
+        warm_starts.append(ideal)
+        return real(ideal, start, ctx)
+
+    monkeypatch.setattr(lattice, "reduce_start_basis", spy)
+    local = seeded(f"test_pseudo_hnf warm and cold unit minor {name}")
+    u = FractionalIdeal.unit(K)
+    # a unit witness minor: det_ideal = 1 * O_K is its own small factor
+    unit_minor = PseudoMatrix(K, [[K.from_int(int(i == j)) for j in range(3)] for i in range(3)]
+                              + [[random_element(local, K) for _ in range(3)]], [u] * 4)
+    inputs = [full_rank_pseudo(K, f"test_pseudo_hnf warm and cold {name}", n=3 + t, m=3)
+              for t in range(3)]
+    for pm in inputs + [unit_minor]:
+        cold_before = len(warm_starts)
+        cold = pseudo_hnf(pm, determinantal_ideal_multiple(pm), verify=True)
+        assert len(warm_starts) == cold_before
+        warm = pseudo_hnf(pm, verify=True)
+        c1, c2 = canonicalize(warm), canonicalize(cold)
+        assert (c1.rows, c1.ideals) == (c2.rows, c2.ideals)
+        assert module_hnf(warm) == module_hnf(pm)
+    assert warm_starts or K.degree == 1
+
+
+@pytest.mark.parametrize("name", ["Qi", "cubic", "quintic"])
+def test_a_wrong_factor_is_refused(name):
+    K = get_field(name)
+    pm = full_rank_pseudo(K, f"test_pseudo_hnf wrong factor {name}")
+    delta, prod = determinant._det_and_ideals(K, pm.rows, pm.ideals, witness=True)
+    dd = prod.elt_mul(delta)
+    # 2 delta * P lies inside dd but has 2^d times its norm; delta / 2 * P
+    # is not inside it; the right factor is accepted
+    for eps in (K.scalar_mul(2, delta), K.scalar_div(delta, 2)):
+        cache = reduction.ReducedBasisCache(K.lattice_context)
+        cache.record_factor(dd, eps, prod)
+        with pytest.raises(IdealError, match="not a basis of the ideal"):
+            cache.reduced_basis(dd)
+    cache = reduction.ReducedBasisCache(K.lattice_context)
+    cache.record_factor(dd, delta, prod)
+    basis = cache.reduced_basis(dd)
+    assert (FractionalIdeal.from_generators(K, [K.element(r) for r in basis])
+            == FractionalIdeal(K, [list(r) for r in dd.num], 1))
+
+
+@pytest.mark.parametrize("name", ["Qm5", "quartic"])
+def test_quality_error_reruns_on_a_finer_context(name, monkeypatch):
+    K = get_field(name)
+    pm = full_rank_pseudo(K, f"test_pseudo_hnf quality retry {name}")
+    expected_trace = []
+    expected = canonicalize(pseudo_hnf(pm, trace=expected_trace))
+    real = lattice._check_quality
+    refused = []
+
+    def fail_on_default(ideal, basis, ctx):
+        if ctx is K.lattice_context:
+            refused.append(ctx)
+            raise lattice.QualityError("refused on the default context")
+        return real(ideal, basis, ctx)
+
+    monkeypatch.setattr(lattice, "_check_quality", fail_on_default)
+    trace = []
+    out = canonicalize(pseudo_hnf(pm, verify=True, trace=trace))
+    assert refused
+    assert (out.rows, out.ideals) == (expected.rows, expected.ideals)
+    assert len(trace) == len(expected_trace)
+
+    def fail_always(ideal, basis, ctx):
+        refused.append(ctx)
+        raise lattice.QualityError("refused on every context")
+
+    monkeypatch.setattr(lattice, "_check_quality", fail_always)
+    with pytest.raises(lattice.QualityError, match="every context"):
+        pseudo_hnf(pm)
+    assert len({id(ctx) for ctx in refused[-2:]}) == 2

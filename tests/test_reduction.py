@@ -163,6 +163,21 @@ def test_cache_reuses_bases(field):
     assert b1 is b2
 
 
+def test_basis_inverse_is_solved_on_first_reduction(field):
+    # normalization reads only the first row of a basis; a reduction solves
+    # the inverse once and keeps it
+    rng = seeded("test_reduction::test_basis_inverse_is_solved_on_first_reduction")
+    cache = ReducedBasisCache(field.lattice_context)
+    a = random_ideal(rng, field)
+    normalize_row([field.one()], a, cache=cache)
+    assert all(basis._inverse is None for basis in cache._map.values())
+    reduce_mod_ideal(random_element(rng, field, lim=500), a, cache)
+    inverse = cache.reduced_basis(a)._inverse
+    assert inverse is not None
+    reduce_mod_ideal(random_element(rng, field, lim=500), a, cache)
+    assert cache.reduced_basis(a).inverse() is inverse
+
+
 def fraction_reduce(alpha, a, basis, centered):
     """Reference reduction: y * basis = l * alpha by rational Gauss-Jordan,
     then y / k rounded half up (centered) or down."""
