@@ -9,14 +9,16 @@ output quality is not assumed: every reduced basis is checked against the
 first-vector and product bounds, with the rounding-quality constant already
 absorbed into the stored reduction parameter.
 
-The integer embedding r_e is also the one certificate of T2 sizes.  Let R be
-the true Cholesky factor, T2(x) = |xR|^2 for an integer coefficient vector x,
-and write r_e = 2^e R + E.  The build bounds the Frobenius norm of E by eps_f
-and that of r_e^-1 by s_f, so
+The integer embedding r_e is also the one certificate of T2 sizes.  Let G
+be the true Gram matrix, so T2(x) = x G x^t for an integer coefficient
+vector x (the imaginary part of G vanishes on real x), and let M = r_e r_e^t,
+an exact integer matrix.  With Delta = 4^e G - M, bounded entrywise by the
+Gram enclosure, and s_f >= |r_e^-1|_F,
 
-    2^e xR = x r_e (I - r_e^-1 E)  gives  2^e |xR| <= (1 + eps_f s_f) |x r_e|,
+    4^e T2(x) <= x M x^t + |Delta|_F |x|^2  and  |x|^2 <= s_f^2 x M x^t,
 
-and the stored c_quality is at least 1 + eps_f s_f.  Hence
+so 4^e T2(x) <= (1 + |Delta|_F s_f^2) |x r_e|^2, and the stored c_quality is
+at least sqrt(1 + |Delta|_F s_f^2).  Hence
 
     T2(x / den) <= c_quality^2 |x r_e|^2 / (4^e den^2),
 
@@ -123,22 +125,24 @@ def _try_build(field: NumberField, e: int):
         if all(b.r + abs(b.im) < target for row in gram for b in row):
             break
         prec *= 2
-    centers = [[b.re for b in row] for row in gram]
-    r1 = _cholesky(centers, prec)
-    r2 = _cholesky(centers, 2 * prec)
-    chol_err = max(abs(a - b) for ra, rb in zip(r1, r2) for a, b in zip(ra, rb))
-    scale = Fraction(1 << e)
-    r_e = [[_round_half_up(x.numerator << e, x.denominator) for x in row] for row in r2]
-    if det_bareiss(r_e) == 0:
-        return None, None
-    # epsilon = r_e - 2^e * R_true, bounded by rounding + Cholesky/Gram slack
-    eps_entry = Fraction(1, 2) + scale * frac_up(8 * chol_err + 8 * target, 64)
-    eps_f = d * eps_entry  # Frobenius bound
-    s_num, s_den = solve_left(r_e, identity(d))
-    s_f = frac_sqrt_ub(Fraction(sum(x * x for row in s_num for x in row), s_den * s_den))
+    r_e = [[_round_half_up(x.numerator << e, x.denominator) for x in row]
+           for row in _cholesky([[b.re for b in row] for row in gram], 2 * prec)]
     det_re = abs(det_bareiss(r_e))
-    ratio = Fraction(det_re) / (scale ** d) / frac_sqrt_lb(Fraction(abs(field.disc)))
-    c_quality = (1 + eps_f * s_f) * frac_nth_root_ub(max(ratio, Fraction(1)), d, 96)
+    if det_re == 0:
+        return None, None
+    # |Delta_ik| <= |4^e center_ik - M_ik| + 4^e r_ik on the real parts of
+    # the Gram balls, over one common denominator
+    m = mat_mul(r_e, transpose(r_e))
+    nums, den = over_common_denominator([b.re for row in gram for b in row]
+                                        + [b.r for row in gram for b in row])
+    dd = d * d
+    delta_sq = sum((abs((nums[t] << 2 * e) - m[t // d][t % d] * den) + (nums[dd + t] << 2 * e)) ** 2
+                   for t in range(dd))
+    s_num, s_den = solve_left(r_e, identity(d))
+    s_f_sq = Fraction(sum(x * x for row in s_num for x in row), s_den * s_den)
+    residual = frac_sqrt_ub(1 + frac_sqrt_ub(Fraction(delta_sq, den * den)) * s_f_sq)
+    ratio = Fraction(det_re, 1 << (e * d)) / frac_sqrt_lb(Fraction(abs(field.disc)))
+    c_quality = residual * frac_nth_root_ub(max(ratio, Fraction(1)), d, 96)
     return r_e, frac_up(c_quality, 96)
 
 

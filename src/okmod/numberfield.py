@@ -281,16 +281,17 @@ class NumberField:
         """Certified disjoint enclosures of the roots of the defining
         polynomial, every radius below 2^-want with want >= min_prec.
 
-        The first call solves at want bits, doubling the precision until the
-        radii are small enough.  The cache keeps the largest p with every
-        radius below 2^-p; a request above it refines the cached enclosures
-        by Newton's method at 32 guard bits above the request, and if that
-        fails its certificate the plain solve takes over at that precision.
+        Each solve runs at 32 guard bits above want, so the disks certify at
+        once: the first call solves from scratch, and the cache keeps the
+        largest p with every radius below 2^-p.  A request above it refines
+        the cached enclosures by Newton's method; if that fails its
+        certificate the plain solve takes over at the same precision, and a
+        plain solve whose disks are still too wide doubles the precision.
         """
         want = max(min_prec, 64 + 4 * max(abs(c) for c in self.poly).bit_length())
         if self._roots is None or self._root_prec < want:
             start = self._roots
-            prec = want if start is None else want + 32
+            prec = want + 32
             while True:
                 balls = numeric.certified_roots(list(self.poly), prec, start)
                 if balls is not None and all(b.r < Fraction(1, 1 << want) for b in balls):
@@ -471,22 +472,15 @@ def _attach_constants(field: NumberField) -> None:
     The coefficient-to-T2 constant must satisfy |alpha| <= C1 * max|a_i|,
     which needs the triangle-inequality factor d on top of max_i |omega_i|.
     Both it and the coefficient bound come from one set of enclosures of the
-    basis elements at the roots (``_conversion_constants``), at doubled
-    precision until those are fine enough.
+    basis elements at the cached roots (``_conversion_constants``), and both
+    are valid bounds however wide those enclosures are.
     """
     d = field.degree
     omegas = [field.to_power_coords(field.element([1 if t == i else 0 for t in range(d)]))
               for i in range(d)]
-
-    prec_extra = 32
-    while True:
-        roots = field.roots(prec_extra)
-        consts = _conversion_constants([[numeric.eval_at_root(w, r) for r in roots]
-                                        for w in omegas])
-        if consts is not None:
-            break
-        prec_extra *= 2
-    c1_sq, c2 = consts
+    roots = field.roots()
+    c1_sq, c2 = _conversion_constants([[numeric.eval_at_root(w, r) for r in roots]
+                                       for w in omegas], field.trace_inv_num, field.trace_den)
     field.embed_bound_sq = c1_sq
     field.coeff_bound = c2
 
@@ -499,36 +493,33 @@ def _attach_constants(field: NumberField) -> None:
     field.growth_constant = max(arm1, arm2)
 
 
-def _conversion_constants(vals: list[list[Ball]]) -> tuple[Fraction, Fraction] | None:
-    """(C1^2, C2) from the enclosures vals[i][j] of basis element i at root j,
-    or None when they are too coarse: the matrix of centers is singular or
-    the Neumann residual eta reaches 1/2.
+def _conversion_constants(vals: list[list[Ball]], tinv_num: Mat,
+                          tinv_den: int) -> tuple[Fraction, Fraction]:
+    """(C1^2, C2) from the enclosures vals[i][j] of basis element i at root j
+    and the inverse trace matrix T^-1 = tinv_num / tinv_den.
 
-    C1^2 is d^2 times the largest row sum of squared modulus bounds.  C2 is
-    the largest column 2-norm of the exact inverse y of the centers, each
-    entry |y_ik| widened by eta / (1 - eta) times row sum i of |y|, where
-    eta = max_i sum_j r_ij * (sum_k |y_jk|).  Every sum runs on integers over
-    one common denominator and every rounded quantity is reduced once; each
-    is a sum or a maximum over the roots, so the order of the roots does not
-    matter.
+    C1^2 is d^2 times the largest row sum of squared modulus bounds.  C2
+    bounds the largest column 2-norm of V^-1, where V[i][j] = omega_i(z_j)
+    over all d roots.  Then V V^t = T, so V^-1 = V^t T^-1, and column k of
+    V^-1 is enclosed entrywise by the centers c_jk = sum_i vals[i][j]
+    T^-1[i][k] and the radii r_jk = sum_i r_ij |T^-1[i][k]|; its norm is at
+    most |c_k| + |r_k|.  Every sum runs on integers over one common
+    denominator and every rounded quantity is reduced once; each is a sum
+    or a maximum over the roots, so the order of the roots does not matter.
     """
     d = len(vals)
-    y_abs = _inverse_moduli(vals)
-    if y_abs is None:
-        return None
-    ys, y_den = over_common_denominator([x for row in y_abs for x in row])
-    row_sums = [sum(ys[j * d:(j + 1) * d]) for j in range(d)]
+    # entry (i, j), basis element i at root j, sits at index i*d + j
+    nums, den = over_common_denominator([x for row in vals for b in row for x in (b.re, b.im)])
     rads, r_den = over_common_denominator([b.r for row in vals for b in row])
-    eta_num = max(sum(rads[i * d + j] * row_sums[j] for j in range(d)) for i in range(d))
-    eta_den = r_den * y_den
-    if 2 * eta_num >= eta_den:
-        return None
+    c2 = Fraction(0)
+    for k in range(d):
+        col = [tinv_num[i][k] for i in range(d)]
+        c_sq = sum(sum(nums[2 * (i * d + j) + part] * col[i] for i in range(d)) ** 2
+                   for j in range(d) for part in (0, 1))
+        r_sq = sum(sum(rads[i * d + j] * abs(col[i]) for i in range(d)) ** 2 for j in range(d))
+        c2 = max(c2, frac_sqrt_ub(Fraction(c_sq, (den * tinv_den) ** 2))
+                 + frac_sqrt_ub(Fraction(r_sq, (r_den * tinv_den) ** 2)))
     c1_sq = max(frac_up(_abs_sq_ub_sum(row), 128) for row in vals) * (d * d)
-    a, b = eta_num, eta_den - eta_num  # eta / (1 - eta) = a / b
-    den_sq = (b * y_den) ** 2
-    c2 = max(frac_sqrt_ub(Fraction(sum((b * ys[i * d + k] + a * row_sums[i]) ** 2
-                                       for i in range(d)), den_sq))
-             for k in range(d))
     return c1_sq, frac_up(c2, 96)
 
 
@@ -538,45 +529,3 @@ def _abs_sq_ub_sum(balls: list[Ball]) -> Fraction:
                                         + [b.r for b in balls])
     n = len(balls)
     return Fraction(sum((nums[j] + nums[n + j]) ** 2 for j in range(n)), den * den)
-
-
-def _inverse_moduli(vals: list[list[Ball]]) -> list[list[Fraction]] | None:
-    """``frac_sqrt_ub(|y_ab|^2)`` for the exact inverse y of the matrix V of
-    ball centers; None if V is singular.
-
-    Row i of V is a Gaussian-integer row over its own denominator den_i, so
-    V = diag(den)^-1 M and y = M^-1 diag(den).  M^-1 comes from fraction-free
-    Gauss-Jordan elimination over Z[i] on M^t X^t = I: every entry stays a
-    minor of M, each step divides exactly by the previous pivot (t / q is
-    t * conj(q) / |q|^2), and at the end every diagonal entry is the last
-    pivot q, so M^-1[a][b] = work[b][d + a] / q.
-    """
-    d = len(vals)
-    cols, dens = [], []
-    for row in vals:
-        nums, den = over_common_denominator([x for ball in row for x in (ball.re, ball.im)])
-        cols.append(list(zip(nums[::2], nums[1::2])))
-        dens.append(den)
-    work = [[cols[j][i] for j in range(d)] + [(int(i == k), 0) for k in range(d)]
-            for i in range(d)]
-    qr, qi, nq = 1, 0, 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if work[r][col] != (0, 0)), None)
-        if piv is None:
-            return None
-        work[col], work[piv] = work[piv], work[col]
-        prow = work[col]
-        pr, pi = prow[col]
-        for r in range(d):
-            if r != col:
-                fr, fi = work[r][col]
-                out = []
-                for (xr, xi), (yr, yi) in zip(work[r], prow):
-                    tr = pr * xr - pi * xi - fr * yr + fi * yi
-                    ti = pr * xi + pi * xr - fr * yi - fi * yr
-                    out.append(((tr * qr + ti * qi) // nq, (ti * qr - tr * qi) // nq))
-                work[r] = out
-        qr, qi, nq = pr, pi, pr * pr + pi * pi
-    return [[frac_sqrt_ub(Fraction(dens[b] ** 2 * (work[b][d + a][0] ** 2
-                                                   + work[b][d + a][1] ** 2), nq))
-             for b in range(d)] for a in range(d)]

@@ -17,7 +17,7 @@ mirror.
 
 from __future__ import annotations
 
-from . import determinant, reduction
+from . import determinant, lattice, reduction
 from .ideals import FractionalIdeal, IdealError
 from .numberfield import FieldElement, NumberField
 from .pseudo_hnf import euclidean_step
@@ -90,12 +90,13 @@ class DivisorChain:
 
 
 class SnfState:
-    """Working state of the elimination, keeping a_j and b_i^-1 (inverses from
-    ``cache.inverse``); exposed for the pivot-step operations."""
+    """Working state of the elimination on the lattice context ``ctx``, keeping
+    a_j and b_i^-1 (inverses from ``cache.inverse``); exposed for the
+    pivot-step operations."""
 
-    def __init__(self, bp: BiPseudoMatrix, det_ideal: FractionalIdeal):
+    def __init__(self, bp: BiPseudoMatrix, det_ideal: FractionalIdeal, ctx):
         self.field = bp.field
-        self.cache = reduction.ReducedBasisCache(bp.field.lattice_context)
+        self.cache = reduction.ReducedBasisCache(ctx)
         self.a = [row[:] for row in bp.rows]
         self.col_ideals = list(bp.col_ideals)
         self.row_inv = [self.cache.inverse(b) for b in bp.row_ideals]
@@ -232,14 +233,32 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
     when omitted); a non-integral one is refused with IdealError.  The output
     ideals are integral, each contains the one before it, and their product
     is exactly ``det_ideal``.
+
+    A reduced basis or normalization that misses its certified bound
+    (``QualityError``) reruns the elimination once on a lattice context
+    built at twice the precision exponent; a second miss propagates.
     """
     field = bp.field
-    n = bp.n
     if det_ideal is None:
         det_ideal = quotient_determinantal_ideal(bp)
     if not det_ideal.is_integral():
         raise IdealError("determinantal ideal of an integral quotient must be integral")
-    state = SnfState(bp, det_ideal)
+    ctx = field.lattice_context
+    try:
+        chain = _eliminate(bp, det_ideal, ctx, verify)
+    except lattice.QualityError:
+        chain = _eliminate(bp, det_ideal, lattice.build_context(field, 2 * ctx.e), verify)
+    if verify and determinant.product_of_ideals(chain.ideals) != det_ideal:
+        raise RuntimeError("verify: divisor product differs from the determinantal ideal")
+    return chain
+
+
+def _eliminate(bp: BiPseudoMatrix, det_ideal: FractionalIdeal, ctx,
+               verify: bool) -> DivisorChain:
+    """The elimination of ``pseudo_snf`` with its own cache on ``ctx``."""
+    field = bp.field
+    n = bp.n
+    state = SnfState(bp, det_ideal, ctx)
     # the columns, then the rows as the columns of the mirror
     for _side in range(2):
         for j in range(n):
@@ -291,11 +310,7 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
         state.a[i][i] = field.one()
         divisors[i] = d_i
         state.modulus = state.modulus * state.cache.inverse(d_i)
-    chain = DivisorChain(divisors)
-    if verify:
-        if determinant.product_of_ideals(chain.ideals) != det_ideal:
-            raise RuntimeError("verify: divisor product differs from the determinantal ideal")
-    return chain
+    return DivisorChain(divisors)
 
 
 def quotient_determinantal_ideal(bp: BiPseudoMatrix) -> FractionalIdeal:

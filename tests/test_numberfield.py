@@ -6,11 +6,10 @@ import mpmath as mp
 import pytest
 
 from okmod import FieldError, build_field, numeric
-from okmod.numberfield import _conversion_constants, _inverse_moduli
-from okmod.numeric import Ball, eval_at_root, frac_sqrt_ub, frac_up
+from okmod.numeric import eval_at_root
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, abs_sq, abs_sq_ub, first_and_gram_roots,
-                      get_field, norm_sq_bounds, random_element, reference_horner, seeded)
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, abs_sq, get_field, norm_sq_bounds,
+                      random_element, reference_horner, seeded)
 
 
 def test_build_gaussian_integers():
@@ -169,28 +168,27 @@ def test_size_growth_inequalities(field):
     assert field.size(field.zero()) == 0
 
 
-# embed_bound_sq, coeff_bound and growth_constant as first derived, with C1
-# from a separate ball evaluation of each basis element at the roots
+# embed_bound_sq, coeff_bound and growth_constant from the enclosures of the
+# first root solve (32 guard bits above its precision), with C1 from a
+# separate ball evaluation of each basis element at the roots and C2 from
+# V^t T^-1 (``numberfield._conversion_constants``)
 FIELD_CONSTANTS = {
     "Q": ("1", "1", "0"),
     "Qi": ("8", "26087635650665564425/36893488147419103232", "196609/32768"),
-    "Qm5": ("425352958651173079329224393135869434671/10633823966279326983230456482242756608",
-            "3501423185924133744920824963/4951760157141521099596496896", "174389/16384"),
-    "cubic": ("3230426911267120162261020541104831551739/85070591730234615865843651857942052864",
+    "Qm5": ("212676479325586539664609129644856141991/5316911983139663491615228241121378304",
+            "26087635650665564425/36893488147419103232", "174389/16384"),
+    "cubic": ("3230426911267120162261020541125735364587/85070591730234615865843651857942052864",
               "7159275454714133817411390961/9903520314283042199192993792", "3094767/131072"),
-    "golden": ("510423550381407695195068044993811487535/42535295865117307932921825928971026432",
-               "61369870793672105125741622333/79228162514264337593543950336", "234945/32768"),
-    "dedekind": ("5788661816740921550501258087792244823509/21267647932558653966460912964485513216",
-                 "97013332444444306649735887741/158456325028528675187087900672",
-                 "1192689/32768"),
-    "quartic": ("539777015228352638228203618595384956625/5316911983139663491615228241121378304",
-                "102162236964824091165319555365/158456325028528675187087900672",
-                "436839/8192"),
-    "zeta5": ("340282366920938463463374607431768211457/5316911983139663491615228241121378304",
-              "25054144837504793118641380157/39614081257132168796771975168", "393217/8192"),
-    "quintic": ("8729876357021226759585943791009960802075/42535295865117307932921825928971026432",
-                "99853802860550242391806329261/158456325028528675187087900672",
-                "12584825/131072"),
+    "golden": ("255211775190703847597530955573827168423/21267647932558653966460912964485513216",
+               "30684935396836052562870278197/39614081257132168796771975168", "234945/32768"),
+    "dedekind": ("5788661816740921550501258087792248808025/21267647932558653966460912964485513216",
+                 "48506666222222153324867943871/79228162514264337593543950336", "1192689/32768"),
+    "quartic": ("269888507614176319114101809299525726485/2658455991569831745807614120560689152",
+                "51081118482412045582659777683/79228162514264337593543950336", "436839/8192"),
+    "zeta5": ("85070591730234615865843651858402066039/1329227995784915872903807060280344576",
+              "100216579350019172474565520629/158456325028528675187087900672", "393217/8192"),
+    "quintic": ("4364938178510613379792971895569405470725/21267647932558653966460912964485513216",
+                "49926901430275121195903164631/79228162514264337593543950336", "12584825/131072"),
 }
 
 
@@ -201,57 +199,58 @@ def test_field_constants_unchanged(name):
     assert (K.embed_bound_sq, K.coeff_bound, K.growth_constant) == (c1_sq, c2, growth)
 
 
-# the lattice context of each field as first derived (exponent e, integer
-# embedding r_e, c_quality, quality_sq): the root enclosures behind it may be
-# computed another way, but the context must not move
+# the lattice context of each field (exponent e, integer embedding r_e,
+# c_quality, quality_sq): e and r_e as first derived, which the root
+# enclosures behind them may not move; c_quality and quality_sq from the
+# residual of r_e r_e^t against the Gram enclosure (``lattice._try_build``)
 LATTICE_CONTEXTS = {
     "Q": (68, [
         [295147905179352825856],
-    ], "590295810358705651717/590295810358705651712",
+    ], "1",
         "1000000/738999"),
     "Qi": (74, [
         [26713738906281537970892, 0],
         [0, 26713738906281537970892],
-    ], "79228162514264337593565150049/79228162514264337593543950336",
-        "6700631742588990106348989409/4951760157141521099596496896"),
+    ], "79228162514264337593544823955/79228162514264337593543950336",
+        "53605053940711920850736905471/39614081257132168796771975168"),
     "Qm5": (78, [
         [427419822500504607534271, 0],
         [0, 955739778042022442575126],
-    ], "39614081257132168796966119333/39614081257132168796771975168",
-        "26802526970355960425892695273/19807040628566084398385987584"),
+    ], "19807040628566084398482824523/19807040628566084398385987584",
+        "53605053940711920851782845011/39614081257132168796771975168"),
     "cubic": (80, [
         [2093920942154385339393396, 0, 0],
         [0, 2184322886604249250567811, 0],
         [1395947294769590226262264, 886351315269453367092022, 1852617493930395641717048],
-    ], "19807040628566084398453599441/19807040628566084398385987584",
-        "53605053940711920851100505679/39614081257132168796771975168"),
+    ], "19807040628566084398453477125/19807040628566084398385987584",
+        "107210107881423841702199687231/79228162514264337593543950336"),
     "golden": (74, [
         [26713738906281537970892, 0],
         [13356869453140768985446, 29866868063813201330473],
-    ], "79228162514264337594432894017/79228162514264337593543950336",
-        "3350315871294495053321271623/2475880078570760549798248448"),
+    ], "79228162514264337594414201231/79228162514264337593543950336",
+        "107210107881423841706179512985/79228162514264337593543950336"),
     "dedekind": (88, [
         [536043761191522646884709421, 0, 0],
         [178681253730507548961569807, 1120429027436013686495202616, 0],
         [536043761191522646884709421, 1176443776128022232939531798, 1106925137994827162273205485],
-    ], "39614081257132168796784121565/39614081257132168796771975168",
-        "53605053940711920850767413707/39614081257132168796771975168"),
+    ], "19807040628566084398392060577/19807040628566084398385987584",
+        "53605053940711920850767412595/39614081257132168796771975168"),
     "quartic": (90, [
         [2475880078570760549798248448, 0, 0, 0],
         [0, 2560015586369935975229801607, 0, 0],
         [0, 525469101537662341426466233, 2732730141334259473987605299, 0],
         [1856910058928070412348686336, 130382579288971326886752759, 1027494399312996017008840640,
          2280986394968720678090362116],
-    ], "39614081257132168796787553325/39614081257132168796771975168",
-        "6700631742588990106345330989/4951760157141521099596496896"),
+    ], "19807040628566084398393776521/19807040628566084398385987584",
+        "53605053940711920850762647401/39614081257132168796771975168"),
     "zeta5": (86, [
         [154742504910672534362390528, 0, 0, 0],
         [-38685626227668133590597632, 149828786117363537904640030, 0, 0],
         [-38685626227668133590597632, -49942928705787845968213343, 141259934240715478171599016, 0],
         [-38685626227668133590597632, -49942928705787845968213343, -70629967120357739085799508,
          122334691589378872649616114],
-    ], "79228162514264337593593529157/79228162514264337593543950336",
-        "26802526970355960425389633623/19807040628566084398385987584"),
+    ], "79228162514264337593593518991/79228162514264337593543950336",
+        "53605053940711920850779258075/39614081257132168796771975168"),
     "quintic": (98, [
         [708638228457182841184406864643, 0, 0, 0, 0],
         [0, 722447602180767831698574548221, 0, 0, 0],
@@ -261,8 +260,8 @@ LATTICE_CONTEXTS = {
         [566910582765746272947525491714, 56740207768387784362353153053,
          -55226061248897809272416555997, 413225878501419797985709185969,
          571052454356102910894688169619],
-    ], "79228162514264337593549121769/79228162514264337593543950336",
-        "53605053940711920850738040085/39614081257132168796771975168"),
+    ], "39614081257132168796774560883/39614081257132168796771975168",
+        "53605053940711920850738040083/39614081257132168796771975168"),
 }
 
 
@@ -308,37 +307,6 @@ def reference_complex_inverse(mat):
     return [row[n:] for row in work]
 
 
-def reference_conversion_constants(vals):
-    """(C1^2, C2) by the loops on Fractions: the reference of
-    ``_conversion_constants``, None where it must give None."""
-    d = len(vals)
-    try:
-        y = reference_complex_inverse([[(b.re, b.im) for b in row] for row in vals])
-    except ZeroDivisionError:
-        return None
-    y_abs = [[frac_sqrt_ub(abs_sq(z)) for z in row] for row in y]
-    eta = Fraction(0)
-    for i in range(d):
-        row_rad = [vals[i][j].r for j in range(d)]
-        row_sum = Fraction(0)
-        for k in range(d):
-            row_sum += sum(row_rad[j] * y_abs[j][k] for j in range(d))
-        eta = max(eta, row_sum)
-    if eta >= Fraction(1, 2):
-        return None
-    c1_sq = max(frac_up(sum(abs_sq_ub(v) for v in row), 128) for row in vals) * d * d
-    amp = eta / (1 - eta)
-    c2 = Fraction(0)
-    row_sums = [sum(y_abs[i][j] for j in range(d)) for i in range(d)]
-    for k in range(d):
-        s = Fraction(0)
-        for i in range(d):
-            v = y_abs[i][k] + amp * row_sums[i]
-            s += v * v
-        c2 = max(c2, frac_sqrt_ub(s))
-    return c1_sq, frac_up(c2, 96)
-
-
 def basis_values(K, roots):
     d = K.degree
     return [[eval_at_root(K.to_power_coords(K.element([int(t == i) for t in range(d)])), r)
@@ -347,28 +315,27 @@ def basis_values(K, roots):
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_integer_constants_match_the_fraction_loops(name):
-    # the inverse moduli, the Neumann residual and C1, C2 from the same
-    # enclosures, at the precision of the first solve and of the Gram matrix
-    K, levels = first_and_gram_roots(name)
-    for roots in levels:
-        vals = basis_values(K, roots)
-        y = reference_complex_inverse([[(b.re, b.im) for b in row] for row in vals])
-        assert _inverse_moduli(vals) == [[frac_sqrt_ub(abs_sq(z)) for z in row] for row in y]
-        assert _conversion_constants(vals) == reference_conversion_constants(vals)
-    assert _conversion_constants(basis_values(K, levels[0])) == (K.embed_bound_sq, K.coeff_bound)
+    # C2 and c_quality against references from roots at four times the Gram
+    # precision: C2 bounds the column norms of the Fraction Gauss-Jordan
+    # inverse of the basis values, within a relative 2^-40, and c_quality^2
+    # bounds the largest eigenvalue of 4^e G M^-1 with M = r_e r_e^t
+    K = fresh_field(name)
+    ctx = K.lattice_context
+    d, e = K.degree, ctx.e
+    prec = 4 * (e + 64)
+    vals = basis_values(K, K.roots(prec))
+    y = reference_complex_inverse([[(b.re, b.im) for b in row] for row in vals])
+    col_sq = max(sum(abs_sq(y[j][k]) for j in range(d)) for k in range(d))
+    assert col_sq <= K.coeff_bound ** 2 <= col_sq * (1 + Fraction(1, 1 << 40)) ** 2
+    with mp.workprec(prec):
+        def mpf(x):
+            return mp.mpf(x.numerator) / x.denominator
 
-
-def test_integer_constants_refuse_what_the_loops_refuse():
-    K = get_field("cubic")
-    vals = basis_values(K, K.roots())
-    # a singular matrix of centers, and radii too large for eta < 1/2
-    singular = [vals[0], vals[0], vals[2]]
-    assert _inverse_moduli(singular) is None
-    assert reference_conversion_constants(singular) is None
-    assert _conversion_constants(singular) is None
-    wide = [[Ball(b.re, b.im, Fraction(4)) for b in row] for row in vals]
-    assert reference_conversion_constants(wide) is None
-    assert _conversion_constants(wide) is None
+        gram = mp.matrix([[mpf(sum(u.re * v.re + u.im * v.im for u, v in zip(vals[i], vals[k])))
+                           for k in range(d)] for i in range(d)])
+        r_inv = mp.inverse(mp.matrix(ctx.r_e))
+        eigs, _ = mp.eigsy(r_inv * gram * r_inv.T * mp.ldexp(1, 2 * e))
+        assert max(eigs) <= mpf(ctx.c_quality ** 2)
 
 
 def test_scalar_errors():
@@ -422,6 +389,23 @@ def test_roots_meet_every_requested_precision(name):
     K = fresh_field(name)
     for prec in range(64, 260):
         assert all(b.r < Fraction(1, 1 << prec) for b in K.roots(prec))
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_one_plain_root_solve_per_cold_build(name, monkeypatch):
+    # the first solve runs at 32 guard bits, so its disks certify at once;
+    # the Gram enclosure of the lattice context refines them
+    solve = numeric.certified_roots
+    plain = []
+
+    def spy(coeffs, prec, start=None):
+        if start is None:
+            plain.append(prec)
+        return solve(coeffs, prec, start)
+
+    monkeypatch.setattr(numeric, "certified_roots", spy)
+    fresh_field(name).lattice_context
+    assert len(plain) == 1
 
 
 def newton_fails(coeffs, start, prec):

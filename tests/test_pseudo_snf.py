@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, determinant, pseudo_snf,
+from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, determinant, lattice, pseudo_snf,
                    quotient_determinantal_ideal)
 from okmod.ideals import IdealError
 from okmod.pseudo_snf import SnfState, col_pivot, offdiag_obstruction_scan, row_pivot
@@ -170,7 +170,7 @@ def test_quotient_order_matches_absolute_index():
 def test_obstruction_scan_example():
     Q = get_field("Q")
     bp = trivial_bp(Q, [[6, 0], [0, 4]])
-    state = SnfState(bp, quotient_determinantal_ideal(bp))
+    state = SnfState(bp, quotient_determinantal_ideal(bp), Q.lattice_context)
     col_pivot(state, 1)
     assert row_pivot(state, 1) is True
     viol = offdiag_obstruction_scan(state, 1)
@@ -182,7 +182,7 @@ def test_obstruction_scan_example():
 def test_obstruction_scan_clean_diag():
     Q = get_field("Q")
     bp = trivial_bp(Q, [[6, 0], [0, 2]])  # correctly ordered divisors
-    state = SnfState(bp, quotient_determinantal_ideal(bp))
+    state = SnfState(bp, quotient_determinantal_ideal(bp), Q.lattice_context)
     col_pivot(state, 1)
     assert row_pivot(state, 1) is True
     assert offdiag_obstruction_scan(state, 1) is None
@@ -191,7 +191,7 @@ def test_obstruction_scan_clean_diag():
 def test_row_pivot_reports_no_op():
     Q = get_field("Q")
     bp = trivial_bp(Q, [[3, 0], [0, 5]])
-    state = SnfState(bp, quotient_determinantal_ideal(bp))
+    state = SnfState(bp, quotient_determinantal_ideal(bp), Q.lattice_context)
     assert row_pivot(state, 1) is True
 
 
@@ -201,7 +201,7 @@ def test_pivots_report_elimination():
                        ([[0, 3], [0, 0]], row_pivot), ([[0, 0], [3, 0]], col_pivot)):
         bp = BiPseudoMatrix(Q, [[Q.from_int(x) for x in row] for row in mat],
                             [FractionalIdeal.unit(Q)] * 2, [FractionalIdeal.unit(Q)] * 2)
-        state = SnfState(bp, FractionalIdeal.unit(Q))
+        state = SnfState(bp, FractionalIdeal.unit(Q), Q.lattice_context)
         assert pivot(state, 1) is False
 
 
@@ -255,14 +255,42 @@ def test_row_pivot_is_col_pivot_of_the_mirror(name):
     local = seeded(f"test_pseudo_snf mirror {name}")
     for _ in range(3):
         bp, det_ideal = nonsingular_bp(field, local, 3)
-        state = SnfState(bp, det_ideal)
-        mirror = SnfState(transposed_bp(bp), det_ideal)
+        state = SnfState(bp, det_ideal, field.lattice_context)
+        mirror = SnfState(transposed_bp(bp), det_ideal, field.lattice_context)
         assert_mirrored(state, mirror)
         for i in range(bp.n - 1, -1, -1):
             assert row_pivot(state, i) == col_pivot(mirror, i)
             assert_mirrored(state, mirror)
             assert col_pivot(state, i) == row_pivot(mirror, i)
             assert_mirrored(state, mirror)
+
+
+@pytest.mark.parametrize("name", ["Qm5", "quartic"])
+def test_quality_error_reruns_on_a_finer_context(name, monkeypatch):
+    field = get_field(name)
+    bp, det_ideal = nonsingular_bp(field, seeded(f"test_pseudo_snf quality retry {name}"), 3)
+    expected = pseudo_snf(bp, det_ideal)
+    real = lattice._check_quality
+    refused = []
+
+    def fail_on_default(ideal, basis, ctx):
+        if ctx is field.lattice_context:
+            refused.append(ctx)
+            raise lattice.QualityError("refused on the default context")
+        return real(ideal, basis, ctx)
+
+    monkeypatch.setattr(lattice, "_check_quality", fail_on_default)
+    assert pseudo_snf(bp, det_ideal, verify=True) == expected
+    assert refused
+
+    def fail_always(ideal, basis, ctx):
+        refused.append(ctx)
+        raise lattice.QualityError("refused on every context")
+
+    monkeypatch.setattr(lattice, "_check_quality", fail_always)
+    with pytest.raises(lattice.QualityError, match="every context"):
+        pseudo_snf(bp, det_ideal)
+    assert len({id(ctx) for ctx in refused[-2:]}) == 2
 
 
 @pytest.mark.parametrize("verify", [False, True])
