@@ -8,8 +8,9 @@ import pytest
 from okmod import FieldError, build_field, numeric
 from okmod.numeric import eval_at_root
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, abs_sq, get_field, norm_sq_bounds,
-                      random_element, reference_horner, seeded)
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, abs_sq, abs_sq_center, abs_sq_ub,
+                      abs_ub, get_field, norm_sq_bounds, random_element, reference_horner,
+                      seeded)
 
 
 def test_build_gaussian_integers():
@@ -315,15 +316,26 @@ def basis_values(K, roots):
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_integer_constants_match_the_fraction_loops(name):
-    # C2 and c_quality against references from roots at four times the Gram
-    # precision: C2 bounds the column norms of the Fraction Gauss-Jordan
-    # inverse of the basis values, within a relative 2^-40, and c_quality^2
-    # bounds the largest eigenvalue of 4^e G M^-1 with M = r_e r_e^t
+    # C1 is the Fraction row sum of squared modulus bounds on the enclosures
+    # of the first solve.  C1, C2 and c_quality against references from roots
+    # at four times the Gram precision: C1 lies between d^2 max_i sum_j of
+    # lower and upper bounds on |omega_i(z_j)|^2, within a relative 2^-40; C2
+    # bounds the column norms of the Fraction Gauss-Jordan inverse of the
+    # basis values, within a relative 2^-40; and c_quality^2 bounds the
+    # largest eigenvalue of 4^e G M^-1 with M = r_e r_e^t
     K = fresh_field(name)
+    d = K.degree
+    first = basis_values(K, K.roots())
+    assert K.embed_bound_sq == max(numeric.frac_up(sum(abs_sq_ub(v) for v in row), 128)
+                                   for row in first) * d * d
     ctx = K.lattice_context
-    d, e = K.degree, ctx.e
+    e = ctx.e
     prec = 4 * (e + 64)
     vals = basis_values(K, K.roots(prec))
+    # |v| >= |center| - r, so |v|^2 >= |center|^2 - 2 |center| r
+    c1_lo = max(sum(abs_sq_center(v) - 2 * abs_ub(v) * v.r for v in row) for row in vals) * d * d
+    c1_hi = max(sum(abs_sq_ub(v) for v in row) for row in vals) * d * d
+    assert c1_lo <= K.embed_bound_sq <= c1_hi * (1 + Fraction(1, 1 << 40))
     y = reference_complex_inverse([[(b.re, b.im) for b in row] for row in vals])
     col_sq = max(sum(abs_sq(y[j][k]) for j in range(d)) for k in range(d))
     assert col_sq <= K.coeff_bound ** 2 <= col_sq * (1 + Fraction(1, 1 << 40)) ** 2
