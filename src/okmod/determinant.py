@@ -7,6 +7,14 @@ a proven coefficient bound, so the lift is exact.  Rectangular rank probing
 reuses the same plans to find a witness nonsingular submatrix.  Both run one
 greedy elimination over F_p[x]/(g), g a factor of degree k of f mod p.
 
+The multiple of the determinantal ideal that ``pseudo_hnf`` reduces modulo
+is, for square input, the determinant times the product of the row ideals.
+For tall input one witness minor gives a multiple hundreds of bits larger
+than the determinantal ideal, the sum over all maximal minors; one linear
+solve against the witness rows adds every minor that differs from the
+witness in one row, which nearly always closes the gap
+(``_elimination_multiple``).
+
 The elimination holds the matrix as k planes, the x^t coefficients of its
 residues, and each row of a plane as one Python integer: entry j sits in
 slot j, bits [w*j, w*(j+1)), so a row update is a few big-integer
@@ -26,7 +34,7 @@ carries into the next; a slot is reduced mod p only when it is read.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import residues
@@ -34,7 +42,8 @@ from .ideals import FractionalIdeal
 from .numberfield import FieldElement, NumberField
 from .numeric import frac_sqrt_ub, log2_ub
 from .residues import Poly, poly_inverse_mod, poly_trim
-from .zlinalg import SingularMatrixError, RankDeficiencyError
+from .zlinalg import (SingularMatrixError, RankDeficiencyError, hnf_with_modulus, identity,
+                      solve_left)
 
 
 def entry_height(rows: list[list[FieldElement]]) -> int:
@@ -293,6 +302,13 @@ def _det_and_ideals(field: NumberField, rows: list[list[FieldElement]], ideals,
                     witness: bool = False) -> tuple[FieldElement, FractionalIdeal]:
     """The factors (delta, P) of ``det_times_ideals``, which is P * delta:
     the (witness) minor's determinant and the product of its rows' ideals."""
+    delta, ridx, _, _ = _scaled_minor(field, rows, witness)
+    return delta, product_of_ideals([ideals[i] for i in ridx])
+
+
+def _scaled_minor(field: NumberField, rows: list[list[FieldElement]], witness: bool):
+    """(delta, ridx, scaled, dens) of ``_det_and_ideals``: the minor's
+    determinant, its rows, and every row scaled by dens[i] to integral entries."""
     scaled = []
     dens = []
     for row in rows:
@@ -313,7 +329,75 @@ def _det_and_ideals(field: NumberField, rows: list[list[FieldElement]], ideals,
     den_prod = 1
     for i in ridx:
         den_prod *= dens[i]
-    return field.scalar_div(dt, den_prod), product_of_ideals([ideals[i] for i in ridx])
+    return field.scalar_div(dt, den_prod), ridx, scaled, dens
+
+
+def _elimination_multiple(field: NumberField, rows: list[list[FieldElement]], ideals):
+    """(D, factor): the multiple of the determinantal ideal that ``pseudo_hnf``
+    reduces modulo when none is supplied, and its factor (delta, P) or None.
+
+    Square input gives the witness multiple D = delta * P with its factor.
+    Tall input gives D = delta * P * J, with J = O_K + sum x_{r,k} a_r a_k^-1
+    over the rows r outside the witness W and k in W, where x_r * A_W = a_r.
+    By Cramer's rule, row k of A_W replaced by row r has determinant
+    x_{r,k} * delta, so D is a sum of maximal-minor ideals and lies between
+    delta * P and the determinantal ideal; it is nearly always close to the
+    latter.  All x_r come from one integer solve of size d*m on the block
+    regular representation of the scaled A_W, whose row (k, i) is w_i times
+    the scaled row k; the scale of row r enters x_{r,k} as dens[k]/dens[r].
+    J is generated over O_K by 1 and the x_{r,k} * alpha * beta, alpha and
+    beta running over generators of a_r and a_k^-1 (1 alone for O_K).  With
+    N a common denominator of the generators, N * J contains N * O_K, so two
+    Hermite forms modulo N build it: the Z-span of N times the generators,
+    then the Z-span of its d rows and their multiples by w_2 .. w_d.  They
+    cost less than one form over the d multiples of every generator.
+
+    Tall input records no factor: P * J has a denominator of hundreds of
+    bits, and an LLL started from it costs more than the elimination.
+    """
+    delta, ridx, scaled, dens = _scaled_minor(field, rows, witness=True)
+    prod = product_of_ideals([ideals[i] for i in ridx])
+    if len(ridx) == len(rows):
+        return prod.elt_mul(delta), (delta, prod)
+    d = field.degree
+    others = [r for r in range(len(rows)) if r not in ridx and any(scaled[r])]
+    if others:
+        block = [[c for e in scaled[k] for c in field.coeff_mul(w, e.coeffs)]
+                 for k in ridx for w in identity(d)]
+        rhs = [[c for e in scaled[r] for c in e.coeffs] for r in others]
+        num, den = solve_left(block, rhs)
+        row_gens = [_generators(ideals[r]) for r in others]
+        inv_gens = [_generators(ideals[k].inverse()) for k in ridx]
+        # N, a common denominator of every generator x_{r,k} * alpha * beta
+        modulus = (den * lcm(*(dens[r] * g[1] for r, g in zip(others, row_gens)))
+                   * lcm(*(g[1] for g in inv_gens)))
+        vecs = []
+        for r, x, (a_gens, a_den) in zip(others, num, row_gens):
+            for t, k in enumerate(ridx):
+                xk = [c * dens[k] for c in x[t * d:(t + 1) * d]]
+                if any(xk):
+                    b_gens, b_den = inv_gens[t]
+                    scale = modulus // (den * dens[r] * a_den * b_den)
+                    for v in _times(field, _times(field, [xk], a_gens), b_gens):
+                        vecs.append([c * scale % modulus for c in v])
+        if vecs:
+            # the Z-span of the generators, then its O_K-span: N * J
+            span = hnf_with_modulus(vecs, modulus)
+            closure = [field.coeff_mul(w, v) for v in span for w in identity(d)]
+            prod = prod * FractionalIdeal.from_row_lattice(field, closure, modulus, modulus)
+    return prod.elt_mul(delta), None
+
+
+def _generators(ideal: FractionalIdeal):
+    """(gens, den): numerators of generators of the ideal as an O_K-module,
+    over den; gens is None for O_K, whose generator is 1."""
+    return (None, 1) if ideal.is_unit() else (ideal.num, ideal.den)
+
+
+def _times(field: NumberField, vecs, gens):
+    """Coefficient vectors of every product of one of vecs with one of gens
+    (None standing for 1 alone)."""
+    return vecs if gens is None else [field.coeff_mul(v, g) for v in vecs for g in gens]
 
 
 def determinantal_ideal(pm) -> FractionalIdeal:
@@ -328,6 +412,8 @@ def determinantal_ideal_multiple(pm) -> FractionalIdeal:
     """A multiple of the determinantal ideal of a full-column-rank pseudo-matrix.
 
     One witness minor's determinantal ideal: divisible by the gcd of all of
-    them, which is all a modular normal-form pass needs.
+    them, which is all a modular normal-form pass needs.  For tall input,
+    ``pseudo_hnf`` without a supplied multiple reduces modulo a smaller one,
+    a sum of maximal-minor ideals that contains this one.
     """
     return det_times_ideals(pm.field, pm.rows, pm.ideals, witness=True)

@@ -149,7 +149,10 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
     """Modular pseudo-Hermite normal form of a full-rank pseudo-matrix.
 
     ``det_ideal`` must be a nonzero multiple of the determinantal ideal of
-    the module (computed from a witness minor when omitted).  The output has
+    the module.  When it is omitted, square input uses its determinant
+    times the product of the ideals, and tall input a sum of maximal-minor
+    ideals, which is nearly always close to the determinantal ideal itself
+    and far smaller than one witness minor's.  The output has
     the triangular block with unit diagonal on top, integral coefficient
     ideals, and represents the same module.  With ``verify`` the working
     norm bounds and the output shape are checked, raising RuntimeError on a
@@ -167,11 +170,11 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
         det_ideal = pm.det_ideal
     factor = None
     if det_ideal is None:
-        # the witness minor's determinant delta and its rows' ideals P: the
-        # reduction moduli det_ideal * a^-1 are delta * (P * a^-1), whose
-        # reduced bases start from delta times those of the small P * a^-1
-        factor = determinant._det_and_ideals(field, pm.rows, pm.ideals, witness=True)
-        det_ideal = factor[1].elt_mul(factor[0])
+        # square input: delta * P, the determinant times its rows' ideals,
+        # so the moduli det_ideal * a^-1 = delta * (P * a^-1) start their LLL
+        # from delta times a reduced basis of the small P * a^-1; tall
+        # input: a sum of maximal-minor ideals, with no factor
+        det_ideal, factor = determinant._elimination_multiple(field, pm.rows, pm.ideals)
     ctx = field.lattice_context
     start = None if trace is None else len(trace)
     try:

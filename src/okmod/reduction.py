@@ -48,7 +48,7 @@ class ReducedBasisCache:
     ``pseudo_snf`` build one per call, so the memo dies with the call.
 
     It also knows factorizations ideal = eps * Q with Q small: ``pseudo_hnf``
-    records its determinantal multiple delta * P, and ``product(a, b)`` with
+    records its own multiple delta * P of square input, and ``product(a, b)`` with
     a = eps * Q records a * b = eps * (Q * b).  A reduced basis of such an
     ideal starts its LLL from eps times the reduced basis of Q, which is
     nearly reduced already, instead of from the Hermite basis.

@@ -2,6 +2,9 @@ import math
 import random
 import zlib
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -90,6 +93,37 @@ def reference_euclidean_step(a, b, alpha, beta):
     gamma = field.mul(gamma_t, field.inv(alpha))
     delta = field.mul(delta_t, field.inv(beta))
     return g, ginv, gamma, delta
+
+
+def cofactor_det(field, rows):
+    """Determinant by cofactor expansion along the first row: the test
+    reference of the multi-modular ``det``."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = field.zero()
+    for j in range(n):
+        if not rows[0][j]:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * cofactor_det(field, minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def maximal_minor_sum(field, rows, ideals):
+    """The determinantal ideal of the pseudo-matrix (rows, ideals) with at
+    least as many rows as columns: the sum over every set I of m rows of
+    det(A_I) * prod_{i in I} a_i, by cofactor expansion.  None when every
+    maximal minor vanishes."""
+    m = len(rows[0])
+    total = None
+    for rs in combinations(range(len(rows)), m):
+        d = cofactor_det(field, [rows[i] for i in rs])
+        if d:
+            term = reduce(mul, [ideals[i] for i in rs]).elt_mul(d)
+            total = term if total is None else total + term
+    return total
 
 
 def abs_sq(z):

@@ -8,7 +8,7 @@ comparisons against the stored reduction-quality constants.
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 
 from okmod import (BiPseudoMatrix, FractionalIdeal, PseudoMatrix, canonicalize,
                    det, determinantal_ideal, determinantal_ideal_multiple,
@@ -325,6 +325,20 @@ def test_criterion_8_pseudo_snf():
     report(8, "pseudo-SNF (d=1 oracle, chain laws, quotient order)", started)
 
 
+def size_line(case, label, trace, bound_int, ok, out):
+    """One row of the criterion 9 table: the trajectory's worst ideal
+    minimum, log2 of the norm of the multiple used, and the largest raw entry.
+    A trajectory is empty when the reduction modulo D * a_i^-1 clears every
+    entry below the diagonal, as D = O_K does."""
+    nrm = out.det_ideal.norm()
+    log_norm = log2(nrm.numerator) - log2(nrm.denominator)
+    bits = max(max(abs(c).bit_length() for c in e.coeffs) + e.den.bit_length()
+               for row in out.rows for e in row)
+    worst = max(trace, default="-")
+    print(f"  {case:>6} {label:>8} {len(trace):>10} {worst:>13} {bound_int:>6} {ok}"
+          f" {log_norm:>9.1f} {bits:>8}")
+
+
 def test_criterion_9_size_growth_measurement():
     started = time.time()
     rng = random.Random(SEED + 9)
@@ -335,7 +349,9 @@ def test_criterion_9_size_growth_measurement():
     bound = frac_sqrt_ub(ctx.norm_bound_sq())
     bound_int = bound.numerator // bound.denominator + 1
     print(f"  static bound l^(d^2) sqrt|disc| rounded up: {bound_int}")
-    print(f"  {'matrix':>6} {'iterations':>10} {'max min(b_i)':>13} {'bound':>6} ok")
+    print("  each case runs modulo the witness multiple, then modulo pseudo_hnf's own")
+    print(f"  {'matrix':>6} {'multiple':>8} {'iterations':>10} {'max min(b_i)':>13} {'bound':>6} ok"
+          f" {'log2 N(D)':>9} {'raw bits':>8}")
     for case in range(3):
         n, m = 20, 10
         rows = [[K.element([rng.randint(-100, 100) for _ in range(K.degree)])
@@ -348,6 +364,13 @@ def test_criterion_9_size_growth_measurement():
         assert module_hnf(pm) == module_hnf(out)
         worst = max(trace)
         ok = worst <= bound
-        print(f"  {case:>6} {len(trace):>10} {worst:>13} {bound_int:>6} {ok}")
+        size_line(case, "witness", trace, bound_int, ok, out)
         assert ok, f"active ideal minimum {worst} exceeded the static bound"
+        own_trace = []
+        own = pseudo_hnf(pm, verify=True, trace=own_trace)
+        own_ok = all(x <= bound for x in own_trace)
+        size_line(case, "own", own_trace, bound_int, own_ok, own)
+        assert own_ok, f"active ideal minimum {max(own_trace)} exceeded the static bound"
+        c_witness, c_own = canonicalize(out), canonicalize(own)
+        assert (c_witness.rows, c_witness.ideals) == (c_own.rows, c_own.ideals)
     report(9, "size growth stays below the static bound (3 x 20x10, cubic)", started)

@@ -1,5 +1,6 @@
 """Multi-modular determinants, rank probing, determinantal ideals."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,26 +8,13 @@ import pytest
 from okmod import (FractionalIdeal, det, det_bound, determinantal_ideal,
                    determinantal_ideal_multiple, plan_primes, project_element,
                    rank_and_submatrix)
-from okmod.determinant import (_coefficient_rows, _eliminate, _pack, _packed_planes,
-                               entry_height, product_of_ideals)
+from okmod.determinant import (_coefficient_rows, _elimination_multiple, _eliminate, _pack,
+                               _packed_planes, entry_height)
 from okmod.pseudo_hnf import PseudoMatrix
 from okmod.zlinalg import SingularMatrixError, RankDeficiencyError
 
-from conftest import ALL_FIELDS, get_field, random_ideal, seeded
-
-
-def cofactor_det(field, rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = field.zero()
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * cofactor_det(field, minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+from conftest import (ALL_FIELDS, cofactor_det, get_field, maximal_minor_sum, random_element,
+                      random_ideal, seeded)
 
 
 def random_matrix(gen, field, n, m=None, lim=9):
@@ -290,14 +278,7 @@ def test_determinantal_multiple_contained_in_gcd_oracle(field):
         except RankDeficiencyError:
             continue
         # brute-force gcd of all maximal-minor determinantal ideals
-        gcd_ideal = None
-        for rs_ in combinations(range(n), m):
-            sub = [[rows[i][j] for j in range(m)] for i in rs_]
-            d = cofactor_det(field, sub)
-            if not d:
-                continue
-            term = product_of_ideals([ideals[i] for i in rs_]).elt_mul(d)
-            gcd_ideal = term if gcd_ideal is None else gcd_ideal + term
+        gcd_ideal = maximal_minor_sum(field, rows, ideals)
         assert gcd_ideal is not None
         assert mult.is_subset(gcd_ideal)
 
@@ -309,6 +290,90 @@ def test_rank_deficient_multiple_raises():
     pm = PseudoMatrix(K, [[one, one], [one, one], [one, one]], [u] * 3)
     with pytest.raises(RankDeficiencyError):
         determinantal_ideal_multiple(pm)
+
+
+def tall_cases(K, rng, m=3):
+    """(label, rows, ideals) of tall full-column-rank pseudo-matrices with
+    n <= 7: rows with denominators, non-trivial (some fractional) row
+    ideals, zero rows outside the witness, and a row that is a multiple of
+    the first witness row, so that its solution x has zero entries."""
+    u = FractionalIdeal.unit(K)
+
+    def block(max_den=1):
+        while True:
+            rows = [[random_element(rng, K, 4, max_den) for _ in range(m)] for _ in range(m)]
+            if cofactor_det(K, rows):
+                return rows
+
+    def some_ideals(n, share):
+        return [random_ideal(rng, K, fractional=True) if rng.random() < share else u
+                for _ in range(n)]
+
+    rows = block(max_den=4) + [[random_element(rng, K, 4, 4) for _ in range(m)]
+                               for _ in range(2)]
+    yield "denominators", rows, [u] * len(rows)
+    rows = block() + [[random_element(rng, K, 4) for _ in range(m)] for _ in range(7 - m)]
+    yield "ideals", rows, some_ideals(len(rows), 0.6)
+    rows = block(max_den=2) + [[K.zero()] * m for _ in range(2)]
+    yield "zero rows", rows, some_ideals(len(rows), 0.5)
+    rows = block()
+    rows += [[random_element(rng, K, 3) * e for e in rows[0]],
+             [random_element(rng, K, 4) for _ in range(m)]]
+    yield "zero solution entries", rows, some_ideals(len(rows), 0.5)
+
+
+def test_tall_multiple_examples():
+    # over Q the determinantal ideal of a tall pseudo-matrix is the gcd of
+    # its maximal minors times their rows' ideals; the witness minor is
+    # rows 0 and 1, with determinant 4
+    Q = get_field("Q")
+    z, two = Q.zero(), Q.from_int(2)
+    u = FractionalIdeal.unit(Q)
+
+    def ideal(q):
+        return FractionalIdeal.from_rational(Q, q)
+
+    cases = [
+        # minors 4, 2 * 2 and -2 * 2: the row ideal 2Z cancels the
+        # denominator of x = (1/2, 1/2)
+        ([[two, z], [z, two], [Q.one(), Q.one()]], [u, u, ideal(2)], 4),
+        # minors 4, 2 * 3 and -2 * 3
+        ([[two, z], [z, two], [Q.one(), Q.one()]], [u, u, ideal(3)], 2),
+        # a row with a denominator: minors 4, 1 and -1
+        ([[two, z], [z, two], [Q.element([1], 2), Q.element([1], 2)]], [u] * 3, 1),
+        # a witness row with a denominator: minors 1/2, 1 and 1/2
+        ([[Q.element([1], 2), z], [z, Q.one()], [Q.one(), Q.one()]], [u] * 3, Fraction(1, 2)),
+    ]
+    for rows, ideals, expected in cases:
+        mult, factor = _elimination_multiple(Q, rows, ideals)
+        assert factor is None
+        assert mult == ideal(expected) == maximal_minor_sum(Q, rows, ideals)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_tall_multiple_lies_between_witness_and_minor_sum(name):
+    # pseudo_hnf's own multiple for tall input is a sum of maximal-minor
+    # ideals: it contains the witness multiple delta * P and lies inside the
+    # determinantal ideal, the sum over every maximal minor
+    K = get_field(name)
+    rng = seeded(f"test_determinant tall multiple {name}")
+    equal = 0
+    for label, rows, ideals in tall_cases(K, rng):
+        pm = PseudoMatrix(K, rows, ideals)
+        witness = determinantal_ideal_multiple(pm)
+        mult, factor = _elimination_multiple(K, rows, ideals)
+        total = maximal_minor_sum(K, rows, ideals)
+        assert factor is None
+        assert witness.is_subset(mult), label
+        assert mult.is_subset(total), label
+        equal += mult == total
+        if label == "zero rows":
+            assert mult == witness
+        if label == "zero solution entries":
+            # the witness is the first three rows, and the fourth is a
+            # multiple of the first: its x has zeros at the other two
+            assert rank_and_submatrix(K, rows)[1] == (0, 1, 2)
+    print(f"[{name}] multiple equal to the minor sum in {equal} of 4 cases")
 
 
 SMALL_PRIMES = [(name, p) for name in ALL_FIELDS for p in (2, 3, 5, 7)

@@ -522,9 +522,10 @@ def full_rank_pseudo(K, label, n=4, m=3):
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_warm_and_cold_moduli_give_one_canonical_form(name, monkeypatch):
-    # without det_ideal the moduli delta * (P * a^-1) start their LLL from
-    # delta times a reduced basis of P * a^-1; a supplied det_ideal starts
-    # from the Hermite basis; the canonical forms must agree
+    # without det_ideal the moduli of square input, delta * (P * a^-1),
+    # start their LLL from delta times a reduced basis of P * a^-1; tall
+    # input and a supplied det_ideal start from the Hermite basis; the
+    # canonical forms must agree
     K = get_field(name)
     warm_starts = []
     real = lattice.reduce_start_basis
@@ -570,6 +571,60 @@ def test_a_wrong_factor_is_refused(name):
     basis = cache.reduced_basis(dd)
     assert (FractionalIdeal.from_generators(K, [K.element(r) for r in basis])
             == FractionalIdeal(K, [list(r) for r in dd.num], 1))
+
+
+def dump(pm):
+    """Bytes of the rows and ideals of a pseudo-matrix."""
+    return repr(([[(e.coeffs, e.den) for e in row] for row in pm.rows],
+                 [(a.num, a.den) for a in pm.ideals])).encode()
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_tall_input_gives_the_canonical_form_of_the_witness_multiple(name):
+    # on tall input pseudo_hnf reduces modulo a sum of maximal-minor ideals,
+    # which contains the witness multiple; the canonical form is the one
+    # computed modulo the witness multiple
+    K = get_field(name)
+    for t in range(3):
+        pm = full_rank_pseudo(K, f"test_pseudo_hnf tall canonical {name} {t}", n=4 + t, m=3)
+        witness = determinantal_ideal_multiple(pm)
+        raw = pseudo_hnf(pm, verify=True)
+        assert witness.is_subset(raw.det_ideal)
+        assert module_hnf(raw) == module_hnf(pm)
+        assert (dump(canonicalize(raw))
+                == dump(canonicalize(pseudo_hnf(pm, witness, verify=True))))
+
+
+@pytest.mark.parametrize("name", ["Qi", "cubic", "quartic"])
+def test_only_square_input_records_a_factor(name, monkeypatch):
+    # square input keeps the factored witness multiple delta * P and warm
+    # starts its moduli; tall input records no factor and starts none
+    K = get_field(name)
+    factors, warm_starts = [], []
+    real_record = reduction.ReducedBasisCache.record_factor
+    real_start = lattice.reduce_start_basis
+
+    def record(cache, ideal, eps, q):
+        factors.append((ideal, eps, q))
+        return real_record(cache, ideal, eps, q)
+
+    def start(ideal, basis, ctx):
+        warm_starts.append(ideal)
+        return real_start(ideal, basis, ctx)
+
+    monkeypatch.setattr(reduction.ReducedBasisCache, "record_factor", record)
+    monkeypatch.setattr(lattice, "reduce_start_basis", start)
+    square = full_rank_pseudo(K, f"test_pseudo_hnf square factor {name}", n=3, m=3)
+    out = pseudo_hnf(square, verify=True)
+    delta, prod = determinant._det_and_ideals(K, square.rows, square.ideals, witness=True)
+    assert out.det_ideal == determinantal_ideal_multiple(square)
+    assert factors == [(out.det_ideal, delta, prod)]
+    assert warm_starts
+    factors.clear()
+    warm_starts.clear()
+    tall = full_rank_pseudo(K, f"test_pseudo_hnf tall factor {name}", n=5, m=3)
+    pseudo_hnf(tall, verify=True)
+    assert factors == [] and warm_starts == []
 
 
 @pytest.mark.parametrize("name", ["Qm5", "quartic"])
