@@ -198,14 +198,6 @@ def parse_matrix_file(path: str, field: NumberField):
         return parse_matrix_text(fh.read(), field)
 
 
-def parse_ideal_file(path: str, field: NumberField) -> FractionalIdeal:
-    with open(path, encoding="utf-8") as fh:
-        ts = _Tokens(fh.read())
-    out = _parse_ideal(ts, field)
-    ts.finish()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Serialization (mirrors the parser exactly)
 
@@ -329,7 +321,6 @@ def _build_argparser() -> argparse.ArgumentParser:
                              "absolute", "check"])
     ap.add_argument("--field", required=True, help="field description file")
     ap.add_argument("--matrix", required=True, help="pseudo/bi-pseudo matrix file")
-    ap.add_argument("--detideal", help="file with a multiple of the determinantal ideal")
     ap.add_argument("--canonical", action="store_true",
                     help="canonicalize the pseudo-Hermite output")
     ap.add_argument("--check", action="store_true",
@@ -339,7 +330,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run(op: str, label: str, matrix, det_ideal, canonical: bool, check: bool):
+def _run(op: str, label: str, matrix, canonical: bool, check: bool):
     """Printed result of ``op`` (hnf, snf or det) on ``matrix`` and a thunk for
     its oracle verdict.  ``label`` names the command in refusals; the det
     oracle runs before the result is returned, so an oversized one refuses
@@ -348,15 +339,13 @@ def _run(op: str, label: str, matrix, det_ideal, canonical: bool, check: bool):
     if op == "snf":
         if not isinstance(matrix, BiPseudoMatrix):
             raise ValueError(f"{label} expects a bi-pseudo matrix file")
-        chain = pseudo_snf(matrix, det_ideal)
+        chain = pseudo_snf(matrix)
         return format_chain(chain), lambda: check_snf_chain(matrix, chain) and (
             field.degree != 1 or check_snf_d1(matrix, chain))
     if not isinstance(matrix, PseudoMatrix):
         raise ValueError(f"{label} expects a pseudo matrix file")
     if op == "hnf":
-        if not matrix.module_in_ring_power():
-            raise ValueError("module is not contained in O_K^m; scale the rows first")
-        out = pseudo_hnf(matrix, det_ideal)
+        out = pseudo_hnf(matrix)
         if canonical:
             out = canonicalize(out)
         return format_pseudo(out), lambda: check_hnf(matrix, out)
@@ -383,9 +372,6 @@ def _main(argv) -> int:
     try:
         field = parse_field_file(args.field)
         matrix = parse_matrix_file(args.matrix, field)
-        det_ideal = None
-        if args.detideal:
-            det_ideal = parse_ideal_file(args.detideal, field)
     except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -395,11 +381,7 @@ def _main(argv) -> int:
         if command == "detideal":
             if not isinstance(matrix, PseudoMatrix):
                 raise ValueError("detideal expects a pseudo matrix file")
-            if matrix.nrows == matrix.ncols:
-                out_ideal = determinant.determinantal_ideal(matrix)
-            else:
-                out_ideal = determinant.determinantal_ideal_multiple(matrix)
-            print(format_ideal(out_ideal))
+            print(format_ideal(determinant.determinantal_ideal_multiple(matrix)))
             return 0
         if command == "absolute":
             if not isinstance(matrix, PseudoMatrix):
@@ -408,12 +390,11 @@ def _main(argv) -> int:
             return 0
         if command == "check":
             op = args.op or ("snf" if isinstance(matrix, BiPseudoMatrix) else "hnf")
-            _text, verdict = _run(op, f"check --op {op}", matrix, det_ideal,
-                                  args.canonical, check=True)
+            _text, verdict = _run(op, f"check --op {op}", matrix, args.canonical, check=True)
         else:
             op = "hnf" if command == "canonical" else command
-            text, verdict = _run(op, op, matrix, det_ideal,
-                                 args.canonical or command == "canonical", args.check)
+            text, verdict = _run(op, op, matrix, args.canonical or command == "canonical",
+                                 args.check)
             print(text)
             if not args.check:
                 return 0

@@ -7,9 +7,12 @@ a proven coefficient bound, so the lift is exact.  Rectangular rank probing
 reuses the same plans to find a witness nonsingular submatrix.  Both run one
 greedy elimination over F_p[x]/(g), g a factor of degree k of f mod p.
 
-The multiple of the determinantal ideal that ``pseudo_hnf`` reduces modulo
-is, for square input, the determinant times the product of the row ideals.
-For tall input one witness minor gives a multiple hundreds of bits larger
+A multiple of the determinantal ideal is a maximal minor's determinant
+times the product of its rows' ideals, and the matrix's shape chooses the
+minor (``_scaled_minor``): square input uses the whole matrix, one
+determinant and no rank probe, which gives the determinantal ideal itself;
+tall input uses the witness minor of ``rank_and_submatrix``.  For
+``pseudo_hnf``, one tall witness minor gives a multiple hundreds of bits larger
 than the determinantal ideal, the sum over all maximal minors; one linear
 solve against the witness rows adds every minor that differs from the
 witness in one row, which nearly always closes the gap
@@ -286,29 +289,23 @@ def product_of_ideals(ideals: list[FractionalIdeal]) -> FractionalIdeal:
 
 
 def det_times_ideals(field: NumberField, rows: list[list[FieldElement]],
-                     ideals, witness: bool = False) -> FractionalIdeal:
-    """det(A) times the product of the ideals a_i of a pseudo-matrix (A, (a_i)).
+                     ideals) -> FractionalIdeal:
+    """A maximal minor's determinant times the product of its rows' ideals
+    a_i, for a pseudo-matrix (A, (a_i)) of full column rank.
 
     The rows are scaled to integral ones and the determinant is divided by the
-    product of the scales.  A must be square, unless ``witness`` is set: then
-    A needs full column rank and the minor is the witness one of
-    ``rank_and_submatrix``, with the ideals of its rows only.
+    product of the scales.  Square A gives det(A) times every ideal, tall A
+    the witness minor of ``rank_and_submatrix`` (``_scaled_minor``).
     """
-    delta, prod = _det_and_ideals(field, rows, ideals, witness)
-    return prod.elt_mul(delta)
+    delta, ridx, _, _ = _scaled_minor(field, rows)
+    return product_of_ideals([ideals[i] for i in ridx]).elt_mul(delta)
 
 
-def _det_and_ideals(field: NumberField, rows: list[list[FieldElement]], ideals,
-                    witness: bool = False) -> tuple[FieldElement, FractionalIdeal]:
-    """The factors (delta, P) of ``det_times_ideals``, which is P * delta:
-    the (witness) minor's determinant and the product of its rows' ideals."""
-    delta, ridx, _, _ = _scaled_minor(field, rows, witness)
-    return delta, product_of_ideals([ideals[i] for i in ridx])
-
-
-def _scaled_minor(field: NumberField, rows: list[list[FieldElement]], witness: bool):
-    """(delta, ridx, scaled, dens) of ``_det_and_ideals``: the minor's
-    determinant, its rows, and every row scaled by dens[i] to integral entries."""
+def _scaled_minor(field: NumberField, rows: list[list[FieldElement]]):
+    """(delta, ridx, scaled, dens): the determinant of a maximal minor, its
+    rows, and every row scaled by dens[i] to integral entries.  The minor is
+    the whole matrix when it is square, one determinant and no rank probe,
+    and the witness of ``rank_and_submatrix`` when it is tall."""
     scaled = []
     dens = []
     for row in rows:
@@ -317,15 +314,16 @@ def _scaled_minor(field: NumberField, rows: list[list[FieldElement]], witness: b
             den = den * e.den // gcd(den, e.den)
         scaled.append([e * den for e in row])
         dens.append(den)
-    if witness:
-        s, ridx, _, dt = rank_and_submatrix(field, scaled)
-        if s < len(rows[0]):
-            raise RankDeficiencyError(f"pseudo-matrix has rank {s} < {len(rows[0])}")
-    else:
-        ridx = range(len(rows))
+    m = len(rows[0])
+    if len(rows) == m:
+        ridx = range(m)
         dt = det(field, scaled)
         if not dt:
             raise SingularMatrixError("pseudo-matrix is singular")
+    else:
+        s, ridx, _, dt = rank_and_submatrix(field, scaled)
+        if s < m:
+            raise RankDeficiencyError(f"pseudo-matrix has rank {s} < {m}")
     den_prod = 1
     for i in ridx:
         den_prod *= dens[i]
@@ -336,7 +334,7 @@ def _elimination_multiple(field: NumberField, rows: list[list[FieldElement]], id
     """(D, factor): the multiple of the determinantal ideal that ``pseudo_hnf``
     reduces modulo when none is supplied, and its factor (delta, P) or None.
 
-    Square input gives the witness multiple D = delta * P with its factor.
+    Square input gives D = delta * P = ``det_times_ideals`` with its factor.
     Tall input gives D = delta * P * J, with J = O_K + sum x_{r,k} a_r a_k^-1
     over the rows r outside the witness W and k in W, where x_r * A_W = a_r.
     By Cramer's rule, row k of A_W replaced by row r has determinant
@@ -355,7 +353,7 @@ def _elimination_multiple(field: NumberField, rows: list[list[FieldElement]], id
     Tall input records no factor: P * J has a denominator of hundreds of
     bits, and an LLL started from it costs more than the elimination.
     """
-    delta, ridx, scaled, dens = _scaled_minor(field, rows, witness=True)
+    delta, ridx, scaled, dens = _scaled_minor(field, rows)
     prod = product_of_ideals([ideals[i] for i in ridx])
     if len(ridx) == len(rows):
         return prod.elt_mul(delta), (delta, prod)
@@ -411,9 +409,11 @@ def determinantal_ideal(pm) -> FractionalIdeal:
 def determinantal_ideal_multiple(pm) -> FractionalIdeal:
     """A multiple of the determinantal ideal of a full-column-rank pseudo-matrix.
 
-    One witness minor's determinantal ideal: divisible by the gcd of all of
-    them, which is all a modular normal-form pass needs.  For tall input,
-    ``pseudo_hnf`` without a supplied multiple reduces modulo a smaller one,
-    a sum of maximal-minor ideals that contains this one.
+    One maximal minor's determinantal ideal (``det_times_ideals``): the
+    determinantal ideal itself for square input, and for tall input the
+    witness minor's, divisible by the gcd of all of them, which is all a
+    modular normal-form pass needs.  For tall input, ``pseudo_hnf`` without
+    a supplied multiple reduces modulo a smaller one, a sum of maximal-minor
+    ideals that contains this one.
     """
-    return det_times_ideals(pm.field, pm.rows, pm.ideals, witness=True)
+    return det_times_ideals(pm.field, pm.rows, pm.ideals)

@@ -64,11 +64,14 @@ class PseudoMatrix:
                             self.det_ideal)
 
     def module_in_ring_power(self) -> bool:
-        """Exact test that every a_i * row_i lies inside O_K^m."""
-        try:
-            to_absolute(self)
-        except IdealError:
-            return False
+        """Exact test that every a_i * row_i lies inside O_K^m.  A row with an
+        integral ideal and integral entries does; only the other rows multiply
+        each entry by the basis of their ideal."""
+        for row, a in zip(self.rows, self.ideals):
+            if a.den == 1 and all(e.den == 1 for e in row):
+                continue
+            if any((eps * e).den != 1 for eps in a.basis_elements() for e in row):
+                return False
         return True
 
 
@@ -148,11 +151,14 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
                verify: bool = False, trace: list | None = None) -> PseudoMatrix:
     """Modular pseudo-Hermite normal form of a full-rank pseudo-matrix.
 
-    ``det_ideal`` must be a nonzero multiple of the determinantal ideal of
-    the module.  When it is omitted, square input uses its determinant
-    times the product of the ideals, and tall input a sum of maximal-minor
-    ideals, which is nearly always close to the determinantal ideal itself
-    and far smaller than one witness minor's.  The output has
+    The module must lie inside O_K^m: only then does a multiple D of its
+    determinantal ideal give D * O_K^m inside the module, which the
+    reductions modulo D * a^-1 need.  Other input raises IdealError before
+    any work.  ``det_ideal`` must be a nonzero multiple of the determinantal
+    ideal of the module.  When it is omitted, square input uses its
+    determinant times the product of the ideals, and tall input a sum of
+    maximal-minor ideals, which is nearly always close to the determinantal
+    ideal itself and far smaller than one witness minor's.  The output has
     the triangular block with unit diagonal on top, integral coefficient
     ideals, and represents the same module.  With ``verify`` the working
     norm bounds and the output shape are checked, raising RuntimeError on a
@@ -164,6 +170,8 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
     built at twice the precision exponent; a second miss propagates.
     """
     field = pm.field
+    if not pm.module_in_ring_power():
+        raise IdealError("module is not contained in O_K^m; scale the rows first")
     if pm.nrows < pm.ncols:
         raise RankDeficiencyError("fewer rows than columns")
     if det_ideal is None:

@@ -22,8 +22,9 @@ class RankDeficiencyError(ValueError):
     """Raised when a matrix does not have the full column rank an operation needs."""
 
 
-class SingularMatrixError(ValueError):
-    """Raised when a square system has no unique solution."""
+class SingularMatrixError(RankDeficiencyError):
+    """Raised when a square system has no unique solution: a singular square
+    matrix lacks full column rank."""
 
 
 def shape(a: Mat) -> tuple[int, int]:

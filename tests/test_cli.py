@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from okmod import FractionalIdeal, PseudoMatrix, BiPseudoMatrix
+from okmod import FractionalIdeal, PseudoMatrix, BiPseudoMatrix, determinantal_ideal
 from okmod import cli
 
 from conftest import get_field, random_element, random_ideal, seeded
@@ -219,6 +219,57 @@ def test_detideal_command(tmp_path):
     code, out = run_cli(["detideal", "--field", f, "--matrix", m])
     assert code == 0
     assert out.startswith("ideal hnf")
+
+
+# over Q(i) the rows [2, 0], [1+i, 3] span a module of index 36 in Z[i]^2
+INDEX_36_FILE = """\
+pseudo 2 2
+ideal hnf
+1 0
+0 1
+den 1
+ideal hnf
+1 0
+0 1
+den 1
+2 0 / 1  0 0 / 1
+1 1 / 1  3 0 / 1
+"""
+
+
+def test_detideal_command_on_square_input_prints_the_determinantal_ideal(tmp_path):
+    K = get_field("Qi")
+    f = write(tmp_path, "g.field", GAUSS_FIELD)
+    m = write(tmp_path, "m.pm", INDEX_36_FILE)
+    code, out = run_cli(["detideal", "--field", f, "--matrix", m])
+    pm = cli.parse_matrix_text(INDEX_36_FILE, K)
+    assert code == 0
+    assert out == cli.format_ideal(determinantal_ideal(pm)) + "\n"
+    assert determinantal_ideal(pm) == FractionalIdeal.from_rational(K, 6)
+
+
+@pytest.mark.parametrize("command", ["hnf", "snf", "check"])
+def test_detideal_option_is_refused(tmp_path, capsys, command):
+    # okmod computes the multiple of the determinantal ideal itself; a
+    # supplied O_K, which is no multiple of (6), once gave the identity
+    # form and the chain (1), (1) with exit code 0
+    f = write(tmp_path, "g.field", GAUSS_FIELD)
+    m = write(tmp_path, "m.pm", INDEX_36_FILE)
+    unit = write(tmp_path, "unit.ideal", ideal_text(UNIT_ROWS))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--field", f, "--matrix", m, "--detideal", unit])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--detideal" in captured.err
+
+
+def test_singular_square_input_is_refused(tmp_path, capsys):
+    f = write(tmp_path, "g.field", GAUSS_FIELD)
+    m = write(tmp_path, "m.pm", INDEX_36_FILE.replace("1 1 / 1  3 0 / 1", "2 0 / 1  0 0 / 1"))
+    code, out = run_cli(["hnf", "--field", f, "--matrix", m])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: pseudo-matrix is singular\n"
 
 
 def test_parse_error_exit_code(tmp_path):

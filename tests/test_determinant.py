@@ -7,7 +7,8 @@ import pytest
 
 from okmod import (FractionalIdeal, det, det_bound, determinantal_ideal,
                    determinantal_ideal_multiple, plan_primes, project_element,
-                   rank_and_submatrix)
+                   pseudo_hnf, rank_and_submatrix)
+from okmod import determinant
 from okmod.determinant import (_coefficient_rows, _elimination_multiple, _eliminate, _pack,
                                _packed_planes, entry_height)
 from okmod.pseudo_hnf import PseudoMatrix
@@ -263,6 +264,69 @@ def test_determinantal_multiple_examples():
     # square case coincides with the exact ideal
     sq = PseudoMatrix(Q, rows[:2], [uq] * 2)
     assert determinantal_ideal_multiple(sq) == determinantal_ideal(sq)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_square_multiple_is_the_determinantal_ideal(name):
+    # on square input the multiple is the determinantal ideal itself: the
+    # determinant times every row ideal, here against cofactor expansion,
+    # with row denominators and fractional row ideals
+    K = get_field(name)
+    rng = seeded(f"test_determinant square multiple {name}")
+    u = FractionalIdeal.unit(K)
+    for n in (1, 2, 3):
+        rows = [[random_element(rng, K, 4, 3) for _ in range(n)] for _ in range(n)]
+        if not cofactor_det(K, rows):
+            continue
+        ideals = [random_ideal(rng, K, fractional=True) if rng.random() < 0.5 else u
+                  for _ in range(n)]
+        pm = PseudoMatrix(K, rows, ideals)
+        mult = determinantal_ideal_multiple(pm)
+        assert mult == determinantal_ideal(pm) == maximal_minor_sum(K, rows, ideals)
+
+
+def test_only_tall_input_probes_the_rank(monkeypatch):
+    # the shape chooses the minor: square input takes one determinant of the
+    # whole matrix, tall input one rank probe for the witness minor
+    K = get_field("Qm5")
+    probes = []
+    real = determinant.rank_and_submatrix
+
+    def spy(field, rows):
+        probes.append(len(rows))
+        return real(field, rows)
+
+    monkeypatch.setattr(determinant, "rank_and_submatrix", spy)
+    rng = seeded("test_determinant rank probes")
+    u = FractionalIdeal.unit(K)
+    while True:
+        rows = [[random_element(rng, K, 4) for _ in range(3)] for _ in range(3)]
+        if cofactor_det(K, rows):
+            break
+    square = PseudoMatrix(K, rows, [u] * 3)
+    tall = PseudoMatrix(K, rows + [[random_element(rng, K, 4) for _ in range(3)]], [u] * 4)
+    determinantal_ideal_multiple(square)
+    determinantal_ideal(square)
+    pseudo_hnf(square)
+    assert probes == []
+    determinantal_ideal_multiple(tall)
+    assert probes == [4]
+    probes.clear()
+    pseudo_hnf(tall)
+    assert probes == [4]
+
+
+def test_singular_square_input_lacks_full_column_rank():
+    # a singular square matrix lacks full column rank: one error answers
+    # both determinantal_ideal and pseudo_hnf
+    K = get_field("Qi")
+    u = FractionalIdeal.unit(K)
+    one = K.one()
+    pm = PseudoMatrix(K, [[one, one], [one, one]], [u, u])
+    for call in (determinantal_ideal, determinantal_ideal_multiple, pseudo_hnf):
+        with pytest.raises(SingularMatrixError, match="pseudo-matrix is singular") as exc:
+            call(pm)
+        assert isinstance(exc.value, RankDeficiencyError)
 
 
 def test_determinantal_multiple_contained_in_gcd_oracle(field):

@@ -439,6 +439,26 @@ def test_to_absolute_rejects_fractional_module():
         to_absolute(pm)
 
 
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_pseudo_hnf_refuses_a_module_outside_the_ring_power(name):
+    # reduction modulo D * a^-1 is right only when D * O_K^m lies inside the
+    # module, which needs the module inside O_K^m: a row 1/2 * e_1 with ideal
+    # O_K is refused; a row 1/2 * v with ideal 2 * a spans a * v and is accepted
+    K = get_field(name)
+    pm = full_rank_pseudo(K, f"test_pseudo_hnf outside ring power {name}", n=3, m=2)
+    half = K.element([1] + [0] * (K.degree - 1), 2)
+    rows = [[half * e for e in pm.rows[0]]] + pm.rows[1:]
+    u = FractionalIdeal.unit(K)
+    with_unit = PseudoMatrix(K, [[half, K.zero()], *rows[1:]], [u, *pm.ideals[1:]])
+    assert not with_unit.module_in_ring_power()
+    with pytest.raises(IdealError, match="not contained in O_K"):
+        pseudo_hnf(with_unit)
+    with_two = PseudoMatrix(K, rows, [pm.ideals[0].int_mul(2), *pm.ideals[1:]])
+    assert with_two.module_in_ring_power()
+    out = pseudo_hnf(with_two, verify=True)
+    assert module_hnf(out) == module_hnf(with_two) == module_hnf(pm)
+
+
 def test_absolute_invariant_under_valid_forms(field):
     rng = seeded("test_pseudo_hnf::test_absolute_invariant_under_valid_forms")
     done = 0
@@ -556,9 +576,8 @@ def test_warm_and_cold_moduli_give_one_canonical_form(name, monkeypatch):
 @pytest.mark.parametrize("name", ["Qi", "cubic", "quintic"])
 def test_a_wrong_factor_is_refused(name):
     K = get_field(name)
-    pm = full_rank_pseudo(K, f"test_pseudo_hnf wrong factor {name}")
-    delta, prod = determinant._det_and_ideals(K, pm.rows, pm.ideals, witness=True)
-    dd = prod.elt_mul(delta)
+    pm = full_rank_pseudo(K, f"test_pseudo_hnf wrong factor {name}", n=3)
+    dd, (delta, prod) = determinant._elimination_multiple(K, pm.rows, pm.ideals)
     # 2 delta * P lies inside dd but has 2^d times its norm; delta / 2 * P
     # is not inside it; the right factor is accepted
     for eps in (K.scalar_mul(2, delta), K.scalar_div(delta, 2)):
@@ -616,8 +635,8 @@ def test_only_square_input_records_a_factor(name, monkeypatch):
     monkeypatch.setattr(lattice, "reduce_start_basis", start)
     square = full_rank_pseudo(K, f"test_pseudo_hnf square factor {name}", n=3, m=3)
     out = pseudo_hnf(square, verify=True)
-    delta, prod = determinant._det_and_ideals(K, square.rows, square.ideals, witness=True)
-    assert out.det_ideal == determinantal_ideal_multiple(square)
+    dd, (delta, prod) = determinant._elimination_multiple(K, square.rows, square.ideals)
+    assert out.det_ideal == dd == determinantal_ideal_multiple(square)
     assert factors == [(out.det_ideal, delta, prod)]
     assert warm_starts
     factors.clear()

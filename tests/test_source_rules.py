@@ -1,8 +1,11 @@
-"""Rules on the library's source text."""
+"""Rules on the library's source text and on the README that documents it."""
 
 import ast
 import glob
 import os
+import re
+
+from okmod import cli
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "okmod")
 
@@ -18,3 +21,18 @@ def test_library_has_no_assert_statements():
         found += [f"{os.path.basename(path)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_readme_usage_names_exactly_the_cli_options():
+    # the usage block of the README lists every option of the parser, and
+    # no option the parser lacks
+    readme = os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```\nokmod <command>")
+    block = text[start:text.index("```", start + 3)]
+    named = set(re.findall(r"--[a-z][a-z-]*", block))
+    options = {opt for action in cli._build_argparser()._actions
+               for opt in action.option_strings if opt not in ("-h", "--help")}
+    assert options
+    assert named == options
