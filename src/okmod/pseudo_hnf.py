@@ -97,13 +97,17 @@ def to_absolute(pm: PseudoMatrix) -> Mat:
 def module_hnf(pm: PseudoMatrix) -> Mat:
     """Canonical integer Hermite form of the absolute module lattice.
 
-    For A = to_absolute(pm), det(A^t A) is by Cauchy-Binet the sum of the
-    squares of the full minors of A, each a multiple of the lattice index, so
-    it is a modulus for ``hnf_with_modulus``; it is 0 exactly when A lacks
-    full column rank.
+    The modulus for ``hnf_with_modulus`` is a multiple of the lattice index
+    of A = to_absolute(pm), and 0 exactly when A lacks full column rank.
+    Square A takes |det A|, which is the index.  Tall A takes det(A^t A): by
+    Cauchy-Binet it is the sum of the squares of the full minors of A, each
+    a multiple of the index.
     """
     a = to_absolute(pm)
-    lam = det_bareiss(mat_mul(transpose(a), a))
+    if len(a) == len(a[0]):
+        lam = abs(det_bareiss(a))
+    else:
+        lam = det_bareiss(mat_mul(transpose(a), a))
     if lam == 0:
         raise RankDeficiencyError("module does not have full rank")
     return hnf_with_modulus(a, lam)

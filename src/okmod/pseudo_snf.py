@@ -4,8 +4,9 @@ A bi-pseudo matrix (A, (b_i), (a_j)) with a_ij in b_i a_j^-1 presents a
 quotient of two rank-n modules.  Alternating column and row gcd passes with
 quotient-preserving normalizations drive it to the identity while extracting
 the divisor chain; off-diagonal obstructions (entries whose content is not
-yet divisible by the pivot's) are folded into the pivot row before a divisor
-is finalized, exactly like the classical Smith procedure over Z.
+yet inside the divisor the pivot gives with the modulus) are folded into the
+pivot row before a divisor is finalized, exactly like the classical Smith
+procedure over Z.
 
 The elimination is written once, for columns.  The working state keeps one
 ideal per side, the column ideals a_j and the inverse row ideals b_i^-1 that
@@ -48,12 +49,15 @@ class BiPseudoMatrix:
         return len(self.rows)
 
     def integrality_violation(self):
-        """First (i, j) with a_ij outside b_i a_j^-1, or None."""
-        inv_cols = [a.inverse() for a in self.col_ideals]
-        for i in range(self.n):
-            for j in range(self.n):
-                e = self.rows[i][j]
-                if e and not (self.row_ideals[i] * inv_cols[j]).contains(e):
+        """First (i, j) with a_ij outside b_i a_j^-1, or None.
+
+        a_ij lies in b_i a_j^-1 exactly when a_ij * a_j lies in b_i, that is
+        when b_i contains a_ij * w for each Hermite basis element w of a_j.
+        """
+        col_bases = [a.basis_elements() for a in self.col_ideals]
+        for i, (row, b) in enumerate(zip(self.rows, self.row_ideals)):
+            for j, e in enumerate(row):
+                if e and not all(b.contains(e * w) for w in col_bases[j]):
                     return (i, j)
         return None
 
@@ -191,32 +195,37 @@ def row_pivot(state: SnfState, i: int) -> bool:
 
 def offdiag_obstruction_scan(state: SnfState, i: int):
     """First entry above-left of the pivot whose content escapes the pivot's
-    candidate divisor, with a witness multiplier from b_i b_k^-1."""
+    divisor, with a witness multiplier from b_i b_k^-1.
+
+    The divisor is the d_i the pivot would give now, piv a_i b_i^-1 + M for
+    the modulus M (M alone when piv = 0).  The witness g makes e g escape
+    piv a_i a_l^-1 + M a_l^-1 b_i, the ideal that ``reduce_entry(i, l)``
+    reduces modulo, so that adding g times row k to row i leaves an entry
+    that neither the reduction clears nor a degenerate column step absorbs.
+    One exists: if every g kept e g inside, e a_l b_k^-1 would lie in d_i.
+    """
     a = state.a
     field = state.field
     inv = state.cache.inverse
     piv = a[i][i]
-    cand = None
+    divisor = state.modulus
     if piv:
-        cand = (state.col_ideals[i] * state.row_inv[i]).elt_mul(piv)
+        divisor = (state.col_ideals[i] * state.row_inv[i]).elt_mul(piv) + divisor
     for k in range(i):
         for l in range(i):
             e = a[k][l]
             if not e:
                 continue
             content = (state.col_ideals[l] * state.row_inv[k]).elt_mul(e)
-            if cand is not None and content.is_subset(cand):
+            if content.is_subset(divisor):
                 continue
             gid = inv(state.row_inv[i]) * state.row_inv[k]
-            target = None
+            target = state.modulus * inv(state.col_ideals[l]) * inv(state.row_inv[i])
             if piv:
-                target = (state.col_ideals[i] * inv(state.col_ideals[l])).elt_mul(piv)
+                target = (state.col_ideals[i] * inv(state.col_ideals[l])).elt_mul(piv) + target
             for h_row in gid.num:
                 gelt = FieldElement(field, list(h_row), gid.den)
-                if not gelt:
-                    continue
-                prod = e * gelt
-                if target is None or not target.contains(prod):
+                if gelt and not target.contains(e * gelt):
                     return k, l, gelt
             raise RuntimeError("internal error: obstruction witness must exist")
     return None

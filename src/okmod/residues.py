@@ -2,9 +2,10 @@
 
 Polynomials over F_p are coefficient tuples, constant term first, with no
 trailing zeros.  Prime plans take the primes just below 2^62, so a
-determinant needs a handful of them.  Factorization is fully deterministic:
-distinct-degree splitting first, then equal-degree splitting of g by a kernel
-vector v of the Frobenius endomorphism (Berlekamp), through
+determinant needs a handful of them; the first 32 of these are a table, and
+only a plan that needs more searches for them.  Factorization is fully
+deterministic: distinct-degree splitting first, then equal-degree splitting
+of g by a kernel vector v of the Frobenius endomorphism (Berlekamp), through
 gcd((v + s)^((p-1)/2) - 1, g) for s = 0, 1, 2, ...: two distinct values of v
 modulo the irreducible factors differ in quadratic character for (p-1)/2 of
 the shifts s, so the scan stops after about two of them.  x^p mod f is
@@ -12,9 +13,10 @@ computed once per prime, and with it the rows x^(i*p) mod f of Frobenius on
 F_p[x]/(f): the distinct-degree loop takes x^(p^e) from them by one
 vector-matrix product per degree, and the Berlekamp matrix of every factor
 g is those rows reduced mod g, which are x^(i*p) mod g since g divides f.
-The powers (x^p, and (v + s)^((p-1)/2) for the split) square and multiply
-on dense coefficient lists, and each product is reduced once against the
-modulus made monic, x^k = -low, with no trimming between steps.
+The powers (x^p, and (v + s)^((p-1)/2) for the split) take a 4-bit sliding
+window on residues packed one per integer: a product is one integer
+multiplication, whose top slots fold through the packed rows x^t mod the
+modulus.
 """
 
 from __future__ import annotations
@@ -95,42 +97,78 @@ def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
 
 
 def poly_pow_mod(a: Poly, e: int, mod: Poly, p: int) -> Poly:
-    """a^e mod (mod, p) for mod of degree k >= 1, by square-and-multiply.
+    """a^e mod (mod, p) for mod of degree k >= 1, by a 4-bit sliding window.
 
-    Residues are dense lists of k coefficients.  A product is formed on
-    unreduced integers and reduced once: its coefficients from the top down
-    fold through x^k = -low, where low is mod made monic without its leading
-    term, and a single pass mod p ends it.
+    A residue is packed into one integer, its k coefficients in slots of s
+    bits, so a product is one integer multiplication.  Slots k .. 2k-2 of
+    the product fold back through the packed rows x^t mod ``mod``, and each
+    of the k slots left is reduced mod p.  s leaves room for the slot sums
+    below (2k - 1) * p^2 on the way.  For a word-size exponent the window
+    takes the odd powers a^1, a^3, ..., a^15 once, and then about one
+    product per four exponent bits besides the squarings.
     """
     k = len(mod) - 1
     if e == 0:
         return (1,)
+    s = (2 * k * (p - 1) ** 2).bit_length()
+    mask = (1 << s) - 1
+    shifts = range(0, k * s, s)
+    low_mask = (1 << (k * s)) - 1
+
+    def pack(c) -> int:
+        x = 0
+        for v in reversed(c):
+            x = (x << s) | v
+        return x
+
+    # rows[i] is x^(k+i) mod ``mod``, packed
     inv_lead = pow(mod[-1], -1, p)
     neg_low = [(-c * inv_lead) % p for c in mod[:-1]]
+    row, rows = neg_low, []
+    for _ in range(k - 1):
+        rows.append(pack(row))
+        top = row[-1]
+        row = [top * neg_low[0] % p] + [(r + top * n) % p for r, n in zip(row, neg_low[1:])]
 
-    def mul(x: list[int], y: list[int]) -> list[int]:
-        prod = [0] * (2 * k - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    prod[i + j] += xi * yj
-        for t in range(2 * k - 2, k - 1, -1):
-            c = prod[t] % p
-            if c:
-                for j, n in enumerate(neg_low, t - k):
-                    prod[j] += c * n
-        return [c % p for c in prod[:k]]
+    def mul(x: int, y: int) -> int:
+        prod = x * y
+        low = prod & low_mask
+        prod >>= k * s
+        for r in rows:
+            low += (prod & mask) % p * r
+            prod >>= s
+        out = 0
+        for t in shifts:
+            out |= ((low >> t) & mask) % p << t
+        return out
 
-    base = list(poly_mod(a, mod, p))
-    base += [0] * (k - len(base))
-    result = None
-    while True:
-        if e & 1:
-            result = base if result is None else mul(result, base)
-        e >>= 1
-        if not e:
-            return poly_trim(result, p)
-        base = mul(base, base)
+    # odd[i] is a^(2i+1); the table of 8 products pays for itself from
+    # about 24 exponent bits, and a width of 1 is square-and-multiply
+    base = pack(poly_mod(a, mod, p))
+    odd = [base]
+    width = 4 if e.bit_length() > 24 else 1
+    if width > 1:
+        square = mul(base, base)
+        for _ in range(7):
+            odd.append(mul(odd[-1], square))
+    bits = bin(e)[2:]
+    result, i = None, 0
+    while i < len(bits):
+        if bits[i] == "0":
+            result = mul(result, result)
+            i += 1
+            continue
+        # the longest window of at most ``width`` bits that ends in a one
+        j = min(i + width, len(bits))
+        while bits[j - 1] == "0":
+            j -= 1
+        if result is not None:
+            for _ in range(j - i):
+                result = mul(result, result)
+        w = odd[int(bits[i:j], 2) >> 1]
+        result = w if result is None else mul(result, w)
+        i = j
+    return poly_trim([(result >> t) & mask for t in shifts], p)
 
 
 def poly_inverse_mod(a, mod: Poly, p: int) -> Poly:
@@ -350,6 +388,13 @@ class PrimePlan:
     modulus: int
 
 
+# the first 32 primes below 2^62, as 2^62 - c; a plan reads them before it
+# searches further down
+_TOP_PRIMES = tuple((1 << 62) - c for c in (
+    57, 87, 117, 143, 153, 167, 171, 195, 203, 273, 287, 317, 443, 483, 495, 575,
+    581, 603, 633, 663, 765, 773, 777, 791, 813, 831, 923, 981, 993, 1001, 1007, 1017))
+
+
 def plan_primes(field: NumberField, log_bound) -> PrimePlan:
     """First primes below 2^62 coprime to disc(f) with product > 2^(log_bound + 1)."""
     log_bound = Fraction(log_bound)
@@ -366,13 +411,22 @@ def plan_primes(field: NumberField, log_bound) -> PrimePlan:
     n_prod = 1
     while n_prod <= target:
         if count == len(known):
-            cand = known[-1] - 2 if known else (1 << 62) - 1
-            while not (field.disc_f % cand and _is_prime(cand)):
-                cand -= 2
-            known.append(cand)
+            known.append(_next_admissible(field, known[-1] if known else 1 << 62))
         n_prod *= known[count]
         count += 1
     return PrimePlan(log_bound, tuple(known[:count]), n_prod)
+
+
+def _next_admissible(field: NumberField, above: int) -> int:
+    """Largest prime below ``above`` that does not divide disc(f): from the
+    table while it lasts, then by search."""
+    for q in _TOP_PRIMES:
+        if q < above and field.disc_f % q:
+            return q
+    cand = min(above, _TOP_PRIMES[-1]) - 2
+    while not (field.disc_f % cand and _is_prime(cand)):
+        cand -= 2
+    return cand
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

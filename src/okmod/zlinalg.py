@@ -8,7 +8,8 @@ diagonal and every entry below a pivot reduced into ``[0, pivot)``, so the
 ``hnf_with_modulus`` is the Hermite form modulo a known multiple ``lam``
 (Domich, Kannan and Trotter; Cohen, GTM 138, Alg. 2.4.8): it never lets an
 entry grow past ``lam``; every caller knows such a multiple (a norm or a
-minimum of an ideal, ``det(A^t A)``), so no unbounded echelon form is needed.
+minimum of an ideal, ``|det A|`` or ``det(A^t A)``), so no unbounded echelon
+form is needed.
 """
 
 from __future__ import annotations

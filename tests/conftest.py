@@ -37,6 +37,50 @@ EXTRA_SPECS = {
 # bases or whose disc(f) has index divisors
 ALL_FIELDS = [*FIELD_SPECS, *EXTRA_SPECS]
 
+# a 4x4 bi-pseudo matrix over Q(sqrt -5), on the power basis: the pivot of
+# its last row meets an off-diagonal content that lies in the modulus but not
+# in the pivot's own ideal, which once sent pseudo_snf round its pivot loop
+# until the round limit
+QM5_OBSTRUCTION_IN_MODULUS = """\
+bipseudo 4
+ideal hnf
+63 0
+33 3
+den 1
+ideal hnf
+89 0
+23 1
+den 1
+ideal hnf
+30 0
+5 1
+den 1
+ideal hnf
+5 0
+0 5
+den 1
+ideal hnf
+4 0
+2 2
+den 1
+ideal hnf
+3 0
+1 1
+den 1
+ideal hnf
+181 0
+151 1
+den 1
+ideal hnf
+27 0
+21 3
+den 1
+-63 -63 / 2  -21 21 / 1  3 6 / 1  28 14 / 3
+80 77 / 2  -452 50 / 3  178 0 / 1  -46 -2 / 3
+15 15 / 1  -60 0 / 1  9960 -30 / 181  -10 4 / 9
+-25 5 / 2  10 0 / 1  -25 150 / 181  -20 80 / 27
+"""
+
 _FIELDS = {}
 
 

@@ -8,7 +8,7 @@ import pytest
 from okmod import FractionalIdeal, PseudoMatrix, BiPseudoMatrix, determinantal_ideal
 from okmod import cli
 
-from conftest import get_field, random_element, random_ideal, seeded
+from conftest import QM5_OBSTRUCTION_IN_MODULUS, get_field, random_element, random_ideal, seeded
 
 
 GAUSS_FIELD = """\
@@ -176,6 +176,15 @@ def test_snf_command(tmp_path):
     lines = [l for l in out.splitlines() if l.strip()]
     assert lines[-1] == "PASS"
     assert "6" in out and "2" in out
+
+
+def test_snf_check_passes_when_the_obstruction_lies_in_the_modulus(tmp_path, capsys):
+    f = write(tmp_path, "qm5.field", "degree 2\npoly 5 0 1\n1 0 / 1\n0 1 / 1\n")
+    m = write(tmp_path, "b.bpm", QM5_OBSTRUCTION_IN_MODULUS)
+    code, out = run_cli(["snf", "--field", f, "--matrix", m, "--check"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert out.splitlines()[-1] == "PASS"
+    assert out.count("ideal hnf") == 4
 
 
 def test_det_command(tmp_path):

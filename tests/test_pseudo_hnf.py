@@ -13,7 +13,8 @@ from okmod import (FractionalIdeal, PseudoMatrix, canonicalize,
                    euclidean_step, module_hnf, pseudo_hnf, to_absolute)
 from okmod import determinant, lattice, reduction
 from okmod.ideals import IdealError
-from okmod.zlinalg import RankDeficiencyError
+from okmod.zlinalg import (RankDeficiencyError, det_bareiss, hnf_with_modulus, mat_mul,
+                          transpose)
 
 from conftest import (ALL_FIELDS, get_field, hnf, random_element, random_ideal,
                       reference_euclidean_step, seeded)
@@ -33,8 +34,8 @@ def random_pseudo(rng, field, n, m, lim=9, with_ideals=True):
 
 def test_module_hnf_matches_plain_hnf(field):
     rng = seeded("test_pseudo_hnf::test_module_hnf_matches_plain_hnf")
-    # module_hnf works modulo det(A^t A); plain hnf stays the reference on
-    # inputs small enough for it
+    # module_hnf works modulo |det A| or det(A^t A); plain hnf stays the
+    # reference on inputs small enough for it
     done = 0
     while done < 8:
         n = rng.randint(1, 3 if field.degree == 3 else 4)
@@ -51,6 +52,32 @@ def test_module_hnf_matches_plain_hnf(field):
     one = field.one()
     with pytest.raises(RankDeficiencyError):
         module_hnf(PseudoMatrix(field, [[one, one], [one + one, one + one]], [u, u]))
+
+
+def gram_modulus_hnf(pm):
+    """module_hnf modulo det(A^t A) whatever the shape of A: the reference of
+    the square modulus |det A|."""
+    a = to_absolute(pm)
+    lam = det_bareiss(mat_mul(transpose(a), a))
+    if lam == 0:
+        raise RankDeficiencyError("module does not have full rank")
+    return hnf_with_modulus(a, lam)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_square_modulus_gives_the_gram_modulus_form(name):
+    field = get_field(name)
+    local = seeded(f"test_pseudo_hnf square modulus {name}")
+    for n in (1, 2, 3, 3):
+        pm = random_pseudo(local, field, n, n)
+        assert module_hnf(pm) == gram_modulus_hnf(pm)
+    tall = random_pseudo(local, field, 3, 2)
+    assert module_hnf(tall) == gram_modulus_hnf(tall)
+    # a row that is a multiple of another: |det A| = 0 is refused as before
+    pm = random_pseudo(local, field, 3, 3)
+    pm.rows[2] = [e * field.from_int(3) for e in pm.rows[0]]
+    with pytest.raises(RankDeficiencyError):
+        module_hnf(pm)
 
 
 # -- euclidean step ---------------------------------------------------------

@@ -2,16 +2,18 @@
 
 import importlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, determinant, lattice, pseudo_snf,
-                   quotient_determinantal_ideal)
+from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, cli, determinant, lattice,
+                   pseudo_snf, quotient_determinantal_ideal)
 from okmod.ideals import IdealError
 from okmod.pseudo_snf import SnfState, col_pivot, offdiag_obstruction_scan, row_pivot
 from okmod.zlinalg import SingularMatrixError, det_bareiss, z_snf
 
-from conftest import ALL_FIELDS, get_field, random_ideal, seeded
+from conftest import (ALL_FIELDS, QM5_OBSTRUCTION_IN_MODULUS, cofactor_det, get_field,
+                      random_element, random_ideal, seeded)
 
 # every randomized test draws from its own generator, so its inputs do not
 # depend on which other tests run before it
@@ -52,6 +54,39 @@ def test_integrality_validation():
     # entry 1 is not inside (2)*O_K^-1 = (2)
     with pytest.raises(IdealError):
         BiPseudoMatrix(K, [[K.one()]], [two], [u])
+
+
+def reference_integrality_violation(bp):
+    """First (i, j) with a_ij outside the product ideal b_i a_j^-1, or None:
+    the reference of ``integrality_violation``."""
+    inv_cols = [a.inverse() for a in bp.col_ideals]
+    for i in range(bp.n):
+        for j in range(bp.n):
+            e = bp.rows[i][j]
+            if e and not (bp.row_ideals[i] * inv_cols[j]).contains(e):
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_integrality_violation_matches_the_product_form(name):
+    field = get_field(name)
+    local = seeded(f"test_pseudo_snf integrality violation {name}")
+    planted = 0
+    for _ in range(8):
+        n = local.randint(1, 3)
+        bp = random_integral_bp(field, n, local)
+        assert bp.integrality_violation() is None
+        assert reference_integrality_violation(bp) is None
+        # shift a few entries by elements with denominators; some land
+        # outside b_i a_j^-1, and the first of those is the one reported
+        for _ in range(local.randint(1, 3)):
+            i, j = local.randrange(n), local.randrange(n)
+            bp.rows[i][j] = bp.rows[i][j] + random_element(local, field, max_den=6)
+        found = bp.integrality_violation()
+        assert found == reference_integrality_violation(bp)
+        planted += found is not None
+    assert planted >= 4
 
 
 def test_singularity_detected():
@@ -304,3 +339,39 @@ def test_non_integral_det_ideal_refused_up_front(name, verify, monkeypatch):
     monkeypatch.setattr(importlib.import_module("okmod.pseudo_snf"), "SnfState", None)
     with pytest.raises(IdealError, match="determinantal ideal"):
         pseudo_snf(bp, bad, verify=verify)
+
+
+def minor_ideal_sum(bp, k):
+    """Sum over the k x k minors of det(A_IJ) prod_J a_j prod_I b_i^-1, by
+    cofactor expansion: by the elementary divisor theorem, the product of the
+    last k divisors of the chain."""
+    field = bp.field
+    total = None
+    for rows in combinations(range(bp.n), k):
+        for cols in combinations(range(bp.n), k):
+            d = cofactor_det(field, [[bp.rows[i][j] for j in cols] for i in rows])
+            if not d:
+                continue
+            term = FractionalIdeal.principal(field, d)
+            for j in cols:
+                term = term * bp.col_ideals[j]
+            for i in rows:
+                term = term * bp.row_ideals[i].inverse()
+            total = term if total is None else total + term
+    return total
+
+
+def test_obstruction_inside_the_modulus_terminates():
+    # the content escapes the pivot's ideal but not the divisor d_i it gives
+    # with the modulus; the scan compares against d_i
+    field = get_field("Qm5")
+    bp = cli.parse_matrix_text(QM5_OBSTRUCTION_IN_MODULUS, field)
+    chain = pseudo_snf(bp, verify=True)
+    assert all(a.is_integral() for a in chain)
+    for i in range(1, bp.n):
+        assert chain[i - 1].is_subset(chain[i])
+    assert determinant.product_of_ideals(chain.ideals) == quotient_determinantal_ideal(bp)
+    for k in range(1, bp.n + 1):
+        assert determinant.product_of_ideals(chain.ideals[bp.n - k:]) == minor_ideal_sum(bp, k)
+    p = FractionalIdeal.from_generators(field, [field.from_int(2), field.element([1, 1])])
+    assert chain[1] == chain[2] == p and chain[3].is_unit()

@@ -141,6 +141,58 @@ def test_pow_mod_matches_reference(p):
             assert rs.poly_pow_mod(a, e, mod, p) == reference_pow_mod(a, e, mod, p)
 
 
+def square_and_multiply_pow_mod(a, e, mod, p):
+    """a^e mod (mod, p) by square-and-multiply on dense coefficient lists,
+    each product folded from the top through x^k = -low and reduced once:
+    the reference for the packed sliding window of poly_pow_mod."""
+    k = len(mod) - 1
+    if e == 0:
+        return (1,)
+    inv_lead = pow(mod[-1], -1, p)
+    neg_low = [(-c * inv_lead) % p for c in mod[:-1]]
+
+    def mul(x, y):
+        prod = [0] * (2 * k - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    prod[i + j] += xi * yj
+        for t in range(2 * k - 2, k - 1, -1):
+            c = prod[t] % p
+            if c:
+                for j, n in enumerate(neg_low, t - k):
+                    prod[j] += c * n
+        return [c % p for c in prod[:k]]
+
+    base = list(rs.poly_mod(a, mod, p))
+    base += [0] * (k - len(base))
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if not e:
+            return rs.poly_trim(result, p)
+        base = mul(base, base)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537, (1 << 61) - 1, (1 << 62) - 57, (1 << 62) - 1017])
+def test_pow_mod_matches_square_and_multiply(p):
+    local = seeded(f"test_residues square and multiply {p}")
+    exponents = [0, 1, 2, p, (p - 1) // 2, 255, 256, local.randrange(1 << 70)]
+    for k in range(1, 9):
+        lead = 1 if k % 2 else local.randrange(1, p)
+        mod = tuple(local.randrange(p) for _ in range(k)) + (lead,)
+        bases = [(), (0,) * k, (0, 1), tuple(local.randrange(p) for _ in range(k)),
+                 tuple(local.randrange(p) for _ in range(2 * k + 1))]
+        for a in bases:
+            for e in exponents:
+                assert rs.poly_pow_mod(a, e, mod, p) == square_and_multiply_pow_mod(a, e, mod, p)
+        # a zero base: 0^0 = 1, 0^e = 0 otherwise
+        assert rs.poly_pow_mod((), 0, mod, p) == (1,)
+        assert rs.poly_pow_mod((), p, mod, p) == ()
+
+
 def test_split_prime_examples():
     K = get_field("Qi")
     sys5 = split_prime(K, 5)
@@ -224,6 +276,46 @@ def test_plan_primes_extend_the_field_list():
     assert K.admissible_primes == list(big.primes)
     assert check_prime_plan(K, 150).primes == big.primes[:3]
     assert K.admissible_primes == list(big.primes)
+
+
+def test_prime_table_is_the_first_primes_below_2_62():
+    sympy = pytest.importorskip("sympy")
+    expected, q = [], 1 << 62
+    while len(expected) < 32:
+        q = sympy.prevprime(q)
+        expected.append(q)
+    assert list(rs._TOP_PRIMES) == expected
+
+
+class StubField:
+    """What plan_primes reads of a field: disc(f) and the primes found so far."""
+
+    def __init__(self, disc_f):
+        self.disc_f = disc_f
+        self.admissible_primes = []
+
+
+@pytest.mark.parametrize("picks", [(0,), (1, 2, 31), (30, 31)])
+def test_plan_primes_skip_table_primes_dividing_disc(picks):
+    # bounds inside the table and past it, on a disc(f) with table primes
+    disc_f = -4
+    for t in picks:
+        disc_f *= rs._TOP_PRIMES[t]
+    K = StubField(disc_f)
+    for bound in (100, 1900, 2500):
+        plan = check_prime_plan(K, bound)
+        assert not any(rs._TOP_PRIMES[t] in plan.primes for t in picks)
+    assert len(plan.primes) > 32 and plan.primes[:32 - len(picks)] == tuple(
+        q for t, q in enumerate(rs._TOP_PRIMES) if t not in picks)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_plans_past_the_table_search_below_it(name):
+    # a fresh field whose plan needs more primes than the table holds
+    K = build_field(*{**FIELD_SPECS, **EXTRA_SPECS}[name])
+    plan = check_prime_plan(K, 2500)
+    assert plan.primes[:32] == rs._TOP_PRIMES and len(plan.primes) > 32
+    assert max(plan.primes[32:]) < rs._TOP_PRIMES[-1]
 
 
 def test_crt_primes_examples():
