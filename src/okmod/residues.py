@@ -103,9 +103,9 @@ def poly_pow_mod(a: Poly, e: int, mod: Poly, p: int) -> Poly:
     bits, so a product is one integer multiplication.  Slots k .. 2k-2 of
     the product fold back through the packed rows x^t mod ``mod``, and each
     of the k slots left is reduced mod p.  s leaves room for the slot sums
-    below (2k - 1) * p^2 on the way.  For a word-size exponent the window
-    takes the odd powers a^1, a^3, ..., a^15 once, and then about one
-    product per four exponent bits besides the squarings.
+    below (2k - 1) * p^2 on the way.  The window takes the odd powers
+    a^1, a^3, ..., a^15 once, and then about one product per four exponent
+    bits besides the squarings.
     """
     k = len(mod) - 1
     if e == 0:
@@ -142,15 +142,12 @@ def poly_pow_mod(a: Poly, e: int, mod: Poly, p: int) -> Poly:
             out |= ((low >> t) & mask) % p << t
         return out
 
-    # odd[i] is a^(2i+1); the table of 8 products pays for itself from
-    # about 24 exponent bits, and a width of 1 is square-and-multiply
+    # odd[i] is a^(2i+1)
     base = pack(poly_mod(a, mod, p))
     odd = [base]
-    width = 4 if e.bit_length() > 24 else 1
-    if width > 1:
-        square = mul(base, base)
-        for _ in range(7):
-            odd.append(mul(odd[-1], square))
+    square = mul(base, base)
+    for _ in range(7):
+        odd.append(mul(odd[-1], square))
     bits = bin(e)[2:]
     result, i = None, 0
     while i < len(bits):
@@ -158,8 +155,8 @@ def poly_pow_mod(a: Poly, e: int, mod: Poly, p: int) -> Poly:
             result = mul(result, result)
             i += 1
             continue
-        # the longest window of at most ``width`` bits that ends in a one
-        j = min(i + width, len(bits))
+        # the longest window of at most 4 bits that ends in a one
+        j = min(i + 4, len(bits))
         while bits[j - 1] == "0":
             j -= 1
         if result is not None:
