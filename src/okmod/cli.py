@@ -299,8 +299,10 @@ def check_snf_d1(bp: BiPseudoMatrix, chain: DivisorChain) -> bool:
     return [Fraction(x) for x in expected] == got
 
 
-def check_snf_chain(bp: BiPseudoMatrix, chain: DivisorChain) -> bool:
-    if determinant.product_of_ideals(chain.ideals) != quotient_determinantal_ideal(bp):
+def check_snf_chain(chain: DivisorChain, det_ideal) -> bool:
+    """Divisor chain laws: integral ideals, each containing the one before,
+    whose product is ``det_ideal``, the quotient's determinantal ideal."""
+    if determinant.product_of_ideals(chain.ideals) != det_ideal:
         return False
     for i in range(1, len(chain)):
         if not chain[i - 1].is_subset(chain[i]):
@@ -339,8 +341,10 @@ def _run(op: str, label: str, matrix, canonical: bool, check: bool):
     if op == "snf":
         if not isinstance(matrix, BiPseudoMatrix):
             raise ValueError(f"{label} expects a bi-pseudo matrix file")
-        chain = pseudo_snf(matrix)
-        return format_chain(chain), lambda: check_snf_chain(matrix, chain) and (
+        # one determinantal ideal serves the elimination and the product law
+        det_ideal = quotient_determinantal_ideal(matrix)
+        chain = pseudo_snf(matrix, det_ideal)
+        return format_chain(chain), lambda: check_snf_chain(chain, det_ideal) and (
             field.degree != 1 or check_snf_d1(matrix, chain))
     if not isinstance(matrix, PseudoMatrix):
         raise ValueError(f"{label} expects a pseudo matrix file")

@@ -6,6 +6,13 @@ structure constants, trace matrix and its scaled inverse, discriminants, the
 power-basis transformation, certified embedding enclosures, and the growth
 constants used in size bounds.  Elements are integer coefficient vectors over
 the integral basis with a minimal positive denominator.
+
+Two constructors build elements.  ``FieldElement(field, coeffs, den)`` is the
+way in for values from outside (parser, users, tests): it converts each
+coefficient with ``int``, checks the length and refuses ``den = 0``.  The
+module-private ``_make(field, coeffs, den)`` trusts its inputs, an int list
+of the right length and ``den > 0``, and only reduces them to lowest terms;
+the arithmetic here and in ``reduction`` builds its results through it.
 """
 
 from __future__ import annotations
@@ -22,25 +29,35 @@ class FieldError(ValueError):
     pass
 
 
-def _canonical(coeffs: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        coeffs = [-c for c in coeffs]
-        den = -den
-    g = den
-    for c in coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if g > 1:
-        coeffs = [c // g for c in coeffs]
-        den //= g
+_new_element = object.__new__
+
+
+def _make(field: "NumberField", coeffs: list[int], den: int) -> "FieldElement":
+    """Element coeffs / den in lowest terms, trusting that ``coeffs`` is an
+    int list of the field's degree and ``den > 0``: no conversion and no
+    check.  For results the arithmetic builds itself; outside values go
+    through ``FieldElement``."""
+    elt = _new_element(FieldElement)
+    elt.field = field
+    elt.coeffs, elt.den = _lowest_terms(coeffs, den)
+    return elt
+
+
+def _lowest_terms(coeffs: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """(coeffs, den) divided by their gcd, for den > 0."""
+    if den != 1:
+        g = gcd(den, *coeffs)
+        if g != 1:
+            return tuple([c // g for c in coeffs]), den // g
     return tuple(coeffs), den
 
 
 class FieldElement:
-    """Element of a number field: integer coefficients over the integral basis / den."""
+    """Element of a number field: integer coefficients over the integral basis / den.
+
+    The constructor validates: each coefficient goes through ``int``, the
+    length must be the field's degree, and ``den`` must be nonzero (a
+    negative one moves its sign to the coefficients)."""
 
     __slots__ = ("field", "coeffs", "den")
 
@@ -48,8 +65,14 @@ class FieldElement:
         coeffs = [int(c) for c in coeffs]
         if len(coeffs) != field.degree:
             raise FieldError("coefficient vector has wrong length")
+        den = int(den)
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            coeffs = [-c for c in coeffs]
+            den = -den
         self.field = field
-        self.coeffs, self.den = _canonical(coeffs, int(den))
+        self.coeffs, self.den = _lowest_terms(coeffs, den)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -66,7 +89,7 @@ class FieldElement:
         return hash((id(self.field), self.coeffs, self.den))
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, [-c for c in self.coeffs], self.den)
+        return _make(self.field, [-c for c in self.coeffs], self.den)
 
     def __add__(self, other) -> "FieldElement":
         return self.field.add(self, self._coerce(other))
@@ -74,10 +97,10 @@ class FieldElement:
     __radd__ = __add__
 
     def __sub__(self, other) -> "FieldElement":
-        return self.field.add(self, -self._coerce(other))
+        return self.field.sub(self, self._coerce(other))
 
     def __rsub__(self, other) -> "FieldElement":
-        return self.field.add(self._coerce(other), -self)
+        return self.field.sub(self._coerce(other), self)
 
     def __mul__(self, other) -> "FieldElement":
         if isinstance(other, int):
@@ -205,16 +228,25 @@ class NumberField:
         k, l = a.den, b.den
         g = gcd(k, l)
         ka, lb = l // g, k // g
-        return FieldElement(self, [ka * x + lb * y for x, y in zip(a.coeffs, b.coeffs)],
-                            k * ka)
+        return _make(self, [ka * x + lb * y for x, y in zip(a.coeffs, b.coeffs)], k * ka)
+
+    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        k, l = a.den, b.den
+        g = gcd(k, l)
+        ka, lb = l // g, k // g
+        return _make(self, [ka * x - lb * y for x, y in zip(a.coeffs, b.coeffs)], k * ka)
 
     def scalar_mul(self, m: int, a: FieldElement) -> FieldElement:
-        return FieldElement(self, [m * c for c in a.coeffs], a.den)
+        """m * a for an int m."""
+        return _make(self, [m * c for c in a.coeffs], a.den)
 
     def scalar_div(self, a: FieldElement, m: int) -> FieldElement:
+        """a / m for a nonzero int m."""
         if m == 0:
             raise ZeroDivisionError("division by zero integer")
-        return FieldElement(self, list(a.coeffs), a.den * m)
+        if m < 0:
+            return _make(self, [-c for c in a.coeffs], -a.den * m)
+        return _make(self, list(a.coeffs), a.den * m)
 
     # -- multiplicative structure -------------------------------------------
 
@@ -236,7 +268,16 @@ class NumberField:
         return out
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return FieldElement(self, self.coeff_mul(a.coeffs, b.coeffs), a.den * b.den)
+        return _make(self, self.coeff_mul(a.coeffs, b.coeffs), a.den * b.den)
+
+    def lincomb(self, a: FieldElement, x: FieldElement, b: FieldElement,
+                y: FieldElement) -> FieldElement:
+        """a*x + b*y, with one reduction to lowest terms."""
+        k, l = a.den * x.den, b.den * y.den
+        g = gcd(k, l)
+        ka, lb = l // g, k // g
+        u, v = self.coeff_mul(a.coeffs, x.coeffs), self.coeff_mul(b.coeffs, y.coeffs)
+        return _make(self, [ka * s + lb * t for s, t in zip(u, v)], k * ka)
 
     def regular_representation(self, gamma: FieldElement) -> Mat:
         """Matrix of beta -> gamma*beta in row convention: row(beta) @ M = row(gamma*beta)."""

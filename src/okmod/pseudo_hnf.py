@@ -232,6 +232,7 @@ def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, factor, ctx,
         normalize(i)
         reduce(i)
 
+    lincomb, one = field.lincomb, field.one()
     running = det_ideal
     for i in range(n - 1, n - m - 1, -1):
         col = i - (n - m)
@@ -244,16 +245,16 @@ def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, factor, ctx,
                 continue
             g, ginv, gamma, delta = euclidean_step(ideals[j], ideals[i],
                                                    b[j][col], b[i][col], cache)
-            piv_j, piv_i = b[j][col], b[i][col]
+            minus_piv_j, piv_i = -b[j][col], b[i][col]
             if not gamma and g is ideals[i] and cache.normalization(g)[:2] == (g, 1):
                 # degenerate step with pivot 1 on a row whose normalization is
                 # the identity: the general update leaves row i and both
                 # ideals as they are, and row i is reduced already
-                b[j] = [x - piv_j * y for x, y in zip(b[j], b[i])]
+                b[j] = [lincomb(one, x, minus_piv_j, y) for x, y in zip(b[j], b[i])]
             else:
                 ideals[j], ideals[i] = ideals[j] * ideals[i] * ginv, g
-                new_j = [piv_i * x - piv_j * y for x, y in zip(b[j], b[i])]
-                new_i = [gamma * x + delta * y for x, y in zip(b[j], b[i])]
+                new_j = [lincomb(piv_i, x, minus_piv_j, y) for x, y in zip(b[j], b[i])]
+                new_i = [lincomb(gamma, x, delta, y) for x, y in zip(b[j], b[i])]
                 b[j], b[i] = new_j, new_i
                 normalize(i)
                 reduce(i)
@@ -271,15 +272,15 @@ def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, factor, ctx,
                 raise RankDeficiencyError("internal error: pivot lost")
             ideals[i] = running
             b[i] = [field.zero()] * m
-            b[i][col] = field.one()
+            b[i][col] = one
             running = FractionalIdeal.unit(field)
             continue
-        g, ginv, gamma, delta = euclidean_step(ideals[i], running, piv, field.one(), cache)
+        g, ginv, gamma, delta = euclidean_step(ideals[i], running, piv, one, cache)
         new_modulus = cache.product(running, ginv)
         b[i] = [reduction.reduce_mod_ideal(gamma * x, new_modulus, cache) if x else x
                 for x in b[i]]
         ideals[i] = g
-        b[i][col] = field.one()
+        b[i][col] = one
         running = new_modulus
 
     out_rows = b[n - m:] + b[:n - m]
@@ -309,6 +310,7 @@ def canonicalize(pm: PseudoMatrix) -> PseudoMatrix:
     if any(any(row) for row in pm.rows[m:]):
         raise ValueError("input is not in pseudo-Hermite form")
     rows = [r[:] for r in pm.rows]
+    one = field.one()
     for r in range(1, m):
         inv_r = pm.ideals[r].inverse()
         for j in range(r - 1, -1, -1):
@@ -317,8 +319,9 @@ def canonicalize(pm: PseudoMatrix) -> PseudoMatrix:
             basis = [list(t) for t in mod_ideal.num]
             reduced = reduction.reduce_mod_ideal(beta, mod_ideal, basis=basis,
                                                  centered=False) if beta else beta
-            lam = beta - reduced if beta else None
-            if lam:
-                rows[r] = [x - lam * y for x, y in zip(rows[r], rows[j])]
+            minus_lam = reduced - beta if beta else None
+            if minus_lam:
+                rows[r] = [field.lincomb(one, x, minus_lam, y)
+                           for x, y in zip(rows[r], rows[j])]
     ideals = pm.ideals[:m] + [FractionalIdeal.unit(field)] * (n - m)
     return PseudoMatrix(field, rows, ideals, det_ideal=pm.det_ideal)

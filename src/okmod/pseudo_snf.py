@@ -146,6 +146,7 @@ def col_pivot(state: SnfState, i: int) -> bool:
     """
     a = state.a
     field = state.field
+    lincomb, one = field.lincomb, field.one()
     ideals = state.col_ideals
     step_over = True
     for j in range(i - 1, -1, -1):
@@ -160,18 +161,19 @@ def col_pivot(state: SnfState, i: int) -> bool:
             continue
         lam = field.mul(a[i][j], field.inv(a[i][i]))
         if state.cache.product(ideals[i], state.cache.inverse(ideals[j])).contains(lam):
-            for r in range(state.n):
-                a[r][j] = a[r][j] - lam * a[r][i]
+            minus_lam = -lam
+            for row in a:
+                row[j] = lincomb(one, row[j], minus_lam, row[i])
             for k in range(i + 1):
                 state.reduce_entry(k, j)
             continue
         g, ginv, gamma, delta = euclidean_step(ideals[i], ideals[j], a[i][i], a[i][j],
                                                state.cache)
-        piv, other = a[i][i], a[i][j]
-        for r in range(state.n):
-            x, y = a[r][j], a[r][i]
-            a[r][j] = piv * x - other * y
-            a[r][i] = gamma * y + delta * x
+        piv, minus_other = a[i][i], -a[i][j]
+        for row in a:
+            x, y = row[j], row[i]
+            row[j] = lincomb(piv, x, minus_other, y)
+            row[i] = lincomb(gamma, y, delta, x)
         ideals[j] = ideals[i] * ideals[j] * ginv
         ideals[i] = g
         state.normalize_col_pair(j)

@@ -16,11 +16,12 @@ basis of Q rather than from its Hermite basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from . import lattice
 from .ideals import FractionalIdeal, IdealError
-from .numberfield import FieldElement
-from .zlinalg import identity, solve_left, vec_mat
+from .numberfield import FieldElement, _make
+from .zlinalg import identity, solve_left
 
 
 class ReducedBasis(list):
@@ -35,9 +36,11 @@ class ReducedBasis(list):
         self._inverse = None
 
     def inverse(self) -> tuple:
-        """(adj, den) of the basis inverse."""
+        """(columns of adj, den) of the basis inverse, so that the
+        coordinates of a row vector t are sum(t * col) / den per column."""
         if self._inverse is None:
-            self._inverse = solve_left(self, identity(len(self)))
+            adj, den = solve_left(self, identity(len(self)))
+            self._inverse = list(zip(*adj)), den
         return self._inverse
 
 
@@ -138,8 +141,8 @@ def reduce_mod_ideal(alpha: FieldElement, a: FractionalIdeal,
         if cache is None:
             cache = field.basis_cache
         basis = cache.reduced_basis(a)
-        adj, den = basis.inverse()
-        v = vec_mat(target, adj)
+        adj_cols, den = basis.inverse()
+        v = [sum(map(mul, target, col)) for col in adj_cols]
     else:
         (v,), den = solve_left(basis, [target])
     # coordinates of alpha in the basis are v / (den * k)
@@ -148,9 +151,8 @@ def reduce_mod_ideal(alpha: FieldElement, a: FractionalIdeal,
         r = [lattice._round_half_up(x, dk) for x in v]
     else:
         r = [x // dk for x in v]
-    d = field.degree
-    new = [target[t] - k * sum(r[i] * basis[i][t] for i in range(d)) for t in range(d)]
-    return FieldElement(field, new, k * l)
+    new = [t - k * sum(map(mul, r, col)) for t, col in zip(target, zip(*basis))]
+    return _make(field, new, k * l)
 
 
 def reduction_bound_sq_scaled(a: FractionalIdeal, ctx: lattice.LatticeContext) -> Fraction:
@@ -196,8 +198,10 @@ def _normalize_ideal(a: FractionalIdeal, cache: ReducedBasisCache):
     new ideal is not integral or misses its norm bound."""
     field = a.field
     k = a.den
-    numerator = FractionalIdeal(field, [list(r) for r in a.num], 1)
-    binv = numerator.inverse()
+    numerator = a if k == 1 else FractionalIdeal(field, [list(r) for r in a.num], 1)
+    # an integral ideal's inverse is often in the memo already, stored by
+    # the Euclidean step that produced it
+    binv = cache.inverse(numerator)
     l = binv.den
     c_ideal = FractionalIdeal(field, [list(r) for r in binv.num], 1)
     alpha = field.element(cache.reduced_basis(c_ideal)[0])

@@ -1,11 +1,13 @@
 """Front-end formats, commands, exit codes, fault injection."""
 
+import importlib
 import io
 import sys
 
 import pytest
 
-from okmod import FractionalIdeal, PseudoMatrix, BiPseudoMatrix, determinantal_ideal
+from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, PseudoMatrix,
+                   determinantal_ideal)
 from okmod import cli
 
 from conftest import QM5_OBSTRUCTION_IN_MODULUS, get_field, random_element, random_ideal, seeded
@@ -185,6 +187,40 @@ def test_snf_check_passes_when_the_obstruction_lies_in_the_modulus(tmp_path, cap
     assert code == 0 and capsys.readouterr().err == ""
     assert out.splitlines()[-1] == "PASS"
     assert out.count("ideal hnf") == 4
+
+
+def test_snf_check_computes_the_determinantal_ideal_once(tmp_path, monkeypatch):
+    # the package's name pseudo_snf is the function; this is its module
+    snf_module = importlib.import_module("okmod.pseudo_snf")
+    calls = []
+    real = snf_module.quotient_determinantal_ideal
+
+    def counted(bp):
+        calls.append(bp)
+        return real(bp)
+
+    monkeypatch.setattr(snf_module, "quotient_determinantal_ideal", counted)
+    monkeypatch.setattr(cli, "quotient_determinantal_ideal", counted)
+    f = write(tmp_path, "qm5.field", "degree 2\npoly 5 0 1\n1 0 / 1\n0 1 / 1\n")
+    m = write(tmp_path, "b.bpm", QM5_OBSTRUCTION_IN_MODULUS)
+    code, out = run_cli(["snf", "--field", f, "--matrix", m, "--check"])
+    assert code == 0 and out.splitlines()[-1] == "PASS"
+    assert len(calls) == 1
+
+    # a chain whose product is off by the factor 2 still satisfies the chain
+    # laws, so only the product law against that one ideal can refuse it
+    real_snf = cli.pseudo_snf
+
+    def corrupted(bp, det_ideal=None):
+        chain = real_snf(bp, det_ideal)
+        two = bp.field.from_int(2)
+        return DivisorChain([chain[0].elt_mul(two), *chain.ideals[1:]])
+
+    monkeypatch.setattr(cli, "pseudo_snf", corrupted)
+    calls.clear()
+    code, out = run_cli(["snf", "--field", f, "--matrix", m, "--check"])
+    assert code == 3 and out.splitlines()[-1] == "FAIL"
+    assert len(calls) == 1
 
 
 def test_det_command(tmp_path):

@@ -1,11 +1,12 @@
 """Field construction and exact element arithmetic."""
 
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 import pytest
 
-from okmod import FieldError, build_field, numeric
+from okmod import FieldElement, FieldError, build_field, numeric
 from okmod.numeric import eval_at_root
 
 from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, abs_sq, abs_sq_center, abs_sq_ub,
@@ -356,6 +357,85 @@ def test_scalar_errors():
         K.scalar_div(K.one(), 0)
     with pytest.raises(ZeroDivisionError):
         K.inv(K.zero())
+
+
+# -- the arithmetic's results against validated elements --------------------
+
+
+def rational(e):
+    return [Fraction(c, e.den) for c in e.coeffs]
+
+
+def from_rational(K, vals):
+    """The validating constructor on rational coordinates."""
+    den = lcm(*(q.denominator for q in vals))
+    return FieldElement(K, [int(q * den) for q in vals], den)
+
+
+def rational_product(K, u, v):
+    """Product of rational coordinate vectors by the structure constants."""
+    d = K.degree
+    out = [Fraction(0)] * d
+    for i in range(d):
+        for j in range(d):
+            for k, c in enumerate(K.struct[i][j]):
+                out[k] += u[i] * v[j] * c
+    return out
+
+
+def operands(rng, K):
+    """Zero, integral and fractional elements with mixed denominators."""
+    elts = [K.zero(), K.one(), -K.one()]
+    elts += [random_element(rng, K, lim=30, max_den=12) for _ in range(5)]
+    elts += [random_element(rng, K, lim=10**20, max_den=10**6) for _ in range(2)]
+    return elts
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_arithmetic_equals_the_validating_constructor(name):
+    K = get_field(name)
+    rng = seeded(f"test_numberfield::test_arithmetic_equals_the_validating_constructor[{name}]")
+    elts = operands(rng, K)
+    for a in elts:
+        ra = rational(a)
+        assert -a == from_rational(K, [-q for q in ra])
+        for m in (0, 1, -1, 6, -15, 10**12):
+            assert K.scalar_mul(m, a) == from_rational(K, [m * q for q in ra])
+            if m:
+                assert K.scalar_div(a, m) == from_rational(K, [q / m for q in ra])
+        for b in elts:
+            rb = rational(b)
+            assert K.add(a, b) == a + b == from_rational(K, [x + y for x, y in zip(ra, rb)])
+            assert K.sub(a, b) == a - b == from_rational(K, [x - y for x, y in zip(ra, rb)])
+            assert K.mul(a, b) == a * b == from_rational(K, rational_product(K, ra, rb))
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_lincomb_equals_its_two_products_and_sum(name):
+    K = get_field(name)
+    rng = seeded(f"test_numberfield::test_lincomb_equals_its_two_products_and_sum[{name}]")
+    elts = operands(rng, K)
+    for _ in range(150):
+        a, x, b, y = (rng.choice(elts) for _ in range(4))
+        got = K.lincomb(a, x, b, y)
+        expect = [s + t for s, t in zip(rational_product(K, rational(a), rational(x)),
+                                        rational_product(K, rational(b), rational(y)))]
+        assert got == a * x + b * y == from_rational(K, expect)
+        assert hash(got) == hash(from_rational(K, expect))
+        assert all(type(c) is int for c in got.coeffs) and got.den > 0
+
+
+def test_validating_constructor_refuses_bad_input():
+    K = get_field("cubic")
+    with pytest.raises(FieldError):
+        FieldElement(K, [1, 2])
+    with pytest.raises(FieldError):
+        FieldElement(K, [1, 2, 3, 4])
+    with pytest.raises(ZeroDivisionError):
+        FieldElement(K, [1, 2, 3], 0)
+    # a negative denominator moves its sign, and the value is put in lowest terms
+    e = FieldElement(K, [2, -4, 6], -4)
+    assert (e.coeffs, e.den) == ((-1, 2, -3), 2)
 
 
 # -- root enclosures: refinement of the cached disks -------------------------

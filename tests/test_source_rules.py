@@ -36,3 +36,17 @@ def test_readme_usage_names_exactly_the_cli_options():
                for opt in action.option_strings if opt not in ("-h", "--help")}
     assert options
     assert named == options
+
+
+def test_trusted_element_constructor_stays_in_the_arithmetic():
+    # numberfield._make builds elements without validating them; only the
+    # arithmetic that produced the coefficients may call it, never code that
+    # handles outside input
+    allowed = {"numberfield.py", "reduction.py"}
+    users = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            if re.search(r"\b_make\b", fh.read()):
+                users.add(os.path.basename(path))
+    assert "numberfield.py" in users
+    assert users <= allowed, sorted(users - allowed)
