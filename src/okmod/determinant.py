@@ -1,22 +1,31 @@
 """Determinants over rings of integers by the multi-modular CRT method.
 
 The determinant of an integral matrix is computed in every residue field of
-enough word-size unramified primes, recombined by the two-stage Chinese
-remainder construction and lifted symmetrically; the prime budget comes from
-a proven coefficient bound, so the lift is exact.  Rectangular rank probing
-reuses the same plans to find a witness nonsingular submatrix.  Both run one
-greedy elimination over F_p[x]/(g), g a factor of degree k of f mod p.
+enough word-size unramified primes.  One linear map per prime takes the
+residues at its factors to integral-basis coordinates mod p, and CRT across
+the primes with a symmetric lift recovers the coordinates; the prime
+budget comes from a proven bound on them, so the lift is exact.
+Rectangular rank probing reuses the same plans to find a witness
+nonsingular submatrix.  Both run one greedy elimination over F_p[x]/(g), g
+a factor of degree k of f mod p.
 
 A multiple of the determinantal ideal is a maximal minor's determinant
 times the product of its rows' ideals, and the matrix's shape chooses the
 minor (``_scaled_minor``): square input uses the whole matrix, one
 determinant and no rank probe, which gives the determinantal ideal itself;
 tall input uses the witness minor of ``rank_and_submatrix``.  For
-``pseudo_hnf``, one tall witness minor gives a multiple hundreds of bits larger
-than the determinantal ideal, the sum over all maximal minors; one linear
-solve against the witness rows adds every minor that differs from the
-witness in one row, which nearly always closes the gap
-(``_elimination_multiple``).
+``pseudo_hnf``, one tall witness minor gives a multiple hundreds of bits
+larger than the determinantal ideal, the sum over all maximal minors.  The
+minors that differ from the witness in one row nearly always close the gap
+(``_elimination_multiple``), and they come from the elimination that finds
+the witness (``_witness``).  Each row carries m more slots, and row k of
+the witness gets e_k there, so that in every residue field where the
+witness minor delta does not vanish, a row r outside the witness ends
+holding -x_r, with x_r * A_W = A_r.  By Cramer's rule delta * x_{r,k} is
+the witness minor with row k replaced by row r, under the same bound as
+delta, so CRT on the integral-basis coordinates recovers every one of them
+exactly.  A prime at which delta vanishes in some residue field gives no
+minors, and the plan takes the next admissible prime instead.
 
 The elimination holds the matrix as k planes, the x^t coefficients of its
 residues, and each row of a plane as one Python integer: entry j sits in
@@ -45,8 +54,7 @@ from .ideals import FractionalIdeal
 from .numberfield import FieldElement, NumberField
 from .numeric import frac_sqrt_ub, log2_ub
 from .residues import Poly, poly_inverse_mod, poly_trim
-from .zlinalg import (SingularMatrixError, RankDeficiencyError, hnf_with_modulus, identity,
-                      solve_left)
+from .zlinalg import SingularMatrixError, RankDeficiencyError, hnf_with_modulus
 
 
 def entry_height(rows: list[list[FieldElement]]) -> int:
@@ -143,23 +151,33 @@ def _shifted_tails(tails: list[list[int]], inv, g: Poly, p: int, w: int) -> list
     return out
 
 
-def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int):
+def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int, extra: int = 0):
     """Greedy echelon form over F_p[x]/(g) of a matrix held as packed planes.
 
     planes[t][i] holds row i of the x^t plane, entry j in slot j (bits
-    [w*j, w*(j+1))).  For each column in turn, the first live row with a
-    nonzero residue becomes the pivot row, and every live row then drops
-    the column's slot, so that slot 0 is always the current column.  The
-    pivot row's tail right of the column is reduced once and turned into the
-    k packed planes X_s of x^s * (-pivot^-1 * tail), s < k, slots below p
+    [w*j, w*(j+1))).  For each of the m columns in turn, the first live row
+    with a nonzero residue becomes the pivot row, and every live row then
+    drops the column's slot, so that slot 0 is always the current column.
+    The pivot row's tail right of the column is reduced once and turned into
+    the k packed planes X_s of x^s * (-pivot^-1 * tail), s < k, slots below p
     (``_shifted_tails``); a live row with residue a = sum_s a_s x^s clears
     the column by adding sum_s a_s * X_s, plane by plane, at most k products
     below p^2 per pivot.  Other slots are reduced mod p only when read; w
     must be large enough for n such updates (``_coefficient_rows``) so that
     no slot carries into the next.  Returns the pivot rows and columns
-    (original indices) and the determinant: the signed product of the
-    pivots if every row holds a pivot, else zero.  The planes are
-    overwritten.
+    (original indices) and the determinant of the minor on the pivot rows in
+    their original order: the signed product of the pivots if every column
+    holds a pivot, else zero.  The planes are overwritten.
+
+    With ``extra``, every row has that many more slots right of its m
+    columns, all zero at the start and never pivoted on.  The c-th pivot row
+    gets a 1 in extra slot c when it is chosen: the earlier pivot rows, the
+    only ones that have updated it, are zero there, so this is the matrix
+    that carried e_c on that row from the start.  The last pivot clears its
+    column too, and the rows left without a pivot end shifted so that extra
+    slot c is their slot c.  When every column holds a pivot, such a row r
+    holds -x_r there, x_r being the coefficients of row r on the pivot rows
+    in pivot order.
     """
     n = len(planes[0])
     mask = (1 << w) - 1
@@ -179,10 +197,12 @@ def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int):
                     hits.append((r, a))
         if piv is not None:
             alive.remove(piv)
+            if extra:
+                planes[0][piv] += 1 << w * (m + len(rows_out) - col)
             rows_out.append(piv)
             cols_out.append(col)
             prod = [sum(map(mul, row, prod)) % p for row in _mult_matrix(pivot, g, p)]
-        if col == m - 1:
+        if col == m - 1 and not extra:
             break
         for pl in planes:
             for r in alive:
@@ -193,7 +213,7 @@ def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int):
         for pl in planes:
             x = pl[piv] >> w
             tail = []
-            for _ in range(m - col - 1):
+            for _ in range(m + extra - col - 1):
                 tail.append((x & mask) % p)
                 x >>= w
             tails.append(tail)
@@ -201,20 +221,20 @@ def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int):
         for r, a in hits:
             for pl, xt in zip(planes, shifted):
                 pl[r] += sum(map(mul, a, xt))
-    if len(rows_out) < n:
+    if len(rows_out) < m:
         return rows_out, cols_out, ()
     if sum(a > b for i, a in enumerate(rows_out) for b in rows_out[i + 1:]) % 2:
         prod = [-x for x in prod]
     return rows_out, cols_out, poly_trim(prod, p)
 
 
-def _echelons(crows: list[list[int]], m: int, sys, h: int, w: int):
-    """``_eliminate`` in each residue field of sys of the matrix with m
-    columns whose coefficient rows, of height h and width w, are crows."""
+def _echelon(crows: list[list[int]], m: int, sys, j: int, h: int, w: int, extra: int = 0):
+    """``_eliminate`` in residue field j of sys of the matrix with m columns
+    whose coefficient rows, of height h and width w, are crows; returns its
+    result and the planes it leaves."""
     p = sys.p
-    ones = _pack([1] * m, w)
-    for g, mat in zip(sys.factors, sys.proj_mats):
-        yield _eliminate(_packed_planes(crows, mat, p, h, ones), m, g, p, w)
+    planes = _packed_planes(crows, sys.proj_mats[j], p, h, _pack([1] * m, w))
+    return _eliminate(planes, m, sys.factors[j], p, w, extra), planes
 
 
 def det(field: NumberField, rows: list[list[FieldElement]]) -> FieldElement:
@@ -230,10 +250,10 @@ def det(field: NumberField, rows: list[list[FieldElement]]) -> FieldElement:
     per_prime = []
     for p in plan.primes:
         sys = field.residue_system(p)
-        vals = [prod for _, _, prod in _echelons(crows, n, sys, h, w)]
-        per_prime.append(residues.crt_combine_factors(vals, sys))
-    coeffs = residues.crt_combine_primes(per_prime, plan, field.degree)
-    return residues.lift_to_field(coeffs, field, plan.modulus)
+        per_prime.append(residues.basis_coordinates(sys, [
+            [_dense(_echelon(crows, n, sys, j, h, w)[0][2], len(g) - 1)]
+            for j, g in enumerate(sys.factors)]))
+    return residues.lift_coordinates(per_prime, plan, field)[0]
 
 
 def rank_and_submatrix(field: NumberField, rows: list[list[FieldElement]]):
@@ -252,25 +272,121 @@ def rank_and_submatrix(field: NumberField, rows: list[list[FieldElement]]):
         raise ValueError("rank probing requires integral entries")
     if all(not e for r in rows for e in r):
         return 0, (), (), field.one()
+    rank, ridx, cidx, delta, _ = _witness(field, rows)
+    if rank < m:
+        delta = det(field, [[rows[i][j] for j in cidx] for i in ridx])
+    return rank, ridx, cidx, delta
+
+
+def _dense(poly, k: int) -> list[int]:
+    """The k coefficients of a residue in a field of degree k."""
+    return list(poly) + [0] * (k - len(poly))
+
+
+def _witness(field: NumberField, rows: list[list[FieldElement]], adjacent: bool = False):
+    """(rank, ridx, cidx, delta, near) of an integral n x m matrix A,
+    n >= m >= 1, as ``rank_and_submatrix`` finds them; delta is None below
+    rank m, and near is None unless ``adjacent`` and the rank is m.
+
+    One packing of A serves every residue field.  The probe eliminates A in
+    the residue fields of the plan for ``det_bound(field, m, h)``, in order,
+    and stops at the first of rank m; its pivot rows are the witness W, and
+    its pivot product is delta there.  Every residue field before it has
+    rank below m, so delta vanishes in it.  Without ``adjacent``, the other
+    residue fields eliminate the m witness rows alone, over the plan for the
+    witness rows' own height, and their pivot products give delta by CRT
+    on its integral-basis coordinates (``residues.basis_coordinates``,
+    ``residues.lift_coordinates``).
+
+    With ``adjacent``, every elimination carries m extra slots
+    (``_eliminate``), and the residue fields after the probe eliminate all
+    of A, witness rows first, so that where delta does not vanish the pivot
+    rows are exactly W.  A row r outside W then holds -x_r, where
+    x_r * A_W = A_r; times delta, x_{r,k} is the determinant of A_W with row
+    k replaced by row r (Cramer's rule), an m x m minor under the same
+    bound.  A prime at one of whose residue fields delta vanishes cannot
+    give these minors and stays out of the plan, which goes on to the next
+    admissible primes (``residues.plan_usable_primes``).  near maps each
+    row r outside W to its m minors delta * x_{r,k}, k running over W.
+    """
+    n, m, d = len(rows), len(rows[0]), field.degree
     h = entry_height(rows)
-    plan = residues.plan_primes(field, det_bound(field, m, h))
-    crows, w = _coefficient_rows(rows, field.degree, h, max(plan.primes))
-    best_rank = 0
-    best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+    log_bound = det_bound(field, m, h)
+    plan = residues.plan_primes(field, log_bound)
+    # the widest slots: later primes, a plan's extension included, are smaller
+    crows, w = _coefficient_rows(rows, d, h, plan.primes[0])
+    extra = m if adjacent else 0
+    best: tuple = (0, [], [])
+    probe = None
     for p in plan.primes:
         sys = field.residue_system(p)
-        for ridx, cidx, _ in _echelons(crows, m, sys, h, w):
-            if len(ridx) > best_rank:
-                best_rank = len(ridx)
-                best = (tuple(sorted(ridx)), tuple(sorted(cidx)))
-                if best_rank == m:
-                    break
-        if best_rank == m:
+        for j in range(len(sys.factors)):
+            (ridx, cidx, prod), planes = _echelon(crows, m, sys, j, h, w, extra)
+            if len(ridx) > best[0]:
+                best = (len(ridx), ridx, cidx)
+            if len(ridx) == m:
+                probe = (p, j, ridx, prod, planes)
+                break
+        if probe:
             break
-    ridx, cidx = best
-    sub = [[rows[i][j] for j in cidx] for i in ridx]
-    det_sub = det(field, sub) if best_rank else field.one()
-    return best_rank, ridx, cidx, det_sub
+    rank, ridx, cidx = best
+    witness = tuple(sorted(ridx))
+    if rank < m:
+        return rank, witness, tuple(cidx), None, None
+    p0, j0 = probe[:2]
+    others = [r for r in range(n) if r not in witness]
+    order = list(witness) + others if adjacent else list(witness)
+    packed = [crows[i] for i in order]
+
+    def values(sys, j):
+        """The residues in residue field j of sys, as k coefficients each, of
+        delta and, with adjacent, of every delta * x_{r,k}; None where delta
+        vanishes."""
+        g, p = sys.factors[j], sys.p
+        k = len(g) - 1
+        if p > p0 or (p == p0 and j < j0):
+            return None
+        if (p, j) == (p0, j0):
+            pivots, prod, planes, live = probe[2:] + (others,)
+        else:
+            (piv, _, prod), planes = _echelon(packed, m, sys, j, h, w, extra)
+            if not prod or max(piv) >= m:
+                return None
+            pivots, live = [order[i] for i in piv], range(m, len(order))
+        out = [_dense(prod, k)]
+        if adjacent:
+            # slot c of a live row holds -x_{r, pivots[c]}; times -delta
+            mask = (1 << w) - 1
+            slot = {r: c for c, r in enumerate(pivots)}
+            times = _mult_matrix([-x for x in prod], g, p)
+            for i in live:
+                for r in witness:
+                    x = [(pl[i] >> w * slot[r] & mask) % p for pl in planes]
+                    out.append([sum(map(mul, row, x)) % p for row in times])
+        return out
+
+    per_prime = []
+
+    def usable(p):
+        sys = field.residue_system(p)
+        found = []
+        for j, g in enumerate(sys.factors):
+            v = values(sys, j)
+            if v is None:
+                if adjacent:
+                    return False
+                v = [[0] * (len(g) - 1)]
+            found.append(v)
+        per_prime.append(residues.basis_coordinates(sys, found))
+        return True
+
+    if not adjacent:
+        log_bound = det_bound(field, m, entry_height([rows[i] for i in witness]))
+    lifted = residues.lift_coordinates(
+        per_prime, residues.plan_usable_primes(field, log_bound, usable), field)
+    near = {r: lifted[1 + t * m:1 + (t + 1) * m] for t, r in enumerate(others)} \
+        if adjacent else None
+    return m, witness, tuple(cidx), lifted[0], near
 
 
 def product_of_ideals(ideals: list[FractionalIdeal]) -> FractionalIdeal:
@@ -297,15 +413,18 @@ def det_times_ideals(field: NumberField, rows: list[list[FieldElement]],
     product of the scales.  Square A gives det(A) times every ideal, tall A
     the witness minor of ``rank_and_submatrix`` (``_scaled_minor``).
     """
-    delta, ridx, _, _ = _scaled_minor(field, rows)
+    delta, ridx, _ = _scaled_minor(field, rows)
     return product_of_ideals([ideals[i] for i in ridx]).elt_mul(delta)
 
 
-def _scaled_minor(field: NumberField, rows: list[list[FieldElement]]):
-    """(delta, ridx, scaled, dens): the determinant of a maximal minor, its
-    rows, and every row scaled by dens[i] to integral entries.  The minor is
-    the whole matrix when it is square, one determinant and no rank probe,
-    and the witness of ``rank_and_submatrix`` when it is tall."""
+def _scaled_minor(field: NumberField, rows: list[list[FieldElement]], adjacent: bool = False):
+    """(delta, ridx, near): the determinant of a maximal minor and its rows.
+    The minor is the whole matrix when it is square, one determinant and no
+    rank probe, and the witness of ``rank_and_submatrix`` when it is tall;
+    both are taken on the rows scaled to integral entries, and delta is
+    divided by the scales of its rows.  With ``adjacent``, tall input also
+    gives near, which maps each row r outside the witness W to x_r, with
+    x_r * A_W = A_r; near is None otherwise."""
     scaled = []
     dens = []
     for row in rows:
@@ -315,19 +434,25 @@ def _scaled_minor(field: NumberField, rows: list[list[FieldElement]]):
         scaled.append([e * den for e in row])
         dens.append(den)
     m = len(rows[0])
+    near = None
     if len(rows) == m:
         ridx = range(m)
         dt = det(field, scaled)
         if not dt:
             raise SingularMatrixError("pseudo-matrix is singular")
     else:
-        s, ridx, _, dt = rank_and_submatrix(field, scaled)
+        s, ridx, _, dt, minors = _witness(field, scaled, adjacent)
         if s < m:
             raise RankDeficiencyError(f"pseudo-matrix has rank {s} < {m}")
+        if adjacent:
+            # the minors of the scaled rows are dt * x_{r,k} * dens[r] / dens[k]
+            inv = field.inv(dt)
+            near = {r: [field.mul(mk, inv) * Fraction(dens[k], dens[r])
+                        for k, mk in zip(ridx, mks)] for r, mks in minors.items()}
     den_prod = 1
     for i in ridx:
         den_prod *= dens[i]
-    return field.scalar_div(dt, den_prod), ridx, scaled, dens
+    return field.scalar_div(dt, den_prod), ridx, near
 
 
 def _elimination_multiple(field: NumberField, rows: list[list[FieldElement]], ideals):
@@ -340,9 +465,9 @@ def _elimination_multiple(field: NumberField, rows: list[list[FieldElement]], id
     By Cramer's rule, row k of A_W replaced by row r has determinant
     x_{r,k} * delta, so D is a sum of maximal-minor ideals and lies between
     delta * P and the determinantal ideal; it is nearly always close to the
-    latter.  All x_r come from one integer solve of size d*m on the block
-    regular representation of the scaled A_W, whose row (k, i) is w_i times
-    the scaled row k; the scale of row r enters x_{r,k} as dens[k]/dens[r].
+    latter.  Every x_{r,k} * delta comes from the multi-modular elimination
+    that finds the witness (``_witness``): one packing of the matrix, and one
+    elimination of it with m extra slots per residue field.
     J is generated over O_K by 1 and the x_{r,k} * alpha * beta, alpha and
     beta running over generators of a_r and a_k^-1 (1 alone for O_K).  With
     N a common denominator of the generators, N * J contains N * O_K, so two
@@ -353,36 +478,27 @@ def _elimination_multiple(field: NumberField, rows: list[list[FieldElement]], id
     Tall input records no factor: P * J has a denominator of hundreds of
     bits, and an LLL started from it costs more than the elimination.
     """
-    delta, ridx, scaled, dens = _scaled_minor(field, rows)
+    delta, ridx, near = _scaled_minor(field, rows, adjacent=True)
     prod = product_of_ideals([ideals[i] for i in ridx])
-    if len(ridx) == len(rows):
+    if near is None:
         return prod.elt_mul(delta), (delta, prod)
-    d = field.degree
-    others = [r for r in range(len(rows)) if r not in ridx and any(scaled[r])]
-    if others:
-        block = [[c for e in scaled[k] for c in field.coeff_mul(w, e.coeffs)]
-                 for k in ridx for w in identity(d)]
-        rhs = [[c for e in scaled[r] for c in e.coeffs] for r in others]
-        num, den = solve_left(block, rhs)
-        row_gens = [_generators(ideals[r]) for r in others]
-        inv_gens = [_generators(ideals[k].inverse()) for k in ridx]
-        # N, a common denominator of every generator x_{r,k} * alpha * beta
-        modulus = (den * lcm(*(dens[r] * g[1] for r, g in zip(others, row_gens)))
-                   * lcm(*(g[1] for g in inv_gens)))
-        vecs = []
-        for r, x, (a_gens, a_den) in zip(others, num, row_gens):
-            for t, k in enumerate(ridx):
-                xk = [c * dens[k] for c in x[t * d:(t + 1) * d]]
-                if any(xk):
-                    b_gens, b_den = inv_gens[t]
-                    scale = modulus // (den * dens[r] * a_den * b_den)
-                    for v in _times(field, _times(field, [xk], a_gens), b_gens):
-                        vecs.append([c * scale % modulus for c in v])
-        if vecs:
-            # the Z-span of the generators, then its O_K-span: N * J
-            span = hnf_with_modulus(vecs, modulus)
-            closure = [field.coeff_mul(w, v) for v in span for w in identity(d)]
-            prod = prod * FractionalIdeal.from_row_lattice(field, closure, modulus, modulus)
+    inv_gens = [_generators(ideals[k].inverse()) for k in ridx]
+    # (coefficient vector, denominator) of every generator x_{r,k} * alpha * beta
+    gens = []
+    for r, xs in near.items():
+        a_gens, a_den = _generators(ideals[r])
+        for x, (b_gens, b_den) in zip(xs, inv_gens):
+            if x:
+                den = x.den * a_den * b_den
+                gens += [(v, den) for v in _times(field, _times(field, [x.coeffs], a_gens),
+                                                  b_gens)]
+    if gens:
+        modulus = lcm(*(den for _, den in gens))
+        span = hnf_with_modulus([[c * (modulus // den) % modulus for c in v] for v, den in gens],
+                                modulus)
+        # the Z-span of N times the generators, then its O_K-span: N * J
+        closure = [row for v in span for row in field.regular_representation(field.element(v))]
+        prod = prod * FractionalIdeal.from_row_lattice(field, closure, modulus, modulus)
     return prod.elt_mul(delta), None
 
 

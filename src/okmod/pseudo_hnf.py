@@ -162,7 +162,9 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
     ideal of the module.  When it is omitted, square input uses its
     determinant times the product of the ideals, and tall input a sum of
     maximal-minor ideals, which is nearly always close to the determinantal
-    ideal itself and far smaller than one witness minor's.  The output has
+    ideal itself and far smaller than one witness minor's.  A multiple equal
+    to O_K makes the module O_K^m, and the identity rows, unit ideals and
+    zero trailing rows come back without an elimination.  The output has
     the triangular block with unit diagonal on top, integral coefficient
     ideals, and represents the same module.  With ``verify`` the working
     norm bounds and the output shape are checked, raising RuntimeError on a
@@ -187,6 +189,12 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
         # from delta times a reduced basis of the small P * a^-1; tall
         # input: a sum of maximal-minor ideals, with no factor
         det_ideal, factor = determinant._elimination_multiple(field, pm.rows, pm.ideals)
+    if det_ideal.is_unit():
+        # the module lies in O_K^m, and its determinantal ideal contains
+        # O_K: it is O_K^m, whose form is the identity with unit ideals
+        one, zero, unit = field.one(), field.zero(), FractionalIdeal.unit(field)
+        rows = [[one if j == i else zero for j in range(pm.ncols)] for i in range(pm.nrows)]
+        return PseudoMatrix(field, rows, [unit] * pm.nrows, det_ideal=det_ideal)
     ctx = field.lattice_context
     start = None if trace is None else len(trace)
     try:

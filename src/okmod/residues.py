@@ -16,7 +16,10 @@ g is those rows reduced mod g, which are x^(i*p) mod g since g divides f.
 The powers (x^p, and (v + s)^((p-1)/2) for the split) take a 4-bit sliding
 window on residues packed one per integer: a product is one integer
 multiplication, whose top slots fold through the packed rows x^t mod the
-modulus.
+modulus.  Besides the two-stage CRT of one element, many elements at once
+go through their integral-basis coordinates: one linear map per prime takes
+their residues at its factors to coordinates mod p, and one CRT over the
+primes lifts them (``basis_coordinates``, ``lift_coordinates``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .numberfield import FieldElement, FieldError, NumberField
 
@@ -394,6 +398,16 @@ _TOP_PRIMES = tuple((1 << 62) - c for c in (
 
 def plan_primes(field: NumberField, log_bound) -> PrimePlan:
     """First primes below 2^62 coprime to disc(f) with product > 2^(log_bound + 1)."""
+    return plan_usable_primes(field, log_bound, None)
+
+
+def plan_usable_primes(field: NumberField, log_bound, usable) -> PrimePlan:
+    """``plan_primes`` over the primes that ``usable`` accepts.
+
+    ``usable`` (None accepts every prime) is asked once per prime, in plan
+    order; a prime it rejects stays out of the plan and its product, and the
+    plan goes on to the next one.
+    """
     log_bound = Fraction(log_bound)
     if log_bound <= 0:
         raise ResidueError("bound must be positive")
@@ -404,14 +418,18 @@ def plan_primes(field: NumberField, log_bound) -> PrimePlan:
     # the admissible primes found so far are kept on the field, in order,
     # and extended only when a plan needs more of them
     known = field.admissible_primes
+    chosen = []
     count = 0
     n_prod = 1
     while n_prod <= target:
         if count == len(known):
             known.append(_next_admissible(field, known[-1] if known else 1 << 62))
-        n_prod *= known[count]
+        q = known[count]
         count += 1
-    return PrimePlan(log_bound, tuple(known[:count]), n_prod)
+        if usable is None or usable(q):
+            chosen.append(q)
+            n_prod *= q
+    return PrimePlan(log_bound, tuple(chosen), n_prod)
 
 
 def _next_admissible(field: NumberField, above: int) -> int:
@@ -488,3 +506,34 @@ def lift_to_field(coeffs: list[int], field: NumberField, modulus: int) -> FieldE
         acc = sum(field.power_to_basis[i][j] * coeffs[j] for j in range(min(d, len(coeffs))))
         out.append(symmetric_lift(acc, modulus))
     return field.element(out)
+
+
+def basis_coordinates(sys: ResidueSystem, values) -> list[list[int]]:
+    """Integral-basis coordinates mod p of integral elements given by their
+    residues: values[j][v] holds the k coefficients of element v in the
+    residue field F_p[x]/(g_j) of factor j.
+
+    One linear map serves every element.  Its column (j, t) is the image of
+    the residue x^t at factor j and zero at the others: x^t times the CRT
+    multiplier of factor j, modulo fbar, on the integral basis.
+    """
+    p = sys.p
+    power_to_basis = sys.field.power_to_basis
+    cols = []
+    for g, mult in zip(sys.factors, sys.crt_mults):
+        for t in range(len(g) - 1):
+            c = poly_mod((0,) * t + tuple(mult), sys.fbar, p)
+            cols.append([sum(map(mul, row, c)) % p for row in power_to_basis])
+    to_basis = list(zip(*cols))
+    return [[sum(map(mul, row, stacked)) % p for row in to_basis]
+            for stacked in (sum(v, []) for v in zip(*values))]
+
+
+def lift_coordinates(per_prime, plan: PrimePlan, field: NumberField) -> list[FieldElement]:
+    """The elements whose integral-basis coordinates modulo the i-th plan
+    prime are per_prime[i][v]: CRT, then the symmetric lift into
+    (-N/2, N/2], exact when every true coordinate lies there."""
+    big = plan.modulus
+    crt = [big // q * pow(big // q, -1, q) for q in plan.primes]
+    return [field.element([symmetric_lift(sum(map(mul, crt, cs)), big) for cs in zip(*v)])
+            for v in zip(*per_prime)]

@@ -20,7 +20,7 @@ from okmod.numeric import frac_sqrt_ub
 from okmod.reduction import ReducedBasisCache, check_reduced_bound, normalize_row, reduce_mod_ideal
 from okmod.zlinalg import RankDeficiencyError, det_bareiss, hnf_with_modulus, z_snf
 
-from conftest import echelon_hnf_upper, get_field, hnf
+from conftest import cofactor_det, echelon_hnf_upper, get_field, hnf
 
 SEED = 20250810
 FIELDS = ("Q", "Qi", "Qm5", "cubic")
@@ -140,20 +140,6 @@ def test_criterion_4_normalization_contract():
     report(4, "normalization contract (4 fields x 500)", started)
 
 
-def _cofactor(field, rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = field.zero()
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _cofactor(field, minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
 def test_criterion_5_determinant_oracle():
     started = time.time()
     rng = random.Random(SEED + 5)
@@ -164,7 +150,7 @@ def test_criterion_5_determinant_oracle():
             n = rng.randint(1, 5)
             rows = [[rand_elt(rng, K, lim=9, nonzero=False) or K.zero()
                      for _ in range(n)] for _ in range(n)]
-            assert det(K, rows) == _cofactor(K, rows)
+            assert det(K, rows) == cofactor_det(K, rows)
         # CRT round-trip recovery
         plan = plan_primes(K, 24)
         systems = [split_prime(K, p) for p in plan.primes]

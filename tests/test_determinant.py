@@ -5,10 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from okmod import (FractionalIdeal, det, det_bound, determinantal_ideal,
+from okmod import (FractionalIdeal, canonicalize, det, det_bound, determinantal_ideal,
                    determinantal_ideal_multiple, plan_primes, project_element,
                    pseudo_hnf, rank_and_submatrix)
-from okmod import determinant
+from okmod import determinant, residues
 from okmod.determinant import (_coefficient_rows, _elimination_multiple, _eliminate, _pack,
                                _packed_planes, entry_height)
 from okmod.pseudo_hnf import PseudoMatrix
@@ -287,16 +287,17 @@ def test_square_multiple_is_the_determinantal_ideal(name):
 
 def test_only_tall_input_probes_the_rank(monkeypatch):
     # the shape chooses the minor: square input takes one determinant of the
-    # whole matrix, tall input one rank probe for the witness minor
+    # whole matrix, tall input one rank probe for the witness minor, which
+    # for pseudo_hnf also gives the minors next to the witness
     K = get_field("Qm5")
     probes = []
-    real = determinant.rank_and_submatrix
+    real = determinant._witness
 
-    def spy(field, rows):
+    def spy(field, rows, adjacent=False):
         probes.append(len(rows))
-        return real(field, rows)
+        return real(field, rows, adjacent)
 
-    monkeypatch.setattr(determinant, "rank_and_submatrix", spy)
+    monkeypatch.setattr(determinant, "_witness", spy)
     rng = seeded("test_determinant rank probes")
     u = FractionalIdeal.unit(K)
     while True:
@@ -440,6 +441,89 @@ def test_tall_multiple_lies_between_witness_and_minor_sum(name):
     print(f"[{name}] multiple equal to the minor sum in {equal} of 4 cases")
 
 
+def integral_pseudo(K, rows, ideals):
+    """The pseudo-matrix with each row scaled by an integer that puts
+    a_i * row_i inside O_K^m: the denominator of a_i times those of the
+    row's entries."""
+    scaled = []
+    for row, a in zip(rows, ideals):
+        c = a.den
+        for e in row:
+            c *= e.den
+        scaled.append([e * c for e in row])
+    return PseudoMatrix(K, scaled, ideals)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_tall_hnf_with_its_own_multiple_matches_the_minor_sum(name):
+    # pseudo_hnf's own multiple for tall input against an independent one:
+    # the determinantal ideal by cofactor expansion over every maximal minor
+    K = get_field(name)
+    rng = seeded(f"test_determinant tall hnf against the minor sum {name}")
+    for label, rows, ideals in tall_cases(K, rng):
+        pm = integral_pseudo(K, rows, ideals)
+        assert pm.module_in_ring_power(), label
+        total = maximal_minor_sum(K, pm.rows, pm.ideals)
+        own = canonicalize(pseudo_hnf(pm))
+        oracle = canonicalize(pseudo_hnf(pm, total))
+        assert (own.rows, own.ideals) == (oracle.rows, oracle.ideals), label
+
+
+def degenerate_cases():
+    """(field, pi, q): pi vanishes in a residue field of the plan prime q.
+    Over Q, pi is the first and the second admissible prime; over
+    Q(sqrt -5), whose first admissible prime q splits into x + a_0 and
+    x + a_1, pi is sqrt(-5) + a_i, which lies in the prime above q of
+    factor i alone."""
+    Q = get_field("Q")
+    for q in plan_primes(Q, 1000).primes[:2]:
+        yield Q, Q.from_int(q), q
+    K = get_field("Qm5")
+    q = plan_primes(K, 1).primes[0]
+    factors = K.residue_system(q).factors
+    assert [len(g) for g in factors] == [2, 2]
+    for g in factors:
+        pi = K.element([g[0], 1])
+        assert pi.norm() % q == 0
+        yield K, pi, q
+
+
+def test_degenerate_plan_prime_keeps_the_multiple_exact(monkeypatch):
+    # a prime with a residue field in which the witness minor vanishes
+    # gives no minors next to it; the plan passes it over and stays exact.
+    # In [[pi, 0], [0, 2], [pi, 1]] the witness is rows 0 and 1, with
+    # determinant 2 * pi, and every minor is a multiple of pi: rank 1 where
+    # pi vanishes.  In [[pi, 0], [0, 2], [1, 1]] rows 1 and 2 take the
+    # pivots there, and they are the witness when pi vanishes at the probe
+    plans = []
+    real = residues.plan_usable_primes
+
+    def spy(field, log_bound, usable):
+        plan = real(field, log_bound, usable)
+        if usable is not None:
+            plans.append(plan.primes)
+        return plan
+
+    monkeypatch.setattr(residues, "plan_usable_primes", spy)
+    passed_over = 0
+    for K, pi, q in degenerate_cases():
+        z, one, two = K.zero(), K.one(), K.from_int(2)
+        u = FractionalIdeal.unit(K)
+        for rows in ([[pi, z], [z, two], [pi, one]], [[pi, z], [z, two], [one, one]]):
+            plans.clear()
+            mult, factor = _elimination_multiple(K, rows, [u] * 3)
+            assert factor is None
+            assert mult == maximal_minor_sum(K, rows, [u] * 3)
+            assert len(plans) == 1
+            rank, ridx, cidx, delta = rank_and_submatrix(K, rows)
+            assert (rank, cidx) == (2, (0, 1))
+            assert delta == cofactor_det(K, [rows[i] for i in ridx])
+            if ridx == (0, 1):
+                assert delta == 2 * pi and q not in plans[0]
+                passed_over += 1
+    assert passed_over == 6
+
+
 SMALL_PRIMES = [(name, p) for name in ALL_FIELDS for p in (2, 3, 5, 7)
                 if get_field(name).disc_f % p]
 
@@ -474,6 +558,38 @@ def test_eliminate_matches_dense_gauss_at_small_primes(name, p):
                 _, _, sub_prod = run_eliminate(sub, sys, fi)
                 _, sub_det = ref_rank_det(projected(sub, sys, fi), g, p)
                 assert any(sub_det) and dense(sub_prod, k) == sub_det
+
+
+@pytest.mark.parametrize("name,p", SMALL_PRIMES)
+def test_extra_slots_hold_the_coefficients_on_the_pivot_rows(name, p):
+    # with m extra slots, a row left without a pivot holds -x_r, where x_r
+    # times the pivot rows, in pivot order, is the row; the pivot product
+    # of a tall matrix is the determinant of the minor on its pivot rows
+    K = get_field(name)
+    sys = K.residue_system(p)
+    local = seeded(f"test_determinant extra slots {name} {p}")
+    for fi, g in enumerate(sys.factors):
+        k = len(g) - 1
+        for n, m in ((3, 2), (5, 3), (6, 4), (4, 4)):
+            rows = random_matrix(local, K, n, m, lim=4)
+            ref = projected(rows, sys, fi)
+            planes, w = packed(rows, sys, fi)
+            ridx, cidx, prod = _eliminate(planes, m, g, p, w, m)
+            plain = run_eliminate(rows, sys, fi)
+            assert (ridx, cidx) == tuple(plain[:2])
+            if len(ridx) < m:
+                assert prod == ()
+                continue
+            _, minor_det = ref_rank_det([ref[i] for i in sorted(ridx)], g, p)
+            assert dense(prod, k) == minor_det
+            mask = (1 << w) - 1
+            for i in set(range(n)) - set(ridx):
+                x = [tuple(-(pl[i] >> w * c & mask) % p for pl in planes) for c in range(m)]
+                for j in range(m):
+                    acc = (0,) * k
+                    for xc, r in zip(x, ridx):
+                        acc = tuple((a + b) % p for a, b in zip(acc, ref_mul(xc, ref[r][j], g, p)))
+                    assert acc == ref[i][j]
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)

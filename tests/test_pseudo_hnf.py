@@ -486,6 +486,64 @@ def test_pseudo_hnf_refuses_a_module_outside_the_ring_power(name):
     assert module_hnf(out) == module_hnf(with_two) == module_hnf(pm)
 
 
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_tall_input_spanning_the_ring_power_needs_no_elimination(name, monkeypatch):
+    # identity rows under rows with proper ideals span O_K^m; the multiple is
+    # O_K, so the form is the identity with unit ideals and zero trailing
+    # rows, with no elimination, and the elimination modulo 2 * O_K agrees
+    K = get_field(name)
+    rng = seeded(f"test_pseudo_hnf ring power shortcut {name}")
+    m, u = 3, FractionalIdeal.unit(K)
+    pairs = [([K.one() if j == i else K.zero() for j in range(m)], u) for i in range(m)]
+    pairs += [([random_element(rng, K, 4) for _ in range(m)], random_ideal(rng, K))
+              for _ in range(2)]
+    rng.shuffle(pairs)
+    pm = PseudoMatrix(K, [row for row, _ in pairs], [a for _, a in pairs])
+    checked = pseudo_hnf(pm, FractionalIdeal.from_rational(K, 2), verify=True)
+    calls = []
+    # the package's pseudo_hnf attribute is the function; this is its module
+    module = importlib.import_module("okmod.pseudo_hnf")
+    real = module._eliminate
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "_eliminate", spy)
+    out = pseudo_hnf(pm, verify=True)
+    assert calls == []
+    identity = [[K.one() if j == i else K.zero() for j in range(m)] for i in range(5)]
+    assert out.rows == identity and all(a.is_unit() for a in out.ideals)
+    assert out.det_ideal.is_unit()
+    assert dump(canonicalize(checked)) == dump(out) == dump(canonicalize(out))
+    assert module_hnf(out) == module_hnf(pm)
+
+
+def test_refusals_come_before_the_multiple(monkeypatch):
+    # a module outside O_K^m is refused before any multiple is computed, and
+    # rank-deficient tall input still raises RankDeficiencyError
+    K = get_field("Qm5")
+    u = FractionalIdeal.unit(K)
+    one, half = K.one(), K.element([1, 0], 2)
+    outside = PseudoMatrix(K, [[half, K.zero()], [K.zero(), one], [one, one]], [u] * 3)
+    real = determinant._elimination_multiple
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(determinant, "_elimination_multiple", spy)
+    with pytest.raises(IdealError, match="not contained in O_K"):
+        pseudo_hnf(outside)
+    assert calls == []
+    two = K.from_int(2)
+    deficient = PseudoMatrix(K, [[one, two], [two, 2 * two], [K.zero(), K.zero()]], [u] * 3)
+    with pytest.raises(RankDeficiencyError, match="rank 1 < 2"):
+        pseudo_hnf(deficient)
+    assert len(calls) == 1
+
+
 def test_absolute_invariant_under_valid_forms(field):
     rng = seeded("test_pseudo_hnf::test_absolute_invariant_under_valid_forms")
     done = 0
@@ -669,7 +727,10 @@ def test_only_square_input_records_a_factor(name, monkeypatch):
     factors.clear()
     warm_starts.clear()
     tall = full_rank_pseudo(K, f"test_pseudo_hnf tall factor {name}", n=5, m=3)
-    pseudo_hnf(tall, verify=True)
+    # twice the last column: the module is not O_K^m, so the elimination runs
+    tall = PseudoMatrix(K, [row[:-1] + [2 * row[-1]] for row in tall.rows], tall.ideals)
+    out = pseudo_hnf(tall, verify=True)
+    assert not out.det_ideal.is_unit()
     assert factors == [] and warm_starts == []
 
 
@@ -677,6 +738,8 @@ def test_only_square_input_records_a_factor(name, monkeypatch):
 def test_quality_error_reruns_on_a_finer_context(name, monkeypatch):
     K = get_field(name)
     pm = full_rank_pseudo(K, f"test_pseudo_hnf quality retry {name}")
+    # twice the last column: the module is not O_K^m, so the elimination runs
+    pm = PseudoMatrix(K, [row[:-1] + [2 * row[-1]] for row in pm.rows], pm.ideals)
     expected_trace = []
     expected = canonicalize(pseudo_hnf(pm, trace=expected_trace))
     real = lattice._check_quality

@@ -295,3 +295,18 @@ def test_round_trip_identity(field):
         per_prime = [rs.crt_combine_factors(project_element(beta, s), s) for s in systems]
         coeffs = rs.crt_combine_primes(per_prime, plan, field.degree)
         assert rs.lift_to_field(coeffs, field, plan.modulus) == beta
+    # many elements at once, through their coordinates, over several primes
+    plan = plan_primes(field, 200)
+    half = plan.modulus // 2
+    betas = [field.element([rng.randint(-half + 1, half) for _ in range(field.degree)])
+             for _ in range(10)] + [field.zero(), field.from_int(half)]
+    per_prime = []
+    for p in plan.primes:
+        s = split_prime(field, p)
+        values = [[] for _ in s.factors]
+        for beta in betas:
+            for vals, r, g in zip(values, project_element(beta, s), s.factors):
+                vals.append(list(r) + [0] * (len(g) - 1 - len(r)))
+        per_prime.append(rs.basis_coordinates(s, values))
+    assert len(plan.primes) > 1
+    assert rs.lift_coordinates(per_prime, plan, field) == betas

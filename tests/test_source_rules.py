@@ -50,3 +50,19 @@ def test_trusted_element_constructor_stays_in_the_arithmetic():
                 users.add(os.path.basename(path))
     assert "numberfield.py" in users
     assert users <= allowed, sorted(users - allowed)
+
+
+def test_determinant_takes_no_integer_solve():
+    # the minors next to the witness come from the multi-modular
+    # elimination, so determinant.py needs neither the rational solve nor
+    # the identity matrix that the block system over Z was built with
+    path = os.path.join(SRC, "determinant.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("zlinalg")
+                for alias in node.names}
+    assert "hnf_with_modulus" in imported
+    assert not imported & {"solve_left", "identity"}, sorted(imported)
+    assert not any(isinstance(node, ast.Attribute) and node.attr in ("solve_left", "identity")
+                   for node in ast.walk(tree))
