@@ -10,7 +10,15 @@ the entries small.
 Identities skip the Hermite kernel where the answer is known: ``O_K`` is
 recognized from its minimum in O(1), ``a * O_K = a`` and ``O_K^-1 = O_K``,
 and multiplying by a rational p/q scales the Hermite numerator by |p| and the
-denominator by q.
+denominator by q.  Containment is decided by memberships of a basis, with no
+Hermite form.
+
+Two constructors build ideals.  ``FractionalIdeal(field, num, den)`` is the
+way in for values from outside: it checks that ``num`` is a d x d lower
+triangular matrix with positive diagonal and that ``den > 0``.  The
+module-private ``_make_ideal(field, num, den)`` trusts that ``num`` is the
+Hermite basis of an integral ideal and ``den > 0``, and only divides out the
+content; the arithmetic here builds the Hermite forms it computes through it.
 """
 
 from __future__ import annotations
@@ -20,11 +28,38 @@ from math import gcd
 
 from .numberfield import FieldElement, NumberField
 from .numeric import log2_ub
-from .zlinalg import Mat, hnf_with_modulus, identity, mat_mul, solve_left, transpose
+from .zlinalg import Mat, det_bareiss, hnf_with_modulus, identity, mat_mul, solve_left, transpose
 
 
 class IdealError(ValueError):
     pass
+
+
+_new_ideal = object.__new__
+
+
+def _make_ideal(field: NumberField, num: Mat, den: int) -> "FractionalIdeal":
+    """Ideal num / den with the content divided out, trusting that ``num`` is
+    the Hermite basis of an integral ideal and ``den > 0``: no check.  For
+    the Hermite forms the arithmetic computes; outside values go through
+    ``FractionalIdeal``."""
+    ideal = _new_ideal(FractionalIdeal)
+    ideal.field = field
+    ideal.num, ideal.den = _without_content(num, den)
+    return ideal
+
+
+def _without_content(num: Mat, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(num, den) divided by the gcd of den and every entry of num."""
+    g = den
+    for row in num:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    if g > 1:
+        num = [[x // g for x in row] for row in num]
+        den //= g
+    return tuple(tuple(row) for row in num), den
 
 
 class FractionalIdeal:
@@ -43,18 +78,8 @@ class FractionalIdeal:
                 raise IdealError("numerator is not a full-rank Hermite basis")
             if any(num[i][j] for j in range(i + 1, d)):
                 raise IdealError("numerator is not lower triangular")
-        g = den
-        for row in num:
-            for x in row:
-                g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            num = [[x // g for x in row] for row in num]
-            den //= g
         self.field = field
-        self.num = tuple(tuple(row) for row in num)
-        self.den = den
+        self.num, self.den = _without_content(num, den)
 
     # -- constructors -------------------------------------------------------
 
@@ -65,10 +90,9 @@ class FractionalIdeal:
         an O_K-stable lattice.  ``multiple`` is any positive integer with
         multiple * Z^d inside the row span.
         """
-        work = [list(r) for r in rows if any(r)]
-        if not work:
+        if not any(map(any, rows)):
             raise IdealError("zero ideal is not representable")
-        return cls(field, hnf_with_modulus(work, multiple), den)
+        return _make_ideal(field, hnf_with_modulus(rows, multiple), den)
 
     @classmethod
     def from_generators(cls, field: NumberField, gens) -> "FractionalIdeal":
@@ -85,7 +109,7 @@ class FractionalIdeal:
             scaled = field.element([c * (den // g.den) for c in g.coeffs])
             m = field.regular_representation(scaled)
             rows.extend(m)
-            lam = gcd(lam, abs(field.norm(scaled).numerator))
+            lam = gcd(lam, det_bareiss(m))
         return cls.from_row_lattice(field, rows, den, multiple=lam)
 
     @classmethod
@@ -194,17 +218,15 @@ class FractionalIdeal:
         if not alpha:
             raise IdealError("multiplication by the zero element")
         field = self.field
-        d = field.degree
         if not any(alpha.coeffs[1:]):
             # a rational p/q: |p| times a Hermite basis is a Hermite basis
             p = abs(alpha.coeffs[0])
-            return FractionalIdeal(field, [[x * p for x in row] for row in self.num],
-                                   self.den * alpha.den)
-        num_elt = field.element(list(alpha.coeffs))
-        m = field.regular_representation(num_elt)
-        rows = [[sum(u[i] * m[i][k] for i in range(d)) for k in range(d)]
-                for u in self.num]
-        lam = abs(field.norm(num_elt).numerator) * self.num[0][0]
+            return _make_ideal(field, [[x * p for x in row] for row in self.num],
+                               self.den * alpha.den)
+        # |N(den * alpha)| is |det| of the regular representation
+        m = field.regular_representation(field.element(alpha.coeffs))
+        lam = abs(det_bareiss(m)) * self.num[0][0]
+        rows = [field.coeff_mul(u, alpha.coeffs) for u in self.num]
         return FractionalIdeal.from_row_lattice(field, rows, self.den * alpha.den,
                                                 multiple=lam)
 
@@ -212,8 +234,7 @@ class FractionalIdeal:
         if m == 0:
             raise IdealError("multiplication by zero")
         m = abs(m)
-        return FractionalIdeal(self.field, [[x * m for x in row] for row in self.num],
-                               self.den)
+        return _make_ideal(self.field, [[x * m for x in row] for row in self.num], self.den)
 
     def inverse(self) -> "FractionalIdeal":
         """Exact inverse via the trace dual.
@@ -229,11 +250,11 @@ class FractionalIdeal:
             return self
         field = self.field
         d = field.degree
-        numerator = self if self.den == 1 else FractionalIdeal(field, self.num, 1)
+        numerator = self if self.den == 1 else _make_ideal(field, self.num, 1)
         h = (numerator * field.codifferent_numerator).num
         rhs = [[field.trace_den if i == j else 0 for j in range(d)] for i in range(d)]
         num, den = solve_left(mat_mul(field.trace_mat, transpose(h)), rhs)
-        inv_integral = FractionalIdeal(field, hnf_with_modulus(num, den), den)
+        inv_integral = _make_ideal(field, hnf_with_modulus(num, den), den)
         return inv_integral.int_mul(self.den) if self.den > 1 else inv_integral
 
     # -- predicates ------------------------------------------------------------
@@ -241,11 +262,21 @@ class FractionalIdeal:
     def contains(self, alpha: FieldElement) -> bool:
         """Whether den * alpha lies in the lattice of the Hermite numerator,
         decided by exact division from the last column."""
-        if not alpha:
-            return True
+        return self._holds(alpha.coeffs, alpha.den)
+
+    __contains__ = contains
+
+    def is_subset(self, other: "FractionalIdeal") -> bool:
+        """Whether self lies in other: every Hermite basis element of self is
+        a member of other."""
+        self._same_field(other)
+        return all(other._holds(row, self.den) for row in self.num)
+
+    def _holds(self, coeffs, den: int) -> bool:
+        """Whether the element coeffs / den is a member (``contains``)."""
         v = []
-        for c in alpha.coeffs:
-            q, r = divmod(c * self.den, alpha.den)
+        for c in coeffs:
+            q, r = divmod(c * self.den, den)
             if r:
                 return False
             v.append(q)
@@ -258,18 +289,6 @@ class FractionalIdeal:
                 for k in range(j):
                     v[k] -= q * row[k]
         return True
-
-    __contains__ = contains
-
-    def is_subset(self, other: "FractionalIdeal") -> bool:
-        self._same_field(other)
-        k, l = self.den, other.den
-        g = gcd(k, l)
-        big = k * (l // g)
-        rows_a = [[x * (big // k) for x in row] for row in self.num]
-        rows_b = [[x * (big // l) for x in row] for row in other.num]
-        lam = rows_b[0][0]
-        return hnf_with_modulus(rows_a + rows_b, lam) == rows_b
 
     def _same_field(self, other: "FractionalIdeal") -> None:
         if not isinstance(other, FractionalIdeal):

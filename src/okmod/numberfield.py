@@ -2,10 +2,11 @@
 
 A :class:`NumberField` is an immutable bundle of precomputed data for a field
 ``K = Q[x]/(f)`` together with an integral basis given over the power basis:
-structure constants, trace matrix and its scaled inverse, discriminants, the
-power-basis transformation, certified embedding enclosures, and the growth
-constants used in size bounds.  Elements are integer coefficient vectors over
-the integral basis with a minimal positive denominator.
+structure constants and the product compiled from them, trace matrix and
+its scaled inverse, discriminants, the power-basis transformation, certified
+embedding enclosures, and the growth constants used in size bounds.
+Elements are integer coefficient vectors over the integral basis with a
+minimal positive denominator.
 
 Two constructors build elements.  ``FieldElement(field, coeffs, den)`` is the
 way in for values from outside (parser, users, tests): it converts each
@@ -179,8 +180,48 @@ def _sylvester_resultant(f: list[int], g: list[int]) -> int:
     return det_bareiss(rows)
 
 
+def _compile_product(struct):
+    """The product of two coefficient vectors over the basis with structure
+    constants ``struct[i][j][k]``, as one straight-line function.
+
+    Since w_i w_j = w_j w_i, each pair i <= j with a nonzero constant gives
+    one term, u_i v_i or u_i v_j + u_j v_i, computed once and kept in a local
+    when several coordinates use it; coordinate k is the fixed sum of the
+    terms times their constants.  The source is built from integer indices
+    and constants alone, and the function sees no builtins.
+    """
+    d = len(struct)
+    lines = ["def coeff_mul(u, v):",
+             "    " + "".join(f"u{i}, " for i in range(d)) + "= u",
+             "    " + "".join(f"v{i}, " for i in range(d)) + "= v"]
+    sums: list[list[str]] = [[] for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            ks = [k for k in range(d) if struct[i][j][k]]
+            if not ks:
+                continue
+            term = f"u{i}*v{i}" if i == j else f"(u{i}*v{j} + u{j}*v{i})"
+            if len(ks) > 1:
+                lines.append(f"    t{i}_{j} = {term}")
+                term = f"t{i}_{j}"
+            for k in ks:
+                c = struct[i][j][k]
+                sign = "-" if c < 0 else "+"
+                sums[k].append(f"{sign} {term}" if abs(c) == 1 else f"{sign} {abs(c):d}*{term}")
+    coords = [" ".join(s).removeprefix("+ ") if s else "0" for s in sums]
+    lines.append(f"    return [{', '.join(coords)}]")
+    namespace = {"__builtins__": {}}
+    exec(compile("\n".join(lines), f"<coeff_mul, degree {d}>", "exec"), namespace)
+    return namespace["coeff_mul"]
+
+
 class NumberField:
-    """Immutable precomputed context for exact arithmetic in a number field."""
+    """Immutable precomputed context for exact arithmetic in a number field.
+
+    ``coeff_mul(u, v)`` is the coefficient vector of the product of two
+    coefficient vectors, a function that ``build_field`` compiles from the
+    structure constants; every element and ideal product goes through it.
+    """
 
     def __init__(self, *, _token=None, **data):
         if _token is not _BUILD_TOKEN:
@@ -249,23 +290,6 @@ class NumberField:
         return _make(self, list(a.coeffs), a.den * m)
 
     # -- multiplicative structure -------------------------------------------
-
-    def coeff_mul(self, u, v) -> list[int]:
-        """Coefficient vector of the product of two coefficient vectors.
-
-        One pass over the nonzero structure constants of ``struct_terms``.
-        """
-        out = [0] * self.degree
-        terms = self.struct_terms
-        for i, ui in enumerate(u):
-            if ui:
-                row = terms[i]
-                for j, vj in enumerate(v):
-                    if vj:
-                        t = ui * vj
-                        for k, c in row[j]:
-                            out[k] += t * c
-        return out
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return _make(self, self.coeff_mul(a.coeffs, b.coeffs), a.den * b.den)
@@ -479,9 +503,6 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
     trace_inv_num, trace_den = solve_left(trace_mat, identity(d))
 
     c3 = max(abs(x) for row in struct_t for s in row for x in s)
-    # struct_terms[i][j]: the nonzero (k, c) of struct[i][j], for coeff_mul
-    terms = tuple(tuple(tuple((k, c) for k, c in enumerate(s) if c) for s in row)
-                  for row in struct_t)
 
     field = NumberField(
         _token=_BUILD_TOKEN,
@@ -490,7 +511,7 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
         basis_pow=tuple(tuple(row) for row in basis),
         power_to_basis=power_to_basis,
         struct=struct_t,
-        struct_terms=terms,
+        coeff_mul=_compile_product(struct_t),
         trace_vec=trace_vec,
         trace_mat=trace_mat,
         trace_den=trace_den,

@@ -260,7 +260,8 @@ def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, factor, ctx,
                 # ideals as they are, and row i is reduced already
                 b[j] = [lincomb(one, x, minus_piv_j, y) for x, y in zip(b[j], b[i])]
             else:
-                ideals[j], ideals[i] = ideals[j] * ideals[i] * ginv, g
+                ideals[j] = cache.product(cache.product(ideals[j], ideals[i]), ginv)
+                ideals[i] = g
                 new_j = [lincomb(piv_i, x, minus_piv_j, y) for x, y in zip(b[j], b[i])]
                 new_i = [lincomb(gamma, x, delta, y) for x, y in zip(b[j], b[i])]
                 b[j], b[i] = new_j, new_i

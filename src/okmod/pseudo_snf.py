@@ -174,7 +174,7 @@ def col_pivot(state: SnfState, i: int) -> bool:
             x, y = row[j], row[i]
             row[j] = lincomb(piv, x, minus_other, y)
             row[i] = lincomb(gamma, y, delta, x)
-        ideals[j] = ideals[i] * ideals[j] * ginv
+        ideals[j] = state.cache.product(state.cache.product(ideals[i], ideals[j]), ginv)
         ideals[i] = g
         state.normalize_col_pair(j)
         state.normalize_col_pair(i)
@@ -208,7 +208,7 @@ def offdiag_obstruction_scan(state: SnfState, i: int):
     """
     a = state.a
     field = state.field
-    inv = state.cache.inverse
+    inv, prod = state.cache.inverse, state.cache.product
     piv = a[i][i]
     divisor = state.modulus
     if piv:
@@ -218,8 +218,9 @@ def offdiag_obstruction_scan(state: SnfState, i: int):
             e = a[k][l]
             if not e:
                 continue
-            content = (state.col_ideals[l] * state.row_inv[k]).elt_mul(e)
-            if content.is_subset(divisor):
+            # e a_l b_k^-1 lies in the divisor when e w does for its basis w
+            if all(divisor.contains(field.mul(e, w))
+                   for w in prod(state.col_ideals[l], state.row_inv[k]).basis_elements()):
                 continue
             gid = inv(state.row_inv[i]) * state.row_inv[k]
             target = state.modulus * inv(state.col_ideals[l]) * inv(state.row_inv[i])

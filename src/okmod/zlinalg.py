@@ -96,12 +96,16 @@ def hnf_with_modulus(a: Mat, lam: int) -> Mat:
     """Hermite normal form of span(a) + lam * Z^m, with no entry above lam.
 
     Equal to the Hermite form of span(a) whenever lam * Z^m lies inside it.
-    The rows are reduced mod lam, and each column j, from the last, gets the
-    pivot row lam * e_j into which every row with a nonzero j-th entry is
-    folded by an extended gcd: column j exactly, the columns left of it mod
-    lam, since lam * e_k for k < j is still to be added.  Rows left with a
-    zero in column j go on to the next column.  The entries left of each
-    pivot are reduced into [0, pivot) at the end.
+    The rows are reduced mod lam.  Each column j, from the last, starts a
+    pivot with value p = lam and row lam * e_j, of which only the p and the
+    j entries left of it are kept.  Every row with a nonzero j-th entry y is
+    folded into it: when p divides y, the row just drops q = y / p times
+    the pivot, which is what the extended gcd would give, and the pivot
+    stays; otherwise the extended gcd of p and y rebuilds both.  Column j
+    comes out exact and the columns left of it mod lam, since lam * e_k for
+    k < j is still to be added.  Rows left with a zero in column j go on to
+    the next column.  The entries left of each pivot are reduced into
+    [0, pivot) at the end.
     """
     if lam <= 0:
         raise ValueError("modulus must be positive")
@@ -109,21 +113,24 @@ def hnf_with_modulus(a: Mat, lam: int) -> Mat:
     work = [[x % lam for x in row] for row in a]
     out: Mat = []
     for j in range(m - 1, -1, -1):
-        piv = [0] * j + [lam]
+        p, piv = lam, [0] * j
         rest = []
         for row in work:
             y = row[j]
-            if y:
-                g, u, v = ext_gcd(piv[j], y)
-                s, t = piv[j] // g, y // g
-                pairs = list(zip(piv, row[:j]))
-                piv = [(u * w + v * x) % lam for w, x in pairs] + [g]
-                row = [(s * x - t * w) % lam for w, x in pairs]
-            else:
+            if not y:
                 row = row[:j]
+            elif y % p:
+                g, u, v = ext_gcd(p, y)
+                s, t = p // g, y // g
+                piv, row = ([(u * w + v * x) % lam for w, x in zip(piv, row)],
+                            [(s * x - t * w) % lam for w, x in zip(piv, row)])
+                p = g
+            else:
+                q = y // p
+                row = [(x - q * w) % lam for w, x in zip(piv, row)]
             if any(row):
                 rest.append(row)
-        out.append(piv + [0] * (m - 1 - j))
+        out.append(piv + [p] + [0] * (m - 1 - j))
         work = rest
     out.reverse()
     for i in range(m):

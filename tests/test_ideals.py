@@ -208,6 +208,26 @@ def test_membership_matches_fraction_solve(field):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_is_subset_agrees_with_the_hermite_comparison(name):
+    # reference: a lies in b exactly when the Hermite form of the stacked
+    # bases, over their common denominator, is that of b
+    K = get_field(name)
+    rng = seeded(f"test_ideals::test_is_subset_agrees_with_the_hermite_comparison[{name}]")
+    seen = set()
+    for _ in range(30):
+        a = random_ideal(rng, K, fractional=True)
+        b = random_ideal(rng, K, fractional=True)
+        for x, y in ((a, b), (b, a), (a * b, a), (a, a + b), (a * b, b.inverse())):
+            big = x.den * y.den // gcd(x.den, y.den)
+            rows_x = [[c * (big // x.den) for c in row] for row in x.num]
+            rows_y = [[c * (big // y.den) for c in row] for row in y.num]
+            expected = hnf(rows_x + rows_y) == rows_y
+            assert x.is_subset(y) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_idempotents_examples():
     Q = get_field("Q")
     a = FractionalIdeal.from_generators(Q, [Q.from_int(2)])

@@ -80,6 +80,28 @@ def test_regular_representation_matches_symbolic_multiplication(field):
             assert list((g * w).coeffs) == m[i] and (g * w).den == 1
 
 
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_compiled_product_equals_the_structure_constant_definition(name):
+    # coeff_mul is compiled per field; its reference is the definition
+    # (u * v)_k = sum_ij u_i v_j struct[i][j][k], on random vectors with
+    # entries up to 2^64, zero entries among them, and the basis vectors
+    K = get_field(name)
+    d = K.degree
+    rng = seeded(f"test_numberfield::test_compiled_product_equals_the_structure_constant_"
+                 f"definition[{name}]")
+
+    def vector():
+        return [rng.choice([0, rng.randint(-2 ** 64, 2 ** 64)]) for _ in range(d)]
+
+    basis = [[1 if t == i else 0 for t in range(d)] for i in range(d)]
+    vectors = basis + [vector() for _ in range(40)]
+    for u in vectors:
+        for v in vectors[:d] + [vector() for _ in range(4)]:
+            expect = [sum(u[i] * v[j] * K.struct[i][j][k] for i in range(d) for j in range(d))
+                      for k in range(d)]
+            assert K.coeff_mul(u, v) == K.coeff_mul(tuple(v), tuple(u)) == expect
+
+
 def test_regular_representation_requires_integral():
     K = get_field("Qi")
     with pytest.raises(FieldError):

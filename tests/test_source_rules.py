@@ -10,6 +10,16 @@ from okmod import cli
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "okmod")
 
 
+def modules_naming(pattern):
+    """Base names of the library modules whose source matches ``pattern``."""
+    users = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            if re.search(pattern, fh.read()):
+                users.add(os.path.basename(path))
+    return users
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert, so a runtime invariant must raise an exception
     paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
@@ -43,13 +53,21 @@ def test_trusted_element_constructor_stays_in_the_arithmetic():
     # arithmetic that produced the coefficients may call it, never code that
     # handles outside input
     allowed = {"numberfield.py", "reduction.py"}
-    users = set()
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            if re.search(r"\b_make\b", fh.read()):
-                users.add(os.path.basename(path))
+    users = modules_naming(r"\b_make\b")
     assert "numberfield.py" in users
     assert users <= allowed, sorted(users - allowed)
+
+
+def test_exec_stays_in_the_compiled_product():
+    # build_field compiles the coefficient product from integer indices and
+    # structure constants; no other module runs generated source
+    assert modules_naming(r"\bexec\b") == {"numberfield.py"}
+
+
+def test_trusted_ideal_constructor_stays_in_the_ideal_arithmetic():
+    # ideals._make_ideal builds ideals from Hermite forms without checking
+    # them; only the ideal arithmetic that computed those forms may call it
+    assert modules_naming(r"\b_make_ideal\b") == {"ideals.py"}
 
 
 def test_determinant_takes_no_integer_solve():

@@ -166,6 +166,24 @@ def test_hnf_with_modulus_edge_cases():
         zl.hnf_with_modulus([[1]], 0)
 
 
+def test_hnf_with_modulus_on_divisible_entries_and_zero_columns():
+    # entries are small multiples of divisors of lam, so a pivot often
+    # divides the next row's entry (the step with no extended gcd); some
+    # columns are zero, and lam = 1 is among the moduli
+    rng = random.Random(SEED + 5)
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 7)
+        lam = rng.choice([1, 2, 6, 12, 36, 2 ** 10, 720, 10 ** 12])
+        divisors = [q for q in range(1, min(lam, 50) + 1) if lam % q == 0]
+        zero_cols = {c for c in range(m) if rng.random() < 0.25}
+        a = [[0 if c in zero_cols else rng.choice(divisors) * rng.randint(-4, 4)
+              for c in range(m)] for _ in range(n)]
+        h = zl.hnf_with_modulus(a, lam)
+        assert h == hnf(with_modulus_rows(a, lam)), (a, lam)
+        assert all(h[c][c] == lam for c in zero_cols)
+
+
 def cramer_solve(a, b):
     det = zl.det_bareiss(a)
     n = len(a)
