@@ -2,9 +2,10 @@
 """Multi-modular determinants over a ring of integers.
 
 The determinant of an integral matrix is computed in the residue fields of
-enough word-size unramified primes (split by factoring the defining
-polynomial), glued back by polynomial and integer Chinese remaindering, and
-recovered by a symmetric lift under a proven coefficient bound.
+enough unramified primes, proven primes just below 2^126 (split by
+factoring the defining polynomial), glued back by polynomial and integer
+Chinese remaindering, and recovered by a symmetric lift under a proven
+coefficient bound.
 """
 
 import random

@@ -1,7 +1,8 @@
 """Determinants over rings of integers by the multi-modular CRT method.
 
 The determinant of an integral matrix is computed in every residue field of
-enough word-size unramified primes.  One linear map per prime takes the
+enough unramified primes, the table primes below 2^126 first
+(``residues.plan_primes``).  One linear map per prime takes the
 residues at its factors to integral-basis coordinates mod p, and CRT across
 the primes with a symmetric lift recovers the coordinates; the prime
 budget comes from a proven bound on them, so the lift is exact.
@@ -132,15 +133,26 @@ def _packed_planes(crows: list[list[int]], mat, p: int, h: int, ones: int) -> li
     return planes
 
 
-def _shifted_tails(tails: list[list[int]], inv, g: Poly, p: int, w: int) -> list[list[int]]:
-    """out[t][s]: plane t of x^s * (-inv * tail) mod g, packed, slots below p.
+def _residue_mul(a, b, g: Poly, p: int) -> list[int]:
+    """a * b in F_p[x]/(g), both as k coefficients; in degree 1 one product."""
+    if len(g) == 2:
+        return [a[0] * b[0] % p]
+    return [sum(map(mul, row, b)) % p for row in _mult_matrix(a, g, p)]
 
-    tails[t][j] is the x^t coefficient of tail entry j.  The shift by x
-    moves plane t to t + 1 and folds the top plane back through x^k = -low.
+
+def _shifted_tails(tails: list[list[int]], pivot, g: Poly, p: int, w: int) -> list[list[int]]:
+    """out[t][s]: plane t of x^s * (-pivot^-1 * tail) mod g, packed, slots below p.
+
+    tails[t][j] is the x^t coefficient of tail entry j.  In degree 1 this is
+    the one packed tail -tail / pivot.  Above it, the shift by x moves plane
+    t to t + 1 and folds the top plane back through x^k = -low.
     """
     k = len(g) - 1
+    if k == 1:
+        neg = p - pow(pivot[0], -1, p)
+        return [[_pack([neg * c % p for c in tails[0]], w)]]
     cur = [[-sum(map(mul, irow, entry)) % p for entry in zip(*tails)]
-           for irow in _mult_matrix(inv, g, p)]
+           for irow in _mult_matrix(poly_inverse_mod(pivot, g, p), g, p)]
     out = [[_pack(plane, w)] for plane in cur]
     for _ in range(k - 1):
         top = cur[-1]
@@ -201,7 +213,7 @@ def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int, extra: 
                 planes[0][piv] += 1 << w * (m + len(rows_out) - col)
             rows_out.append(piv)
             cols_out.append(col)
-            prod = [sum(map(mul, row, prod)) % p for row in _mult_matrix(pivot, g, p)]
+            prod = _residue_mul(pivot, prod, g, p)
         if col == m - 1 and not extra:
             break
         for pl in planes:
@@ -217,7 +229,7 @@ def _eliminate(planes: list[list[int]], m: int, g: Poly, p: int, w: int, extra: 
                 tail.append((x & mask) % p)
                 x >>= w
             tails.append(tail)
-        shifted = _shifted_tails(tails, poly_inverse_mod(pivot, g, p), g, p, w)
+        shifted = _shifted_tails(tails, pivot, g, p, w)
         for r, a in hits:
             for pl, xt in zip(planes, shifted):
                 pl[r] += sum(map(mul, a, xt))

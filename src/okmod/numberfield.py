@@ -233,8 +233,9 @@ class NumberField:
         self._codifferent = None
         self._two_elt = None
         self._residue_systems: dict[int, object] = {}
-        # primes below 2^62 not dividing disc(f), in decreasing order;
-        # extended on demand by residues.plan_primes
+        # plan primes not dividing disc(f), in decreasing order: the table
+        # primes below 2^126, then primes below 2^62; extended on demand by
+        # residues.plan_primes
         self.admissible_primes: list[int] = []
         self._basis_cache = None
 

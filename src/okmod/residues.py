@@ -1,11 +1,14 @@
-"""Word-size prime residue machinery: splitting, projections, two-stage CRT.
+"""Prime residue machinery: splitting, projections, two-stage CRT.
 
 Polynomials over F_p are coefficient tuples, constant term first, with no
-trailing zeros.  Prime plans take the primes just below 2^62, so a
-determinant needs a handful of them; the first 32 of these are a table, and
-only a plan that needs more searches for them.  Factorization is fully
-deterministic: distinct-degree splitting first, then equal-degree splitting
-of g by a kernel vector v of the Frobenius endomorphism (Berlekamp), through
+trailing zeros.  Prime plans read a table of 32 proven primes just below
+2^126, the Proth primes k * 2^64 + 1 with odd k < 2^62, so a determinant
+needs a handful of them; a plan that needs more goes on to search below
+2^62.  A Python integer operation costs about the same at 126 bits as at
+62, so the wider primes need about half as many residue-field
+eliminations.  Factorization is fully deterministic: distinct-degree
+splitting first, then equal-degree splitting of g by a kernel vector v of
+the Frobenius endomorphism (Berlekamp), through
 gcd((v + s)^((p-1)/2) - 1, g) for s = 0, 1, 2, ...: two distinct values of v
 modulo the irreducible factors differ in quadratic character for (p-1)/2 of
 the shifts s, so the scan stops after about two of them.  x^p mod f is
@@ -389,15 +392,19 @@ class PrimePlan:
     modulus: int
 
 
-# the first 32 primes below 2^62, as 2^62 - c; a plan reads them before it
-# searches further down
-_TOP_PRIMES = tuple((1 << 62) - c for c in (
-    57, 87, 117, 143, 153, 167, 171, 195, 203, 273, 287, 317, 443, 483, 495, 575,
-    581, 603, 633, 663, 765, 773, 777, 791, 813, 831, 923, 981, 993, 1001, 1007, 1017))
+# the 32 largest primes k * 2^64 + 1 with k odd and below 2^62, largest
+# first, as k = 2^62 - c; since k < 2^64, Proth's theorem proves each (some
+# a has a^((q-1)/2) = -1 mod q).  A plan reads them first and then searches
+# below 2^62, so its primes keep decreasing.
+_TOP_PRIMES = tuple(((1 << 62) - c) << 64 | 1 for c in (
+    153, 157, 241, 313, 363, 469, 489, 553, 789, 807, 1059, 1077, 1161, 1173, 1299, 1321,
+    1371, 1381, 1407, 1411, 1473, 1483, 1617, 1743, 1801, 1951, 1953, 2053, 2097, 2107,
+    2151, 2239))
 
 
 def plan_primes(field: NumberField, log_bound) -> PrimePlan:
-    """First primes below 2^62 coprime to disc(f) with product > 2^(log_bound + 1)."""
+    """First admissible primes, coprime to disc(f), with product > 2^(log_bound + 1):
+    the table primes below 2^126, then the primes below 2^62."""
     return plan_usable_primes(field, log_bound, None)
 
 
@@ -423,7 +430,7 @@ def plan_usable_primes(field: NumberField, log_bound, usable) -> PrimePlan:
     n_prod = 1
     while n_prod <= target:
         if count == len(known):
-            known.append(_next_admissible(field, known[-1] if known else 1 << 62))
+            known.append(_next_admissible(field, known[-1] if known else 1 << 126))
         q = known[count]
         count += 1
         if usable is None or usable(q):
@@ -433,12 +440,12 @@ def plan_usable_primes(field: NumberField, log_bound, usable) -> PrimePlan:
 
 
 def _next_admissible(field: NumberField, above: int) -> int:
-    """Largest prime below ``above`` that does not divide disc(f): from the
-    table while it lasts, then by search."""
+    """The next plan prime below ``above`` that does not divide disc(f):
+    from the table while it lasts, then by search below 2^62."""
     for q in _TOP_PRIMES:
         if q < above and field.disc_f % q:
             return q
-    cand = min(above, _TOP_PRIMES[-1]) - 2
+    cand = min(above, (1 << 62) + 1) - 2
     while not (field.disc_f % cand and _is_prime(cand)):
         cand -= 2
     return cand

@@ -31,10 +31,9 @@ class SingularMatrixError(RankDeficiencyError):
 def shape(a: Mat) -> tuple[int, int]:
     if not a or not a[0]:
         raise ValueError("empty matrix")
-    m = len(a[0])
-    if any(len(r) != m for r in a):
+    if len(set(map(len, a))) != 1:
         raise ValueError("ragged matrix")
-    return len(a), m
+    return len(a), len(a[0])
 
 
 def identity(n: int) -> Mat:

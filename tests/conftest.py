@@ -2,7 +2,7 @@ import math
 import random
 import zlib
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import mul
 
@@ -306,6 +306,24 @@ def hnf(a):
     return [row[::-1] for _, row in reversed(ech)]
 
 
+# how many primes okmod's prime table holds
+TABLE_SIZE = 32
+
+
+@cache
+def proth_table():
+    """The TABLE_SIZE largest primes k * 2^64 + 1 with k odd and below 2^62,
+    largest first, found by sympy's primality test."""
+    from sympy import isprime
+
+    out, k = [], (1 << 62) - 1
+    while len(out) < TABLE_SIZE:
+        if isprime(k << 64 | 1):
+            out.append(k << 64 | 1)
+        k -= 2
+    return tuple(out)
+
+
 def check_prime_plan(K, bound):
     """Properties of plan_primes(K, bound), decided with sympy apart from okmod."""
     from sympy import isprime, prevprime
@@ -313,13 +331,15 @@ def check_prime_plan(K, bound):
     from okmod import plan_primes
     plan = plan_primes(K, bound)
     assert plan_primes(K, bound) == plan
-    # the first primes below 2^62 that do not divide disc(f), so distinct
-    expected, q = [], 1 << 62
+    # the table primes that do not divide disc(f), then the first primes
+    # below 2^62 that do not, so distinct and decreasing
+    expected, q = [t for t in proth_table() if K.disc_f % t], 1 << 62
     while len(expected) < len(plan.primes):
         q = prevprime(q)
         if K.disc_f % q:
             expected.append(q)
-    assert list(plan.primes) == expected
+    assert list(plan.primes) == expected[:len(plan.primes)]
+    assert all(a > b for a, b in zip(plan.primes, plan.primes[1:]))
     assert all(isprime(q) and K.disc_f % q for q in plan.primes)
     target = 2 ** (math.ceil(Fraction(bound)) + 1)
     product = 1

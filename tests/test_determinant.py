@@ -12,7 +12,7 @@ from okmod import determinant, residues
 from okmod.determinant import (_coefficient_rows, _elimination_multiple, _eliminate, _pack,
                                _packed_planes, entry_height)
 from okmod.pseudo_hnf import PseudoMatrix
-from okmod.zlinalg import SingularMatrixError, RankDeficiencyError
+from okmod.zlinalg import SingularMatrixError, RankDeficiencyError, det_bareiss
 
 from conftest import (ALL_FIELDS, cofactor_det, get_field, maximal_minor_sum, random_element,
                       random_ideal, seeded)
@@ -471,21 +471,25 @@ def test_tall_hnf_with_its_own_multiple_matches_the_minor_sum(name):
 
 def degenerate_cases():
     """(field, pi, q): pi vanishes in a residue field of the plan prime q.
-    Over Q, pi is the first and the second admissible prime; over
-    Q(sqrt -5), whose first admissible prime q splits into x + a_0 and
-    x + a_1, pi is sqrt(-5) + a_i, which lies in the prime above q of
-    factor i alone."""
+    Over Q, pi is the first and the second admissible prime.  Over Q(i) and
+    Q(sqrt -5), q is the first plan prime that splits, into x + a_0 and
+    x + a_1, and pi is the generator plus a_i, which lies in the prime above
+    q of factor i alone: the first plan prime over Q(i), and the third over
+    Q(sqrt -5), whose first two are inert."""
     Q = get_field("Q")
     for q in plan_primes(Q, 1000).primes[:2]:
         yield Q, Q.from_int(q), q
-    K = get_field("Qm5")
-    q = plan_primes(K, 1).primes[0]
-    factors = K.residue_system(q).factors
-    assert [len(g) for g in factors] == [2, 2]
-    for g in factors:
-        pi = K.element([g[0], 1])
-        assert pi.norm() % q == 0
-        yield K, pi, q
+    for name, first in (("Qi", 0), ("Qm5", 2)):
+        K = get_field(name)
+        primes = plan_primes(K, 1000).primes
+        q = next(q for q in primes if len(K.residue_system(q).factors) > 1)
+        assert q == primes[first]
+        factors = K.residue_system(q).factors
+        assert [len(g) for g in factors] == [2, 2]
+        for g in factors:
+            pi = K.element([g[0], 1])
+            assert pi.norm() % q == 0
+            yield K, pi, q
 
 
 def test_degenerate_plan_prime_keeps_the_multiple_exact(monkeypatch):
@@ -494,7 +498,9 @@ def test_degenerate_plan_prime_keeps_the_multiple_exact(monkeypatch):
     # In [[pi, 0], [0, 2], [pi, 1]] the witness is rows 0 and 1, with
     # determinant 2 * pi, and every minor is a multiple of pi: rank 1 where
     # pi vanishes.  In [[pi, 0], [0, 2], [1, 1]] rows 1 and 2 take the
-    # pivots there, and they are the witness when pi vanishes at the probe
+    # pivots there, and they are the witness when pi vanishes at the probe:
+    # when q is the first plan prime, over Q and for one factor over Q(i).
+    # Over Q(sqrt -5) the probe runs at an inert prime and never sees pi vanish
     plans = []
     real = residues.plan_usable_primes
 
@@ -521,7 +527,7 @@ def test_degenerate_plan_prime_keeps_the_multiple_exact(monkeypatch):
             if ridx == (0, 1):
                 assert delta == 2 * pi and q not in plans[0]
                 passed_over += 1
-    assert passed_over == 6
+    assert passed_over == 10
 
 
 SMALL_PRIMES = [(name, p) for name in ALL_FIELDS for p in (2, 3, 5, 7)
@@ -590,6 +596,108 @@ def test_extra_slots_hold_the_coefficients_on_the_pivot_rows(name, p):
                     for xc, r in zip(x, ridx):
                         acc = tuple((a + b) % p for a, b in zip(acc, ref_mul(xc, ref[r][j], g, p)))
                     assert acc == ref[i][j]
+
+
+def test_shifted_tails_match_the_reference():
+    # out[t][s] is plane t of x^s * (-pivot^-1 * tail), packed with slot j
+    # at bits [w*j, w*(j+1)): in degree 1 (Q and Q(i) at the first table
+    # prime, where every residue field is F_p) the one packed tail, and in
+    # the higher degrees of the small primes k planes of k shifts each
+    local = seeded("test_determinant shifted tails")
+    cases = [(g, p) for name, p in SMALL_PRIMES for g in get_field(name).residue_system(p).factors]
+    top = residues._TOP_PRIMES[0]
+    cases += [(g, top) for name in ("Q", "Qi") for g in get_field(name).residue_system(top).factors]
+    assert {len(g) - 1 for g, _ in cases} == {1, 2, 3, 4, 5}
+    for g, p in cases:
+        k = len(g) - 1
+        w = (k * p * p).bit_length() + 1
+        for length in (0, 1, 5):
+            entries = [tuple(local.randrange(p) for _ in range(k)) for _ in range(length)]
+            pivot = (0,) * k
+            while not any(pivot):
+                pivot = tuple(local.randrange(p) for _ in range(k))
+            neg_inv = tuple(-c % p for c in ref_inv(pivot, g, p))
+            out = determinant._shifted_tails([[e[t] for e in entries] for t in range(k)],
+                                             list(pivot), g, p, w)
+            assert len(out) == k and all(len(planes) == k for planes in out)
+            for s in range(k):
+                x_s = tuple(int(t == s) for t in range(k))
+                images = [ref_mul(x_s, ref_mul(neg_inv, e, g, p), g, p) for e in entries]
+                for t in range(k):
+                    assert out[t][s] == sum(v[t] << w * j for j, v in enumerate(images))
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "golden"])
+def test_degree_one_residue_fields_match_the_oracles(name, monkeypatch):
+    # det, rank_and_submatrix and the tall multiple where the eliminations
+    # run in residue fields of degree 1, the base case of the pivot inverse,
+    # the pivot product and the shifted tails; golden's first two plan
+    # primes are inert, so its entries are large enough for its plans to
+    # reach the split ones
+    K = get_field(name)
+    rng = seeded(f"test_determinant degree one {name}")
+    degrees = []
+    real = determinant._eliminate
+
+    def spy(planes, m, g, p, w, extra=0):
+        degrees.append(len(g) - 1)
+        return real(planes, m, g, p, w, extra)
+
+    monkeypatch.setattr(determinant, "_eliminate", spy)
+    big = 1 << 80
+    for n, lim in ((1, 5), (3, 9), (5, 10 ** 6), (6, big)):
+        rows = random_matrix(rng, K, n, lim=lim)
+        assert det(K, rows) == cofactor_det(K, rows)
+        if n > 1:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+            assert det(K, rows) == cofactor_det(K, rows) == K.zero()
+    assert 1 in degrees
+    degrees.clear()
+    for n, m, r, lim in ((4, 3, 3, 9), (6, 4, 3, 10 ** 6), (7, 4, 4, big), (7, 5, 2, big)):
+        rows = random_matrix(rng, K, r, m, lim)
+        for _ in range(n - r):
+            coeffs = [K.from_int(rng.randint(-3, 3)) for _ in range(r)]
+            rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), K.zero())
+                         for j in range(m)])
+        rng.shuffle(rows)
+        rank, ridx, cidx, delta = rank_and_submatrix(K, rows)
+        assert rank == r and delta
+        assert delta == cofactor_det(K, [[rows[i][j] for j in cidx] for i in ridx])
+    assert 1 in degrees
+    degrees.clear()
+    # with one row past the witness, every other maximal minor shares all
+    # but one row with it, so the tall multiple is the determinantal ideal
+    for m, lim in ((2, 9), (3, 10 ** 6), (4, big)):
+        rows = random_matrix(rng, K, m + 1, m, lim)
+        ideals = [random_ideal(rng, K, fractional=True) for _ in range(m + 1)]
+        mult, factor = _elimination_multiple(K, rows, ideals)
+        assert factor is None and mult == maximal_minor_sum(K, rows, ideals)
+    assert 1 in degrees
+
+
+def test_a_16_by_16_determinant_over_qm5_takes_four_primes(monkeypatch):
+    # entries up to 10^6 bound the determinant's coordinates by about 2^426:
+    # four table primes below 2^126 cover that, where primes below 2^62 took
+    # seven.  The value is checked through its norm, the integer determinant
+    # of the 32 x 32 block matrix of the entries' regular representations
+    K = get_field("Qm5")
+    rng = seeded("test_determinant sixteen by sixteen")
+    rows = random_matrix(rng, K, 16, lim=10 ** 6)
+    plans = []
+    real = residues.plan_primes
+
+    def spy(field, log_bound):
+        plans.append(real(field, log_bound))
+        return plans[-1]
+
+    monkeypatch.setattr(residues, "plan_primes", spy)
+    value = det(K, rows)
+    (plan,) = plans
+    assert 420 < plan.log_bound < 432
+    assert plan.primes == residues._TOP_PRIMES[:4]
+    blocks = [[K.regular_representation(e) for e in row] for row in rows]
+    flat = [[x for block in brow for x in block[i]] for brow in blocks for i in range(2)]
+    assert det_bareiss(flat) == value.norm()
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)

@@ -5,8 +5,8 @@ import pytest
 from okmod import build_field, plan_primes, project_element, split_prime
 from okmod import residues as rs
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, check_prime_plan, get_field,
-                      seeded)
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, TABLE_SIZE, check_prime_plan,
+                      get_field, proth_table, seeded)
 
 
 def test_factor_gaussian_polynomial():
@@ -127,7 +127,8 @@ def reference_pow_mod(a, e, mod, p):
     return result
 
 
-@pytest.mark.parametrize("p", [2, 3, 65537, (1 << 61) - 1, (1 << 62) - 57, (1 << 62) - 1017])
+@pytest.mark.parametrize("p", [2, 3, 65537, (1 << 61) - 1, (1 << 62) - 57, (1 << 62) - 1017,
+                               rs._TOP_PRIMES[0], rs._TOP_PRIMES[-1]])
 def test_pow_mod_matches_reference(p):
     local = seeded(f"test_residues pow_mod {p}", offset=2)
     exponents = [0, 1, 2, 3, 255, 256, p - 1, p, p + 1, (p - 1) // 2, local.randrange(1 << 70)]
@@ -207,11 +208,16 @@ def test_crt_factors_examples():
 def test_plan_primes_examples():
     for name, bound in (("Q", 10), ("Qi", 6), ("Qm5", 130), ("cubic", 400)):
         check_prime_plan(get_field(name), bound)
-    # disc(x^2 - q) = 4q with q the first candidate prime: q is skipped
+    # disc(x^2 - x - (q - 1)/4) = q with q the first table prime: q is skipped
+    q = rs._TOP_PRIMES[0]
+    plan = check_prime_plan(build_field([-(q - 1) // 4, -1, 1]), 200)
+    assert q not in plan.primes and plan.primes[0] == rs._TOP_PRIMES[1]
+    # disc(x^2 - q) = 4q with q the first prime below 2^62, where a plan goes
+    # past the table: q is skipped there
     q = (1 << 62) - 57
     assert q % 4 == 3
-    plan = check_prime_plan(build_field([-q, 0, 1]), 200)
-    assert q not in plan.primes
+    plan = check_prime_plan(build_field([-q, 0, 1]), 4500)
+    assert q not in plan.primes and plan.primes[TABLE_SIZE] == (1 << 62) - 87
     # every test field, built afresh so that its primes are searched for
     for poly, basis in {**FIELD_SPECS, **EXTRA_SPECS}.values():
         check_prime_plan(build_field(poly, basis), 1200)
@@ -226,17 +232,29 @@ def test_plan_primes_extend_the_field_list():
     assert K.admissible_primes == list(small.primes)
     big = check_prime_plan(K, 500)
     assert K.admissible_primes == list(big.primes)
-    assert check_prime_plan(K, 150).primes == big.primes[:3]
+    assert check_prime_plan(K, 150).primes == big.primes[:2]
     assert K.admissible_primes == list(big.primes)
 
 
-def test_prime_table_is_the_first_primes_below_2_62():
+def test_prime_table_holds_the_largest_proven_proth_primes():
+    # each entry is k * 2^64 + 1 with k odd and k < 2^62 < 2^64, so by Proth's
+    # theorem it is prime once some a has a^((q - 1)/2) = -1 mod q; every
+    # number of that form above the last entry and not in the table is
+    # composite, which a failed strong probable-prime test proves
     sympy = pytest.importorskip("sympy")
-    expected, q = [], 1 << 62
-    while len(expected) < 32:
-        q = sympy.prevprime(q)
-        expected.append(q)
-    assert list(rs._TOP_PRIMES) == expected
+    table = rs._TOP_PRIMES
+    assert len(table) == TABLE_SIZE and table == proth_table()
+    assert table[0] < 1 << 126 and list(table) == sorted(table, reverse=True)
+    for q in table:
+        k = q >> 64
+        assert q == k << 64 | 1 and k % 2 == 1 and k < 1 << 62
+        witness = next(a for a in range(3, 200) if sympy.jacobi_symbol(a, q) == -1)
+        assert pow(witness, (q - 1) // 2, q) == q - 1
+        assert sympy.ntheory.primetest.proth_test(q)
+    ks = {q >> 64 for q in table}
+    for k in range(table[-1] >> 64, 1 << 62, 2):
+        if k not in ks:
+            assert not sympy.ntheory.primetest.mr(k << 64 | 1, [2])
 
 
 class StubField:
@@ -254,10 +272,10 @@ def test_plan_primes_skip_table_primes_dividing_disc(picks):
     for t in picks:
         disc_f *= rs._TOP_PRIMES[t]
     K = StubField(disc_f)
-    for bound in (100, 1900, 2500):
+    for bound in (100, 3900, 4500):
         plan = check_prime_plan(K, bound)
         assert not any(rs._TOP_PRIMES[t] in plan.primes for t in picks)
-    assert len(plan.primes) > 32 and plan.primes[:32 - len(picks)] == tuple(
+    assert len(plan.primes) > TABLE_SIZE and plan.primes[:TABLE_SIZE - len(picks)] == tuple(
         q for t, q in enumerate(rs._TOP_PRIMES) if t not in picks)
 
 
@@ -265,9 +283,10 @@ def test_plan_primes_skip_table_primes_dividing_disc(picks):
 def test_plans_past_the_table_search_below_it(name):
     # a fresh field whose plan needs more primes than the table holds
     K = build_field(*{**FIELD_SPECS, **EXTRA_SPECS}[name])
-    plan = check_prime_plan(K, 2500)
-    assert plan.primes[:32] == rs._TOP_PRIMES and len(plan.primes) > 32
-    assert max(plan.primes[32:]) < rs._TOP_PRIMES[-1]
+    plan = check_prime_plan(K, 4500)
+    assert plan.primes[:TABLE_SIZE] == rs._TOP_PRIMES and len(plan.primes) > TABLE_SIZE
+    rest = plan.primes[TABLE_SIZE:]
+    assert rest[0] < 1 << 62 and list(rest) == sorted(set(rest), reverse=True)
 
 
 def test_crt_primes_examples():

@@ -236,6 +236,19 @@ def test_solve_left_singular_raises():
         solve_right([[1, 2], [2, 4]], [1, 1])
 
 
+@pytest.mark.parametrize("ragged", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], [5, 6, 7]]])
+def test_kernels_refuse_a_ragged_matrix(ragged):
+    # the odd row may come first or last; mat_mul checks both factors
+    square = [[1, 0], [0, 1]]
+    calls = [lambda: zl.hnf_with_modulus(ragged, 6), lambda: zl.solve_left(ragged, square),
+             lambda: zl.det_bareiss(ragged),
+             lambda: zl.mat_mul(ragged, square), lambda: zl.mat_mul(square, ragged),
+             lambda: zl.vec_mat([1] * len(ragged), ragged)]
+    for call in calls:
+        with pytest.raises(ValueError, match="ragged matrix"):
+            call()
+
+
 def test_z_snf_fixed_cases():
     assert zl.z_snf([[2, 0], [0, 6]]) == [[2, 0], [0, 6]]
     assert zl.z_snf([[2, 0], [0, 3]]) == [[1, 0], [0, 6]]
