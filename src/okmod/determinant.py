@@ -1,32 +1,28 @@
 """Determinants over rings of integers by the multi-modular CRT method.
 
-The determinant of an integral matrix is computed in every residue field of
-enough unramified primes, the table primes below 2^126 first
-(``residues.plan_primes``).  One linear map per prime takes the
-residues at its factors to integral-basis coordinates mod p, and CRT across
-the primes with a symmetric lift recovers the coordinates; the prime
-budget comes from a proven bound on them, so the lift is exact.
-Rectangular rank probing reuses the same plans to find a witness
-nonsingular submatrix.  Both run one greedy elimination over F_p[x]/(g), g
-a factor of degree k of f mod p.
+Every determinant here comes from ``_witness``.  It eliminates the matrix
+in the residue fields F_p[x]/(g) of enough unramified primes, the table
+primes below 2^126 first (``residues.plan_primes``).  One linear map per
+prime takes the residues at its factors to integral-basis coordinates mod
+p, and CRT across the primes with a symmetric lift recovers them; the prime
+budget comes from a proven bound on them, so the lift is exact.  A probe
+eliminates all n >= m rows until a residue field has rank m; its pivot rows
+are the witness W, and the other residue fields eliminate W alone.  A prime
+with a residue field where the witness minor delta vanishes stays out of
+the plan.  A square matrix is its own witness: ``det`` is delta at full
+rank and zero below it, one elimination per residue field.
 
-A multiple of the determinantal ideal is a maximal minor's determinant
-times the product of its rows' ideals, and the matrix's shape chooses the
-minor (``_scaled_minor``): square input uses the whole matrix, one
-determinant and no rank probe, which gives the determinantal ideal itself;
-tall input uses the witness minor of ``rank_and_submatrix``.  For
-``pseudo_hnf``, one tall witness minor gives a multiple hundreds of bits
-larger than the determinantal ideal, the sum over all maximal minors.  The
-minors that differ from the witness in one row nearly always close the gap
-(``_elimination_multiple``), and they come from the elimination that finds
-the witness (``_witness``).  Each row carries m more slots, and row k of
-the witness gets e_k there, so that in every residue field where the
-witness minor delta does not vanish, a row r outside the witness ends
-holding -x_r, with x_r * A_W = A_r.  By Cramer's rule delta * x_{r,k} is
-the witness minor with row k replaced by row r, under the same bound as
-delta, so CRT on the integral-basis coordinates recovers every one of them
-exactly.  A prime at which delta vanishes in some residue field gives no
-minors, and the plan takes the next admissible prime instead.
+A multiple of the determinantal ideal is the witness minor times the
+product of its rows' ideals (``_scaled_minor``), the determinantal ideal
+itself for square input.  For ``pseudo_hnf``, one tall witness minor gives
+a multiple hundreds of bits larger than the determinantal ideal, the sum
+over all maximal minors.  The minors that differ from the witness in one
+row nearly always close the gap (``_elimination_multiple``), and the same
+elimination gives them.  Each row carries m more slots, and row k of the
+witness gets e_k there, so that where delta does not vanish, a row r
+outside the witness ends holding -x_r, with x_r * A_W = A_r.  By Cramer's
+rule delta * x_{r,k} is the witness minor with row k replaced by row r,
+under the same bound as delta, so CRT recovers every one of them exactly.
 
 The elimination holds the matrix as k planes, the x^t coefficients of its
 residues, and each row of a plane as one Python integer: entry j sits in
@@ -249,23 +245,27 @@ def _echelon(crows: list[list[int]], m: int, sys, j: int, h: int, w: int, extra:
     return _eliminate(planes, m, sys.factors[j], p, w, extra), planes
 
 
+def _check_entries(field: NumberField, rows: list[list[FieldElement]], what: str) -> None:
+    """Refuse an entry that is not an integral element of field."""
+    for row in rows:
+        for e in row:
+            if not isinstance(e, FieldElement) or e.field is not field:
+                raise ValueError("entry from a different field")
+            if e.den != 1:
+                raise ValueError(f"{what} requires integral entries")
+
+
 def det(field: NumberField, rows: list[list[FieldElement]]) -> FieldElement:
-    """Exact determinant of a square matrix with integral entries."""
+    """Exact determinant of a square matrix with integral entries: the
+    witness minor of ``_witness`` at full rank, and zero below it."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix not square")
-    if any(e.den != 1 for r in rows for e in r):
-        raise ValueError("determinant requires integral entries")
-    h = entry_height(rows)
-    plan = residues.plan_primes(field, det_bound(field, n, h))
-    crows, w = _coefficient_rows(rows, field.degree, h, max(plan.primes))
-    per_prime = []
-    for p in plan.primes:
-        sys = field.residue_system(p)
-        per_prime.append(residues.basis_coordinates(sys, [
-            [_dense(_echelon(crows, n, sys, j, h, w)[0][2], len(g) - 1)]
-            for j, g in enumerate(sys.factors)]))
-    return residues.lift_coordinates(per_prime, plan, field)[0]
+    _check_entries(field, rows, "determinant")
+    if not n:
+        return field.one()
+    rank, _, _, delta, _ = _witness(field, rows)
+    return delta if rank == n else field.zero()
 
 
 def rank_and_submatrix(field: NumberField, rows: list[list[FieldElement]]):
@@ -280,9 +280,10 @@ def rank_and_submatrix(field: NumberField, rows: list[list[FieldElement]]):
     m = len(rows[0]) if rows else 0
     if m > n:
         raise ValueError("expected at least as many rows as columns")
-    if any(e.den != 1 for r in rows for e in r):
-        raise ValueError("rank probing requires integral entries")
-    if all(not e for r in rows for e in r):
+    if any(len(r) != m for r in rows):
+        raise ValueError("ragged matrix")
+    _check_entries(field, rows, "rank probing")
+    if not m:
         return 0, (), (), field.one()
     rank, ridx, cidx, delta, _ = _witness(field, rows)
     if rank < m:
@@ -316,10 +317,10 @@ def _witness(field: NumberField, rows: list[list[FieldElement]], adjacent: bool 
     rows are exactly W.  A row r outside W then holds -x_r, where
     x_r * A_W = A_r; times delta, x_{r,k} is the determinant of A_W with row
     k replaced by row r (Cramer's rule), an m x m minor under the same
-    bound.  A prime at one of whose residue fields delta vanishes cannot
-    give these minors and stays out of the plan, which goes on to the next
-    admissible primes (``residues.plan_usable_primes``).  near maps each
-    row r outside W to its m minors delta * x_{r,k}, k running over W.
+    bound.  near maps each row r outside W to its m minors delta * x_{r,k},
+    k running over W.  In both modes a prime at one of whose residue fields
+    delta vanishes gives no value and stays out of the plan, which goes on
+    to the next admissible primes (``residues.plan_usable_primes``).
     """
     n, m, d = len(rows), len(rows[0]), field.degree
     h = entry_height(rows)
@@ -382,17 +383,15 @@ def _witness(field: NumberField, rows: list[list[FieldElement]], adjacent: bool 
     def usable(p):
         sys = field.residue_system(p)
         found = []
-        for j, g in enumerate(sys.factors):
+        for j in range(len(sys.factors)):
             v = values(sys, j)
             if v is None:
-                if adjacent:
-                    return False
-                v = [[0] * (len(g) - 1)]
+                return False
             found.append(v)
         per_prime.append(residues.basis_coordinates(sys, found))
         return True
 
-    if not adjacent:
+    if not adjacent and n > m:
         log_bound = det_bound(field, m, entry_height([rows[i] for i in witness]))
     lifted = residues.lift_coordinates(
         per_prime, residues.plan_usable_primes(field, log_bound, usable), field)
@@ -422,8 +421,8 @@ def det_times_ideals(field: NumberField, rows: list[list[FieldElement]],
     a_i, for a pseudo-matrix (A, (a_i)) of full column rank.
 
     The rows are scaled to integral ones and the determinant is divided by the
-    product of the scales.  Square A gives det(A) times every ideal, tall A
-    the witness minor of ``rank_and_submatrix`` (``_scaled_minor``).
+    product of the scales.  The minor is the witness of ``_witness``, the
+    whole matrix when it is square (``_scaled_minor``).
     """
     delta, ridx, _ = _scaled_minor(field, rows)
     return product_of_ideals([ideals[i] for i in ridx]).elt_mul(delta)
@@ -431,12 +430,11 @@ def det_times_ideals(field: NumberField, rows: list[list[FieldElement]],
 
 def _scaled_minor(field: NumberField, rows: list[list[FieldElement]], adjacent: bool = False):
     """(delta, ridx, near): the determinant of a maximal minor and its rows.
-    The minor is the whole matrix when it is square, one determinant and no
-    rank probe, and the witness of ``rank_and_submatrix`` when it is tall;
-    both are taken on the rows scaled to integral entries, and delta is
-    divided by the scales of its rows.  With ``adjacent``, tall input also
-    gives near, which maps each row r outside the witness W to x_r, with
-    x_r * A_W = A_r; near is None otherwise."""
+    The minor is the witness of ``_witness`` on the rows scaled to integral
+    entries, the whole matrix when it is square, and delta is divided by the
+    scales of its rows.  With ``adjacent``, tall input also gives near, which
+    maps each row r outside the witness W to x_r, with x_r * A_W = A_r; near
+    is None otherwise."""
     scaled = []
     dens = []
     for row in rows:
@@ -446,21 +444,18 @@ def _scaled_minor(field: NumberField, rows: list[list[FieldElement]], adjacent: 
         scaled.append([e * den for e in row])
         dens.append(den)
     m = len(rows[0])
-    near = None
-    if len(rows) == m:
-        ridx = range(m)
-        dt = det(field, scaled)
-        if not dt:
+    square = len(rows) == m
+    s, ridx, _, dt, minors = _witness(field, scaled, adjacent and not square)
+    if s < m:
+        if square:
             raise SingularMatrixError("pseudo-matrix is singular")
-    else:
-        s, ridx, _, dt, minors = _witness(field, scaled, adjacent)
-        if s < m:
-            raise RankDeficiencyError(f"pseudo-matrix has rank {s} < {m}")
-        if adjacent:
-            # the minors of the scaled rows are dt * x_{r,k} * dens[r] / dens[k]
-            inv = field.inv(dt)
-            near = {r: [field.mul(mk, inv) * Fraction(dens[k], dens[r])
-                        for k, mk in zip(ridx, mks)] for r, mks in minors.items()}
+        raise RankDeficiencyError(f"pseudo-matrix has rank {s} < {m}")
+    near = None
+    if minors is not None:
+        # the minors of the scaled rows are dt * x_{r,k} * dens[r] / dens[k]
+        inv = field.inv(dt)
+        near = {r: [field.mul(mk, inv) * Fraction(dens[k], dens[r])
+                    for k, mk in zip(ridx, mks)] for r, mks in minors.items()}
     den_prod = 1
     for i in ridx:
         den_prod *= dens[i]

@@ -19,6 +19,7 @@ the arithmetic here and in ``reduction`` builds its results through it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import numeric
@@ -229,15 +230,11 @@ class NumberField:
         self.__dict__.update(data)
         self._roots: list[Ball] | None = None
         self._root_prec = 0
-        self._lattice = None
-        self._codifferent = None
-        self._two_elt = None
         self._residue_systems: dict[int, object] = {}
         # plan primes not dividing disc(f), in decreasing order: the table
         # primes below 2^126, then primes below 2^62; extended on demand by
         # residues.plan_primes
         self.admissible_primes: list[int] = []
-        self._basis_cache = None
 
     # -- constructors ------------------------------------------------------
 
@@ -376,23 +373,19 @@ class NumberField:
 
     # -- lazy heavyweight attachments ----------------------------------------
 
-    @property
+    @cached_property
     def lattice_context(self):
-        if self._lattice is None:
-            from . import lattice
-            self._lattice = lattice.build_context(self)
-        return self._lattice
+        from . import lattice
+        return lattice.build_context(self)
 
-    @property
+    @cached_property
     def codifferent_numerator(self):
         """The integral ideal generated by the rows of den(T^-1) * T^-1."""
-        if self._codifferent is None:
-            from .ideals import FractionalIdeal
-            self._codifferent = FractionalIdeal.from_row_lattice(
-                self, self.trace_inv_num, 1, multiple=self.trace_den)
-        return self._codifferent
+        from .ideals import FractionalIdeal
+        return FractionalIdeal.from_row_lattice(self, self.trace_inv_num, 1,
+                                                multiple=self.trace_den)
 
-    @property
+    @cached_property
     def two_element_rep(self):
         """A pair of integral elements generating the codifferent numerator.
 
@@ -400,10 +393,8 @@ class NumberField:
         basis, in increasing certified T2 order, validated by ideal equality.
         Regular representations of both generators are returned alongside.
         """
-        if self._two_elt is None:
-            from . import twoelt
-            self._two_elt = twoelt.two_element_rep(self)
-        return self._two_elt
+        from . import twoelt
+        return twoelt.two_element_rep(self)
 
     def residue_system(self, p: int):
         if p not in self._residue_systems:
@@ -411,14 +402,12 @@ class NumberField:
             self._residue_systems[p] = residues.split_prime(self, p)
         return self._residue_systems[p]
 
-    @property
+    @cached_property
     def basis_cache(self):
         """Field-wide ``ReducedBasisCache`` for reductions and normalizations
         called without a cache of their own."""
-        if self._basis_cache is None:
-            from .reduction import ReducedBasisCache
-            self._basis_cache = ReducedBasisCache(self.lattice_context)
-        return self._basis_cache
+        from .reduction import ReducedBasisCache
+        return ReducedBasisCache(self.lattice_context)
 
     def __repr__(self) -> str:
         return f"NumberField(degree={self.degree}, disc={self.disc})"

@@ -27,7 +27,11 @@ from .zlinalg import (Mat, RankDeficiencyError, det_bareiss, hnf_with_modulus, m
 
 
 class PseudoMatrix:
-    """Matrix over K with one coefficient ideal per row."""
+    """Matrix over K with one coefficient ideal per row.
+
+    ``det_ideal`` is a record, not an input: ``pseudo_hnf`` sets it on its
+    output to the multiple of the determinantal ideal it reduced modulo,
+    and never reads it; a multiple goes in only as its argument."""
 
     __slots__ = ("field", "rows", "ideals", "det_ideal")
 
@@ -180,8 +184,6 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
         raise IdealError("module is not contained in O_K^m; scale the rows first")
     if pm.nrows < pm.ncols:
         raise RankDeficiencyError("fewer rows than columns")
-    if det_ideal is None:
-        det_ideal = pm.det_ideal
     factor = None
     if det_ideal is None:
         # square input: delta * P, the determinant times its rows' ideals,

@@ -186,6 +186,27 @@ def test_det_rejects_fractional():
         det(K, [[K.element([1, 0], 2)]])
 
 
+def test_entries_from_another_field_are_refused():
+    # entries of Q(i) read as coordinates over Q(sqrt -5) would give -9,
+    # where the determinant over Q(i) is -1; integers are no field elements
+    K, L = get_field("Qi"), get_field("Qm5")
+    i = K.element([0, 1])
+    rows = [[1 + 2 * i, i], [K.from_int(3), 1 + i]]
+    assert det(K, rows) == K.from_int(-1)
+    for call in (det, rank_and_submatrix):
+        for field, bad in ((L, rows), (K, [[1, 0], [0, 1]])):
+            with pytest.raises(ValueError, match="entry from a different field"):
+                call(field, bad)
+
+
+def test_ragged_rows_are_refused():
+    # a short row would be read as if padded with zeros
+    K = get_field("Qi")
+    one, zero = K.one(), K.zero()
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rank_and_submatrix(K, [[one, zero], [one], [zero, one]])
+
+
 def test_rank_examples():
     K = get_field("Qi")
     one, i = K.one(), K.element([0, 1])
@@ -286,35 +307,47 @@ def test_square_multiple_is_the_determinantal_ideal(name):
 
 
 def test_only_tall_input_probes_the_rank(monkeypatch):
-    # the shape chooses the minor: square input takes one determinant of the
-    # whole matrix, tall input one rank probe for the witness minor, which
-    # for pseudo_hnf also gives the minors next to the witness
+    # every determinant comes from one witness elimination, whose probe
+    # costs square input nothing: the probe's elimination in the first
+    # residue field is reused, so a square determinant or multiple runs one
+    # elimination of the whole matrix per residue field of its plan.  Tall
+    # input probes once with all its rows; the other residue fields then
+    # eliminate the witness rows alone, or all rows again for the minors
+    # next to the witness that pseudo_hnf reduces modulo
     K = get_field("Qm5")
-    probes = []
-    real = determinant._witness
+    sizes = []
+    real = determinant._eliminate
 
-    def spy(field, rows, adjacent=False):
-        probes.append(len(rows))
-        return real(field, rows, adjacent)
+    def spy(planes, m, g, p, w, extra=0):
+        sizes.append(len(planes[0]))
+        return real(planes, m, g, p, w, extra)
 
-    monkeypatch.setattr(determinant, "_witness", spy)
+    def residue_fields(rows):
+        plan = plan_primes(K, det_bound(K, 3, entry_height(rows)))
+        return sum(len(K.residue_system(p).factors) for p in plan.primes)
+
     rng = seeded("test_determinant rank probes")
     u = FractionalIdeal.unit(K)
     while True:
         rows = [[random_element(rng, K, 4) for _ in range(3)] for _ in range(3)]
         if cofactor_det(K, rows):
             break
+    tall_rows = rows + [[random_element(rng, K, 4) for _ in range(3)]]
+    witness = rank_and_submatrix(K, tall_rows)[1]
     square = PseudoMatrix(K, rows, [u] * 3)
-    tall = PseudoMatrix(K, rows + [[random_element(rng, K, 4) for _ in range(3)]], [u] * 4)
-    determinantal_ideal_multiple(square)
-    determinantal_ideal(square)
-    pseudo_hnf(square)
-    assert probes == []
+    tall = PseudoMatrix(K, tall_rows, [u] * 4)
+    monkeypatch.setattr(determinant, "_eliminate", spy)
+    for call in (det, lambda K, rows: determinantal_ideal_multiple(square),
+                 lambda K, rows: determinantal_ideal(square), lambda K, rows: pseudo_hnf(square)):
+        sizes.clear()
+        call(K, rows)
+        assert sizes == [3] * residue_fields(rows)
+    sizes.clear()
     determinantal_ideal_multiple(tall)
-    assert probes == [4]
-    probes.clear()
+    assert sizes == [4] + [3] * (residue_fields([tall_rows[i] for i in witness]) - 1)
+    sizes.clear()
     pseudo_hnf(tall)
-    assert probes == [4]
+    assert sizes == [4] * residue_fields(tall_rows)
 
 
 def test_singular_square_input_lacks_full_column_rank():

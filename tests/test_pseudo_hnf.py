@@ -683,6 +683,21 @@ def dump(pm):
                  [(a.num, a.den) for a in pm.ideals])).encode()
 
 
+def test_det_ideal_attribute_is_not_an_input():
+    # the attribute only records the multiple an output was computed modulo;
+    # read as an input, O_K here would give the identity form of another
+    # module
+    K = get_field("Qi")
+    u = FractionalIdeal.unit(K)
+    i = K.element([0, 1])
+    rows = [[K.from_int(2), K.zero()], [1 + i, K.from_int(3)]]
+    plain = pseudo_hnf(PseudoMatrix(K, rows, [u, u]))
+    recorded = pseudo_hnf(PseudoMatrix(K, rows, [u, u], det_ideal=u))
+    assert dump(recorded) == dump(plain)
+    assert recorded.det_ideal == plain.det_ideal
+    assert module_hnf(recorded) == module_hnf(PseudoMatrix(K, rows, [u, u]))
+
+
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_tall_input_gives_the_canonical_form_of_the_witness_multiple(name):
     # on tall input pseudo_hnf reduces modulo a sum of maximal-minor ideals,

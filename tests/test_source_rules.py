@@ -84,3 +84,24 @@ def test_determinant_takes_no_integer_solve():
     assert not imported & {"solve_left", "identity"}, sorted(imported)
     assert not any(isinstance(node, ast.Attribute) and node.attr in ("solve_left", "identity")
                    for node in ast.walk(tree))
+
+
+def test_one_crt_loop_serves_every_determinant():
+    # det, rank probing and both determinantal multiples share the witness
+    # elimination: determinant.py plans usable primes and lifts coordinates
+    # at one site each, inside _witness, and imports neither by name
+    path = os.path.join(SRC, "determinant.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    names = {"lift_coordinates", "plan_usable_primes"}
+    sites = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            sites += [(node.func.attr, top.name) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id == "residues" and node.func.attr in names]
+    assert sorted(sites) == [("lift_coordinates", "_witness"), ("plan_usable_primes", "_witness")]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & names, sorted(imported & names)
