@@ -462,9 +462,10 @@ def _scaled_minor(field: NumberField, rows: list[list[FieldElement]], adjacent: 
     return field.scalar_div(dt, den_prod), ridx, near
 
 
-def _elimination_multiple(field: NumberField, rows: list[list[FieldElement]], ideals):
+def _elimination_multiple(field: NumberField, rows: list[list[FieldElement]], ideals, cache):
     """(D, factor): the multiple of the determinantal ideal that ``pseudo_hnf``
     reduces modulo when none is supplied, and its factor (delta, P) or None.
+    The inverses a_k^-1 come from ``cache``, the memo the elimination reads.
 
     Square input gives D = delta * P = ``det_times_ideals`` with its factor.
     Tall input gives D = delta * P * J, with J = O_K + sum x_{r,k} a_r a_k^-1
@@ -489,7 +490,7 @@ def _elimination_multiple(field: NumberField, rows: list[list[FieldElement]], id
     prod = product_of_ideals([ideals[i] for i in ridx])
     if near is None:
         return prod.elt_mul(delta), (delta, prod)
-    inv_gens = [_generators(ideals[k].inverse()) for k in ridx]
+    inv_gens = [_generators(cache.inverse(ideals[k])) for k in ridx]
     # (coefficient vector, denominator) of every generator x_{r,k} * alpha * beta
     gens = []
     for r, xs in near.items():

@@ -19,7 +19,7 @@ alpha times the pivot row from the other row.
 
 from __future__ import annotations
 
-from . import determinant, lattice, reduction
+from . import determinant, reduction
 from .ideals import FractionalIdeal, IdealError, idempotents
 from .numberfield import FieldElement, NumberField
 from .zlinalg import (Mat, RankDeficiencyError, det_bareiss, hnf_with_modulus, mat_mul,
@@ -121,8 +121,8 @@ def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,
                    alpha: FieldElement, beta: FieldElement, cache=None):
     """Ideal gcd with splitting data: g = alpha*a + beta*b, its inverse, and
     gamma in a*g^-1, delta in b*g^-1 with alpha*gamma + beta*delta = 1.
-    With a ``ReducedBasisCache``, the inverse of g and the ideal b*a^-1 come
-    from its memo.
+    The inverse of g and the ideal b*a^-1 come from the memo of ``cache``
+    (default: the field's ``basis_cache``).
 
     When alpha*a lies in beta*b, that is alpha/beta in b*a^-1, the step is
     degenerate and returns (beta*b, (beta*b)^-1, 0, beta^-1), with g = b
@@ -135,24 +135,20 @@ def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,
     if not alpha or not beta:
         raise ValueError("euclidean step requires nonzero elements")
     field = a.field
+    if cache is None:
+        cache = field.basis_cache
     beta_inv = field.inv(beta)
-    quotient = b * a.inverse() if cache is None else cache.product(b, cache.inverse(a))
-    if quotient.contains(field.mul(alpha, beta_inv)):
+    if cache.product(b, cache.inverse(a)).contains(field.mul(alpha, beta_inv)):
         g = b if beta == 1 else b.elt_mul(beta)
-        ginv = g.inverse() if cache is None else cache.inverse(g)
-        return g, ginv, field.zero(), beta_inv
+        return g, cache.inverse(g), field.zero(), beta_inv
     aa = a.elt_mul(alpha)
     bb = b.elt_mul(beta)
     g = aa + bb
-    ginv = g.inverse() if cache is None else cache.inverse(g)
+    ginv = cache.inverse(g)
     gamma_t, delta_t = idempotents(aa * ginv, bb * ginv)
     gamma = field.mul(gamma_t, field.inv(alpha))
     delta = field.mul(delta_t, beta_inv)
     return g, ginv, gamma, delta
-
-
-def _reduce_row(field, row, mod_ideal, cache):
-    return [reduction.reduce_mod_ideal(e, mod_ideal, cache) if e else e for e in row]
 
 
 def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
@@ -161,68 +157,64 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
 
     The module must lie inside O_K^m: only then does a multiple D of its
     determinantal ideal give D * O_K^m inside the module, which the
-    reductions modulo D * a^-1 need.  Other input raises IdealError before
-    any work.  ``det_ideal`` must be a nonzero multiple of the determinantal
-    ideal of the module.  When it is omitted, square input uses its
-    determinant times the product of the ideals, and tall input a sum of
-    maximal-minor ideals, which is nearly always close to the determinantal
-    ideal itself and far smaller than one witness minor's.  A multiple equal
-    to O_K makes the module O_K^m, and the identity rows, unit ideals and
-    zero trailing rows come back without an elimination.  The output has
-    the triangular block with unit diagonal on top, integral coefficient
-    ideals, and represents the same module.  With ``verify`` the working
-    norm bounds and the output shape are checked, raising RuntimeError on a
-    violation; ``trace`` (a list) collects per-iteration
-    records of the largest active ideal minimum for diagnostics.
+    reductions modulo D * a^-1 need.  Other input, and a non-integral
+    ``det_ideal``, raise IdealError before any work.  ``det_ideal`` must be
+    a nonzero multiple of the determinantal ideal of the module.  When it
+    is omitted, square input uses its determinant times the product of the
+    ideals, and tall input a sum of maximal-minor ideals, which is nearly
+    always close to the determinantal ideal itself and far smaller than one
+    witness minor's.  A multiple equal to O_K makes the module O_K^m, and
+    the identity rows, unit ideals and zero trailing rows come back without
+    an elimination.  The output has the triangular block with unit diagonal
+    on top, integral coefficient ideals, and represents the same module.
+    With ``verify`` the working norm bounds, the output shape and the
+    integrality of the output ideals are checked, raising RuntimeError on a
+    violation; ``trace`` (a list) collects per-iteration records of the
+    largest active ideal minimum for diagnostics.
 
-    A reduced basis or normalization that misses its certified bound
-    (``QualityError``) reruns the elimination once on a lattice context
-    built at twice the precision exponent; a second miss propagates.
+    One ``ReducedBasisCache`` serves the multiple and the elimination; a
+    ``QualityError`` reruns the elimination once on a context at twice the
+    exponent, keeping the ideal memo (``ReducedBasisCache.run``), and a
+    second one propagates.  ``trace`` holds the finished run's records.
     """
     field = pm.field
     if not pm.module_in_ring_power():
         raise IdealError("module is not contained in O_K^m; scale the rows first")
+    if det_ideal is not None and not det_ideal.is_integral():
+        raise IdealError("a multiple of the determinantal ideal must be integral")
     if pm.nrows < pm.ncols:
         raise RankDeficiencyError("fewer rows than columns")
-    factor = None
+    cache = reduction.ReducedBasisCache(field.lattice_context)
     if det_ideal is None:
         # square input: delta * P, the determinant times its rows' ideals,
         # so the moduli det_ideal * a^-1 = delta * (P * a^-1) start their LLL
         # from delta times a reduced basis of the small P * a^-1; tall
         # input: a sum of maximal-minor ideals, with no factor
-        det_ideal, factor = determinant._elimination_multiple(field, pm.rows, pm.ideals)
+        det_ideal, factor = determinant._elimination_multiple(field, pm.rows, pm.ideals, cache)
+        if factor is not None:
+            cache.record_factor(det_ideal, *factor)
     if det_ideal.is_unit():
         # the module lies in O_K^m, and its determinantal ideal contains
         # O_K: it is O_K^m, whose form is the identity with unit ideals
         one, zero, unit = field.one(), field.zero(), FractionalIdeal.unit(field)
         rows = [[one if j == i else zero for j in range(pm.ncols)] for i in range(pm.nrows)]
         return PseudoMatrix(field, rows, [unit] * pm.nrows, det_ideal=det_ideal)
-    ctx = field.lattice_context
-    start = None if trace is None else len(trace)
-    try:
-        return _eliminate(pm, det_ideal, factor, ctx, verify, trace)
-    except lattice.QualityError:
-        if trace is not None:
-            del trace[start:]
-        ctx = lattice.build_context(field, 2 * ctx.e)
-        return _eliminate(pm, det_ideal, factor, ctx, verify, trace)
+    return cache.run(lambda cache: _eliminate(pm, det_ideal, cache, verify, trace))
 
 
-def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, factor, ctx,
-               verify: bool, trace: list | None) -> PseudoMatrix:
-    """The elimination of ``pseudo_hnf`` with its own cache on ``ctx``;
-    ``factor`` is (delta, P) with det_ideal = delta * P, or None."""
+def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, cache, verify: bool,
+               trace: list | None) -> PseudoMatrix:
+    """The elimination of ``pseudo_hnf`` on the call's cache; the size
+    records go to ``trace`` only when it finishes."""
     field = pm.field
     n, m = pm.nrows, pm.ncols
-    cache = reduction.ReducedBasisCache(ctx)
-    if factor is not None:
-        cache.record_factor(det_ideal, *factor)
     b = [r[:] for r in pm.rows]
     ideals = list(pm.ideals)
-    bound_sq = ctx.norm_bound_sq()
+    bound_sq = cache.ctx.norm_bound_sq()
+    sizes = []
 
     def normalize(idx: int) -> None:
-        b[idx], ideals[idx], _ = reduction.normalize_row(b[idx], ideals[idx], ctx, cache)
+        b[idx], ideals[idx], _ = reduction.normalize_row(b[idx], ideals[idx], cache.ctx, cache)
         if verify:
             nrm = ideals[idx].norm()
             if not ideals[idx].is_integral() or nrm * nrm > bound_sq:
@@ -231,12 +223,11 @@ def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, factor, ctx,
 
     def record(stage: int) -> None:
         if trace is not None:
-            active = [ideals[t] for t in range(stage + 1)]
-            trace.append(max(a.minimum() for a in active))
+            sizes.append(max(ideals[t].minimum() for t in range(stage + 1)))
 
     def reduce(idx: int) -> None:
         modulus = cache.product(det_ideal, cache.inverse(ideals[idx]))
-        b[idx] = _reduce_row(field, b[idx], modulus, cache)
+        b[idx] = [reduction.reduce_mod_ideal(e, modulus, cache) if e else e for e in b[idx]]
 
     for i in range(n):
         normalize(i)
@@ -302,6 +293,10 @@ def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, factor, ctx,
             raise RuntimeError("verify: output is not unit lower triangular")
         if any(any(row) for row in out_rows[m:]):
             raise RuntimeError("verify: trailing rows are not zero")
+        if not all(a.is_integral() for a in out_ideals):
+            raise RuntimeError("verify: an output coefficient ideal is not integral")
+    if trace is not None:
+        trace.extend(sizes)
     return PseudoMatrix(field, out_rows, out_ideals, det_ideal=det_ideal)
 
 

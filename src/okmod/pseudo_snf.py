@@ -18,7 +18,7 @@ mirror.
 
 from __future__ import annotations
 
-from . import determinant, lattice, reduction
+from . import determinant, reduction
 from .ideals import FractionalIdeal, IdealError
 from .numberfield import FieldElement, NumberField
 from .pseudo_hnf import euclidean_step
@@ -94,13 +94,13 @@ class DivisorChain:
 
 
 class SnfState:
-    """Working state of the elimination on the lattice context ``ctx``, keeping
-    a_j and b_i^-1 (inverses from ``cache.inverse``); exposed for the
-    pivot-step operations."""
+    """Working state of the elimination on the ``ReducedBasisCache`` of its
+    ``pseudo_snf`` call, keeping a_j and b_i^-1 (inverses from
+    ``cache.inverse``); exposed for the pivot-step operations."""
 
-    def __init__(self, bp: BiPseudoMatrix, det_ideal: FractionalIdeal, ctx):
+    def __init__(self, bp: BiPseudoMatrix, det_ideal: FractionalIdeal, cache):
         self.field = bp.field
-        self.cache = reduction.ReducedBasisCache(ctx)
+        self.cache = cache
         self.a = [row[:] for row in bp.rows]
         self.col_ideals = list(bp.col_ideals)
         self.row_inv = [self.cache.inverse(b) for b in bp.row_ideals]
@@ -246,31 +246,28 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
     ideals are integral, each contains the one before it, and their product
     is exactly ``det_ideal``.
 
-    A reduced basis or normalization that misses its certified bound
-    (``QualityError``) reruns the elimination once on a lattice context
-    built at twice the precision exponent; a second miss propagates.
+    One ``ReducedBasisCache`` serves the elimination; a reduced basis or
+    normalization that misses its certified bound (``QualityError``) reruns
+    it once on a context at twice the precision exponent, keeping the ideal
+    memo (``ReducedBasisCache.run``); a second miss propagates.
     """
-    field = bp.field
     if det_ideal is None:
         det_ideal = quotient_determinantal_ideal(bp)
     if not det_ideal.is_integral():
         raise IdealError("determinantal ideal of an integral quotient must be integral")
-    ctx = field.lattice_context
-    try:
-        chain = _eliminate(bp, det_ideal, ctx, verify)
-    except lattice.QualityError:
-        chain = _eliminate(bp, det_ideal, lattice.build_context(field, 2 * ctx.e), verify)
+    cache = reduction.ReducedBasisCache(bp.field.lattice_context)
+    chain = cache.run(lambda cache: _eliminate(bp, det_ideal, cache, verify))
     if verify and determinant.product_of_ideals(chain.ideals) != det_ideal:
         raise RuntimeError("verify: divisor product differs from the determinantal ideal")
     return chain
 
 
-def _eliminate(bp: BiPseudoMatrix, det_ideal: FractionalIdeal, ctx,
+def _eliminate(bp: BiPseudoMatrix, det_ideal: FractionalIdeal, cache,
                verify: bool) -> DivisorChain:
-    """The elimination of ``pseudo_snf`` with its own cache on ``ctx``."""
+    """The elimination of ``pseudo_snf`` on the call's cache."""
     field = bp.field
     n = bp.n
-    state = SnfState(bp, det_ideal, ctx)
+    state = SnfState(bp, det_ideal, cache)
     # the columns, then the rows as the columns of the mirror
     for _side in range(2):
         for j in range(n):

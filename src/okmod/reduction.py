@@ -7,7 +7,7 @@ output satisfies the certified trace-form bound; with the Hermite basis and
 floor rounding it is the unique canonical representative of its class, which
 is what the uniqueness pass of the pseudo-Hermite form uses.
 
-``ReducedBasisCache`` memoizes the ideal arithmetic of one elimination, and
+``ReducedBasisCache`` memoizes the ideal arithmetic of one normal-form call, and
 keeps a factor map, ideal -> (eps, Q) with ideal = eps * Q and Q small: the
 reduced basis of such an ideal starts its LLL from eps times the reduced
 basis of Q rather than from its Hermite basis.
@@ -45,10 +45,12 @@ class ReducedBasis(list):
 
 
 class ReducedBasisCache:
-    """Memoizes the ideal arithmetic of one elimination, keyed on the ideal's
-    (numerator, denominator): reduced numerator bases, inverses, products
-    and the ideal-only part of ``normalize_row``.  ``pseudo_hnf`` and
-    ``pseudo_snf`` build one per call, so the memo dies with the call.
+    """Memoizes the ideal arithmetic of one normal-form call, keyed on the
+    ideal's (numerator, denominator): reduced numerator bases, inverses,
+    products and the ideal-only part of ``normalize_row``.  ``pseudo_hnf``
+    and ``pseudo_snf`` build one on entry, which serves the multiple, the
+    elimination and the rerun of ``run``, so no ideal is inverted twice in
+    one call and the memo dies with the call.
 
     It also knows factorizations ideal = eps * Q with Q small: ``pseudo_hnf``
     records its own multiple delta * P of square input, and ``product(a, b)`` with
@@ -68,6 +70,19 @@ class ReducedBasisCache:
         self._products: dict = {}
         self._normalizations: dict = {}
         self._factors: dict = {}
+
+    def run(self, work):
+        """``work(self)``; after a ``QualityError``, once more on a context at
+        twice the exponent, keeping the exact memos (inverses, products,
+        factors) and dropping the reduced bases and normalizations; a second
+        miss propagates.  It replaces ``ctx``: for per-call caches only."""
+        try:
+            return work(self)
+        except lattice.QualityError:
+            self.ctx = lattice.build_context(self.ctx.field, 2 * self.ctx.e)
+            self._map.clear()
+            self._normalizations.clear()
+            return work(self)
 
     def record_factor(self, ideal: FractionalIdeal, eps: FieldElement,
                       q: FractionalIdeal) -> None:

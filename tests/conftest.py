@@ -1,6 +1,7 @@
 import math
 import random
 import zlib
+from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
@@ -122,6 +123,25 @@ def random_ideal(rng, K, lim=6, fractional=False):
     if fractional and rng.random() < 0.5:
         a = FractionalIdeal.from_rational(K, Fraction(1, rng.randint(2, 5))) * a
     return a
+
+
+def spy_inversions(monkeypatch):
+    """Counter of the ``FractionalIdeal.inverse`` calls made from now on,
+    keyed on the inverted ideal's (numerator, denominator)."""
+    counts = Counter()
+    real = FractionalIdeal.inverse
+
+    def spy(ideal):
+        counts[(ideal.num, ideal.den)] += 1
+        return real(ideal)
+
+    monkeypatch.setattr(FractionalIdeal, "inverse", spy)
+    return counts
+
+
+def reinverted(counts):
+    """The ideals of a ``spy_inversions`` counter inverted more than once."""
+    return [key for key, count in counts.items() if count > 1]
 
 
 def reference_euclidean_step(a, b, alpha, beta):

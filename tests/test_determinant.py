@@ -12,6 +12,7 @@ from okmod import determinant, residues
 from okmod.determinant import (_coefficient_rows, _elimination_multiple, _eliminate, _pack,
                                _packed_planes, entry_height)
 from okmod.pseudo_hnf import PseudoMatrix
+from okmod.reduction import ReducedBasisCache
 from okmod.zlinalg import SingularMatrixError, RankDeficiencyError, det_bareiss
 
 from conftest import (ALL_FIELDS, cofactor_det, get_field, maximal_minor_sum, random_element,
@@ -443,7 +444,7 @@ def test_tall_multiple_examples():
         ([[Q.element([1], 2), z], [z, Q.one()], [Q.one(), Q.one()]], [u] * 3, Fraction(1, 2)),
     ]
     for rows, ideals, expected in cases:
-        mult, factor = _elimination_multiple(Q, rows, ideals)
+        mult, factor = _elimination_multiple(Q, rows, ideals, ReducedBasisCache(Q.lattice_context))
         assert factor is None
         assert mult == ideal(expected) == maximal_minor_sum(Q, rows, ideals)
 
@@ -459,7 +460,7 @@ def test_tall_multiple_lies_between_witness_and_minor_sum(name):
     for label, rows, ideals in tall_cases(K, rng):
         pm = PseudoMatrix(K, rows, ideals)
         witness = determinantal_ideal_multiple(pm)
-        mult, factor = _elimination_multiple(K, rows, ideals)
+        mult, factor = _elimination_multiple(K, rows, ideals, ReducedBasisCache(K.lattice_context))
         total = maximal_minor_sum(K, rows, ideals)
         assert factor is None
         assert witness.is_subset(mult), label
@@ -550,7 +551,8 @@ def test_degenerate_plan_prime_keeps_the_multiple_exact(monkeypatch):
         u = FractionalIdeal.unit(K)
         for rows in ([[pi, z], [z, two], [pi, one]], [[pi, z], [z, two], [one, one]]):
             plans.clear()
-            mult, factor = _elimination_multiple(K, rows, [u] * 3)
+            mult, factor = _elimination_multiple(K, rows, [u] * 3,
+                                                 ReducedBasisCache(K.lattice_context))
             assert factor is None
             assert mult == maximal_minor_sum(K, rows, [u] * 3)
             assert len(plans) == 1
@@ -703,7 +705,7 @@ def test_degree_one_residue_fields_match_the_oracles(name, monkeypatch):
     for m, lim in ((2, 9), (3, 10 ** 6), (4, big)):
         rows = random_matrix(rng, K, m + 1, m, lim)
         ideals = [random_ideal(rng, K, fractional=True) for _ in range(m + 1)]
-        mult, factor = _elimination_multiple(K, rows, ideals)
+        mult, factor = _elimination_multiple(K, rows, ideals, ReducedBasisCache(K.lattice_context))
         assert factor is None and mult == maximal_minor_sum(K, rows, ideals)
     assert 1 in degrees
 

@@ -17,7 +17,7 @@ from okmod.zlinalg import (RankDeficiencyError, det_bareiss, hnf_with_modulus, m
                           transpose)
 
 from conftest import (ALL_FIELDS, get_field, hnf, random_element, random_ideal,
-                      reference_euclidean_step, seeded)
+                      reference_euclidean_step, reinverted, seeded, spy_inversions)
 
 
 def random_pseudo(rng, field, n, m, lim=9, with_ideals=True):
@@ -662,7 +662,8 @@ def test_warm_and_cold_moduli_give_one_canonical_form(name, monkeypatch):
 def test_a_wrong_factor_is_refused(name):
     K = get_field(name)
     pm = full_rank_pseudo(K, f"test_pseudo_hnf wrong factor {name}", n=3)
-    dd, (delta, prod) = determinant._elimination_multiple(K, pm.rows, pm.ideals)
+    dd, (delta, prod) = determinant._elimination_multiple(
+        K, pm.rows, pm.ideals, reduction.ReducedBasisCache(K.lattice_context))
     # 2 delta * P lies inside dd but has 2^d times its norm; delta / 2 * P
     # is not inside it; the right factor is accepted
     for eps in (K.scalar_mul(2, delta), K.scalar_div(delta, 2)):
@@ -696,6 +697,45 @@ def test_det_ideal_attribute_is_not_an_input():
     assert dump(recorded) == dump(plain)
     assert recorded.det_ideal == plain.det_ideal
     assert module_hnf(recorded) == module_hnf(PseudoMatrix(K, rows, [u, u]))
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_non_integral_multiple_is_refused(verify, monkeypatch):
+    # a module inside O_K^m has an integral determinantal ideal, so every
+    # multiple of it is integral; reduced modulo (1/2), this one came back
+    # as the identity rows with ideals (1), (1/2), outside O_K^m
+    K = get_field("Qi")
+    u = FractionalIdeal.unit(K)
+    i = K.element([0, 1])
+    pm = PseudoMatrix(K, [[K.from_int(2), K.zero()], [1 + i, K.from_int(3)]], [u, u])
+    half = FractionalIdeal.from_rational(K, Fraction(1, 2))
+    with monkeypatch.context() as patch:
+        # the refusal comes before any work
+        patch.setattr(reduction, "ReducedBasisCache", None)
+        with pytest.raises(IdealError, match="must be integral"):
+            pseudo_hnf(pm, half, verify=verify)
+    # handed such a multiple anyway, the elimination's verify catches the output
+    eliminate = importlib.import_module("okmod.pseudo_hnf")._eliminate
+    with pytest.raises(RuntimeError, match="output coefficient ideal is not integral"):
+        eliminate(pm, half, reduction.ReducedBasisCache(K.lattice_context), True, None)
+
+
+@pytest.mark.parametrize("name", ["Qi", "Qm5", "cubic", "quartic"])
+def test_one_call_inverts_no_ideal_twice(name, monkeypatch):
+    # the multiple, the normalizations, the reductions and the Euclidean
+    # steps of one call read one ideal memo, on square and tall input
+    K = get_field(name)
+    rng = seeded(f"test_pseudo_hnf one memo {name}")
+    counts = spy_inversions(monkeypatch)
+    for n in (3, 4, 5):
+        pm = full_rank_pseudo(K, f"test_pseudo_hnf one memo {name} {n}", n=n, m=3)
+        ideals = [random_ideal(rng, K) for _ in range(n)]
+        assert not all(a.is_unit() for a in ideals)
+        # twice the last column: the module is not O_K^m, so the elimination runs
+        pm = PseudoMatrix(K, [row[:-1] + [2 * row[-1]] for row in pm.rows], ideals)
+        counts.clear()
+        pseudo_hnf(pm, verify=True)
+        assert counts and reinverted(counts) == []
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
@@ -735,7 +775,8 @@ def test_only_square_input_records_a_factor(name, monkeypatch):
     monkeypatch.setattr(lattice, "reduce_start_basis", start)
     square = full_rank_pseudo(K, f"test_pseudo_hnf square factor {name}", n=3, m=3)
     out = pseudo_hnf(square, verify=True)
-    dd, (delta, prod) = determinant._elimination_multiple(K, square.rows, square.ideals)
+    dd, (delta, prod) = determinant._elimination_multiple(
+        K, square.rows, square.ideals, reduction.ReducedBasisCache(K.lattice_context))
     assert out.det_ideal == dd == determinantal_ideal_multiple(square)
     assert factors == [(out.det_ideal, delta, prod)]
     assert warm_starts
@@ -768,8 +809,12 @@ def test_quality_error_reruns_on_a_finer_context(name, monkeypatch):
 
     monkeypatch.setattr(lattice, "_check_quality", fail_on_default)
     trace = []
-    out = canonicalize(pseudo_hnf(pm, verify=True, trace=trace))
+    counts = spy_inversions(monkeypatch)
+    raw = pseudo_hnf(pm, verify=True, trace=trace)
     assert refused
+    # the rerun keeps the call's ideal memo
+    assert counts and reinverted(counts) == []
+    out = canonicalize(raw)
     assert (out.rows, out.ideals) == (expected.rows, expected.ideals)
     assert len(trace) == len(expected_trace)
 

@@ -10,10 +10,11 @@ from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, cli, determina
                    pseudo_snf, quotient_determinantal_ideal)
 from okmod.ideals import IdealError
 from okmod.pseudo_snf import SnfState, col_pivot, offdiag_obstruction_scan, row_pivot
+from okmod.reduction import ReducedBasisCache
 from okmod.zlinalg import SingularMatrixError, det_bareiss, z_snf
 
 from conftest import (ALL_FIELDS, QM5_OBSTRUCTION_IN_MODULUS, cofactor_det, get_field,
-                      random_element, random_ideal, seeded)
+                      random_element, random_ideal, reinverted, seeded, spy_inversions)
 
 # every randomized test draws from its own generator, so its inputs do not
 # depend on which other tests run before it
@@ -205,7 +206,7 @@ def test_quotient_order_matches_absolute_index():
 def test_obstruction_scan_example():
     Q = get_field("Q")
     bp = trivial_bp(Q, [[6, 0], [0, 4]])
-    state = SnfState(bp, quotient_determinantal_ideal(bp), Q.lattice_context)
+    state = SnfState(bp, quotient_determinantal_ideal(bp), ReducedBasisCache(Q.lattice_context))
     col_pivot(state, 1)
     assert row_pivot(state, 1) is True
     viol = offdiag_obstruction_scan(state, 1)
@@ -217,7 +218,7 @@ def test_obstruction_scan_example():
 def test_obstruction_scan_clean_diag():
     Q = get_field("Q")
     bp = trivial_bp(Q, [[6, 0], [0, 2]])  # correctly ordered divisors
-    state = SnfState(bp, quotient_determinantal_ideal(bp), Q.lattice_context)
+    state = SnfState(bp, quotient_determinantal_ideal(bp), ReducedBasisCache(Q.lattice_context))
     col_pivot(state, 1)
     assert row_pivot(state, 1) is True
     assert offdiag_obstruction_scan(state, 1) is None
@@ -226,7 +227,7 @@ def test_obstruction_scan_clean_diag():
 def test_row_pivot_reports_no_op():
     Q = get_field("Q")
     bp = trivial_bp(Q, [[3, 0], [0, 5]])
-    state = SnfState(bp, quotient_determinantal_ideal(bp), Q.lattice_context)
+    state = SnfState(bp, quotient_determinantal_ideal(bp), ReducedBasisCache(Q.lattice_context))
     assert row_pivot(state, 1) is True
 
 
@@ -236,7 +237,7 @@ def test_pivots_report_elimination():
                        ([[0, 3], [0, 0]], row_pivot), ([[0, 0], [3, 0]], col_pivot)):
         bp = BiPseudoMatrix(Q, [[Q.from_int(x) for x in row] for row in mat],
                             [FractionalIdeal.unit(Q)] * 2, [FractionalIdeal.unit(Q)] * 2)
-        state = SnfState(bp, FractionalIdeal.unit(Q), Q.lattice_context)
+        state = SnfState(bp, FractionalIdeal.unit(Q), ReducedBasisCache(Q.lattice_context))
         assert pivot(state, 1) is False
 
 
@@ -290,8 +291,9 @@ def test_row_pivot_is_col_pivot_of_the_mirror(name):
     local = seeded(f"test_pseudo_snf mirror {name}")
     for _ in range(3):
         bp, det_ideal = nonsingular_bp(field, local, 3)
-        state = SnfState(bp, det_ideal, field.lattice_context)
-        mirror = SnfState(transposed_bp(bp), det_ideal, field.lattice_context)
+        state = SnfState(bp, det_ideal, ReducedBasisCache(field.lattice_context))
+        mirror = SnfState(transposed_bp(bp), det_ideal,
+                          ReducedBasisCache(field.lattice_context))
         assert_mirrored(state, mirror)
         for i in range(bp.n - 1, -1, -1):
             assert row_pivot(state, i) == col_pivot(mirror, i)
@@ -315,8 +317,11 @@ def test_quality_error_reruns_on_a_finer_context(name, monkeypatch):
         return real(ideal, basis, ctx)
 
     monkeypatch.setattr(lattice, "_check_quality", fail_on_default)
+    counts = spy_inversions(monkeypatch)
     assert pseudo_snf(bp, det_ideal, verify=True) == expected
     assert refused
+    # the rerun keeps the call's ideal memo
+    assert counts and reinverted(counts) == []
 
     def fail_always(ideal, basis, ctx):
         refused.append(ctx)
@@ -326,6 +331,20 @@ def test_quality_error_reruns_on_a_finer_context(name, monkeypatch):
     with pytest.raises(lattice.QualityError, match="every context"):
         pseudo_snf(bp, det_ideal)
     assert len({id(ctx) for ctx in refused[-2:]}) == 2
+
+
+@pytest.mark.parametrize("name", ["Qm5", "cubic", "quartic"])
+def test_one_call_inverts_no_ideal_twice(name, monkeypatch):
+    # the elimination, its normalizations and the obstruction scan of one
+    # call read one ideal memo
+    field = get_field(name)
+    rng = seeded(f"test_pseudo_snf one memo {name}")
+    counts = spy_inversions(monkeypatch)
+    for _ in range(3):
+        bp, det_ideal = nonsingular_bp(field, rng, 3)
+        counts.clear()
+        pseudo_snf(bp, det_ideal, verify=True)
+        assert counts and reinverted(counts) == []
 
 
 @pytest.mark.parametrize("verify", [False, True])

@@ -105,3 +105,52 @@ def test_one_crt_loop_serves_every_determinant():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert not imported & names, sorted(imported & names)
+
+
+def calls_by_function(path, name):
+    """(module, enclosing function) of every call in the module at ``path``
+    to ``name``, bare or as an attribute; a method reads Class.method."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope is None else f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    sites.append((os.path.basename(path), scope, child))
+            visit(child, scope)
+
+    visit(tree, None)
+    return sites
+
+
+def test_one_ideal_memo_per_normal_form_call():
+    # pseudo_hnf and pseudo_snf each build one ReducedBasisCache, which
+    # serves the multiple, the elimination and the rerun on a finer context;
+    # the field-wide cache is the only other one
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    built = sorted((module, scope) for path in paths
+                   for module, scope, _ in calls_by_function(path, "ReducedBasisCache"))
+    assert built == [("numberfield.py", "NumberField.basis_cache"),
+                     ("pseudo_hnf.py", "pseudo_hnf"), ("pseudo_snf.py", "pseudo_snf")]
+    # the rerun policy lives in ReducedBasisCache.run alone: it is the one
+    # site that builds a context at a chosen exponent, twice the old one
+    reruns = [(module, scope, call) for path in paths
+              for module, scope, call in calls_by_function(path, "build_context")
+              if len(call.args) + len(call.keywords) > 1]
+    assert [(module, scope) for module, scope, _ in reruns] == [
+        ("reduction.py", "ReducedBasisCache.run")]
+    exponent = reruns[0][2].args[1]
+    assert isinstance(exponent, ast.BinOp) and isinstance(exponent.op, ast.Mult)
+    assert any(isinstance(side, ast.Constant) and side.value == 2
+               for side in (exponent.left, exponent.right))
+    # the multiple takes its inverses from the call's memo
+    direct = [call.lineno for _, _, call in calls_by_function(os.path.join(SRC, "determinant.py"),
+                                                               "inverse")
+              if getattr(call.func.value, "id", None) != "cache"]
+    assert direct == []
