@@ -142,19 +142,9 @@ def _parse_ideal(ts: _Tokens, field: NumberField) -> FractionalIdeal:
         ts.expect("den")
         den = ts.take_positive("denominator")
         try:
-            ideal = FractionalIdeal(field, rows, den)
+            return FractionalIdeal(field, rows, den)
         except IdealError as exc:
             raise ParseError(str(exc), ln) from exc
-        # the rows times every basis element span the smallest O_K-module
-        # containing them; its Hermite basis is the block itself exactly when
-        # the block is the canonical Hermite basis of an ideal
-        prods = [field.coeff_mul(u, e) for u in rows for e in zlinalg.identity(d)]
-        diag = 1
-        for i in range(d):
-            diag *= rows[i][i]
-        if zlinalg.hnf_with_modulus(prods, diag) != rows:
-            raise ParseError("ideal hnf block is not the Hermite basis of an ideal", ln)
-        return ideal
     if kind == "gens":
         count = ts.take_positive("generator count")
         gens_ln = ts.line

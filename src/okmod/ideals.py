@@ -14,11 +14,14 @@ denominator by q.  Containment is decided by memberships of a basis, with no
 Hermite form.
 
 Two constructors build ideals.  ``FractionalIdeal(field, num, den)`` is the
-way in for values from outside: it checks that ``num`` is a d x d lower
-triangular matrix with positive diagonal and that ``den > 0``.  The
-module-private ``_make_ideal(field, num, den)`` trusts that ``num`` is the
-Hermite basis of an integral ideal and ``den > 0``, and only divides out the
-content; the arithmetic here builds the Hermite forms it computes through it.
+way in for values from outside: it checks that ``den > 0`` and that ``num``
+is the reduced Hermite basis of an integral ideal, a d x d lower triangular
+matrix with positive diagonal, each entry left of the diagonal in
+[0, pivot of its column), whose rows times every basis element stay in its
+lattice.  The module-private ``_make_ideal(field, num, den)`` trusts that
+``num`` is the Hermite basis of an integral ideal and ``den > 0``, and only
+divides out the content; the arithmetic here builds the Hermite forms it
+computes through it, and ``numerator`` rewraps an ideal's Hermite basis.
 """
 
 from __future__ import annotations
@@ -78,8 +81,14 @@ class FractionalIdeal:
                 raise IdealError("numerator is not a full-rank Hermite basis")
             if any(num[i][j] for j in range(i + 1, d)):
                 raise IdealError("numerator is not lower triangular")
+            if any(not 0 <= num[i][k] < num[k][k] for k in range(i)):
+                raise IdealError("numerator is not the Hermite basis of an ideal")
         self.field = field
         self.num, self.den = _without_content(num, den)
+        omegas = identity(d)
+        if not all(self._holds(field.coeff_mul(row, w), self.den)
+                   for row in self.num for w in omegas):
+            raise IdealError("numerator is not the Hermite basis of an ideal")
 
     # -- constructors -------------------------------------------------------
 
@@ -118,7 +127,7 @@ class FractionalIdeal:
 
     @classmethod
     def unit(cls, field: NumberField) -> "FractionalIdeal":
-        return cls(field, identity(field.degree), 1)
+        return _make_ideal(field, identity(field.degree), 1)
 
     @classmethod
     def from_rational(cls, field: NumberField, q) -> "FractionalIdeal":
@@ -127,7 +136,7 @@ class FractionalIdeal:
             raise IdealError("zero ideal is not representable")
         num = [[abs(q.numerator) if i == j else 0 for j in range(field.degree)]
                for i in range(field.degree)]
-        return cls(field, num, q.denominator)
+        return _make_ideal(field, num, q.denominator)
 
     # -- basic structure -----------------------------------------------------
 
@@ -159,6 +168,10 @@ class FractionalIdeal:
         if self.den > 1:
             s += d * d * log2_ub(self.den)
         return s
+
+    def numerator(self) -> "FractionalIdeal":
+        """The integral ideal den * self, whose Hermite basis is ``num``."""
+        return self if self.den == 1 else _make_ideal(self.field, self.num, 1)
 
     def basis_elements(self) -> list[FieldElement]:
         return [FieldElement(self.field, list(row), self.den) for row in self.num]
@@ -250,8 +263,7 @@ class FractionalIdeal:
             return self
         field = self.field
         d = field.degree
-        numerator = self if self.den == 1 else _make_ideal(field, self.num, 1)
-        h = (numerator * field.codifferent_numerator).num
+        h = (self.numerator() * field.codifferent_numerator).num
         rhs = [[field.trace_den if i == j else 0 for j in range(d)] for i in range(d)]
         num, den = solve_left(mat_mul(field.trace_mat, transpose(h)), rhs)
         inv_integral = _make_ideal(field, hnf_with_modulus(num, den), den)

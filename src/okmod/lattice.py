@@ -1,13 +1,14 @@
 """Lattice reduction of ideal bases under a rounded trace-form embedding.
 
 The Gram matrix of the Hermitian trace form on the integral basis is
-enclosed to the requested accuracy, Cholesky-factored numerically, scaled by
-2^e and rounded to an integer matrix.  Reducing an ideal then means running an
-integral LLL (delta = 99/100, Cohen's Algorithm 2.6.7 on the integer Gram
-matrix) on the image of its Hermite basis under that integer embedding.  The
-output quality is not assumed: every reduced basis is checked against the
-first-vector and product bounds, with the rounding-quality constant already
-absorbed into the stored reduction parameter.
+enclosed to the requested accuracy, Cholesky-factored in fixed-point integer
+arithmetic, scaled by 2^e and rounded to an integer matrix.  Reducing an
+ideal then means running an integral LLL (delta = 99/100, Cohen's Algorithm
+2.6.7 on the integer Gram matrix) on the image of its Hermite basis under
+that integer embedding.  The output quality is not assumed: every reduced
+basis is checked against the first-vector and product bounds, with the
+rounding-quality constant already absorbed into the stored reduction
+parameter.
 
 The integer embedding r_e is also the one certificate of T2 sizes.  Let G
 be the true Gram matrix, so T2(x) = x G x^t for an integer coefficient
@@ -39,12 +40,11 @@ basis of Q this way.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import mpmath as mp
+from math import isqrt
 
 from . import numeric
 from .ideals import IdealError
-from .numeric import (Ball, frac_nth_root_ub, frac_sqrt_lb, frac_sqrt_ub, frac_up, mpf_to_fraction,
+from .numeric import (Ball, frac_nth_root_ub, frac_sqrt_lb, frac_sqrt_ub, frac_up,
                       over_common_denominator)
 from .numberfield import FieldElement, NumberField
 from .zlinalg import Mat, det_bareiss, identity, mat_mul, solve_left, transpose, vec_mat
@@ -94,7 +94,7 @@ def default_precision_exponent(field: NumberField) -> int:
 
 
 def build_context(field: NumberField, e: int | None = None) -> LatticeContext:
-    """Certified Gram enclosure, numerical Cholesky, integer rounding at scale 2^e.
+    """Certified Gram enclosure, fixed-point Cholesky, integer rounding at scale 2^e.
 
     The Gram entries are enclosed to absolute error < 2^-(e+2); if the rounded
     matrix is singular the exponent is doubled and the construction retried.
@@ -182,11 +182,19 @@ def _gram_balls(field: NumberField, prec: int) -> list[list[Ball]]:
 
 
 def _cholesky(centers: list[list[Fraction]], prec: int) -> list[list[Fraction]]:
+    """Lower Cholesky factor L of a positive definite matrix G, in fixed
+    point with ``prec`` fractional bits: on the integers G 4^prec (floored)
+    and L 2^prec, each L_jj is the ``isqrt`` of G_jj - sum_k L_jk^2 and each
+    L_ij the floor of (G_ij - sum_k L_ik L_jk) / L_jj."""
     d = len(centers)
-    with mp.workprec(prec):
-        g = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row] for row in centers])
-        low = mp.cholesky(g)
-        return [[mpf_to_fraction(low[i, j]) for j in range(d)] for i in range(d)]
+    g = [[(x.numerator << 2 * prec) // x.denominator for x in row] for row in centers]
+    low = [[0] * d for _ in range(d)]
+    for j in range(d):
+        lj = low[j]
+        lj[j] = isqrt(g[j][j] - sum(x * x for x in lj[:j]))
+        for i in range(j + 1, d):
+            low[i][j] = (g[i][j] - sum(a * b for a, b in zip(low[i][:j], lj))) // lj[j]
+    return [[Fraction(x, 1 << prec) for x in row] for row in low]
 
 
 def _round_half_up(num: int, den: int) -> int:

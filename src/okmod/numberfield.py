@@ -9,8 +9,10 @@ Elements are integer coefficient vectors over the integral basis with a
 minimal positive denominator.
 
 Two constructors build elements.  ``FieldElement(field, coeffs, den)`` is the
-way in for values from outside (parser, users, tests): it converts each
-coefficient with ``int``, checks the length and refuses ``den = 0``.  The
+way in for values from outside (parser, users, tests): it takes each
+coefficient and the denominator through ``operator.index``, so a float or a
+Fraction is refused rather than truncated, checks the length and refuses
+``den = 0``.  The
 module-private ``_make(field, coeffs, den)`` trusts its inputs, an int list
 of the right length and ``den > 0``, and only reduces them to lowest terms;
 the arithmetic here and in ``reduction`` builds its results through it.
@@ -18,6 +20,7 @@ the arithmetic here and in ``reduction`` builds its results through it.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -57,17 +60,18 @@ def _lowest_terms(coeffs: list[int], den: int) -> tuple[tuple[int, ...], int]:
 class FieldElement:
     """Element of a number field: integer coefficients over the integral basis / den.
 
-    The constructor validates: each coefficient goes through ``int``, the
-    length must be the field's degree, and ``den`` must be nonzero (a
+    The constructor validates: each coefficient and ``den`` must be an
+    integer (``operator.index``, so 0.5 or Fraction(7, 2) raises TypeError),
+    the length must be the field's degree, and ``den`` must be nonzero (a
     negative one moves its sign to the coefficients)."""
 
     __slots__ = ("field", "coeffs", "den")
 
     def __init__(self, field: "NumberField", coeffs, den: int = 1):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = [operator.index(c) for c in coeffs]
         if len(coeffs) != field.degree:
             raise FieldError("coefficient vector has wrong length")
-        den = int(den)
+        den = operator.index(den)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
@@ -347,7 +351,8 @@ class NumberField:
         Each solve runs at 32 guard bits above want, so the disks certify at
         once: the first call solves from scratch, and the cache keeps the
         largest p with every radius below 2^-p.  A request above it refines
-        the cached enclosures by Newton's method; if that fails its
+        the cached enclosures by the same Durand-Kerner iteration, started
+        from their centers; if that fails its
         certificate the plain solve takes over at the same precision, and a
         plain solve whose disks are still too wide doubles the precision.
         """

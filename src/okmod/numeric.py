@@ -1,44 +1,33 @@
 """Certified numerical support: embeddings, Gram data, rational bounds.
 
 Approximate quantities are carried as complex balls whose centers are exact
-rationals (dyadics coming out of mpmath) and whose radii are exact rational
-upper bounds.  Root enclosures use the classical bound
+rationals (dyadics coming out of the root iteration) and whose radii are
+exact rational upper bounds.  Root enclosures use the classical bound
 
     min_j |x - z_j| <= deg(f) * |f(x)| / |f'(x)|,
 
 valid for any x with f'(x) != 0, which makes the disks rigorous; pairwise
-disjointness then pins one root per disk.  The first solve is mpmath's
-Durand-Kerner iteration started from a float Durand-Kerner run; mpmath still
-iterates to its own tolerance and rounds, so the start changes the order of
-the roots, not their values (barring a root within the last step's error of
-a rounding boundary).  A request for more precision refines the cached
-enclosures by Newton's method instead of solving again: the refined centers
-pass the same certificate (the disks above and their pairwise
-disjointness), and each refined disk must lie inside the disk it started
-from, so it encloses the same root.  The checks and bounds run on
-integers: polynomials are evaluated by Horner's rule over one common
-denominator of the point and the coefficients (the ball centers are
-dyadic, so that denominator is small), inequalities are compared over one
-common denominator, and a rounded bound (``frac_up``, ``frac_sqrt_ub``)
-gets its argument as one Fraction reduced once, so it is the bound of the
-exact value.
+disjointness then pins one root per disk.  One Durand-Kerner iteration on
+Gaussian integers scaled by 2^prec (``_weierstrass``) finds every center:
+the first solve runs it at 64 bits from the classical start points and then
+at the requested precision, and a request for more precision runs it from
+the cached centers instead of solving again.  The refined centers pass the
+same certificate (the disks above and their pairwise disjointness), and
+each refined disk must lie inside the disk it started from, so it encloses
+the same root.  The checks and bounds run on integers: polynomials are
+evaluated by Horner's rule over one common denominator of the point and the
+coefficients (the ball centers are dyadic, so that denominator is small),
+inequalities are compared over one common denominator, and a rounded bound
+(``frac_up``, ``frac_sqrt_ub``) gets its argument as one Fraction reduced
+once, so it is the bound of the exact value.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-import mpmath as mp
-from mpmath.libmp import to_rational
-
 Complex = tuple[Fraction, Fraction]
-
-
-def mpf_to_fraction(x) -> Fraction:
-    p, q = to_rational(mp.mpf(x)._mpf_)
-    return Fraction(int(p), int(q))
 
 
 def frac_up(x: Fraction, bits: int = 64) -> Fraction:
@@ -203,74 +192,48 @@ def _abs_sq_at(int_coeffs: list[int], z: Complex) -> Fraction:
     return Fraction(re * re + im * im, den * den)
 
 
-# Durand-Kerner sweeps allowed to the float start of ``certified_roots``, and
-# the relative step below which a float root counts as settled
-_FLOAT_SWEEPS = 200
-_FLOAT_TOL = 2.0 ** -40
+def _weierstrass(int_coeffs: list[int], pts: list[Complex], prec: int,
+                 sweeps: int) -> list[Complex] | None:
+    """Durand-Kerner (Weierstrass) iteration on Gaussian integers at scale
+    2^prec, from the points ``pts``, one per root.
 
-
-def _float_start(int_coeffs: list[int]) -> list[complex] | None:
-    """Starting points for ``mp.polyroots``: Durand-Kerner on Python complex
-    floats from mpmath's own start points ``(0.4+0.9j)**n``.
-
-    None when the start is unusable: a coefficient overflows a float, the
-    iteration leaves the finite floats or does not settle, or two points
-    coincide.  mpmath then starts from its defaults.
+    Each sweep replaces z_i, in place, by z_i - f(z_i) / (a_n prod_(j!=i)
+    (z_i - z_j)).  With z_i = x_i / 2^prec the numerator f(z_i) 2^(n prec) is
+    exact Horner on integers and the denominator is exact too, so one floor
+    division per coordinate is the only rounding.  Stops after the first
+    sweep whose steps are all below 2^-(prec/2) relative to the root
+    (|z| if |z| > 1, else 1), after which the next step would be lost in
+    rounding; None if that never happens within ``sweeps`` or two points
+    coincide.
     """
-    deg = len(int_coeffs) - 1
-    try:
-        monic = [c / int_coeffs[-1] for c in reversed(int_coeffs)]
-    except OverflowError:
-        return None
-    pts = [(0.4 + 0.9j) ** n for n in range(deg)]
-    try:
-        for _ in range(_FLOAT_SWEEPS):
-            settled = True
-            for i, p in enumerate(pts):
-                x = 0j
-                for c in monic:
-                    x = x * p + c
-                for j, t in enumerate(pts):
-                    if j != i:
-                        x /= p - t
-                pts[i] = p - x
-                if not abs(x) <= _FLOAT_TOL * max(1.0, abs(p)):
-                    settled = False
-            if settled:
-                break
-        else:
-            return None
-    except (ZeroDivisionError, OverflowError):
-        return None
-    if not all(cmath.isfinite(p) for p in pts) or len(set(pts)) < deg:
-        return None
-    return pts
-
-
-def _newton(int_coeffs: list[int], start: list[Ball], prec: int) -> list | None:
-    """Newton's method at ``prec`` bits from the centers of ``start``.
-
-    Stops once a step is below 2^-(prec/2) relative to the root, after which
-    the next step would be lost in rounding; None if that never happens.
-    """
-    big_endian = [mp.mpf(c) for c in reversed(int_coeffs)]
-    tol = mp.ldexp(1, -(prec // 2))
-    out = []
-    for ball in start:
-        z = mp.mpc(mp.mpf(ball.re.numerator) / ball.re.denominator,
-                   mp.mpf(ball.im.numerator) / ball.im.denominator)
-        for _ in range(prec.bit_length() + 8):
-            fz, fpz = mp.polyval(big_endian, z, derivative=True)
-            if fpz == 0:
+    lead = int_coeffs[-1]
+    rest = list(enumerate(reversed(int_coeffs[:-1]), 1))
+    one_sq = 1 << 2 * prec
+    tol = 2 * (prec // 2)
+    zs = [((x.numerator << prec) // x.denominator, (y.numerator << prec) // y.denominator)
+          for x, y in pts]
+    for _ in range(sweeps):
+        settled = True
+        for i, (xr, xi) in enumerate(zs):
+            fr, fi = lead, 0
+            for t, c in rest:
+                fr, fi = fr * xr - fi * xi + (c << t * prec), fr * xi + fi * xr
+            dr, di = lead, 0
+            for j, (yr, yi) in enumerate(zs):
+                if j != i:
+                    ar, ai = xr - yr, xi - yi
+                    dr, di = dr * ar - di * ai, dr * ai + di * ar
+            nrm = dr * dr + di * di
+            if nrm == 0:
                 return None
-            step = fz / fpz
-            z -= step
-            if abs(step) <= tol * max(1, abs(z)):
-                break
-        else:
-            return None
-        out.append(z)
-    return out
+            sr, si = (fr * dr + fi * di) // nrm, (fi * dr - fr * di) // nrm
+            zs[i] = (xr - sr, xi - si)
+            if (sr * sr + si * si) << tol > max(one_sq, xr * xr + xi * xi):
+                settled = False
+        if settled:
+            den = 1 << prec
+            return [(Fraction(x, den), Fraction(y, den)) for x, y in zs]
+    return None
 
 
 def certified_roots(int_coeffs: list[int], prec: int,
@@ -278,14 +241,16 @@ def certified_roots(int_coeffs: list[int], prec: int,
     """Disjoint certified root enclosures of a squarefree integer polynomial.
 
     ``int_coeffs`` is little-endian (constant first) with nonzero leading
-    coefficient.  Without ``start`` the roots are solved from scratch at
-    ``prec`` bits by ``mp.polyroots``, started from ``_float_start``; with
-    ``start`` (certified enclosures, one per root) their centers are refined
-    by Newton's method at ``prec`` bits, and each new disk must lie inside its
-    start disk.  Returns None when the precision was insufficient to separate
-    the disks or the refinement failed its certificate; the caller retries
-    with a plain solve or more precision.  The disks come in the order the
-    solver returns them; callers use only sums and maxima over the roots.
+    coefficient.  Without ``start`` the roots are solved from scratch by
+    ``_weierstrass``: a 64-bit run from the points (0.4+0.9i)^k, then a run at
+    ``prec`` bits from its result (from the same points if it failed); with
+    ``start`` (certified enclosures, one per root) the same iteration refines
+    their centers at ``prec`` bits, and each new disk must lie inside its
+    start disk.  Returns None when the iteration did not settle, the
+    precision was insufficient to separate the disks or the refinement failed
+    its certificate; the caller retries with a plain solve or more precision.
+    The disks come in the order of the points; callers use only sums and
+    maxima over the roots.
     """
     deg = len(int_coeffs) - 1
     if deg == 0:
@@ -293,23 +258,16 @@ def certified_roots(int_coeffs: list[int], prec: int,
     if deg == 1:
         z = Fraction(-int_coeffs[0], int_coeffs[1])
         return [Ball(z, Fraction(0), Fraction(0))]
-    with mp.workprec(prec):
-        if start is None:
-            init = _float_start(int_coeffs)
-            try:
-                rts = mp.polyroots([mp.mpf(c) for c in reversed(int_coeffs)],
-                                   maxsteps=100 + prec, extraprec=prec,
-                                   roots_init=None if init is None else [mp.mpc(z) for z in init])
-            except mp.libmp.NoConvergence:
-                return None
-        else:
-            rts = _newton(int_coeffs, start, prec)
-            if rts is None:
-                return None
-        centers: list[Complex] = []
-        for z in rts:
-            zc = mp.mpc(z)
-            centers.append((mpf_to_fraction(zc.real), mpf_to_fraction(zc.imag)))
+    if start is None:
+        pts = [(Fraction(w.real), Fraction(w.imag)) for w in ((0.4 + 0.9j) ** k
+                                                                for k in range(deg))]
+        pts = _weierstrass(int_coeffs, pts, 64, 100 + 64) or pts
+        centers = _weierstrass(int_coeffs, pts, prec, 100 + prec)
+    else:
+        centers = _weierstrass(int_coeffs, [(b.re, b.im) for b in start], prec,
+                               prec.bit_length() + 8)
+    if centers is None:
+        return None
     fp = [i * c for i, c in enumerate(int_coeffs)][1:]
     radii = []
     for z in centers:

@@ -94,7 +94,7 @@ class ReducedBasisCache:
         basis = self._map.get(key)
         if basis is None:
             field = ideal.field
-            numerator = FractionalIdeal(field, [list(r) for r in ideal.num], 1)
+            numerator = ideal.numerator()
             factor = self._factors.get(key)
             if factor is None or field.degree == 1 or factor[1] == ideal:
                 rows = lattice.reduce_ideal_basis(numerator, self.ctx)
@@ -213,12 +213,12 @@ def _normalize_ideal(a: FractionalIdeal, cache: ReducedBasisCache):
     new ideal is not integral or misses its norm bound."""
     field = a.field
     k = a.den
-    numerator = a if k == 1 else FractionalIdeal(field, [list(r) for r in a.num], 1)
+    numerator = a.numerator()
     # an integral ideal's inverse is often in the memo already, stored by
     # the Euclidean step that produced it
     binv = cache.inverse(numerator)
     l = binv.den
-    c_ideal = FractionalIdeal(field, [list(r) for r in binv.num], 1)
+    c_ideal = binv.numerator()
     alpha = field.element(cache.reduced_basis(c_ideal)[0])
     scalar = field.scalar_mul(k, field.scalar_div(alpha, l))
     new_ideal = numerator.elt_mul(field.scalar_div(alpha, l))

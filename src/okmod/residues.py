@@ -488,16 +488,7 @@ def crt_combine_primes(per_prime: list[Poly], plan: PrimePlan, degree: int) -> l
     """Coefficientwise integer CRT with a symmetric lift into (-N/2, N/2]."""
     if len(per_prime) != len(plan.primes):
         raise ResidueError("one polynomial per plan prime required")
-    coeffs = []
-    for t in range(degree):
-        val, mod = 0, 1
-        for poly, p in zip(per_prime, plan.primes):
-            c = poly[t] if t < len(poly) else 0
-            # incremental CRT
-            inv = pow(mod % p, -1, p)
-            val = val + mod * (((c - val) * inv) % p)
-            mod *= p
-        coeffs.append(symmetric_lift(val, plan.modulus))
+    (coeffs,) = _crt_lift([[(list(poly) + [0] * degree)[:degree]] for poly in per_prime], plan)
     return coeffs
 
 
@@ -540,7 +531,13 @@ def lift_coordinates(per_prime, plan: PrimePlan, field: NumberField) -> list[Fie
     """The elements whose integral-basis coordinates modulo the i-th plan
     prime are per_prime[i][v]: CRT, then the symmetric lift into
     (-N/2, N/2], exact when every true coordinate lies there."""
+    return [field.element(v) for v in _crt_lift(per_prime, plan)]
+
+
+def _crt_lift(per_prime, plan: PrimePlan) -> list[list[int]]:
+    """The integer vectors whose entries modulo the i-th plan prime are
+    per_prime[i][v], each the symmetric lift into (-N/2, N/2] of its CRT."""
     big = plan.modulus
     crt = [big // q * pow(big // q, -1, q) for q in plan.primes]
-    return [field.element([symmetric_lift(sum(map(mul, crt, cs)), big) for cs in zip(*v)])
+    return [[symmetric_lift(sum(map(mul, crt, cs)), big) for cs in zip(*v)]
             for v in zip(*per_prime)]

@@ -451,7 +451,7 @@ def test_non_canonical_ideal_block_refused(tmp_path, capsys, kind, rows):
                          "--field", f, "--matrix", m])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == (
-        f"parse error: line {line}: ideal hnf block is not the Hermite basis of an ideal\n")
+        f"parse error: line {line}: numerator is not the Hermite basis of an ideal\n")
 
 
 @pytest.mark.parametrize("block, line, message", [

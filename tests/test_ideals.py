@@ -355,6 +355,32 @@ def test_rational_fast_paths_match_generic_route(name):
         assert a.elt_mul(x) == generic_elt_mul(a, x)
 
 
+def test_constructor_refuses_a_lattice_that_is_not_a_reduced_hermite_basis():
+    K = get_field("Qi")
+    # [[2, 0], [3, 1]] spans the ideal (1 + i), whose reduced Hermite basis
+    # is [[2, 0], [1, 1]]; accepted, the two compared unequal although each
+    # is a subset of the other
+    with pytest.raises(IdealError, match="not the Hermite basis of an ideal"):
+        FractionalIdeal(K, [[2, 0], [3, 1]])
+    c = FractionalIdeal(K, [[2, 0], [1, 1]])
+    assert c == FractionalIdeal.from_generators(K, [K.element([1, 1])])
+    # 3Z + iZ is not an ideal (i * i = -1 is not in it); accepted, it gave
+    # c * c^-1 = [[3, 0], [0, 1]] / 3 instead of O_K
+    for den in (1, 5):
+        with pytest.raises(IdealError, match="not the Hermite basis of an ideal"):
+            FractionalIdeal(K, [[3, 0], [0, 1]], den)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_constructor_accepts_every_computed_hermite_basis(name):
+    K = get_field(name)
+    rng = seeded(f"test_ideals::test_constructor_accepts_every_computed_hermite_basis[{name}]")
+    for _ in range(10):
+        a = random_ideal(rng, K)
+        for b in (a, a.inverse()):
+            assert FractionalIdeal(K, [list(r) for r in b.num], b.den) == b
+
+
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_fast_paths_still_refuse_zero(name):
     K = get_field(name)

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from okmod import (FractionalIdeal, IdealError, QualityError, build_context, build_field,
                    reduce_ideal_basis, shortest_basis_element)
-from okmod.lattice import (LLL_DELTA, _check_quality, _gram_balls, _lll_with_transform,
-                           reduce_start_basis)
+from okmod.lattice import (LLL_DELTA, _check_quality, _cholesky, _gram_balls,
+                           _lll_with_transform, reduce_start_basis)
 from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_sqrt_ub, frac_up
 from okmod.zlinalg import mat_mul, transpose
 
@@ -181,6 +182,24 @@ def test_gram_centers_equal_ball_products(name):
             assert gram[i][k].r >= sum(
                 frac_sqrt_lb(abs_sq_center(x)) * y.r + frac_sqrt_lb(abs_sq_center(y)) * x.r
                 + x.r * y.r for x, y in zip(vals[i], vals[k]))
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_fixed_point_cholesky_matches_mpmath(name):
+    # the factor of the Gram centers, as build_context takes it at 2 * prec
+    # fractional bits, within 2^-prec of mpmath's at that working precision
+    K = get_field(name)
+    prec = K.lattice_context.e + 64
+    centers = [[b.re for b in row] for row in _gram_balls(K, prec)]
+    low = _cholesky(centers, 2 * prec)
+    d = K.degree
+    with mp.workprec(2 * prec):
+        ref = mp.cholesky(mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row]
+                                     for row in centers]))
+        for i in range(d):
+            for j in range(d):
+                x = low[i][j]
+                assert abs(mp.mpf(x.numerator) / x.denominator - ref[i, j]) <= mp.ldexp(1, -prec)
 
 
 def test_build_context_custom_exponent():

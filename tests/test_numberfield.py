@@ -199,20 +199,20 @@ def test_size_growth_inequalities(field):
 FIELD_CONSTANTS = {
     "Q": ("1", "1", "0"),
     "Qi": ("8", "26087635650665564425/36893488147419103232", "196609/32768"),
-    "Qm5": ("212676479325586539664609129644856141991/5316911983139663491615228241121378304",
+    "Qm5": ("106338239662793269832304564822427943673/2658455991569831745807614120560689152",
             "26087635650665564425/36893488147419103232", "174389/16384"),
-    "cubic": ("3230426911267120162261020541125735364587/85070591730234615865843651857942052864",
+    "cubic": ("3230426911267120162261020541127114024943/85070591730234615865843651857942052864",
               "7159275454714133817411390961/9903520314283042199192993792", "3094767/131072"),
-    "golden": ("255211775190703847597530955573827168423/21267647932558653966460912964485513216",
+    "golden": ("510423550381407695195061911147653588165/42535295865117307932921825928971026432",
                "30684935396836052562870278197/39614081257132168796771975168", "234945/32768"),
-    "dedekind": ("5788661816740921550501258087792248808025/21267647932558653966460912964485513216",
+    "dedekind": ("723582727092615193812657260974031099337/2658455991569831745807614120560689152",
                  "48506666222222153324867943871/79228162514264337593543950336", "1192689/32768"),
-    "quartic": ("269888507614176319114101809299525726485/2658455991569831745807614120560689152",
+    "quartic": ("269888507614176319114101809301775484363/2658455991569831745807614120560689152",
                 "51081118482412045582659777683/79228162514264337593543950336", "436839/8192"),
-    "zeta5": ("85070591730234615865843651858402066039/1329227995784915872903807060280344576",
-              "100216579350019172474565520629/158456325028528675187087900672", "393217/8192"),
-    "quintic": ("4364938178510613379792971895569405470725/21267647932558653966460912964485513216",
-                "49926901430275121195903164631/79228162514264337593543950336", "12584825/131072"),
+    "zeta5": ("85070591730234615865843651859025378095/1329227995784915872903807060280344576",
+              "50108289675009586237282760315/79228162514264337593543950336", "393217/8192"),
+    "quintic": ("8729876357021226759585943791252024805125/42535295865117307932921825928971026432",
+                "6240862678784390149487895579/9903520314283042199192993792", "12584825/131072"),
 }
 
 
@@ -460,6 +460,16 @@ def test_validating_constructor_refuses_bad_input():
     assert (e.coeffs, e.den) == ((-1, 2, -3), 2)
 
 
+def test_validating_constructor_refuses_non_integers():
+    # int() would truncate each of these to a different element
+    K = get_field("Qm5")
+    for coeffs, den in (([0.5, 1], 1), ([Fraction(7, 2), 0], 1), ([1, 0], 2.9)):
+        with pytest.raises(TypeError):
+            K.element(coeffs, den)
+        with pytest.raises(TypeError):
+            FieldElement(K, coeffs, den)
+
+
 # -- root enclosures: refinement of the cached disks -------------------------
 
 
@@ -522,35 +532,39 @@ def test_one_plain_root_solve_per_cold_build(name, monkeypatch):
     assert len(plain) == 1
 
 
-def newton_fails(coeffs, start, prec):
+def refine_fails(coeffs, pts, prec, sweeps):
     return None
 
 
-def newton_stalls(coeffs, start, prec):
-    return [mp.mpc(mp.mpf(b.re.numerator) / b.re.denominator,
-                   mp.mpf(b.im.numerator) / b.im.denominator) for b in start]
+def refine_stalls(coeffs, pts, prec, sweeps):
+    return list(pts)
 
 
-def newton_swaps(coeffs, start, prec, newton=numeric._newton):
+def refine_swaps(coeffs, pts, prec, sweeps, weierstrass=numeric._weierstrass):
     # sharp enclosures, but each of another root than its start disk
-    out = newton(coeffs, start, prec)
+    out = weierstrass(coeffs, pts, prec, sweeps)
     return out[1:] + out[:1]
 
 
-@pytest.mark.parametrize("newton", [newton_fails, newton_stalls, newton_swaps],
+@pytest.mark.parametrize("refine", [refine_fails, refine_stalls, refine_swaps],
                          ids=["no-convergence", "radius-too-large", "leaves-start-disk"])
-def test_refinement_failure_falls_back_to_plain_solve(monkeypatch, newton):
+def test_refinement_failure_falls_back_to_plain_solve(monkeypatch, refine):
     K = fresh_field("quartic")
-    K.roots()
+    coarse = [(b.re, b.im) for b in K.roots()]
     solve = numeric.certified_roots
+    weierstrass = numeric._weierstrass
     calls = []
 
     def spy(coeffs, prec, start=None):
         calls.append((prec, start is not None))
         return solve(coeffs, prec, start)
 
+    def iterate(coeffs, pts, prec, sweeps):
+        # only the refinement starts from the cached centers
+        return (refine if pts == coarse else weierstrass)(coeffs, pts, prec, sweeps)
+
     monkeypatch.setattr(numeric, "certified_roots", spy)
-    monkeypatch.setattr(numeric, "_newton", newton)
+    monkeypatch.setattr(numeric, "_weierstrass", iterate)
     fine = K.roots(300)
     # the refinement at 32 guard bits is refused, the plain solve at the same
     # precision takes over

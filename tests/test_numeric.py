@@ -1,13 +1,12 @@
-"""Certified numerics: the warm-started root solve and the integer rewrites of
-the bounds, each against the plain solve or the Fraction reference it
-replaced."""
+"""Certified numerics: the integer root solve against an independent mpmath
+solve, and the integer rewrites of the bounds against the Fraction
+references they replaced."""
 
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from okmod import numeric
 from okmod.numberfield import _sylvester_resultant
 from okmod.numeric import certified_roots, eval_at_root, frac_sqrt_lb, frac_sqrt_ub, frac_up, log2_ub
 
@@ -33,27 +32,7 @@ def test_log2_ub_matches_the_fraction_reference():
             log2_ub(bad)
 
 
-# -- the warm-started first solve --------------------------------------------
-
-
-@pytest.fixture
-def polyroots_calls(monkeypatch):
-    """Records every mp.polyroots call as (working precision, coefficients,
-    keywords, roots), and hands back the unpatched function."""
-    calls = []
-    plain = mp.polyroots
-
-    def spy(coeffs, **kw):
-        out = plain(coeffs, **kw)
-        calls.append((mp.mp.prec, list(coeffs), kw, out))
-        return out
-
-    monkeypatch.setattr(mp, "polyroots", spy)
-    return calls, plain
-
-
-def multiset(roots):
-    return sorted((z.real, z.imag) for z in roots)
+# -- the root solve against an independent reference ------------------------
 
 
 def want_bits(coeffs):
@@ -61,38 +40,37 @@ def want_bits(coeffs):
     return 64 + 4 * max(abs(c) for c in coeffs).bit_length()
 
 
-def assert_same_roots_as_plain_solve(coeffs, calls, plain, warm=True):
-    """At the first solve's precision and its double, certified_roots asks
-    mp.polyroots once, with a float start when ``warm``, and gets the roots
-    of the plain call, as a multiset; the disk centers are those roots."""
+def to_mpf(x):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def assert_one_reference_root_per_disk(coeffs):
+    """At the first solve's precision and its double, certified_roots gives
+    one disk per root, and each holds exactly one root of an mpmath solve at
+    three times the larger precision (up to that solve's own error)."""
     want = want_bits(coeffs)
-    for prec in (want, 2 * want):
-        calls.clear()
-        balls = certified_roots(coeffs, prec)
-        ((at, big_endian, kw, out),) = calls
-        assert at == prec
-        assert (kw["roots_init"] is not None) == warm
-        assert (kw["maxsteps"], kw["extraprec"]) == (100 + prec, prec)
-        with mp.workprec(prec):
-            ref = plain(big_endian, maxsteps=100 + prec, extraprec=prec)
-            assert multiset(out) == multiset(ref), (coeffs, prec)
-            centers = [(numeric.mpf_to_fraction(z.real), numeric.mpf_to_fraction(z.imag))
-                       for z in out]
-        if balls is not None:
-            assert [(b.re, b.im) for b in balls] == centers
+    ref_prec = 6 * want
+    with mp.workprec(ref_prec):
+        ref = mp.polyroots([mp.mpf(c) for c in reversed(coeffs)],
+                           maxsteps=100 + ref_prec, extraprec=ref_prec)
+        for prec in (want, 2 * want):
+            balls = certified_roots(coeffs, prec)
+            assert balls is not None and len(balls) == len(coeffs) - 1, (coeffs, prec)
+            for b in balls:
+                center = mp.mpc(to_mpf(b.re), to_mpf(b.im))
+                radius = to_mpf(b.r) + mp.ldexp(1, -2 * prec)
+                assert sum(abs(z - center) <= radius for z in ref) == 1, (coeffs, prec)
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
-def test_warm_started_roots_equal_the_plain_solve_on_the_test_fields(name, polyroots_calls):
-    calls, plain = polyroots_calls
+def test_warm_started_roots_equal_the_plain_solve_on_the_test_fields(name):
     poly = {**FIELD_SPECS, **EXTRA_SPECS}[name][0]
     if len(poly) > 2:
-        assert_same_roots_as_plain_solve(poly, calls, plain)
+        assert_one_reference_root_per_disk(poly)
     else:
         # a linear polynomial has its exact root, with no solve at all
         (ball,) = certified_roots(poly, want_bits(poly))
         assert (ball.re, ball.im, ball.r) == (Fraction(-poly[0], poly[1]), 0, 0)
-        assert calls == []
 
 
 def random_squarefree(rng, deg):
@@ -103,19 +81,15 @@ def random_squarefree(rng, deg):
             return coeffs
 
 
-def test_warm_started_roots_equal_the_plain_solve_on_random_polynomials(polyroots_calls):
-    calls, plain = polyroots_calls
+def test_warm_started_roots_equal_the_plain_solve_on_random_polynomials():
     rng = seeded("test_numeric::test_warm_started_roots_equal_the_plain_solve_on_random_polynomials")
     for n in range(200):
-        assert_same_roots_as_plain_solve(random_squarefree(rng, 2 + n % 7), calls, plain)
+        assert_one_reference_root_per_disk(random_squarefree(rng, 2 + n % 7))
 
 
-def test_float_overflow_falls_back_to_the_plain_solve(polyroots_calls):
-    # the coefficient 10^400 overflows a float: no start, mpmath's own defaults
-    calls, plain = polyroots_calls
-    coeffs = [1, 10 ** 400, 1]
-    assert numeric._float_start(coeffs) is None
-    assert_same_roots_as_plain_solve(coeffs, calls, plain, warm=False)
+def test_a_coefficient_beyond_the_floats_needs_no_fallback():
+    # 10^400 overflows a float; the integer iteration solves it like any other
+    assert_one_reference_root_per_disk([1, 10 ** 400, 1])
 
 
 # -- integer certificates against their Fraction references ------------------

@@ -111,11 +111,14 @@ def test_benchmark_selftest_passes():
     assert "selftest: PASS" in proc.stdout
 
 
-def test_a_cold_field_needs_only_mpmath():
-    # mpmath is the one runtime dependency; the float start of the root
-    # solve is plain Python, so nothing pulls in numpy
-    code = ("import sys\nimport okmod\nokmod.build_field([-1, -1, 0, 0, 1]).lattice_context\n"
-            "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))")
+def test_a_cold_field_imports_only_the_standard_library():
+    # okmod has no runtime dependency: importing it and building a field and
+    # its lattice context loads no module outside the standard library.
+    # Modules loaded before the import (site hooks) do not count.
+    code = ("import sys\nbefore = set(sys.modules)\nimport okmod\n"
+            "okmod.build_field([-1, -1, 0, 0, 1]).lattice_context\n"
+            "tops = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(tops - set(sys.stdlib_module_names) - {'okmod'}))")
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
                           text=True, timeout=120)

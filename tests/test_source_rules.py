@@ -107,6 +107,21 @@ def test_one_crt_loop_serves_every_determinant():
     assert not imported & names, sorted(imported & names)
 
 
+def test_one_crt_loop_in_residues():
+    # crt_combine_primes and lift_coordinates recombine through the same CRT
+    # and symmetric lift, _crt_lift, the one function that reads a plan's
+    # modulus
+    path = os.path.join(SRC, "residues.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    readers = sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Attribute) and node.attr == "modulus")
+    assert readers == ["_crt_lift"]
+    callers = sorted(scope for _, scope, _ in calls_by_function(path, "_crt_lift"))
+    assert callers == ["crt_combine_primes", "lift_coordinates"]
+
+
 def calls_by_function(path, name):
     """(module, enclosing function) of every call in the module at ``path``
     to ``name``, bare or as an attribute; a method reads Class.method."""
