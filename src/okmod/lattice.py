@@ -10,6 +10,13 @@ basis is checked against the first-vector and product bounds, with the
 rounding-quality constant already absorbed into the stored reduction
 parameter.
 
+The construction runs on integers.  The values of the basis elements at the
+roots come from one power table per root (``numeric.basis_values``); the
+Gram centers and radii are sums over one common denominator each; the
+Cholesky factor takes the centers as the integers floor(G 4^(2 prec)); and
+c_quality is formed on integer pairs.  Each rounded bound gets its argument
+reduced once, so every quantity is that of the exact rationals.
+
 The integer embedding r_e is also the one certificate of T2 sizes.  Let G
 be the true Gram matrix, so T2(x) = x G x^t for an integer coefficient
 vector x (the imaginary part of G vanishes on real x), and let M = r_e r_e^t,
@@ -41,11 +48,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from . import numeric
 from .ideals import IdealError
-from .numeric import (Ball, frac_nth_root_ub, frac_sqrt_lb, frac_sqrt_ub, frac_up,
-                      over_common_denominator)
+from .numeric import (Ball, _lowest, _nth_root_ub, _over_lcm, _sqrt_lb, _sqrt_ub, _up,
+                      frac_nth_root_ub, frac_up)
 from .numberfield import FieldElement, NumberField
 from .zlinalg import Mat, det_bareiss, identity, mat_mul, solve_left, transpose, vec_mat
 
@@ -118,65 +126,75 @@ def build_context(field: NumberField, e: int | None = None) -> LatticeContext:
 
 def _try_build(field: NumberField, e: int):
     d = field.degree
-    target = Fraction(1, 1 << (e + 2))
     prec = e + 64
     while True:
         gram = _gram_balls(field, prec)
-        if all(b.r + abs(b.im) < target for row in gram for b in row):
+        # r + |im| < 2^-(e+2) on every entry
+        if all((b.rn * b.q + abs(b.y) * b.rd) << (e + 2) < b.rd * b.q
+               for row in gram for b in row):
             break
         prec *= 2
-    r_e = [[_round_half_up(x.numerator << e, x.denominator) for x in row]
-           for row in _cholesky([[b.re for b in row] for row in gram], 2 * prec)]
+    # the factor at 2 prec fractional bits: the centers go in as the integers
+    # floor(G 4^(2 prec)), so the factor comes out as the integers L 2^(2 prec)
+    fbits = 2 * prec
+    low = _cholesky([[(b.x << 2 * fbits) // b.q for b in row] for row in gram], 0)
+    r_e = [[_round_half_up(x.numerator << e, 1 << fbits) for x in row] for row in low]
     det_re = abs(det_bareiss(r_e))
     if det_re == 0:
         return None, None
     # |Delta_ik| <= |4^e center_ik - M_ik| + 4^e r_ik on the real parts of
     # the Gram balls, over one common denominator
     m = mat_mul(r_e, transpose(r_e))
-    nums, den = over_common_denominator([b.re for row in gram for b in row]
-                                        + [b.r for row in gram for b in row])
+    nums, den = _over_lcm([(b.x, b.q) for row in gram for b in row]
+                          + [(b.rn, b.rd) for row in gram for b in row])
     dd = d * d
     delta_sq = sum((abs((nums[t] << 2 * e) - m[t // d][t % d] * den) + (nums[dd + t] << 2 * e)) ** 2
                    for t in range(dd))
+    # residual = sqrt_ub(1 + |Delta|_F s_f^2), with |Delta|_F <= a / ad and
+    # s_f^2 = s_sq / s_den^2
     s_num, s_den = solve_left(r_e, identity(d))
-    s_f_sq = Fraction(sum(x * x for row in s_num for x in row), s_den * s_den)
-    residual = frac_sqrt_ub(1 + frac_sqrt_ub(Fraction(delta_sq, den * den)) * s_f_sq)
-    ratio = Fraction(det_re, 1 << (e * d)) / frac_sqrt_lb(Fraction(abs(field.disc)))
-    c_quality = residual * frac_nth_root_ub(max(ratio, Fraction(1)), d, 96)
-    return r_e, frac_up(c_quality, 96)
+    s_sq = sum(x * x for row in s_num for x in row)
+    a, ad = _sqrt_ub(*_lowest(delta_sq, den * den))
+    q = ad * s_den * s_den
+    res, res_den = _sqrt_ub(*_lowest(q + a * s_sq, q))
+    # ratio = det(r_e) / (2^(e d) sqrt_lb|disc|), at least 1
+    lb, lb_den = _sqrt_lb(abs(field.disc), 1)
+    ratio, ratio_den = det_re * lb_den, lb << e * d
+    root, root_den = _nth_root_ub(*_lowest(max(ratio, ratio_den), ratio_den), d, 96)
+    return r_e, Fraction(*_up(*_lowest(res * root, res_den * root_den), 96))
 
 
 def _gram_balls(field: NumberField, prec: int) -> list[list[Ball]]:
     """Enclosures of the Hermitian Gram entries sum_j w_i(z_j) conj(w_k(z_j)).
 
-    The centers are exact integer sums over one common denominator; the
-    radius sum_j |v_ij| r_kj + |v_kj| r_ij + r_ij r_kj, with |v| the
-    ``Ball.center_abs_ub`` bound on the modulus of a center, is summed on
-    integers over one denominator and rounded up once.  Both are sums over
-    the roots, so the order of the roots does not matter.
+    The values w_i(z_j) come from one power table per root
+    (``numeric.basis_values``).  The centers are exact integer sums over one
+    common denominator; the radius sum_j |v_ij| r_kj + |v_kj| r_ij + r_ij
+    r_kj, with |v| the ``Ball.center_abs_ub`` bound on the modulus of a
+    center, is summed on integers over one denominator, reduced and rounded
+    up once.  Both are sums over the roots, so the order of the roots does
+    not matter.
     """
     d = field.degree
-    roots = field.roots(prec)
-    omegas = [field.to_power_coords(field.element([1 if t == i else 0 for t in range(d)]))
-              for i in range(d)]
-    vals = [b for w in omegas for b in (numeric.eval_at_root(w, r) for r in roots)]
+    vals = [b for row in numeric.basis_values(field.basis_num, field.basis_den,
+                                              field.roots(prec)) for b in row]
     # entry (i, j), the value of w_i at root j, sits at index i*d + j
-    nums, den = over_common_denominator([x for b in vals for x in (b.re, b.im)])
-    re, im = nums[0::2], nums[1::2]
-    mods, m_den = over_common_denominator([b.center_abs_ub() for b in vals])
-    rads, r_den = over_common_denominator([b.r for b in vals])
+    nums, den = _over_lcm([(x, b.q) for b in vals for x in (b.x, b.y)])
+    mods, m_den = _over_lcm([b.center_abs_ub() for b in vals])
+    rads, r_den = _over_lcm([(b.rn, b.rd) for b in vals])
+    # row i of each holds w_i over the roots
+    re, im, mods, rads = ([xs[i * d:(i + 1) * d] for i in range(d)]
+                          for xs in (nums[0::2], nums[1::2], mods, rads))
     den_sq = den * den
     r_scale = m_den * r_den * r_den
     gram = [[None] * d for _ in range(d)]
     for i in range(d):
         for k in range(i, d):
-            row_i, row_k = range(i * d, i * d + d), range(k * d, k * d + d)
-            c_re = sum(re[s] * re[t] + im[s] * im[t] for s, t in zip(row_i, row_k))
-            c_im = sum(im[s] * re[t] - re[s] * im[t] for s, t in zip(row_i, row_k))
-            r = frac_up(Fraction(sum((mods[s] * rads[t] + mods[t] * rads[s]) * r_den
-                                     + rads[s] * rads[t] * m_den
-                                     for s, t in zip(row_i, row_k)), r_scale))
-            gram[i][k] = Ball(Fraction(c_re, den_sq), Fraction(c_im, den_sq), r)
+            c_re = sum(map(mul, re[i], re[k])) + sum(map(mul, im[i], im[k]))
+            c_im = sum(map(mul, im[i], re[k])) - sum(map(mul, re[i], im[k]))
+            r = ((sum(map(mul, mods[i], rads[k])) + sum(map(mul, mods[k], rads[i]))) * r_den
+                 + sum(map(mul, rads[i], rads[k])) * m_den)
+            gram[i][k] = Ball(c_re, c_im, den_sq, *_up(*_lowest(r, r_scale)))
             gram[k][i] = gram[i][k].conj()
     return gram
 

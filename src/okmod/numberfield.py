@@ -6,7 +6,10 @@ structure constants and the product compiled from them, trace matrix and
 its scaled inverse, discriminants, the power-basis transformation, certified
 embedding enclosures, and the growth constants used in size bounds.
 Elements are integer coefficient vectors over the integral basis with a
-minimal positive denominator.
+minimal positive denominator.  The basis is kept as integer rows over their
+common denominator (``basis_num`` / ``basis_den``), and ``build_field``
+computes the structure constants, the basis inverse and the field constants
+from them on integers.
 
 Two constructors build elements.  ``FieldElement(field, coeffs, den)`` is the
 way in for values from outside (parser, users, tests): it takes each
@@ -26,7 +29,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import numeric
-from .numeric import Ball, frac_sqrt_ub, frac_up, log2_ub, over_common_denominator
+from .numeric import Ball, _lowest, _over_lcm, _sqrt_ub, _up, log2_ub
 from .zlinalg import Mat, SingularMatrixError, det_bareiss, identity, solve_left
 
 
@@ -149,22 +152,22 @@ class FieldElement:
         return f"<{body} / {self.den}>"
 
 
-def _poly_mul_mod(a: list[Fraction], b: list[Fraction], f: list[Fraction]) -> list[Fraction]:
-    """Product of polynomials modulo the monic polynomial f (coefficients low-first)."""
+def _poly_mul_mod(a: list[int], b: list[int], f: list[int]) -> list[int]:
+    """Product of integer polynomials modulo the monic polynomial f
+    (coefficients low-first)."""
     d = len(f) - 1
-    res = [Fraction(0)] * (len(a) + len(b) - 1)
+    res = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    res[i + j] += x * y
+                res[i + j] += x * y
     for k in range(len(res) - 1, d - 1, -1):
         c = res[k]
         if c:
             for j in range(d + 1):
                 res[k - d + j] -= c * f[j]
     out = res[:d]
-    return out + [Fraction(0)] * (d - len(out))
+    return out + [0] * (d - len(out))
 
 
 def _sylvester_resultant(f: list[int], g: list[int]) -> int:
@@ -257,13 +260,10 @@ class NumberField:
         return FieldElement(self, coeffs, den)
 
     def to_power_coords(self, elt: FieldElement) -> list[Fraction]:
-        d = self.degree
-        out = [Fraction(0)] * d
-        for i, c in enumerate(elt.coeffs):
-            if c:
-                for j in range(d):
-                    out[j] += Fraction(c, elt.den) * self.basis_pow[i][j]
-        return out
+        """Coefficients of the element over the power basis, constant first."""
+        den = elt.den * self.basis_den
+        return [Fraction(sum(c * row[j] for c, row in zip(elt.coeffs, self.basis_num)), den)
+                for j in range(self.degree)]
 
     # -- additive and scalar structure --------------------------------------
 
@@ -362,13 +362,13 @@ class NumberField:
             prec = want + 32
             while True:
                 balls = numeric.certified_roots(list(self.poly), prec, start)
-                if balls is not None and all(b.r < Fraction(1, 1 << want) for b in balls):
+                if balls is not None and all(b.rn << want < b.rd for b in balls):
                     # r < 2^-p  <=>  2^p <= (den - 1) // num; exact roots never
                     # need refining
                     self._roots = balls
                     self._root_prec = min(
-                        (((b.r.denominator - 1) // b.r.numerator).bit_length() - 1
-                         for b in balls if b.r), default=float("inf"))
+                        (((b.rd - 1) // b.rn).bit_length() - 1 for b in balls if b.rn),
+                        default=float("inf"))
                     break
                 if start is not None:
                     start = None
@@ -436,9 +436,8 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
     if poly[-1] != 1:
         raise FieldError("polynomial must be monic")
     d = len(poly) - 1
-    if basis_rows is None:
-        basis_rows = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    basis = [[Fraction(x) for x in row] for row in basis_rows]
+    basis = [[Fraction(x) for x in row]
+             for row in (identity(d) if basis_rows is None else basis_rows)]
     if len(basis) != d or any(len(r) != d for r in basis):
         raise FieldError("basis matrix must be d x d")
     if basis[0] != [Fraction(1)] + [Fraction(0)] * (d - 1):
@@ -454,17 +453,18 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
     if disc_f == 0:
         raise FieldError("defining polynomial is not squarefree (gcd(f, f') != 1)")
 
+    # the basis rows over their common denominator: w_i = rows[i] / scale
     scale = lcm(*(q.denominator for row in basis for q in row))
+    rows = [[q.numerator * (scale // q.denominator) for q in row] for row in basis]
     try:
-        binv_num, binv_den = solve_left([[int(q * scale) for q in row] for row in basis],
-                                        identity(d))
+        binv_num, binv_den = solve_left(rows, identity(d))
     except SingularMatrixError:
         raise FieldError("basis matrix is singular") from None
-    binv = [[Fraction(scale * x, binv_den) for x in row] for row in binv_num]
-    m_cols = [[binv[j][i] for j in range(d)] for i in range(d)]  # M[i][j] = binv[j][i]
-    if any(q.denominator != 1 for row in m_cols for q in row):
+    # the inverse of the basis matrix is scale * binv_num / binv_den, and its
+    # transpose takes power coordinates to basis coordinates
+    if any(scale * x % binv_den for row in binv_num for x in row):
         raise FieldError("power basis is not integral over the given basis")
-    power_to_basis = [[int(q) for q in row] for row in m_cols]
+    power_to_basis = [[scale * binv_num[j][i] // binv_den for j in range(d)] for i in range(d)]
     index = abs(det_bareiss(power_to_basis))
     if index == 0:
         raise FieldError("basis matrix is singular")
@@ -472,7 +472,9 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
         raise FieldError("disc(f) not divisible by index squared; basis is not an order basis")
     disc = disc_f // (index * index)
 
-    fq = [Fraction(c) for c in poly]
+    # w_i w_j = (rows[i] rows[j] mod f) / scale^2, whose basis coordinates are
+    # (rows[i] rows[j] mod f) binv_num / (scale binv_den)
+    struct_den = scale * binv_den
     struct: list[list[tuple[int, ...]]] = []
     for i in range(d):
         row_i = []
@@ -480,11 +482,11 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
             if j < i:
                 row_i.append(struct[j][i])
                 continue
-            prod = _poly_mul_mod(list(basis[i]), list(basis[j]), fq)
-            coords = [sum(prod[t] * binv[t][k] for t in range(d)) for k in range(d)]
-            if any(q.denominator != 1 for q in coords):
+            prod = _poly_mul_mod(rows[i], rows[j], poly)
+            coords = [sum(prod[t] * binv_num[t][k] for t in range(d)) for k in range(d)]
+            if any(c % struct_den for c in coords):
                 raise FieldError("basis is not multiplicatively closed (not an order)")
-            row_i.append(tuple(int(q) for q in coords))
+            row_i.append(tuple(c // struct_den for c in coords))
         struct.append(row_i)
     struct_t = tuple(tuple(r) for r in struct)
 
@@ -503,7 +505,8 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
         _token=_BUILD_TOKEN,
         degree=d,
         poly=tuple(poly),
-        basis_pow=tuple(tuple(row) for row in basis),
+        basis_num=tuple(tuple(row) for row in rows),
+        basis_den=scale,
         power_to_basis=power_to_basis,
         struct=struct_t,
         coeff_mul=_compile_product(struct_t),
@@ -529,15 +532,13 @@ def _attach_constants(field: NumberField) -> None:
     The coefficient-to-T2 constant must satisfy |alpha| <= C1 * max|a_i|,
     which needs the triangle-inequality factor d on top of max_i |omega_i|.
     Both it and the coefficient bound come from one set of enclosures of the
-    basis elements at the cached roots (``_conversion_constants``), and both
-    are valid bounds however wide those enclosures are.
+    basis elements at the cached roots (``numeric.basis_values``, one power
+    table per root; ``_conversion_constants``), and both are valid bounds
+    however wide those enclosures are.
     """
     d = field.degree
-    omegas = [field.to_power_coords(field.element([1 if t == i else 0 for t in range(d)]))
-              for i in range(d)]
-    roots = field.roots()
-    c1_sq, c2 = _conversion_constants([[numeric.eval_at_root(w, r) for r in roots]
-                                       for w in omegas], field.trace_inv_num, field.trace_den)
+    vals = numeric.basis_values(field.basis_num, field.basis_den, field.roots())
+    c1_sq, c2 = _conversion_constants(vals, field.trace_inv_num, field.trace_den)
     field.embed_bound_sq = c1_sq
     field.coeff_bound = c2
 
@@ -566,23 +567,28 @@ def _conversion_constants(vals: list[list[Ball]], tinv_num: Mat,
     """
     d = len(vals)
     # entry (i, j), basis element i at root j, sits at index i*d + j
-    nums, den = over_common_denominator([x for row in vals for b in row for x in (b.re, b.im)])
-    rads, r_den = over_common_denominator([b.r for row in vals for b in row])
-    c2 = Fraction(0)
-    for k in range(d):
-        col = [tinv_num[i][k] for i in range(d)]
-        c_sq = sum(sum(nums[2 * (i * d + j) + part] * col[i] for i in range(d)) ** 2
-                   for j in range(d) for part in (0, 1))
-        r_sq = sum(sum(rads[i * d + j] * abs(col[i]) for i in range(d)) ** 2 for j in range(d))
-        c2 = max(c2, frac_sqrt_ub(Fraction(c_sq, (den * tinv_den) ** 2))
-                 + frac_sqrt_ub(Fraction(r_sq, (r_den * tinv_den) ** 2)))
-    c1_sq = max(frac_up(_abs_sq_ub_sum(row), 128) for row in vals) * (d * d)
-    return c1_sq, frac_up(c2, 96)
+    flat = [b for row in vals for b in row]
+    nums, den = _over_lcm([(x, b.q) for b in flat for x in (b.x, b.y)])
+    rads, r_den = _over_lcm([(b.rn, b.rd) for b in flat])
+    # the real parts, imaginary parts and radii at root j, over i
+    parts = [nums[2 * j + part::2 * d] for j in range(d) for part in (0, 1)]
+    radii = [rads[j::d] for j in range(d)]
+    c2 = (0, 1)
+    for col in zip(*tinv_num):
+        abs_col = [abs(t) for t in col]
+        c_sq = sum(sum(map(operator.mul, v, col)) ** 2 for v in parts)
+        r_sq = sum(sum(map(operator.mul, v, abs_col)) ** 2 for v in radii)
+        c, cd = _sqrt_ub(*_lowest(c_sq, (den * tinv_den) ** 2))
+        r, rd = _sqrt_ub(*_lowest(r_sq, (r_den * tinv_den) ** 2))
+        if (c * rd + r * cd) * c2[1] > c2[0] * cd * rd:
+            c2 = (c * rd + r * cd, cd * rd)
+    c1_sq = max(Fraction(*_up(*_abs_sq_ub_sum(row), 128)) for row in vals) * (d * d)
+    return c1_sq, Fraction(*_up(*_lowest(*c2), 96))
 
 
-def _abs_sq_ub_sum(balls: list[Ball]) -> Fraction:
-    """sum_j (|center_j| + r_j)^2, with ``Ball.center_abs_ub`` for |center_j|."""
-    nums, den = over_common_denominator([b.center_abs_ub() for b in balls]
-                                        + [b.r for b in balls])
+def _abs_sq_ub_sum(balls: list[Ball]) -> tuple[int, int]:
+    """sum_j (|center_j| + r_j)^2, with ``Ball.center_abs_ub`` for |center_j|,
+    in lowest terms as an integer pair."""
+    nums, den = _over_lcm([b.center_abs_ub() for b in balls] + [(b.rn, b.rd) for b in balls])
     n = len(balls)
-    return Fraction(sum((nums[j] + nums[n + j]) ** 2 for j in range(n)), den * den)
+    return _lowest(sum((nums[j] + nums[n + j]) ** 2 for j in range(n)), den * den)

@@ -1,45 +1,77 @@
 """Certified numerical support: embeddings, Gram data, rational bounds.
 
-Approximate quantities are carried as complex balls whose centers are exact
-rationals (dyadics coming out of the root iteration) and whose radii are
-exact rational upper bounds.  Root enclosures use the classical bound
+Approximate quantities are carried as complex balls on integers: a center
+(x + i y) / q and a radius bound rn / rd.  The centers are dyadic (the root
+iteration works at scale 2^prec) and the radii are dyadic (``frac_up``), so
+the denominators are powers of two, times the small denominator of the
+integral basis for values of basis elements.  Root enclosures use the
+classical bound
 
     min_j |x - z_j| <= deg(f) * |f(x)| / |f'(x)|,
 
 valid for any x with f'(x) != 0, which makes the disks rigorous; pairwise
 disjointness then pins one root per disk.  One Durand-Kerner iteration on
 Gaussian integers scaled by 2^prec (``_weierstrass``) finds every center:
-the first solve runs it at 64 bits from the classical start points and then
-at the requested precision, and a request for more precision runs it from
-the cached centers instead of solving again.  The refined centers pass the
-same certificate (the disks above and their pairwise disjointness), and
-each refined disk must lie inside the disk it started from, so it encloses
-the same root.  The checks and bounds run on integers: polynomials are
-evaluated by Horner's rule over one common denominator of the point and the
-coefficients (the ball centers are dyadic, so that denominator is small),
-inequalities are compared over one common denominator, and a rounded bound
-(``frac_up``, ``frac_sqrt_ub``) gets its argument as one Fraction reduced
-once, so it is the bound of the exact value.
+the first solve runs it at 64 bits from the classical start points (once
+more from those points scaled past a bound on the roots if that run does
+not settle) and then at the requested precision, and a request for more
+precision runs it from the cached centers instead of solving again.  The
+refined centers pass the same certificate (the disks above and their
+pairwise disjointness), and each refined disk must lie inside the disk it
+started from, so it encloses the same root.
+
+Everything after the iteration runs on integers.  The roots of one solve
+share one denominator.  A polynomial is evaluated at a root through that
+root's power table (``_power_table``): the powers z^t of the center over
+one denominator, and the weights r t zub^(t-1) of its derivative radius, so
+the value of each basis element (``basis_values``) is one integer dot
+product per part.  Inequalities are compared over one common denominator.
+A value is reduced to lowest terms only where a rounded bound is taken
+(``frac_up``, ``frac_sqrt_ub``, ``frac_sqrt_lb``, ``frac_nth_root_ub``),
+because those bounds depend on the representation of their argument; the
+integer-pair forms ``_up``, ``_sqrt_ub``, ``_sqrt_lb`` and ``_nth_root_ub``
+take the pair ``_lowest`` reduced, so every bound is that of the exact
+value, as the Fraction forms compute it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 Complex = tuple[Fraction, Fraction]
 
 
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n / d (d > 0) in lowest terms, as an integer pair.
+
+    The common power of two is shifted out first and the gcd taken with the
+    odd part of d alone: the denominators here are a power of two times a
+    small basis denominator, for which ``gcd`` on the whole of d would run a
+    full Euclid on numbers of thousands of bits."""
+    if not n:
+        return 0, 1
+    k = min(n & -n, d & -d).bit_length() - 1
+    n, d = n >> k, d >> k
+    g = gcd(n, d >> (d & -d).bit_length() - 1)
+    return (n // g, d // g) if g != 1 else (n, d)
+
+
+def _up(n: int, d: int, bits: int = 64) -> tuple[int, int]:
+    """``frac_up(n / d, bits)`` as an integer pair (num, den), for n / d in
+    lowest terms (the bound depends on that representation)."""
+    if n <= 0:
+        return 0, 1
+    shift = bits - (n.bit_length() - d.bit_length())
+    if shift >= 0:
+        return -((-n << shift) // d), 1 << shift
+    return -(-n // (d << -shift)) << -shift, 1
+
+
 def frac_up(x: Fraction, bits: int = 64) -> Fraction:
     """Smallest dyadic with a ``bits``-bit mantissa that is >= x (x >= 0)."""
-    if x <= 0:
-        return Fraction(0)
-    shift = bits - (x.numerator.bit_length() - x.denominator.bit_length())
-    if shift >= 0:
-        num = -((-x.numerator << shift) // x.denominator)
-        return Fraction(num, 1 << shift)
-    num = -(-x.numerator // (x.denominator << -shift))
-    return Fraction(num << -shift)
+    return Fraction(*_up(x.numerator, x.denominator, bits))
 
 
 def isqrt_up(n: int) -> int:
@@ -47,23 +79,29 @@ def isqrt_up(n: int) -> int:
     return r if r * r == n else r + 1
 
 
+def _sqrt_ub(n: int, d: int, bits: int = 64) -> tuple[int, int]:
+    """``frac_sqrt_ub(n / d, bits)`` as an integer pair, for n / d >= 0 in
+    lowest terms."""
+    return (isqrt_up(n * d << 2 * bits), d << bits) if n else (0, 1)
+
+
+def _sqrt_lb(n: int, d: int, bits: int = 64) -> tuple[int, int]:
+    """``frac_sqrt_lb(n / d, bits)`` as an integer pair, for n / d >= 0 in
+    lowest terms."""
+    return (isqrt(n * d << 2 * bits), d << bits) if n else (0, 1)
+
+
 def frac_sqrt_ub(x: Fraction, bits: int = 64) -> Fraction:
     """Rational upper bound on sqrt(x), exact when x is a perfect square."""
     if x < 0:
         raise ValueError("negative argument")
-    if x == 0:
-        return Fraction(0)
-    scale = 1 << (2 * bits)
-    n = x.numerator * x.denominator * scale
-    return Fraction(isqrt_up(n), x.denominator << bits)
+    return Fraction(*_sqrt_ub(x.numerator, x.denominator, bits))
 
 
 def frac_sqrt_lb(x: Fraction, bits: int = 64) -> Fraction:
     if x <= 0:
         return Fraction(0)
-    scale = 1 << (2 * bits)
-    n = x.numerator * x.denominator * scale
-    return Fraction(isqrt(n), x.denominator << bits)
+    return Fraction(*_sqrt_lb(x.numerator, x.denominator, bits))
 
 
 def iroot_floor(n: int, k: int) -> int:
@@ -83,20 +121,21 @@ def iroot_floor(n: int, k: int) -> int:
     return r
 
 
+def _nth_root_ub(n: int, d: int, k: int, bits: int = 64) -> tuple[int, int]:
+    """``frac_nth_root_ub(n / d, k, bits)`` as an integer pair, for n / d >= 0
+    in lowest terms."""
+    if n == 0 or k == 1:
+        return n, d
+    m = n * d ** (k - 1) << k * bits
+    r = iroot_floor(m, k)
+    return r + (r ** k < m), d << bits
+
+
 def frac_nth_root_ub(x: Fraction, k: int, bits: int = 64) -> Fraction:
     """Rational upper bound on x**(1/k) for x >= 0."""
     if x < 0:
         raise ValueError("negative argument")
-    if x == 0:
-        return Fraction(0)
-    if k == 1:
-        return x
-    scale = 1 << (k * bits)
-    n = x.numerator * x.denominator ** (k - 1) * scale
-    r = iroot_floor(n, k)
-    if r ** k < n:
-        r += 1
-    return Fraction(r, x.denominator << bits)
+    return Fraction(*_nth_root_ub(x.numerator, x.denominator, k, bits))
 
 
 def log2_ub(x: Fraction | int, fbits: int = 16) -> Fraction:
@@ -141,34 +180,55 @@ def log2_ub(x: Fraction | int, fbits: int = 16) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact-rational complex balls
+# Complex balls on integers
 
 
 class Ball:
-    """Complex ball with exact rational center and exact rational radius bound."""
+    """Complex ball with center (x + i y) / q and radius bound rn / rd, all
+    integers (q, rd > 0, not necessarily in lowest terms); ``re``, ``im`` and
+    ``r`` read them as Fractions."""
 
-    __slots__ = ("re", "im", "r")
+    __slots__ = ("x", "y", "q", "rn", "rd")
 
-    def __init__(self, re: Fraction, im: Fraction = Fraction(0), r: Fraction = Fraction(0)):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-        self.r = Fraction(r)
+    def __init__(self, x: int, y: int, q: int, rn: int = 0, rd: int = 1):
+        self.x, self.y, self.q, self.rn, self.rd = x, y, q, rn, rd
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.q)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.q)
+
+    @property
+    def r(self) -> Fraction:
+        return Fraction(self.rn, self.rd)
 
     def conj(self) -> "Ball":
-        return Ball(self.re, -self.im, self.r)
+        return Ball(self.x, -self.y, self.q, self.rn, self.rd)
 
-    def center_abs_ub(self) -> Fraction:
+    def center_abs_ub(self) -> tuple[int, int]:
         """``frac_sqrt_ub`` of the squared modulus of the center, an upper
-        bound on |center|; the square is formed on integers and reduced once."""
-        (a, b), q = over_common_denominator((self.re, self.im))
-        return frac_sqrt_ub(Fraction(a * a + b * b, q * q))
+        bound on |center|, as an integer pair; the square is reduced once."""
+        x, y, q = self.x, self.y, self.q
+        return _sqrt_ub(*_lowest(x * x + y * y, q * q))
+
+
+def _over_lcm(pairs) -> tuple[list[int], int]:
+    """(nums, den): the rationals n / d of the integer pairs ``pairs`` over
+    the least common multiple of their denominators."""
+    dens = {d for _, d in pairs}
+    if len(dens) == 1:
+        return [n for n, _ in pairs], dens.pop()
+    den = lcm(*dens)
+    return [n * (den // d) for n, d in pairs], den
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:
     """(nums, den): the numerators of the rationals ``values`` over their
     least common denominator, so that ``values[i] == nums[i] / den``."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+    return _over_lcm([(x.numerator, x.denominator) for x in values])
 
 
 def _horner(nums: list[int], z: Complex) -> tuple[int, int, int]:
@@ -177,7 +237,9 @@ def _horner(nums: list[int], z: Complex) -> tuple[int, int, int]:
     sum_i nums[i] x^i q^(n-1-i), so den = q^(n-1)."""
     if not nums:
         return 0, 0, 1
-    (xr, xi), q = over_common_denominator(z)
+    x, y = z
+    q = lcm(x.denominator, y.denominator)
+    xr, xi = x.numerator * (q // x.denominator), y.numerator * (q // y.denominator)
     re, im = nums[-1], 0
     qpow = 1
     for c in reversed(nums[:-1]):
@@ -186,10 +248,10 @@ def _horner(nums: list[int], z: Complex) -> tuple[int, int, int]:
     return re, im, qpow
 
 
-def _abs_sq_at(int_coeffs: list[int], z: Complex) -> Fraction:
-    """|p(z)|^2 for integer coefficients, one Fraction from the Horner sums."""
+def _abs_sq_at(int_coeffs: list[int], z: Complex) -> tuple[int, int]:
+    """|p(z)|^2 for integer coefficients, in lowest terms as an integer pair."""
     re, im, den = _horner(int_coeffs, z)
-    return Fraction(re * re + im * im, den * den)
+    return _lowest(re * re + im * im, den * den)
 
 
 def _weierstrass(int_coeffs: list[int], pts: list[Complex], prec: int,
@@ -207,7 +269,7 @@ def _weierstrass(int_coeffs: list[int], pts: list[Complex], prec: int,
     coincide.
     """
     lead = int_coeffs[-1]
-    rest = list(enumerate(reversed(int_coeffs[:-1]), 1))
+    rest = [c << t * prec for t, c in enumerate(reversed(int_coeffs[:-1]), 1)]
     one_sq = 1 << 2 * prec
     tol = 2 * (prec // 2)
     zs = [((x.numerator << prec) // x.denominator, (y.numerator << prec) // y.denominator)
@@ -216,8 +278,8 @@ def _weierstrass(int_coeffs: list[int], pts: list[Complex], prec: int,
         settled = True
         for i, (xr, xi) in enumerate(zs):
             fr, fi = lead, 0
-            for t, c in rest:
-                fr, fi = fr * xr - fi * xi + (c << t * prec), fr * xi + fi * xr
+            for c in rest:
+                fr, fi = fr * xr - fi * xi + c, fr * xi + fi * xr
             dr, di = lead, 0
             for j, (yr, yi) in enumerate(zs):
                 if j != i:
@@ -236,32 +298,52 @@ def _weierstrass(int_coeffs: list[int], pts: list[Complex], prec: int,
     return None
 
 
+@lru_cache(maxsize=None)
+def _start_points(deg: int) -> tuple[Complex, ...]:
+    """The classical start points (0.4+0.9i)^k, k < deg, as exact rationals."""
+    return tuple((Fraction(w.real), Fraction(w.imag)) for w in ((0.4 + 0.9j) ** k
+                                                              for k in range(deg)))
+
+
+def _outer_points(int_coeffs: list[int], pts) -> list[Complex]:
+    """The points ``pts`` times 2^s, with every root of the polynomial below
+    2^s in modulus: Fujiwara's bound 2 max_k |a_(n-k) / a_n|^(1/k), each
+    ratio below 2^(bitlen(a_(n-k)) - bitlen(a_n) + 1), rounded up to a power
+    of two."""
+    lead = int_coeffs[-1].bit_length()
+    s = max([0] + [1 - (-(c.bit_length() - lead + 1) // k)
+                   for k, c in enumerate(reversed(int_coeffs[:-1]), 1) if c])
+    return [(x * (1 << s), y * (1 << s)) for x, y in pts]
+
+
 def certified_roots(int_coeffs: list[int], prec: int,
                     start: list[Ball] | None = None) -> list[Ball] | None:
     """Disjoint certified root enclosures of a squarefree integer polynomial.
 
     ``int_coeffs`` is little-endian (constant first) with nonzero leading
     coefficient.  Without ``start`` the roots are solved from scratch by
-    ``_weierstrass``: a 64-bit run from the points (0.4+0.9i)^k, then a run at
-    ``prec`` bits from its result (from the same points if it failed); with
-    ``start`` (certified enclosures, one per root) the same iteration refines
-    their centers at ``prec`` bits, and each new disk must lie inside its
-    start disk.  Returns None when the iteration did not settle, the
-    precision was insufficient to separate the disks or the refinement failed
-    its certificate; the caller retries with a plain solve or more precision.
-    The disks come in the order of the points; callers use only sums and
-    maxima over the roots.
+    ``_weierstrass``: a 64-bit run from the points (0.4+0.9i)^k (if it does
+    not settle, once more from those points scaled past every root by
+    ``_outer_points``), then a run at ``prec`` bits from
+    its result; with ``start`` (certified enclosures, one per root) the same
+    iteration refines their centers at ``prec`` bits, and each new disk must
+    lie inside its start disk.  Returns None when the iteration did not
+    settle, the precision was insufficient to separate the disks or the
+    refinement failed its certificate; the caller retries with a plain solve
+    or more precision.  The centers share one denominator.  The disks come in
+    the order of the points; callers use only sums and maxima over the roots.
     """
     deg = len(int_coeffs) - 1
     if deg == 0:
         return []
     if deg == 1:
-        z = Fraction(-int_coeffs[0], int_coeffs[1])
-        return [Ball(z, Fraction(0), Fraction(0))]
+        c0, c1 = int_coeffs
+        return [Ball(-c0, 0, c1) if c1 > 0 else Ball(c0, 0, -c1)]
     if start is None:
-        pts = [(Fraction(w.real), Fraction(w.imag)) for w in ((0.4 + 0.9j) ** k
-                                                                for k in range(deg))]
-        pts = _weierstrass(int_coeffs, pts, 64, 100 + 64) or pts
+        pts = _start_points(deg)
+        pts = (_weierstrass(int_coeffs, pts, 64, 100 + 64)
+               or _weierstrass(int_coeffs, _outer_points(int_coeffs, pts), 64, 100 + 64)
+               or pts)
         centers = _weierstrass(int_coeffs, pts, prec, 100 + prec)
     else:
         centers = _weierstrass(int_coeffs, [(b.re, b.im) for b in start], prec,
@@ -272,26 +354,89 @@ def certified_roots(int_coeffs: list[int], prec: int,
     radii = []
     for z in centers:
         fpz = _abs_sq_at(fp, z)
-        if fpz == 0:
+        if fpz[0] == 0:
             return None
-        radii.append(frac_up(deg * frac_sqrt_ub(_abs_sq_at(int_coeffs, z)) / frac_sqrt_lb(fpz)))
-    # the disjointness and containment tests on integers over one denominator
-    nums, den = over_common_denominator(
-        [x for z in centers for x in z] + radii
-        + ([x for b in start for x in (b.re, b.im, b.r)] if start is not None else []))
-    pts = [(nums[2 * i], nums[2 * i + 1], nums[2 * deg + i]) for i in range(deg)]
-    for i, (xi, yi, ri) in enumerate(pts):
-        for xj, yj, rj in pts[i + 1:]:
+        ub, ub_den = _sqrt_ub(*_abs_sq_at(int_coeffs, z))
+        lb, lb_den = _sqrt_lb(*fpz)
+        radii.append(_up(*_lowest(deg * ub * lb_den, ub_den * lb)))
+    nums, q = over_common_denominator([x for z in centers for x in z])
+    balls = [Ball(nums[2 * i], nums[2 * i + 1], q, rn, rd) for i, (rn, rd) in enumerate(radii)]
+    # the disjointness and containment tests on integers over one denominator:
+    # disk i has center (nums[2i], nums[2i+1]) and radius nums[2m+i]
+    disks = balls + (start or [])
+    m = len(disks)
+    nums, den = _over_lcm([(v, b.q) for b in disks for v in (b.x, b.y)]
+                          + [(b.rn, b.rd) for b in disks])
+    circles = [(nums[2 * i], nums[2 * i + 1], nums[2 * m + i]) for i in range(m)]
+    for i, (xi, yi, ri) in enumerate(circles[:deg]):
+        for xj, yj, rj in circles[i + 1:deg]:
             rad = ri + rj
             if (xi - xj) ** 2 + (yi - yj) ** 2 <= 4 * rad * rad:
                 return None
-    if start is not None:
-        olds = nums[3 * deg:]
-        for (x, y, r), (xo, yo, ro) in zip(pts, zip(olds[::3], olds[1::3], olds[2::3])):
-            slack = ro - r
-            if slack < 0 or (x - xo) ** 2 + (y - yo) ** 2 > slack * slack:
-                return None
-    return [Ball(z[0], z[1], r) for z, r in zip(centers, radii)]
+    for (x, y, r), (xo, yo, ro) in zip(circles[:deg], circles[deg:]):
+        slack = ro - r
+        if slack < 0 or (x - xo) ** 2 + (y - yo) ** 2 > slack * slack:
+            return None
+    return balls
+
+
+# ---------------------------------------------------------------------------
+# Values at the roots, from one power table per root
+
+
+def _power_table(root: Ball, n: int):
+    """(zs, zden, ws, wden) for polynomials of length n at the root enclosed
+    by ``root``, whose center is z and radius r: z^t = zs[t] / zden as
+    complex integer pairs, and r t zub^(t-1) = ws[t] / wden, the weight of
+    |c_t| in the derivative radius, with zub = ``Ball.center_abs_ub`` + r
+    >= |z| on the disk (t < n)."""
+    a, b, q = root.x, root.y, root.q
+    zs, zr, zi = [], 1, 0
+    for _ in range(n):
+        zs.append((zr, zi))
+        zr, zi = zr * a - zi * b, zr * b + zi * a
+    qpow = 1
+    for t in range(n - 1, -1, -1):
+        zs[t] = (zs[t][0] * qpow, zs[t][1] * qpow)
+        qpow *= q
+    zden = qpow // q if n else 1
+    rn, rd = root.rn, root.rd
+    if rn == 0 or n < 2:
+        return zs, zden, [0] * n, 1
+    s, sd = root.center_abs_ub()
+    u, v = s * rd + rn * sd, sd * rd          # zub = u / v
+    # ws[t] = rn t u^(t-1) v^(n-1-t) over wden = rd v^(n-2)
+    ws = [0] * n
+    upow = rn
+    for t in range(1, n):
+        ws[t] = t * upow
+        upow *= u
+    vpow = 1
+    for t in range(n - 1, 0, -1):
+        ws[t] *= vpow
+        vpow *= v
+    return zs, zden, ws, rd * (vpow // v)
+
+
+def _eval_row(nums: list[int], den: int, table) -> Ball:
+    """Ball for the polynomial with coefficients nums[t] / den at the root of
+    the power table ``table`` (``_power_table``): the exact value at the
+    center, and the radius r sum_t t |c_t| zub^(t-1) reduced and rounded up
+    once."""
+    zs, zden, ws, wden = table
+    re = im = rad = 0
+    for c, (zr, zi), w in zip(nums, zs, ws):
+        re += c * zr
+        im += c * zi
+        rad += abs(c) * w
+    return Ball(re, im, den * zden, *_up(*_lowest(rad, den * wden)))
+
+
+def basis_values(rows: list[list[int]], den: int, roots: list[Ball]) -> list[list[Ball]]:
+    """vals[i][j], the ball of the polynomial rows[i] / den at roots[j] (as
+    ``eval_at_root`` gives it), from one power table per root."""
+    tables = [_power_table(root, len(rows[0])) for root in roots]
+    return [[_eval_row(row, den, table) for table in tables] for row in rows]
 
 
 def eval_at_root(power_coeffs: list[Fraction], root: Ball) -> Ball:
@@ -299,20 +444,9 @@ def eval_at_root(power_coeffs: list[Fraction], root: Ball) -> Ball:
 
     The center is the exact evaluation at the disk center; the radius adds the
     root radius scaled by a derivative bound over the disk,
-    sum_(i>=1) i |c_i| zub^(i-1) with zub >= |z| on the disk, evaluated by
-    Horner's rule on integers over one denominator and rounded up once.
+    sum_(i>=1) i |c_i| zub^(i-1) with zub >= |z| on the disk, summed on
+    integers over one denominator from the root's power table and rounded up
+    once.
     """
-    nums, cden = over_common_denominator(power_coeffs)
-    re, im, den = _horner(nums, (root.re, root.im))
-    den *= cden
-    if root.r == 0:
-        return Ball(Fraction(re, den), Fraction(im, den), Fraction(0))
-    zub = root.center_abs_ub() + root.r
-    u, v = zub.numerator, zub.denominator
-    acc, vpow = 0, 1  # sum_(i>=k) i |n_i| u^(i-k) v^(n-i), for k = n .. 1
-    for i in range(len(nums) - 1, 0, -1):
-        acc = acc * u + i * abs(nums[i]) * vpow
-        if i > 1:
-            vpow *= v
-    radius = frac_up(Fraction(root.r.numerator * acc, root.r.denominator * cden * vpow))
-    return Ball(Fraction(re, den), Fraction(im, den), radius)
+    nums, den = over_common_denominator(power_coeffs)
+    return _eval_row(nums, den, _power_table(root, len(nums)))

@@ -345,10 +345,10 @@ def split_prime(field: NumberField, p: int) -> ResidueSystem:
     factors = tuple(factor_squarefree(fbar, p))
     if sum(len(g) - 1 for g in factors) != field.degree:
         raise ResidueError("factorization degrees do not sum to the field degree")
-    # the basis over the power basis: its denominators divide the index, so
-    # they are units mod p
-    cols = [poly_trim([q.numerator * pow(q.denominator, -1, p) for q in row], p)
-            for row in field.basis_pow]
+    # the basis over the power basis: its denominator divides the index, so
+    # it is a unit mod p
+    inv_den = pow(field.basis_den, -1, p)
+    cols = [poly_trim([c * inv_den for c in row], p) for row in field.basis_num]
     proj, mults = [], []
     for g in factors:
         images = [poly_mod(c, g, p) for c in cols]

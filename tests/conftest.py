@@ -38,6 +38,15 @@ EXTRA_SPECS = {
 # bases or whose disc(f) has index divisors
 ALL_FIELDS = [*FIELD_SPECS, *EXTRA_SPECS]
 
+# x^6 - x - 1 and x^8 - x - 1: wider root sets, on which the certified
+# enclosures, field constants and lattice contexts are pinned as well
+WIDE_SPECS = {
+    "sextic": ([-1, -1, 0, 0, 0, 0, 1], None),
+    "octic": ([-1, -1, 0, 0, 0, 0, 0, 0, 1], None),
+}
+PINNED_FIELDS = [*ALL_FIELDS, *WIDE_SPECS]
+SPECS = {**FIELD_SPECS, **EXTRA_SPECS, **WIDE_SPECS}
+
 # a 4x4 bi-pseudo matrix over Q(sqrt -5), on the power basis: the pivot of
 # its last row meets an off-diagonal content that lies in the modulus but not
 # in the pivot's own ideal, which once sent pseudo_snf round its pivot loop
@@ -87,7 +96,7 @@ _FIELDS = {}
 
 def get_field(name):
     if name not in _FIELDS:
-        poly, basis = {**FIELD_SPECS, **EXTRA_SPECS}[name]
+        poly, basis = SPECS[name]
         _FIELDS[name] = build_field(poly, basis)
     return _FIELDS[name]
 
@@ -95,7 +104,7 @@ def get_field(name):
 def first_and_gram_roots(name):
     """A freshly built field, and its roots as the first solve left them and
     at the precision of its Gram matrix."""
-    poly, basis = {**FIELD_SPECS, **EXTRA_SPECS}[name]
+    poly, basis = SPECS[name]
     K = build_field(poly, basis)
     first = K.roots()
     return K, [first, K.roots(get_field(name).lattice_context.e + 64)]

@@ -9,9 +9,9 @@ import pytest
 from okmod import FieldElement, FieldError, build_field, numeric
 from okmod.numeric import eval_at_root
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, abs_sq, abs_sq_center, abs_sq_ub,
-                      abs_ub, get_field, norm_sq_bounds, random_element, reference_horner,
-                      seeded)
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, PINNED_FIELDS, abs_sq, abs_sq_center,
+                      abs_sq_ub, abs_ub, get_field, norm_sq_bounds, random_element,
+                      reference_horner, seeded)
 
 
 def test_build_gaussian_integers():
@@ -213,10 +213,14 @@ FIELD_CONSTANTS = {
               "50108289675009586237282760315/79228162514264337593543950336", "393217/8192"),
     "quintic": ("8729876357021226759585943791252024805125/42535295865117307932921825928971026432",
                 "6240862678784390149487895579/9903520314283042199192993792", "12584825/131072"),
+    "sextic": ("1955663467156381043611748453595630739461/5316911983139663491615228241121378304",
+               "11646936340591847969096530531/19807040628566084398385987584", "2513493/16384"),
+    "octic": ("301205782028128224547424428680440080397/332306998946228968225951765070086144",
+              "87727344084928394345019546873/158456325028528675187087900672", "643827/2048"),
 }
 
 
-@pytest.mark.parametrize("name", ALL_FIELDS)
+@pytest.mark.parametrize("name", PINNED_FIELDS)
 def test_field_constants_unchanged(name):
     K = get_field(name)
     c1_sq, c2, growth = (Fraction(x) for x in FIELD_CONSTANTS[name])
@@ -286,10 +290,45 @@ LATTICE_CONTEXTS = {
          571052454356102910894688169619],
     ], "39614081257132168796774560883/39614081257132168796771975168",
         "53605053940711920850738040083/39614081257132168796771975168"),
+    "sextic": (108, [
+        [794904868529148662797917258924875, 0, 0, 0, 0, 0],
+        [0, 807020046156666965054037202957711, 0, 0, 0, 0],
+        [0, 117433535759319380819127635689444, 831840163323089397727200082025308, 0, 0, 0],
+        [0, -24015874819667301287570499151496, 232121682833308263945538384998554,
+         859478385192861309327444182491404, 0, 0],
+        [0, -2412095178697238336637064989819, -29778807680763841088600455413419,
+         351504561186063194504325764846324, 889170896015299337435899831547051, 0],
+        [662420723774290552331597715770729, 47466205721884190606445466423801,
+         -18514018553016582141775105413405, -16042913544168789808774349724215,
+         475400729187643403933851396159681, 639012620138778130553323099364945],
+    ], "79228162514264337593545313189/79228162514264337593543950336",
+        "1675157935647247526585477463/1237940039285380274899124224"),
+    "octic": (130, [
+        [3849855506688072184720540359642000910834, 0, 0, 0, 0, 0, 0, 0],
+        [0, 3883913704026568459226783952976996496476, 0, 0, 0, 0, 0, 0],
+        [0, 433077194219650185232898658103014259214, 3954584018407072908276762838252519541730, 0,
+         0, 0, 0, 0],
+        [0, -120604711301660108131102096566900988704, 851485689122338293438653219542495444845,
+         4032902004070359348588028396575499625280, 0, 0, 0, 0],
+        [0, 38729956919146773999235824374469995183, -188824159857601093179796615790998664682,
+         1279370226185554202358655566897232256601, 4115103747086652840338737087937385862255, 0, 0,
+         0],
+        [0, -1005234682664588260401816841865574924, 48768179196184696904401105950282141834,
+         -213731876334823102724912639999535272605, 1721012739747558698868495893621551841815,
+         4200526221433918511287138864575698400450, 0, 0],
+        [0, -38800877147811180816139112465190163624, 13908745709575620579937368980730862593,
+         36722310743400102120926171395573056016, -193961681970890754563345558084344701431,
+         2177198823226002577646919389718774195482, 4289357148586162721805106796904347258887, 0],
+        [3368623568352063161630472814686750796980, 190265064894302209636891292657296863416,
+         -101034266209259249115813686611320736551, 50865282696799778269765875799605237193,
+         378334849384498122532045869358796592, -123912516526696742591703577541264958523,
+         2648055526710789440284690974879236433218, 2795451831241682300753619703135877555576],
+    ], "79228162514264337593543970219/79228162514264337593543950336",
+        "13401263485177980212683637207/9903520314283042199192993792"),
 }
 
 
-@pytest.mark.parametrize("name", ALL_FIELDS)
+@pytest.mark.parametrize("name", PINNED_FIELDS)
 def test_lattice_context_unchanged(name):
     ctx = get_field(name).lattice_context
     e, r_e, c_quality, quality_sq = LATTICE_CONTEXTS[name]

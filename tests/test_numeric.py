@@ -2,16 +2,20 @@
 solve, and the integer rewrites of the bounds against the Fraction
 references they replaced."""
 
+import timeit
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from okmod.numberfield import _sylvester_resultant
+from okmod import build_field, numeric
+from okmod.lattice import _gram_balls
+from okmod.numberfield import _conversion_constants, _sylvester_resultant
 from okmod.numeric import certified_roots, eval_at_root, frac_sqrt_lb, frac_sqrt_ub, frac_up, log2_ub
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, abs_sq, first_and_gram_roots,
-                      reference_horner, reference_log2_ub, seeded)
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, PINNED_FIELDS, SPECS, abs_sq,
+                      first_and_gram_roots, get_field, reference_horner, reference_log2_ub,
+                      seeded)
 
 
 def test_log2_ub_matches_the_fraction_reference():
@@ -92,6 +96,55 @@ def test_a_coefficient_beyond_the_floats_needs_no_fallback():
     assert_one_reference_root_per_disk([1, 10 ** 400, 1])
 
 
+def test_roots_far_outside_the_unit_circle_restart_beyond_a_root_bound(monkeypatch):
+    # the roots of x^2 - (10^400 + 1) lie near +-10^200: from the unit circle
+    # the 64-bit run shrinks its iterates by about half a bit per sweep and
+    # does not settle, so the solve restarts once at 64 bits from the same
+    # points scaled past Fujiwara's bound, and the run at full precision
+    # starts from there (from the unit circle, it took 0.7-1.2 s)
+    coeffs = [-(10 ** 400 + 1), 0, 1]
+    prec = 5412
+    weierstrass = numeric._weierstrass
+    runs = []
+
+    def spy(c, pts, p, sweeps):
+        out = weierstrass(c, pts, p, sweeps)
+        runs.append((p, out is not None))
+        return out
+
+    monkeypatch.setattr(numeric, "_weierstrass", spy)
+    balls = certified_roots(coeffs, prec)
+    assert runs == [(64, False), (64, True), (prec, True)]
+    monkeypatch.undo()
+    best = min(timeit.repeat(lambda: certified_roots(coeffs, prec), number=1, repeat=3))
+    assert best < 0.1
+    with mp.workprec(3 * prec):
+        root = mp.sqrt(mp.mpf(10 ** 400 + 1))
+        for b in balls:
+            center = mp.mpc(to_mpf(b.re), to_mpf(b.im))
+            radius = to_mpf(b.r) + mp.ldexp(1, -2 * prec)
+            assert sum(abs(z - center) <= radius for z in (root, -root)) == 1
+
+
+def test_roots_near_the_unit_circle_settle_on_the_first_run(monkeypatch):
+    # the restart beyond the root bound is never taken on these, so their
+    # enclosures are those of the plain iteration
+    weierstrass = numeric._weierstrass
+    runs = []
+
+    def spy(c, pts, p, sweeps):
+        out = weierstrass(c, pts, p, sweeps)
+        runs.append((p, out is not None))
+        return out
+
+    monkeypatch.setattr(numeric, "_weierstrass", spy)
+    polys = [SPECS[name][0] for name in PINNED_FIELDS if len(SPECS[name][0]) > 2]
+    for coeffs in polys + [[1, 10 ** 30, 3, 1], [1, 10 ** 400, 1]]:
+        runs.clear()
+        certified_roots(coeffs, want_bits(coeffs))
+        assert runs[0] == (64, True), coeffs
+
+
 # -- integer certificates against their Fraction references ------------------
 
 
@@ -146,3 +199,74 @@ def test_eval_at_root_matches_the_fraction_reference(name):
             for root in roots:
                 ball = eval_at_root(p, root)
                 assert ((ball.re, ball.im), ball.r) == reference_eval_at_root(p, root)
+
+
+# -- the Gram enclosure and the conversion constants against the Fraction
+# route they replaced -------------------------------------------------------
+
+
+def reference_values(name, roots):
+    """Fraction balls ((re, im), r) of each basis element at each root, from
+    the basis rows of the field's specification."""
+    poly, basis = SPECS[name]
+    d = len(poly) - 1
+    rows = basis or [[int(i == j) for j in range(d)] for i in range(d)]
+    return [[reference_eval_at_root([Fraction(c) for c in row], z) for z in roots]
+            for row in rows]
+
+
+def reference_gram_balls(vals):
+    """(re, im, r) of the Gram entries sum_j v_ij conj(v_kj), each radius the
+    Fraction sum of |v_ij| r_kj + |v_kj| r_ij + r_ij r_kj rounded up once,
+    with |v| bounded by frac_sqrt_ub of the squared modulus."""
+    d = len(vals)
+    gram = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for k in range(i, d):
+            re = im = r = Fraction(0)
+            for ((a, b), ra), ((c, e), rc) in zip(vals[i], vals[k]):
+                re += a * c + b * e
+                im += b * c - a * e
+                r += (frac_sqrt_ub(abs_sq((a, b))) * rc + frac_sqrt_ub(abs_sq((c, e))) * ra
+                      + ra * rc)
+            gram[i][k] = (re, im, frac_up(r))
+            gram[k][i] = (re, -im, frac_up(r))
+    return gram
+
+
+def reference_conversion_constants(vals, tinv_num, tinv_den):
+    """(C1^2, C2) on Fractions: C1^2 is d^2 times the largest row sum of
+    (|v| + r)^2 rounded up at 128 bits, C2 the largest column bound
+    |c_k| + |r_k| of V^t T^-1 rounded up at 96 bits."""
+    d = len(vals)
+    c2 = Fraction(0)
+    for k in range(d):
+        col = [Fraction(tinv_num[i][k], tinv_den) for i in range(d)]
+        c_sq = sum(sum(vals[i][j][0][part] * col[i] for i in range(d)) ** 2
+                   for j in range(d) for part in (0, 1))
+        r_sq = sum(sum(vals[i][j][1] * abs(col[i]) for i in range(d)) ** 2 for j in range(d))
+        c2 = max(c2, frac_sqrt_ub(c_sq) + frac_sqrt_ub(r_sq))
+    c1_sq = max(frac_up(sum((frac_sqrt_ub(abs_sq(v)) + r) ** 2 for v, r in row), 128)
+                for row in vals)
+    return c1_sq * d * d, frac_up(c2, 96)
+
+
+@pytest.mark.parametrize("name", PINNED_FIELDS)
+def test_gram_and_conversion_constants_match_the_fraction_reference(name):
+    # at the first solve's precision and at the Gram precision e + 64: the
+    # values at the roots from one power table per root, the Gram balls and
+    # (C1^2, C2) equal the Fraction route exactly
+    poly, basis = SPECS[name]
+    K = build_field(poly, basis)
+    constants = []
+    for prec in (0, get_field(name).lattice_context.e + 64):
+        roots = K.roots(prec)
+        ref = reference_values(name, roots)
+        vals = numeric.basis_values(K.basis_num, K.basis_den, roots)
+        assert [[((b.re, b.im), b.r) for b in row] for row in vals] == ref
+        assert [[(b.re, b.im, b.r) for b in row] for row in _gram_balls(K, prec)] == (
+            reference_gram_balls(ref))
+        constants.append(reference_conversion_constants(ref, K.trace_inv_num, K.trace_den))
+        assert _conversion_constants(vals, K.trace_inv_num, K.trace_den) == constants[-1]
+    # the field's own constants are those of the first solve
+    assert (K.embed_bound_sq, K.coeff_bound) == constants[0]
