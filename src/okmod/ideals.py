@@ -106,6 +106,8 @@ class FractionalIdeal:
     @classmethod
     def from_generators(cls, field: NumberField, gens) -> "FractionalIdeal":
         """Smallest fractional ideal containing the given field elements."""
+        for g in gens:
+            _same_field_element(field, g)
         gens = [g for g in gens if g]
         if not gens:
             raise IdealError("at least one nonzero generator required")
@@ -228,6 +230,7 @@ class FractionalIdeal:
         return self * other.inverse()
 
     def elt_mul(self, alpha: FieldElement) -> "FractionalIdeal":
+        _same_field_element(self.field, alpha)
         if not alpha:
             raise IdealError("multiplication by the zero element")
         field = self.field
@@ -274,6 +277,7 @@ class FractionalIdeal:
     def contains(self, alpha: FieldElement) -> bool:
         """Whether den * alpha lies in the lattice of the Hermite numerator,
         decided by exact division from the last column."""
+        _same_field_element(self.field, alpha)
         return self._holds(alpha.coeffs, alpha.den)
 
     __contains__ = contains
@@ -307,6 +311,12 @@ class FractionalIdeal:
             raise TypeError("expected a fractional ideal")
         if other.field is not self.field:
             raise IdealError("ideals of different fields")
+
+
+def _same_field_element(field: NumberField, alpha: FieldElement) -> None:
+    """Refuse an element of another field than ``field``."""
+    if alpha.field is not field:
+        raise IdealError("element of a different field")
 
 
 def idempotents(a: FractionalIdeal, b: FractionalIdeal) -> tuple[FieldElement, FieldElement]:

@@ -4,12 +4,15 @@ A :class:`NumberField` is an immutable bundle of precomputed data for a field
 ``K = Q[x]/(f)`` together with an integral basis given over the power basis:
 structure constants and the product compiled from them, trace matrix and
 its scaled inverse, discriminants, the power-basis transformation, certified
-embedding enclosures, and the growth constants used in size bounds.
-Elements are integer coefficient vectors over the integral basis with a
-minimal positive denominator.  The basis is kept as integer rows over their
-common denominator (``basis_num`` / ``basis_den``), and ``build_field``
-computes the structure constants, the basis inverse and the field constants
-from them on integers.
+embedding enclosures, and the conversion constants used in size bounds (the
+growth constant is computed on first read).  Elements are integer
+coefficient vectors over the integral basis with a minimal positive
+denominator.  The basis is kept as integer rows over their common
+denominator (``basis_num`` / ``basis_den``), and ``build_field`` computes
+the structure constants, the basis inverse and the field constants from
+them on integers.  Each invariant has one derivation: disc(O) is the
+determinant of the trace matrix, and disc(f) = index^2 disc(O), so a
+defining polynomial that is not squarefree shows as a singular trace form.
 
 Two constructors build elements.  ``FieldElement(field, coeffs, den)`` is the
 way in for values from outside (parser, users, tests): it takes each
@@ -168,24 +171,6 @@ def _poly_mul_mod(a: list[int], b: list[int], f: list[int]) -> list[int]:
                 res[k - d + j] -= c * f[j]
     out = res[:d]
     return out + [0] * (d - len(out))
-
-
-def _sylvester_resultant(f: list[int], g: list[int]) -> int:
-    m = len(f) - 1
-    n = len(g) - 1
-    size = m + n
-    rows: Mat = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    return det_bareiss(rows)
 
 
 def _compile_product(struct):
@@ -376,6 +361,17 @@ class NumberField:
                     prec *= 2
         return self._roots
 
+    @cached_property
+    def growth_constant(self) -> Fraction:
+        """Size growth of one product: S(a * b) <= S(a) + S(b) + C, the
+        larger of 2 d log d + d log C3 and d^2 log C1 + d log C2."""
+        d = self.degree
+        log_c1 = log2_ub(self.embed_bound_sq) / 2 if self.embed_bound_sq > 1 else Fraction(0)
+        log_c2 = log2_ub(self.coeff_bound) if self.coeff_bound > 1 else Fraction(0)
+        log_d = log2_ub(d) if d > 1 else Fraction(0)
+        log_c3 = log2_ub(self.struct_bound) if self.struct_bound > 1 else Fraction(0)
+        return max(2 * d * log_d + d * log_c3, d * d * log_c1 + d * log_c2)
+
     # -- lazy heavyweight attachments ----------------------------------------
 
     @cached_property
@@ -443,16 +439,6 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
     if basis[0] != [Fraction(1)] + [Fraction(0)] * (d - 1):
         raise FieldError("first basis element must be 1")
 
-    if d == 1:
-        disc_f = 1
-    else:
-        fp = [i * c for i, c in enumerate(poly)][1:]
-        res = _sylvester_resultant(poly, fp)
-        sign = -1 if (d * (d - 1) // 2) % 2 else 1
-        disc_f = sign * res
-    if disc_f == 0:
-        raise FieldError("defining polynomial is not squarefree (gcd(f, f') != 1)")
-
     # the basis rows over their common denominator: w_i = rows[i] / scale
     scale = lcm(*(q.denominator for row in basis for q in row))
     rows = [[q.numerator * (scale // q.denominator) for q in row] for row in basis]
@@ -466,11 +452,6 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
         raise FieldError("power basis is not integral over the given basis")
     power_to_basis = [[scale * binv_num[j][i] // binv_den for j in range(d)] for i in range(d)]
     index = abs(det_bareiss(power_to_basis))
-    if index == 0:
-        raise FieldError("basis matrix is singular")
-    if disc_f % (index * index):
-        raise FieldError("disc(f) not divisible by index squared; basis is not an order basis")
-    disc = disc_f // (index * index)
 
     # w_i w_j = (rows[i] rows[j] mod f) / scale^2, whose basis coordinates are
     # (rows[i] rows[j] mod f) binv_num / (scale binv_den)
@@ -493,13 +474,13 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
     trace_vec = tuple(sum(struct_t[k][i][i] for i in range(d)) for k in range(d))
     trace_mat = [[sum(struct_t[i][j][k] * trace_vec[k] for k in range(d)) for j in range(d)]
                  for i in range(d)]
-    if any(trace_mat[i][j] != trace_mat[j][i] for i in range(d) for j in range(d)):
-        raise FieldError("trace matrix is not symmetric")
-    if det_bareiss(trace_mat) != disc:
-        raise FieldError("det of trace matrix does not match the discriminant")
+    # disc(O) is the determinant of the trace form on the basis; on the power
+    # basis, whose lattice has index ``index`` in it, that determinant is
+    # disc(f) = index^2 disc(O)
+    disc = det_bareiss(trace_mat)
+    if disc == 0:
+        raise FieldError("defining polynomial is not squarefree (gcd(f, f') != 1)")
     trace_inv_num, trace_den = solve_left(trace_mat, identity(d))
-
-    c3 = max(abs(x) for row in struct_t for s in row for x in s)
 
     field = NumberField(
         _token=_BUILD_TOKEN,
@@ -514,41 +495,16 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
         trace_mat=trace_mat,
         trace_den=trace_den,
         trace_inv_num=trace_inv_num,
-        disc_f=disc_f,
+        disc_f=disc * index * index,
         disc=disc,
         index=index,
-        struct_bound=c3,
-        embed_bound_sq=None,
-        coeff_bound=None,
-        growth_constant=None,
+        struct_bound=max(abs(x) for row in struct_t for s in row for x in s),
     )
-    _attach_constants(field)
+    # C1^2 and C2 from one set of enclosures of the basis elements at the
+    # cached roots (one power table per root), valid however wide they are
+    vals = numeric.basis_values(field.basis_num, scale, field.roots())
+    field.embed_bound_sq, field.coeff_bound = _conversion_constants(vals, trace_inv_num, trace_den)
     return field
-
-
-def _attach_constants(field: NumberField) -> None:
-    """Certified growth constants: coefficient/T2 conversion bounds and size growth.
-
-    The coefficient-to-T2 constant must satisfy |alpha| <= C1 * max|a_i|,
-    which needs the triangle-inequality factor d on top of max_i |omega_i|.
-    Both it and the coefficient bound come from one set of enclosures of the
-    basis elements at the cached roots (``numeric.basis_values``, one power
-    table per root; ``_conversion_constants``), and both are valid bounds
-    however wide those enclosures are.
-    """
-    d = field.degree
-    vals = numeric.basis_values(field.basis_num, field.basis_den, field.roots())
-    c1_sq, c2 = _conversion_constants(vals, field.trace_inv_num, field.trace_den)
-    field.embed_bound_sq = c1_sq
-    field.coeff_bound = c2
-
-    log_c1 = log2_ub(c1_sq) / 2 if c1_sq > 1 else Fraction(0)
-    log_c2 = log2_ub(c2) if c2 > 1 else Fraction(0)
-    log_d = log2_ub(d) if d > 1 else Fraction(0)
-    log_c3 = log2_ub(field.struct_bound) if field.struct_bound > 1 else Fraction(0)
-    arm1 = 2 * d * log_d + d * log_c3
-    arm2 = d * d * log_c1 + d * log_c2
-    field.growth_constant = max(arm1, arm2)
 
 
 def _conversion_constants(vals: list[list[Ball]], tinv_num: Mat,
@@ -556,9 +512,10 @@ def _conversion_constants(vals: list[list[Ball]], tinv_num: Mat,
     """(C1^2, C2) from the enclosures vals[i][j] of basis element i at root j
     and the inverse trace matrix T^-1 = tinv_num / tinv_den.
 
-    C1^2 is d^2 times the largest row sum of squared modulus bounds.  C2
-    bounds the largest column 2-norm of V^-1, where V[i][j] = omega_i(z_j)
-    over all d roots.  Then V V^t = T, so V^-1 = V^t T^-1, and column k of
+    C1^2 is d^2 times the largest row sum of squared modulus bounds: the
+    factor d of the triangle inequality, on top of max_i |omega_i|, makes
+    |alpha| <= C1 * max|a_i| hold.  C2 bounds the largest column 2-norm of
+    V^-1, where V[i][j] = omega_i(z_j) over all d roots.  Then V V^t = T, so V^-1 = V^t T^-1, and column k of
     V^-1 is enclosed entrywise by the centers c_jk = sum_i vals[i][j]
     T^-1[i][k] and the radii r_jk = sum_i r_ij |T^-1[i][k]|; its norm is at
     most |c_k| + |r_k|.  Every sum runs on integers over one common

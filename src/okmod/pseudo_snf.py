@@ -36,6 +36,12 @@ class BiPseudoMatrix:
             raise ValueError("bi-pseudo matrix must be square and nonempty")
         if len(row_ideals) != n or len(col_ideals) != n:
             raise ValueError("need n row ideals and n column ideals")
+        for e in (x for r in rows for x in r):
+            if e.field is not field:
+                raise ValueError("entry from a different field")
+        for a in (*row_ideals, *col_ideals):
+            if a.field is not field:
+                raise ValueError("ideal from a different field")
         self.field = field
         self.rows = rows
         self.row_ideals = list(row_ideals)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import lattice
-from .ideals import FractionalIdeal, IdealError
+from .ideals import FractionalIdeal, IdealError, _same_field_element
 from .numberfield import FieldElement, _make
 from .zlinalg import identity, solve_left
 
@@ -149,6 +149,7 @@ def reduce_mod_ideal(alpha: FieldElement, a: FractionalIdeal,
     positive-box representative instead.
     """
     field = alpha.field
+    _same_field_element(a.field, alpha)
     l = a.den
     k = alpha.den
     target = [l * c for c in alpha.coeffs]

@@ -19,16 +19,18 @@ g is those rows reduced mod g, which are x^(i*p) mod g since g divides f.
 The powers (x^p, and (v + s)^((p-1)/2) for the split) take a 4-bit sliding
 window on residues packed one per integer: a product is one integer
 multiplication, whose top slots fold through the packed rows x^t mod the
-modulus.  Besides the two-stage CRT of one element, many elements at once
-go through their integral-basis coordinates: one linear map per prime takes
-their residues at its factors to coordinates mod p, and one CRT over the
-primes lifts them (``basis_coordinates``, ``lift_coordinates``).
+modulus.  Residues go back to elements by one route: each residue system
+keeps one linear map from its factors' residues to integral-basis
+coordinates mod p (``ResidueSystem.to_basis``), and one CRT over the primes
+lifts them (``basis_coordinates``, ``lift_coordinates``); the one-element
+``crt_combine_factors`` and ``crt_combine_primes`` wrap the same two steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 
@@ -334,6 +336,19 @@ class ResidueSystem:
     proj_mats: tuple[tuple[tuple[int, ...], ...], ...]
     crt_mults: tuple[Poly, ...]  # u_i * (fbar / fbar_i) mod fbar
 
+    @cached_property
+    def to_basis(self) -> list[tuple[int, ...]]:
+        """The inverse of ``proj_mats``, from the stacked residues of an
+        element (k coefficients per factor) to its coordinates mod p: column
+        (j, t) is x^t times the CRT multiplier of factor j, on the basis."""
+        p = self.p
+        cols = []
+        for g, mult in zip(self.factors, self.crt_mults):
+            for t in range(len(g) - 1):
+                c = poly_mod((0,) * t + tuple(mult), self.fbar, p)
+                cols.append([sum(map(mul, row, c)) % p for row in self.field.power_to_basis])
+        return list(zip(*cols))
+
 
 def split_prime(field: NumberField, p: int) -> ResidueSystem:
     """Dedekind-Kummer splitting; requires p coprime to disc(f)."""
@@ -369,18 +384,20 @@ def project_element(beta: FieldElement, sys: ResidueSystem) -> list[Poly]:
 
 
 def crt_combine_factors(values: list[Poly], sys: ResidueSystem) -> Poly:
-    """Unique preimage in F_p[x]/(fbar) of one residue per factor."""
+    """Unique preimage in F_p[x]/(fbar) of one residue per factor: each value
+    reduced mod its factor, taken to integral-basis coordinates mod p by
+    ``basis_coordinates``, and read on the power basis."""
     if len(values) != len(sys.factors):
         raise ResidueError("one value per factor required")
     p = sys.p
-    acc: Poly = ()
-    for v, mult in zip(values, sys.crt_mults):
-        acc = poly_add(acc, poly_mul(v, mult, p), p)
-    acc = poly_mod(acc, sys.fbar, p)
+    residues = []
     for v, g in zip(values, sys.factors):
-        if poly_mod(acc, g, p) != poly_mod(v, g, p):
-            raise ResidueError("internal error: factor recombination mismatch")
-    return acc
+        r = poly_mod(v, g, p)
+        residues.append([list(r) + [0] * (len(g) - 1 - len(r))])
+    (coords,) = basis_coordinates(sys, residues)
+    field = sys.field
+    inv_den = pow(field.basis_den, -1, p)
+    return poly_trim([sum(map(mul, coords, col)) * inv_den for col in zip(*field.basis_num)], p)
 
 
 @dataclass(frozen=True)
@@ -509,20 +526,10 @@ def lift_to_field(coeffs: list[int], field: NumberField, modulus: int) -> FieldE
 def basis_coordinates(sys: ResidueSystem, values) -> list[list[int]]:
     """Integral-basis coordinates mod p of integral elements given by their
     residues: values[j][v] holds the k coefficients of element v in the
-    residue field F_p[x]/(g_j) of factor j.
-
-    One linear map serves every element.  Its column (j, t) is the image of
-    the residue x^t at factor j and zero at the others: x^t times the CRT
-    multiplier of factor j, modulo fbar, on the integral basis.
-    """
+    residue field F_p[x]/(g_j) of factor j.  One product per element with
+    the map ``ResidueSystem.to_basis``."""
     p = sys.p
-    power_to_basis = sys.field.power_to_basis
-    cols = []
-    for g, mult in zip(sys.factors, sys.crt_mults):
-        for t in range(len(g) - 1):
-            c = poly_mod((0,) * t + tuple(mult), sys.fbar, p)
-            cols.append([sum(map(mul, row, c)) % p for row in power_to_basis])
-    to_basis = list(zip(*cols))
+    to_basis = sys.to_basis
     return [[sum(map(mul, row, stacked)) % p for row in to_basis]
             for stacked in (sum(v, []) for v in zip(*values))]
 

@@ -199,6 +199,46 @@ def maximal_minor_sum(field, rows, ideals):
     return total
 
 
+def fraction_det(rows):
+    """Determinant of a rational matrix by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def sylvester_resultant(f, g):
+    """Res(f, g) of integer polynomials (constant term first) as the
+    determinant of their Sylvester matrix."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = []
+    for i in range(n):
+        rows.append([0] * i + list(reversed(f)) + [0] * (n - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + list(reversed(g)) + [0] * (m - 1 - i))
+    return int(fraction_det(rows))
+
+
+def reference_disc_f(poly):
+    """disc(f) = (-1)^(d(d-1)/2) Res(f, f') of a monic f: the reference of
+    ``NumberField.disc_f``, which is read off the trace form."""
+    d = len(poly) - 1
+    if d == 1:
+        return 1
+    res = sylvester_resultant(poly, [i * c for i, c in enumerate(poly)][1:])
+    return -res if d * (d - 1) // 2 % 2 else res
+
+
 def abs_sq(z):
     """|z|^2 of a complex rational (re, im)."""
     return z[0] * z[0] + z[1] * z[1]

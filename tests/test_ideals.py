@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from okmod import FractionalIdeal, IdealError, build_field, idempotents
+from okmod import FractionalIdeal, IdealError, build_field, idempotents, reduce_mod_ideal
 from okmod.zlinalg import identity, solve_left
 
 from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, get_field, hnf, random_element,
@@ -415,3 +415,27 @@ def test_idempotents_refuse_non_coprime_pairs(name):
                 refused += 1
     assert refused
 
+
+
+def test_operations_with_an_element_of_another_field_are_refused():
+    # over Q(i), P = (2, 1 + i); 1 + sqrt -5 from Q(sqrt -5) and a cubic
+    # element once read as coordinates over Q(i): P contained both, P * x
+    # gave (2), (x) gave P and x reduced to 0 modulo P
+    K, L, C = get_field("Qi"), get_field("Qm5"), get_field("cubic")
+    P = FractionalIdeal.from_generators(K, [K.from_int(2), K.element([1, 1])])
+    x, y = L.element([1, 1]), C.element([1, 1, 0])
+    for foreign in (x, y):
+        with pytest.raises(IdealError, match="element of a different field"):
+            P.contains(foreign)
+        with pytest.raises(IdealError, match="element of a different field"):
+            foreign in P
+        with pytest.raises(IdealError, match="element of a different field"):
+            P.elt_mul(foreign)
+        with pytest.raises(IdealError, match="element of a different field"):
+            P * foreign
+        with pytest.raises(IdealError, match="element of a different field"):
+            FractionalIdeal.from_generators(K, [foreign])
+        with pytest.raises(IdealError, match="element of a different field"):
+            reduce_mod_ideal(foreign, P)
+    # the element of P's own field with the same coordinates is answered
+    assert K.element([1, 1]) in P and P.elt_mul(K.element([1, 1])) == P * P

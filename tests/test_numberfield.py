@@ -9,9 +9,9 @@ import pytest
 from okmod import FieldElement, FieldError, build_field, numeric
 from okmod.numeric import eval_at_root
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, PINNED_FIELDS, abs_sq, abs_sq_center,
-                      abs_sq_ub, abs_ub, get_field, norm_sq_bounds, random_element,
-                      reference_horner, seeded)
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, PINNED_FIELDS, SPECS, abs_sq,
+                      abs_sq_center, abs_sq_ub, abs_ub, fraction_det, get_field, norm_sq_bounds,
+                      random_element, reference_disc_f, reference_horner, seeded)
 
 
 def test_build_gaussian_integers():
@@ -46,6 +46,43 @@ def test_build_field_errors():
         build_field([1, 0, 1], [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]])
     with pytest.raises(FieldError):
         build_field([1, 0, 1], [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1, 3)]])
+
+
+@pytest.mark.parametrize("name", PINNED_FIELDS)
+def test_discriminants_equal_the_resultant_reference(name):
+    # build_field reads disc(O) off the trace form and sets disc(f) =
+    # index^2 disc(O); the references are the Sylvester resultant of f and
+    # f' and the index 1 / |det B| of the basis matrix B
+    poly, basis = SPECS[name]
+    K = get_field(name)
+    index = 1 if basis is None else 1 / abs(fraction_det(basis))
+    assert K.disc_f == reference_disc_f(poly)
+    assert (K.index, K.disc) == (index, reference_disc_f(poly) / index ** 2)
+
+
+def test_discriminants_of_random_polynomials_equal_the_resultant_reference():
+    rng = seeded("test_numberfield::test_discriminants_of_random_polynomials_equal_the_resultant_reference")
+    built = 0
+    while built < 50:
+        poly = [rng.randint(-20, 20) for _ in range(2 + built % 7)] + [1]
+        disc_f = reference_disc_f(poly)
+        if not disc_f:
+            continue
+        K = build_field(poly)
+        assert (K.disc_f, K.disc, K.index) == (disc_f, disc_f, 1), poly
+        built += 1
+
+
+@pytest.mark.parametrize("poly, basis", [
+    ([0, 0, 1], None),
+    ([2, -3, 0, 1], None),  # (x - 1)^2 (x + 2)
+    ([1, 0, 2, 0, 1], None),  # (x^2 + 1)^2
+    ([0, 0, 1], [[1, 0], [0, Fraction(1, 2)]]),
+])
+def test_a_singular_trace_form_is_not_squarefree(poly, basis):
+    assert reference_disc_f(poly) == 0
+    with pytest.raises(FieldError, match="not squarefree"):
+        build_field(poly, basis)
 
 
 def test_element_examples():

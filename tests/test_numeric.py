@@ -10,12 +10,12 @@ import pytest
 
 from okmod import build_field, numeric
 from okmod.lattice import _gram_balls
-from okmod.numberfield import _conversion_constants, _sylvester_resultant
+from okmod.numberfield import _conversion_constants
 from okmod.numeric import certified_roots, eval_at_root, frac_sqrt_lb, frac_sqrt_ub, frac_up, log2_ub
 
 from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, PINNED_FIELDS, SPECS, abs_sq,
                       first_and_gram_roots, get_field, reference_horner, reference_log2_ub,
-                      seeded)
+                      seeded, sylvester_resultant)
 
 
 def test_log2_ub_matches_the_fraction_reference():
@@ -81,7 +81,7 @@ def random_squarefree(rng, deg):
     while True:
         coeffs = [rng.randint(-20, 20) for _ in range(deg)] + [rng.randint(1, 3)]
         fp = [i * c for i, c in enumerate(coeffs)][1:]
-        if coeffs[0] and _sylvester_resultant(coeffs, fp):
+        if coeffs[0] and sylvester_resultant(coeffs, fp):
             return coeffs
 
 

@@ -57,6 +57,23 @@ def test_integrality_validation():
         BiPseudoMatrix(K, [[K.one()]], [two], [u])
 
 
+def test_entries_and_ideals_of_another_field_are_refused():
+    # a row ideal of Q(i) over entries of Q(sqrt -5) once failed only inside
+    # pseudo_snf, and a zero entry of another field was never refused
+    K, L = get_field("Qm5"), get_field("Qi")
+    u, v = FractionalIdeal.unit(K), FractionalIdeal.unit(L)
+    one, zero = K.one(), K.zero()
+    rows = [[one, zero], [zero, one]]
+    assert pseudo_snf(BiPseudoMatrix(K, rows, [u, u], [u, u]), verify=True)[0].is_unit()
+    for bad_rows, row_ideals, col_ideals, message in (
+            ([[one, L.zero()], [zero, one]], [u, u], [u, u], "entry from a different field"),
+            ([[one, zero], [zero, L.one()]], [u, u], [u, u], "entry from a different field"),
+            (rows, [u, v], [u, u], "ideal from a different field"),
+            (rows, [u, u], [v, u], "ideal from a different field")):
+        with pytest.raises(ValueError, match=message):
+            BiPseudoMatrix(K, bad_rows, row_ideals, col_ideals)
+
+
 def reference_integrality_violation(bp):
     """First (i, j) with a_ij outside the product ideal b_i a_j^-1, or None:
     the reference of ``integrality_violation``."""

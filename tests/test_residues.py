@@ -1,12 +1,15 @@
 """Prime plans, Dedekind-Kummer splitting, projections, two-stage CRT."""
 
+from collections import Counter
+from functools import cached_property
+
 import pytest
 
-from okmod import build_field, plan_primes, project_element, split_prime
+from okmod import build_field, det, plan_primes, project_element, split_prime
 from okmod import residues as rs
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, TABLE_SIZE, check_prime_plan,
-                      get_field, proth_table, seeded)
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, SPECS, TABLE_SIZE, check_prime_plan,
+                      get_field, proth_table, random_element, seeded)
 
 
 def test_factor_gaussian_polynomial():
@@ -203,6 +206,69 @@ def test_crt_factors_examples():
     assert rs.crt_combine_factors([(), ()], sys5) == ()
     assert rs.crt_combine_factors([(2,), (2,)], sys5) == (2,)
     assert rs.crt_combine_factors([(3,), (2,)], sys5) == (0, 1)
+
+
+def reference_crt_combine_factors(values, sys):
+    """The CRT-multiplier recombination: the sum of each value times the
+    multiplier of its factor, modulo fbar, checked by re-projection.  The
+    test reference of ``crt_combine_factors``."""
+    p = sys.p
+    acc = ()
+    for v, mult in zip(values, sys.crt_mults):
+        acc = rs.poly_add(acc, rs.poly_mul(v, mult, p), p)
+    acc = rs.poly_mod(acc, sys.fbar, p)
+    for v, g in zip(values, sys.factors):
+        assert rs.poly_mod(acc, g, p) == rs.poly_mod(v, g, p)
+    return acc
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_recombination_equals_the_crt_multiplier_references(name):
+    # crt_combine_factors and basis_coordinates both go through the one
+    # backward map of the residue system; the references are the CRT
+    # multiplier sum on values that are not reduced mod their factor, with
+    # negative and large coefficients, and the coordinates of the elements
+    # whose residues basis_coordinates is given
+    K = get_field(name)
+    rng = seeded(f"test_residues::test_recombination_equals_the_crt_multiplier_references {name}")
+    primes = [p for p in (2, 3, 5, 7, 11, 13) if K.disc_f % p] + [plan_primes(K, 1).primes[0]]
+    for p in primes:
+        sys = split_prime(K, p)
+        for _ in range(12):
+            values = [tuple(rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(0, 2 * len(g))))
+                      for g in sys.factors]
+            assert rs.crt_combine_factors(values, sys) == reference_crt_combine_factors(values, sys)
+        elts = [random_element(rng, K, lim=2 * p) for _ in range(6)] + [K.zero()]
+        values = [[] for _ in sys.factors]
+        for e in elts:
+            for vals, r, g in zip(values, project_element(e, sys), sys.factors):
+                vals.append(list(r) + [0] * (len(g) - 1 - len(r)))
+        assert rs.basis_coordinates(sys, values) == [[c % p for c in e.coeffs] for e in elts]
+
+
+def test_one_backward_map_per_residue_system(monkeypatch):
+    # det reads each prime's residue system off the field, and a residue
+    # system builds its map from residues to coordinates on first use only;
+    # the spy counts the builds behind the library's own descriptor
+    built = Counter()
+    prop = rs.ResidueSystem.__dict__["to_basis"]
+    assert isinstance(prop, cached_property)
+    build = prop.func
+
+    def spy(sys):
+        built[id(sys)] += 1
+        return build(sys)
+
+    monkeypatch.setattr(prop, "func", spy)
+    K = build_field(*SPECS["cubic"])
+    rng = seeded("test_residues::test_one_backward_map_per_residue_system")
+    rows = [[random_element(rng, K, lim=40) for _ in range(3)] for _ in range(3)]
+    value = det(K, rows)
+    assert value and built
+    first = dict(built)
+    for _ in range(3):
+        assert det(K, rows) == value
+    assert dict(built) == first and set(first.values()) == {1}
 
 
 def test_plan_primes_examples():

@@ -122,6 +122,27 @@ def test_one_crt_loop_in_residues():
     assert callers == ["crt_combine_primes", "lift_coordinates"]
 
 
+def test_crt_multipliers_are_read_by_the_backward_map_alone():
+    # every route from residues back to elements goes through the map of
+    # ResidueSystem.to_basis, the one site that reads the CRT multipliers
+    sites = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, child.name if scope is None else f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, ast.Attribute) and child.attr == "crt_mults":
+                    sites.append((os.path.basename(path), scope))
+                visit(child, scope)
+
+        visit(tree, None)
+    assert sites == [("residues.py", "ResidueSystem.to_basis")]
+
+
 def calls_by_function(path, name):
     """(module, enclosing function) of every call in the module at ``path``
     to ``name``, bare or as an attribute; a method reads Class.method."""
