@@ -5,7 +5,10 @@ unique lower-triangular Hermite basis over the integral basis, divided by a
 minimal positive integer denominator.  Every Hermite computation runs
 through ``hnf_with_modulus`` with a known multiple of the largest elementary
 divisor (products and gcds of ideal minima and norms), which is what keeps
-the entries small.
+the entries small.  An inverse is the trace dual of a product with the
+codifferent numerator, solved by back substitution against its Hermite
+basis, and a norm that bounds a Hermite computation is the element norm
+from ``NumberField.norm``.
 
 Identities skip the Hermite kernel where the answer is known: ``O_K`` is
 recognized from its minimum in O(1), ``a * O_K = a`` and ``O_K^-1 = O_K``,
@@ -31,7 +34,7 @@ from math import gcd
 
 from .numberfield import FieldElement, NumberField
 from .numeric import log2_ub
-from .zlinalg import Mat, det_bareiss, hnf_with_modulus, identity, mat_mul, solve_left, transpose
+from .zlinalg import Mat, hnf_with_modulus, identity
 
 
 class IdealError(ValueError):
@@ -118,9 +121,8 @@ class FractionalIdeal:
         lam = 0
         for g in gens:
             scaled = field.element([c * (den // g.den) for c in g.coeffs])
-            m = field.regular_representation(scaled)
-            rows.extend(m)
-            lam = gcd(lam, det_bareiss(m))
+            rows.extend(field.regular_representation(scaled))
+            lam = gcd(lam, field.norm(scaled).numerator)
         return cls.from_row_lattice(field, rows, den, multiple=lam)
 
     @classmethod
@@ -239,9 +241,8 @@ class FractionalIdeal:
             p = abs(alpha.coeffs[0])
             return _make_ideal(field, [[x * p for x in row] for row in self.num],
                                self.den * alpha.den)
-        # |N(den * alpha)| is |det| of the regular representation
-        m = field.regular_representation(field.element(alpha.coeffs))
-        lam = abs(det_bareiss(m)) * self.num[0][0]
+        # N(den * alpha) lies in the ideal (den * alpha)
+        lam = abs(field.norm(field.element(alpha.coeffs)).numerator) * self.num[0][0]
         rows = [field.coeff_mul(u, alpha.coeffs) for u in self.num]
         return FractionalIdeal.from_row_lattice(field, rows, self.den * alpha.den,
                                                 multiple=lam)
@@ -259,16 +260,16 @@ class FractionalIdeal:
         product b * B, where T is the trace matrix and B = den(T^-1) *
         (codifferent) the codifferent numerator.  The trace dual of b * B is
         den(T^-1)^-1 * b^-1, so the rows of X with X * T * H^t = den(T^-1) * I
-        span b^-1.  For X = N / D, D * Z^d lies in the span of N because b^-1
-        contains O_K.
+        span b^-1.  Since den(T^-1) * T^-1 is the field's ``trace_inv_num``,
+        X solves H^t X = ``trace_inv_num``, a triangular system solved by
+        back substitution.  For X = N / D, D * Z^d lies in the span of N
+        because b^-1 contains O_K.
         """
         if self.is_unit():
             return self
         field = self.field
-        d = field.degree
         h = (self.numerator() * field.codifferent_numerator).num
-        rhs = [[field.trace_den if i == j else 0 for j in range(d)] for i in range(d)]
-        num, den = solve_left(mat_mul(field.trace_mat, transpose(h)), rhs)
+        num, den = _solve_transposed_lower(h, field.trace_inv_num)
         inv_integral = _make_ideal(field, hnf_with_modulus(num, den), den)
         return inv_integral.int_mul(self.den) if self.den > 1 else inv_integral
 
@@ -311,6 +312,34 @@ class FractionalIdeal:
             raise TypeError("expected a fractional ideal")
         if other.field is not self.field:
             raise IdealError("ideals of different fields")
+
+
+def _solve_transposed_lower(h: Mat, rhs: Mat) -> tuple[Mat, int]:
+    """(N, D) with H^t (N / D) = rhs for a lower triangular H with positive
+    diagonal, D > 0 the least common denominator, by back substitution.
+
+    Row i of X = N / D is (rhs_i - sum_(k>i) H[k][i] X_k) / H[i][i]; the
+    rows below stay over one running denominator, which grows by the part
+    of H[i][i] that the new row does not cancel.
+    """
+    d = len(h)
+    rows: list = [None] * d
+    den = 1
+    for i in range(d - 1, -1, -1):
+        v = [den * x for x in rhs[i]]
+        for k in range(i + 1, d):
+            c = h[k][i]
+            if c:
+                v = [x - c * y for x, y in zip(v, rows[k])]
+        p = h[i][i]
+        g = gcd(p, *v)
+        if g != p:
+            s = p // g
+            den *= s
+            for k in range(i + 1, d):
+                rows[k] = [s * y for y in rows[k]]
+        rows[i] = [x // g for x in v]
+    return _without_content(rows, den)
 
 
 def _same_field_element(field: NumberField, alpha: FieldElement) -> None:

@@ -13,6 +13,10 @@ the structure constants, the basis inverse and the field constants from
 them on integers.  Each invariant has one derivation: disc(O) is the
 determinant of the trace matrix, and disc(f) = index^2 disc(O), so a
 defining polynomial that is not squarefree shows as a singular trace form.
+Norms and inverses of elements take no linear solve: the traces of the
+powers of an element give its characteristic polynomial by Newton's
+identities, whose constant term is the norm and which gives the inverse by
+Cayley-Hamilton.
 
 Two constructors build elements.  ``FieldElement(field, coeffs, den)`` is the
 way in for values from outside (parser, users, tests): it takes each
@@ -115,12 +119,15 @@ class FieldElement:
         return self.field.sub(self._coerce(other), self)
 
     def __mul__(self, other) -> "FieldElement":
+        if isinstance(other, FieldElement):
+            return self.field.mul(self, self._coerce(other))
         if isinstance(other, int):
             return self.field.scalar_mul(other, self)
         if isinstance(other, Fraction):
             return self.field.scalar_div(self.field.scalar_mul(other.numerator, self),
                                          other.denominator)
-        return self.field.mul(self, self._coerce(other))
+        # an ideal times an element is the ideal's product
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -153,6 +160,36 @@ class FieldElement:
     def __repr__(self) -> str:
         body = " ".join(str(c) for c in self.coeffs)
         return f"<{body} / {self.den}>"
+
+
+def _char_poly(field: "NumberField", u) -> tuple[list[list[int]], list[int]]:
+    """Powers and characteristic polynomial of the integral element alpha
+    with coefficient vector ``u``.
+
+    Returns ([alpha^1, ..., alpha^d], [e_0, ..., e_d]): the powers as
+    coefficient vectors from ``coeff_mul``, and e_k the k-th elementary
+    symmetric function of the conjugates of alpha, so that the
+    characteristic polynomial is sum_k (-1)^k e_k x^(d-k) and N(alpha) = e_d.
+    The power sums t_k = Tr(alpha^k) are ``trace_vec`` times the powers, and
+    Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) t_i give the
+    e_k; each division by k is exact, since alpha is integral.
+    """
+    mul, tv = field.coeff_mul, field.trace_vec
+    powers = [list(u)]
+    t = [0, sum(map(operator.mul, tv, u))]
+    for _ in range(field.degree - 1):
+        powers.append(mul(powers[-1], u))
+        t.append(sum(map(operator.mul, tv, powers[-1])))
+    e = [1]
+    for k in range(1, len(t)):
+        s = 0
+        for i in range(1, k + 1):
+            s += e[k - i] * t[i] if i % 2 else -e[k - i] * t[i]
+        q, r = divmod(s, k)
+        if r:
+            raise FieldError("internal error: Newton's identities left a remainder")
+        e.append(q)
+    return powers, e
 
 
 def _poly_mul_mod(a: list[int], b: list[int], f: list[int]) -> list[int]:
@@ -297,20 +334,30 @@ class NumberField:
         return [self.coeff_mul(e, gamma.coeffs) for e in identity(self.degree)]
 
     def inv(self, a: FieldElement) -> FieldElement:
+        """a^-1 by Cayley-Hamilton: for alpha = den * a with characteristic
+        polynomial sum_j (-1)^j e_j x^(d-j),
+        alpha^-1 = (-1)^(d+1) sum_j (-1)^j e_j alpha^(d-1-j) / e_d."""
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if not any(a.coeffs[1:]):
             # a rational c/q, the first basis element being 1
             return self.scalar_div(self.from_int(a.den), a.coeffs[0])
-        num = FieldElement(self, list(a.coeffs), 1)
-        m = self.regular_representation(num)
-        (x,), den = solve_left(m, [[1] + [0] * (self.degree - 1)])
-        return FieldElement(self, [a.den * c for c in x], den)
+        d = self.degree
+        powers, e = _char_poly(self, a.coeffs)
+        # sum_j (-1)^j e_j alpha^(d-1-j), alpha^0 being the first basis element
+        acc = [0] * d
+        for j in range(d - 1):
+            c = e[j] if j % 2 == 0 else -e[j]
+            acc = [x + c * y for x, y in zip(acc, powers[d - 2 - j])]
+        acc[0] += e[d - 1] if d % 2 == 1 else -e[d - 1]
+        # the factor (-1)^(d+1) den / e_d, its sign moved to the numerator
+        f = a.den if (d % 2 == 1) == (e[d] > 0) else -a.den
+        return _make(self, [f * x for x in acc], abs(e[d]))
 
     def norm(self, a: FieldElement) -> Fraction:
-        num = FieldElement(self, list(a.coeffs), 1)
-        det = det_bareiss(self.regular_representation(num))
-        return Fraction(det, a.den ** self.degree)
+        """N(a) = e_d / den^d, e_d the constant term of the characteristic
+        polynomial of den * a up to the sign (-1)^d."""
+        return Fraction(_char_poly(self, a.coeffs)[1][-1], a.den ** self.degree)
 
     def trace(self, a: FieldElement) -> Fraction:
         t = sum(c * self.trace_vec[i] for i, c in enumerate(a.coeffs))

@@ -205,6 +205,9 @@ def normalize_row(row: list[FieldElement], a: FractionalIdeal,
     if ctx is not None and ctx is not cache.ctx:
         raise ValueError("ctx is not the lattice context of the cache")
     new_ideal, scalar, inv_scalar = cache.normalization(a)
+    if inv_scalar.den == 1 and inv_scalar.coeffs[0] == 1 and not any(inv_scalar.coeffs[1:]):
+        # scalar 1: the row is its own rescaling
+        return list(row), new_ideal, scalar
     new_row = [field.mul(entry, inv_scalar) if entry else entry for entry in row]
     return new_row, new_ideal, scalar
 

@@ -6,10 +6,11 @@ from math import gcd
 import pytest
 
 from okmod import FractionalIdeal, IdealError, build_field, idempotents, reduce_mod_ideal
-from okmod.zlinalg import identity, solve_left
+from okmod.zlinalg import (det_bareiss, hnf_with_modulus, identity, mat_mul, solve_left,
+                           transpose)
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, get_field, hnf, random_element,
-                      random_ideal, seeded)
+from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, PINNED_FIELDS, get_field, hnf,
+                      random_element, random_ideal, seeded)
 
 
 def lattice_of(ideal):
@@ -439,3 +440,110 @@ def test_operations_with_an_element_of_another_field_are_refused():
             reduce_mod_ideal(foreign, P)
     # the element of P's own field with the same coordinates is answered
     assert K.element([1, 1]) in P and P.elt_mul(K.element([1, 1])) == P * P
+
+
+def generic_norm(K, alpha):
+    """Reference N(alpha): the determinant of the regular representation of
+    the numerator of alpha, over den^d."""
+    m = K.regular_representation(K.element(list(alpha.coeffs)))
+    return Fraction(det_bareiss(m), alpha.den ** K.degree)
+
+
+def solve_based_inverse(a):
+    """Reference a^-1 by the trace dual, solving X * T * H^t = den(T^-1) * I
+    with the general rational solve, H the Hermite basis of b * B for the
+    numerator b of a and the codifferent numerator B."""
+    K = a.field
+    d = K.degree
+    h = (a.numerator() * K.codifferent_numerator).num
+    rhs = [[K.trace_den if i == j else 0 for j in range(d)] for i in range(d)]
+    num, den = solve_left(mat_mul(K.trace_mat, transpose(h)), rhs)
+    return FractionalIdeal(K, hnf_with_modulus(num, den), den).int_mul(a.den)
+
+
+@pytest.mark.parametrize("name", PINNED_FIELDS)
+def test_element_inverse_and_norm_equal_the_solve_and_determinant_references(name):
+    K = get_field(name)
+    d = K.degree
+    local = seeded("test_ideals element inverse and norm", offset=d)
+    one = [1] + [0] * (d - 1)
+    samples = [K.from_int(-1), K.from_int(7), K.element(one, 3),
+               K.element([-(2 ** 200)] + one[1:]), K.element([-5] + one[1:], 2 ** 150 + 1)]
+    if d > 1:
+        # the second basis element and its powers: units where it is a root of
+        # x^d - x - 1 or the golden ratio
+        w = K.element([0, 1] + [0] * (d - 2))
+        samples += [w, -w, w * w * w, w * w * w - K.one()]
+    for bits in (1, 8, 40, 200):
+        for _ in range(6):
+            x = random_element(local, K, lim=2 ** bits, max_den=2 ** (bits // 2 + 1))
+            samples += [x, -x]
+    norms = []
+    for x in samples:
+        norm = K.norm(x)
+        assert norm == generic_norm(K, x) and x.norm() == norm
+        inv = K.inv(x)
+        assert inv == generic_inv(K, x) and inv * x == K.one()
+        norms.append(norm)
+    assert any(abs(n) == 1 for n in norms)
+    if d % 2 or name in ("quartic", "sextic", "octic"):
+        # a real embedding: elements of negative norm
+        assert any(n < 0 for n in norms)
+    assert max(abs(n.numerator) for n in norms).bit_length() > 200
+
+
+def _inverse_samples(local, K):
+    """Integral and fractional, principal and non-principal ideals, some of
+    norm at least 2^100."""
+    d = K.degree
+    samples = [FractionalIdeal.from_rational(K, Fraction(6, 35))]
+    for lim in (6, 2 ** 20, 2 ** 64):
+        for fractional in (False, True):
+            samples.append(random_ideal(local, K, lim=lim, fractional=fractional))
+        x = random_element(local, K, lim=lim, max_den=9)
+        samples.append(FractionalIdeal.principal(K, x))
+    two_gen = FractionalIdeal.from_generators(
+        K, [K.from_int(2 ** 61 - 1), random_element(local, K, lim=2 ** 70)])
+    samples += [two_gen, samples[1] * samples[4],
+                FractionalIdeal.principal(K, random_element(local, K, lim=2 ** 120))]
+    if d > 1:
+        big = samples[-3] * samples[-4]
+        samples += [big, big * FractionalIdeal.from_rational(K, Fraction(1, 11))]
+    return samples
+
+
+@pytest.mark.parametrize("name", PINNED_FIELDS)
+def test_ideal_inverse_equals_the_solve_based_reference(name):
+    K = get_field(name)
+    local = seeded("test_ideals inverse by back substitution", offset=K.degree)
+    unit = FractionalIdeal.unit(K)
+    samples = _inverse_samples(local, K)
+    if name == "Qm5":
+        # the non-principal primes over 2 and 3, and a power of norm 2^120
+        p2 = FractionalIdeal.from_generators(K, [K.from_int(2), K.element([1, 1])])
+        p3 = FractionalIdeal.from_generators(K, [K.from_int(3), K.element([1, 1])])
+        p2_120 = unit
+        for _ in range(120):
+            p2_120 = p2_120 * p2
+        samples += [p2, p3, p2 * p3 * p3, p2_120,
+                    p2_120 * FractionalIdeal.from_rational(K, Fraction(1, 3))]
+    assert any(a.norm() >= 2 ** 100 for a in samples)
+    assert any(a.is_integral() for a in samples) and any(not a.is_integral() for a in samples)
+    for a in samples:
+        inv = a.inverse()
+        assert inv == solve_based_inverse(a)
+        assert a * inv == unit and inv.inverse() == a
+
+
+def test_an_element_times_an_ideal_is_the_ideals_product():
+    # FieldElement.__mul__ leaves an ideal operand to FractionalIdeal.__rmul__;
+    # x * P once raised TypeError("cannot coerce FractionalIdeal(...)")
+    K = get_field("Qi")
+    P = FractionalIdeal.from_generators(K, [K.from_int(2), K.element([1, 1])])
+    x = K.element([1, 1])
+    assert x * P == P * x == FractionalIdeal.from_rational(K, 2)
+    assert K.element([3, 0], 2) * P == P * K.element([3, 0], 2)
+    with pytest.raises(TypeError):
+        x + P
+    with pytest.raises(TypeError):
+        P + x

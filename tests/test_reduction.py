@@ -97,6 +97,16 @@ def test_normalize_examples():
     assert lb == ub == 2  # unit-norm-bound scaling element
 
 
+def test_normalize_with_scalar_one_returns_the_row():
+    # O_K needs no rescaling: the row comes back equal, as a new list
+    for name in ("Q", "Qi", "cubic"):
+        K = get_field(name)
+        row = [K.element([3] + [1] * (K.degree - 1), 2), K.zero(), K.one()]
+        nrow, nid, scalar = normalize_row(row, FractionalIdeal.unit(K))
+        assert scalar == K.one() and nid.is_unit()
+        assert nrow == row and nrow is not row
+
+
 def test_normalize_fractional_example():
     K = get_field("Qi")
     a = FractionalIdeal.from_generators(K, [K.element([1, 1])]) \

@@ -86,6 +86,33 @@ def test_determinant_takes_no_integer_solve():
                    for node in ast.walk(tree))
 
 
+def test_inverses_and_norms_take_no_general_solve():
+    # element inverses and norms come from Newton's identities on traces of
+    # powers, and an ideal inverse from back substitution against a Hermite
+    # basis: ideals.py imports neither the rational solve nor the
+    # determinant, and NumberField.inv and NumberField.norm name neither
+    banned = {"solve_left", "det_bareiss"}
+    path = os.path.join(SRC, "ideals.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "hnf_with_modulus" in imported
+    assert not imported & banned, sorted(imported & banned)
+    path = os.path.join(SRC, "numberfield.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    methods = {node.name: node for top in tree.body
+               if isinstance(top, ast.ClassDef) and top.name == "NumberField"
+               for node in top.body if isinstance(node, ast.FunctionDef)}
+    for name in ("inv", "norm"):
+        named = {node.id for node in ast.walk(methods[name]) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(methods[name])
+                  if isinstance(node, ast.Attribute)}
+        assert "_char_poly" in named, name
+        assert not named & banned, (name, sorted(named & banned))
+
+
 def test_one_crt_loop_serves_every_determinant():
     # det, rank probing and both determinantal multiples share the witness
     # elimination: determinant.py plans usable primes and lifts coordinates
