@@ -8,13 +8,12 @@ running modulus (a divisor of the supplied multiple of the determinantal
 ideal).  The module itself is preserved exactly, which the tests check
 through the absolute integer Hermite form.
 
-Most Euclidean steps are degenerate: alpha*a already lies in beta*b, most
-often with beta = 1 and b = O_K.  The splitting is then (0, beta^-1) with
-g = beta*b, exactly the values of the general path, so ``euclidean_step``
-returns it without an ideal sum or idempotents.  When moreover beta = 1 and
-the normalization of b is the identity, the row update leaves the pivot
-row and both ideals as they are, and the elimination only subtracts
-alpha times the pivot row from the other row.
+Both normal forms clear a column with one step rule (``_clear_column``):
+a transvection when the pivot absorbs the entry, which keeps both ideals,
+and the Euclidean step of the pair otherwise.  A Euclidean step with
+alpha*a already inside beta*b is degenerate: its splitting is (0, beta^-1)
+with g = beta*b, the values of the general path, which ``euclidean_step``
+returns without an ideal sum or idempotents.
 """
 
 from __future__ import annotations
@@ -151,6 +150,53 @@ def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,
     return g, ginv, gamma, delta
 
 
+def _clear_column(vecs: list, ideals: list, i: int, pos: int, cache, normalize, reduce,
+                  record=None) -> bool:
+    """Clear entry ``pos`` of the pseudo-vectors (vecs[j], ideals[j]), j from
+    i - 1 down to 0, against the pivot vector y = vecs[i]; True when every
+    such entry was zero already.
+
+    A zero pivot entry swaps the pair.  When the pivot absorbs the entry of
+    x = vecs[j], that is x[pos]/y[pos] in a_i a_j^-1, the step is the
+    transvection x - (x[pos]/y[pos])*y: both ideals stay, and only x is
+    reduced.  Otherwise the Euclidean step of (a_i, a_j, y[pos], x[pos])
+    gives (y[pos]*x - x[pos]*y, gamma*y + delta*x) with the ideals
+    (a_i a_j g^-1, g), and both vectors are normalized and reduced.
+    ``normalize(k)`` and ``reduce(k)`` act on vecs[k]; ``record(i)`` runs
+    after each transvection or Euclidean step.
+    """
+    field = ideals[i].field
+    lincomb, one = field.lincomb, field.one()
+    clear = True
+    for j in range(i - 1, -1, -1):
+        x, y = vecs[j], vecs[i]
+        if not x[pos]:
+            continue
+        clear = False
+        if not y[pos]:
+            vecs[i], vecs[j] = x, y
+            ideals[i], ideals[j] = ideals[j], ideals[i]
+            continue
+        lam = field.mul(x[pos], field.inv(y[pos]))
+        if cache.product(ideals[i], cache.inverse(ideals[j])).contains(lam):
+            minus_lam = -lam
+            vecs[j] = [lincomb(one, s, minus_lam, t) for s, t in zip(x, y)]
+            reduce(j)
+        else:
+            g, ginv, gamma, delta = euclidean_step(ideals[i], ideals[j], y[pos], x[pos], cache)
+            piv, minus_other = y[pos], -x[pos]
+            vecs[j] = [lincomb(piv, s, minus_other, t) for s, t in zip(x, y)]
+            vecs[i] = [lincomb(gamma, t, delta, s) for s, t in zip(x, y)]
+            ideals[j] = cache.product(cache.product(ideals[i], ideals[j]), ginv)
+            ideals[i] = g
+            for k in (j, i):
+                normalize(k)
+                reduce(k)
+        if record is not None:
+            record(i)
+    return clear
+
+
 def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
                verify: bool = False, trace: list | None = None) -> PseudoMatrix:
     """Modular pseudo-Hermite normal form of a full-rank pseudo-matrix.
@@ -159,13 +205,14 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
     determinantal ideal give D * O_K^m inside the module, which the
     reductions modulo D * a^-1 need.  Other input, and a non-integral
     ``det_ideal``, raise IdealError before any work.  ``det_ideal`` must be
-    a nonzero multiple of the determinantal ideal of the module.  When it
-    is omitted, square input uses its determinant times the product of the
-    ideals, and tall input a sum of maximal-minor ideals, which is nearly
-    always close to the determinantal ideal itself and far smaller than one
-    witness minor's.  A multiple equal to O_K makes the module O_K^m, and
-    the identity rows, unit ideals and zero trailing rows come back without
-    an elimination.  The output has the triangular block with unit diagonal
+    a nonzero multiple of the determinantal ideal of the module.  On square
+    input that ideal is the determinant times the product of the ideals,
+    and a ``det_ideal`` not inside it raises IdealError too.  When it is
+    omitted, square input uses that product, and tall input a sum of
+    maximal-minor ideals, which is nearly always close to the determinantal
+    ideal itself and far smaller than one witness minor's.  A multiple
+    equal to O_K makes the module O_K^m, and the identity rows, unit ideals
+    and zero trailing rows come back without an elimination.  The output has the triangular block with unit diagonal
     on top, integral coefficient ideals, and represents the same module.
     With ``verify`` the working norm bounds, the output shape and the
     integrality of the output ideals are checked, raising RuntimeError on a
@@ -185,14 +232,19 @@ def pseudo_hnf(pm: PseudoMatrix, det_ideal: FractionalIdeal | None = None,
     if pm.nrows < pm.ncols:
         raise RankDeficiencyError("fewer rows than columns")
     cache = reduction.ReducedBasisCache(field.lattice_context)
-    if det_ideal is None:
+    if det_ideal is None or pm.nrows == pm.ncols:
         # square input: delta * P, the determinant times its rows' ideals,
         # so the moduli det_ideal * a^-1 = delta * (P * a^-1) start their LLL
         # from delta times a reduced basis of the small P * a^-1; tall
         # input: a sum of maximal-minor ideals, with no factor
-        det_ideal, factor = determinant._elimination_multiple(field, pm.rows, pm.ideals, cache)
-        if factor is not None:
-            cache.record_factor(det_ideal, *factor)
+        own, factor = determinant._elimination_multiple(field, pm.rows, pm.ideals, cache)
+        if det_ideal is None:
+            det_ideal = own
+            if factor is not None:
+                cache.record_factor(det_ideal, *factor)
+        elif not det_ideal.is_subset(own):
+            # delta * P of square input is the determinantal ideal itself
+            raise IdealError("det_ideal is not a multiple of the determinantal ideal")
     if det_ideal.is_unit():
         # the module lies in O_K^m, and its determinantal ideal contains
         # O_K: it is O_K^m, whose form is the identity with unit ideals
@@ -233,36 +285,11 @@ def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, cache, verify: bool
         normalize(i)
         reduce(i)
 
-    lincomb, one = field.lincomb, field.one()
+    one = field.one()
     running = det_ideal
     for i in range(n - 1, n - m - 1, -1):
         col = i - (n - m)
-        for j in range(i - 1, -1, -1):
-            if not b[j][col]:
-                continue
-            if not b[i][col]:
-                b[i], b[j] = b[j], b[i]
-                ideals[i], ideals[j] = ideals[j], ideals[i]
-                continue
-            g, ginv, gamma, delta = euclidean_step(ideals[j], ideals[i],
-                                                   b[j][col], b[i][col], cache)
-            minus_piv_j, piv_i = -b[j][col], b[i][col]
-            if not gamma and g is ideals[i] and cache.normalization(g)[:2] == (g, 1):
-                # degenerate step with pivot 1 on a row whose normalization is
-                # the identity: the general update leaves row i and both
-                # ideals as they are, and row i is reduced already
-                b[j] = [lincomb(one, x, minus_piv_j, y) for x, y in zip(b[j], b[i])]
-            else:
-                ideals[j] = cache.product(cache.product(ideals[j], ideals[i]), ginv)
-                ideals[i] = g
-                new_j = [lincomb(piv_i, x, minus_piv_j, y) for x, y in zip(b[j], b[i])]
-                new_i = [lincomb(gamma, x, delta, y) for x, y in zip(b[j], b[i])]
-                b[j], b[i] = new_j, new_i
-                normalize(i)
-                reduce(i)
-            normalize(j)
-            reduce(j)
-            record(i)
+        _clear_column(b, ideals, i, col, cache, normalize, reduce, record)
         piv = b[i][col]
         if not piv:
             # entire column segment vanished (possible when the modulus

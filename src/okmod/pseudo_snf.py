@@ -8,12 +8,13 @@ yet inside the divisor the pivot gives with the modulus) are folded into the
 pivot row before a divisor is finalized, exactly like the classical Smith
 procedure over Z.
 
-The elimination is written once, for columns.  The working state keeps one
-ideal per side, the column ideals a_j and the inverse row ideals b_i^-1 that
-the Euclidean steps act on, and takes their inverses from the per-call memo.
-Mirroring the state (A -> A^T, a_j <-> b_i^-1) turns rows into columns, so
-the row pass and the initial row normalization are the column ones on the
-mirror.
+The pivot steps are those of the pseudo-Hermite form (``_clear_column`` of
+``pseudo_hnf``), run on the rows with their inverse ideals b_i^-1.  The
+working state keeps one ideal per side, the column ideals a_j and the
+inverse row ideals b_i^-1, and takes their inverses from the per-call memo.
+Mirroring the state (A -> A^T, a_j <-> b_i^-1) turns columns into rows, so
+the column pass and the initial column normalization are the row ones on
+the mirror.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from . import determinant, reduction
 from .ideals import FractionalIdeal, IdealError
 from .numberfield import FieldElement, NumberField
-from .pseudo_hnf import euclidean_step
+from .pseudo_hnf import _clear_column
 
 
 class BiPseudoMatrix:
@@ -132,71 +133,36 @@ class SnfState:
             mod_ideal = prod(prod(self.modulus, inv(self.col_ideals[c])), inv(self.row_inv[r]))
             self.a[r][c] = reduction.reduce_mod_ideal(e, mod_ideal, self.cache)
 
-    def normalize_col_pair(self, j: int) -> None:
-        """Normalize (column j, a_j); quotient-preserving by the scaling lemma."""
-        col, self.col_ideals[j], _ = reduction.normalize_row(
-            [row[j] for row in self.a], self.col_ideals[j], self.cache.ctx, self.cache)
-        for row, x in zip(self.a, col):
-            row[j] = x
-
-
-def col_pivot(state: SnfState, i: int) -> bool:
-    """Clear row i left of the pivot by column gcd steps; True when nothing
-    needed elimination.
-
-    When the entry's content ideal already lies inside the pivot's, the
-    Euclidean step is taken with the degenerate splitting (1/pivot, 0), i.e.
-    a plain transvection that leaves column i alone; otherwise the generic
-    two-by-two step strictly grows the pivot's content ideal, which is what
-    makes the surrounding pivot loop terminate.
-    """
-    a = state.a
-    field = state.field
-    lincomb, one = field.lincomb, field.one()
-    ideals = state.col_ideals
-    step_over = True
-    for j in range(i - 1, -1, -1):
-        if not a[i][j]:
-            continue
-        step_over = False
-        if not a[i][i]:
-            # a swap refills column i above the pivot
-            for r in range(state.n):
-                a[r][i], a[r][j] = a[r][j], a[r][i]
-            ideals[i], ideals[j] = ideals[j], ideals[i]
-            continue
-        lam = field.mul(a[i][j], field.inv(a[i][i]))
-        if state.cache.product(ideals[i], state.cache.inverse(ideals[j])).contains(lam):
-            minus_lam = -lam
-            for row in a:
-                row[j] = lincomb(one, row[j], minus_lam, row[i])
-            for k in range(i + 1):
-                state.reduce_entry(k, j)
-            continue
-        g, ginv, gamma, delta = euclidean_step(ideals[i], ideals[j], a[i][i], a[i][j],
-                                               state.cache)
-        piv, minus_other = a[i][i], -a[i][j]
-        for row in a:
-            x, y = row[j], row[i]
-            row[j] = lincomb(piv, x, minus_other, y)
-            row[i] = lincomb(gamma, y, delta, x)
-        ideals[j] = state.cache.product(state.cache.product(ideals[i], ideals[j]), ginv)
-        ideals[i] = g
-        state.normalize_col_pair(j)
-        state.normalize_col_pair(i)
-        for k in range(i + 1):
-            state.reduce_entry(k, j)
-            state.reduce_entry(k, i)
-    return step_over
+    def normalize_row(self, k: int) -> None:
+        """Normalize (row k, b_k^-1); quotient-preserving by the scaling lemma."""
+        self.a[k], self.row_inv[k], _ = reduction.normalize_row(
+            self.a[k], self.row_inv[k], self.cache.ctx, self.cache)
 
 
 def row_pivot(state: SnfState, i: int) -> bool:
-    """Clear column i above the pivot; True when nothing needed elimination.
+    """Clear column i above the pivot by row steps; True when nothing
+    needed elimination.
 
-    This is col_pivot on the mirrored state (see SnfState.transpose).
+    The steps are ``_clear_column`` on the rows and their ideals b_k^-1: a
+    plain transvection when the entry's content already lies inside the
+    pivot's, and otherwise a Euclidean step, which strictly grows the
+    pivot's content ideal and so makes the surrounding pivot loop
+    terminate.
+    """
+    def reduce(k: int) -> None:
+        for c in range(i + 1):
+            state.reduce_entry(k, c)
+
+    return _clear_column(state.a, state.row_inv, i, i, state.cache, state.normalize_row, reduce)
+
+
+def col_pivot(state: SnfState, i: int) -> bool:
+    """Clear row i left of the pivot; True when nothing needed elimination.
+
+    This is row_pivot on the mirrored state (see SnfState.transpose).
     """
     state.transpose()
-    step_over = col_pivot(state, i)
+    step_over = row_pivot(state, i)
     state.transpose()
     return step_over
 
@@ -252,16 +218,21 @@ def pseudo_snf(bp: BiPseudoMatrix, det_ideal: FractionalIdeal | None = None,
     ideals are integral, each contains the one before it, and their product
     is exactly ``det_ideal``.
 
-    One ``ReducedBasisCache`` serves the elimination; a reduced basis or
-    normalization that misses its certified bound (``QualityError``) reruns
-    it once on a context at twice the precision exponent, keeping the ideal
-    memo (``ReducedBasisCache.run``); a second miss propagates.
+    One ``ReducedBasisCache`` serves an omitted ``det_ideal``, whose
+    inverses b_i^-1 the elimination reuses, and the elimination; a reduced
+    basis or normalization that misses its certified bound
+    (``QualityError``) reruns it once on a context at twice the precision
+    exponent, keeping the ideal memo (``ReducedBasisCache.run``); a second
+    miss propagates.
     """
+    cache = reduction.ReducedBasisCache(bp.field.lattice_context)
     if det_ideal is None:
-        det_ideal = quotient_determinantal_ideal(bp)
+        # quotient_determinantal_ideal with the inverses b_i^-1 that the
+        # elimination reads from the memo
+        det_ideal = (determinant.det_times_ideals(bp.field, bp.rows, bp.col_ideals)
+                     * determinant.product_of_ideals([cache.inverse(b) for b in bp.row_ideals]))
     if not det_ideal.is_integral():
         raise IdealError("determinantal ideal of an integral quotient must be integral")
-    cache = reduction.ReducedBasisCache(bp.field.lattice_context)
     chain = cache.run(lambda cache: _eliminate(bp, det_ideal, cache, verify))
     if verify and determinant.product_of_ideals(chain.ideals) != det_ideal:
         raise RuntimeError("verify: divisor product differs from the determinantal ideal")
@@ -274,11 +245,11 @@ def _eliminate(bp: BiPseudoMatrix, det_ideal: FractionalIdeal, cache,
     field = bp.field
     n = bp.n
     state = SnfState(bp, det_ideal, cache)
-    # the columns, then the rows as the columns of the mirror
+    # the columns as the rows of the mirror, then the rows
     for _side in range(2):
-        for j in range(n):
-            state.normalize_col_pair(j)
         state.transpose()
+        for k in range(n):
+            state.normalize_row(k)
     for r in range(n):
         for c in range(n):
             state.reduce_entry(r, c)

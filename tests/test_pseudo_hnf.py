@@ -720,6 +720,87 @@ def test_non_integral_multiple_is_refused(verify, monkeypatch):
         eliminate(pm, half, reduction.ReducedBasisCache(K.lattice_context), True, None)
 
 
+def test_a_wrong_multiple_of_square_input_is_refused():
+    # the rows [2, 0], [1 + i, 3] over Q(i) span a module of determinantal
+    # ideal (6); handed O_K, pseudo_hnf once returned the identity form of
+    # O_K^2, and handed (2) or (3), other modules
+    K = get_field("Qi")
+    u = FractionalIdeal.unit(K)
+    i = K.element([0, 1])
+    pm = PseudoMatrix(K, [[K.from_int(2), K.zero()], [1 + i, K.from_int(3)]], [u, u])
+    for wrong in (u, FractionalIdeal.from_rational(K, 2), FractionalIdeal.from_rational(K, 3)):
+        with pytest.raises(IdealError, match="not a multiple of the determinantal ideal"):
+            pseudo_hnf(pm, wrong)
+    six = FractionalIdeal.from_rational(K, 6)
+    assert module_hnf(pseudo_hnf(pm, six, verify=True)) == module_hnf(pm)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_square_input_takes_exactly_the_multiples_of_its_determinantal_ideal(name):
+    # delta * P of square input is its determinantal ideal: every multiple
+    # of it gives the one canonical form, and an ideal strictly containing
+    # it is refused
+    K = get_field(name)
+    pm = full_rank_pseudo(K, f"test_pseudo_hnf square multiples {name}", n=3, m=3)
+    dd = determinantal_ideal_multiple(pm)
+    expected = dump(canonicalize(pseudo_hnf(pm)))
+    for c in (1, 2, 6):
+        out = pseudo_hnf(pm, dd * FractionalIdeal.from_rational(K, c), verify=True)
+        assert dump(canonicalize(out)) == expected
+    larger = [dd + FractionalIdeal.from_rational(K, p) for p in (2, 3, 5, 7)]
+    larger = [a for a in larger if a != dd]
+    assert larger
+    for a in larger:
+        with pytest.raises(IdealError, match="not a multiple of the determinantal ideal"):
+            pseudo_hnf(pm, a)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_a_non_unit_pivot_absorbing_its_column_takes_transvections(name, monkeypatch):
+    # upper triangular rows whose entries above each pivot d_k are d_k times
+    # elements of the pivot row's ideal: every entry is absorbed by its
+    # pivot, so the elimination clears each column by transvections, and
+    # the only Euclidean steps are the last steps, whose beta is 1
+    K = get_field(name)
+    rng = seeded(f"test_pseudo_hnf transvection under a non-unit pivot {name}")
+    u = FractionalIdeal.unit(K)
+    while True:
+        pivot = random_element(rng, K, 3)
+        if abs(pivot.norm()) > 1:
+            break
+    pivots = [K.from_int(2), pivot, K.from_int(2)]
+    proper = []
+    while len(proper) < 2:
+        a = random_ideal(rng, K)
+        if not a.is_unit():
+            proper.append(a)
+    ideals = [proper[0], u, proper[1]]
+    rows = [[K.zero()] * 3 for _ in range(3)]
+    for k in range(3):
+        rows[k][k] = pivots[k]
+        basis = ideals[k].basis_elements()
+        for j in range(k):
+            c = K.zero()
+            for w in basis:
+                c = c + rng.randint(-4, 4) * w
+            rows[j][k] = pivots[k] * (c or basis[0])
+    pm = PseudoMatrix(K, rows, ideals)
+    module = importlib.import_module("okmod.pseudo_hnf")
+    betas = []
+    real = module.euclidean_step
+
+    def spy(a, b, alpha, beta, cache=None):
+        betas.append(beta)
+        return real(a, b, alpha, beta, cache)
+
+    monkeypatch.setattr(module, "euclidean_step", spy)
+    raw = pseudo_hnf(pm, verify=True)
+    assert betas == [K.one()] * 3
+    assert module_hnf(raw) == module_hnf(pm)
+    assert (dump(canonicalize(raw))
+            == dump(canonicalize(pseudo_hnf(pm, determinantal_ideal_multiple(pm)))))
+
+
 @pytest.mark.parametrize("name", ["Qi", "Qm5", "cubic", "quartic"])
 def test_one_call_inverts_no_ideal_twice(name, monkeypatch):
     # the multiple, the normalizations, the reductions and the Euclidean

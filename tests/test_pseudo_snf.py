@@ -364,6 +364,34 @@ def test_one_call_inverts_no_ideal_twice(name, monkeypatch):
         assert counts and reinverted(counts) == []
 
 
+@pytest.mark.parametrize("name", ["Qm5", "cubic"])
+def test_omitted_det_ideal_inverts_each_row_ideal_once(name, monkeypatch):
+    # without det_ideal, pseudo_snf takes the quotient's determinantal ideal
+    # with the b_i^-1 of its own memo, which the elimination reads too; on
+    # [14 + 4 sqrt-5] with row ideal P = (2, 1 + sqrt-5) it once inverted P
+    # for the determinantal ideal and again for the elimination
+    K = get_field(name)
+    rng = seeded(f"test_pseudo_snf omitted det_ideal {name}")
+    u = FractionalIdeal.unit(K)
+    cases = []
+    if name == "Qm5":
+        p = FractionalIdeal.from_generators(K, [K.from_int(2), K.element([1, 1])])
+        cases.append((p, K.element([14, 4])))
+    while len(cases) < 4:
+        b = random_ideal(rng, K)
+        if not b.is_unit():
+            cases.append((b, b.basis_elements()[-1] * random_element(rng, K, 4)))
+    counts = spy_inversions(monkeypatch)
+    for b, entry in cases:
+        bp = BiPseudoMatrix(K, [[entry]], [b], [u])
+        det_ideal = quotient_determinantal_ideal(bp)
+        counts.clear()
+        chain = pseudo_snf(bp, verify=True)
+        assert counts and reinverted(counts) == []
+        assert chain == pseudo_snf(bp, det_ideal)
+        assert determinant.product_of_ideals(chain.ideals) == det_ideal
+
+
 @pytest.mark.parametrize("verify", [False, True])
 @pytest.mark.parametrize("name", ["Qm5", "cubic"])
 def test_non_integral_det_ideal_refused_up_front(name, verify, monkeypatch):

@@ -217,3 +217,18 @@ def test_one_ideal_memo_per_normal_form_call():
                                                                "inverse")
               if getattr(call.func.value, "id", None) != "cache"]
     assert direct == []
+
+
+def test_one_step_rule_serves_both_normal_forms():
+    # pseudo_hnf._clear_column is the one loop that steps two pseudo-vectors,
+    # by a transvection or a Euclidean step: euclidean_step is called there
+    # and in the last step of the Hermite elimination, and pseudo_snf names
+    # neither euclidean_step nor lincomb, only the loop
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    steps = sorted((module, scope) for path in paths
+                   for module, scope, _ in calls_by_function(path, "euclidean_step"))
+    assert steps == [("pseudo_hnf.py", "_clear_column"), ("pseudo_hnf.py", "_eliminate")]
+    assert "pseudo_snf.py" not in modules_naming(r"\b(euclidean_step|lincomb)\b")
+    loops = sorted((module, scope) for path in paths
+                   for module, scope, _ in calls_by_function(path, "_clear_column"))
+    assert loops == [("pseudo_hnf.py", "_eliminate"), ("pseudo_snf.py", "row_pivot")]
