@@ -69,7 +69,8 @@ class QualityError(RuntimeError):
 class LatticeContext:
     """Precomputed rounded-embedding data for one number field."""
 
-    __slots__ = ("field", "e", "r_e", "ell_sq", "quality_sq", "c_quality", "quality_consts")
+    __slots__ = ("field", "e", "r_e", "ell_sq", "quality_sq", "c_quality", "quality_consts",
+                 "_norm_bound_sq")
 
     def __init__(self, field: NumberField, e: int, r_e: Mat,
                  ell_sq: Fraction, quality_sq: Fraction, c_quality: Fraction):
@@ -81,6 +82,7 @@ class LatticeContext:
         self.c_quality = c_quality
         self.quality_consts = _quality_constants(field.degree, abs(field.disc), e,
                                                  quality_sq, c_quality)
+        self._norm_bound_sq = quality_sq ** (field.degree ** 2) * abs(field.disc)
 
     def t2_bound(self, coeffs, den: int = 1) -> Fraction:
         """Certified upper bound c_quality^2 |x r_e|^2 / (4^e den^2) on
@@ -90,8 +92,7 @@ class LatticeContext:
 
     def norm_bound_sq(self) -> Fraction:
         """Upper bound for N(a)^2 <= bound after normalization: (l^(d^2) sqrt|disc|)^2."""
-        d = self.field.degree
-        return self.quality_sq ** (d * d) * abs(self.field.disc)
+        return self._norm_bound_sq
 
     def __repr__(self) -> str:
         return f"LatticeContext(e={self.e}, ell_sq~{float(self.quality_sq):.6f})"

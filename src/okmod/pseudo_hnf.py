@@ -10,19 +10,22 @@ through the absolute integer Hermite form.
 
 Both normal forms clear a column with one step rule (``_clear_column``):
 a transvection when the pivot absorbs the entry, which keeps both ideals,
-and the Euclidean step of the pair otherwise.  A Euclidean step with
+and the Euclidean step of the pair otherwise, whose splitting is a Bezout
+relation of two ideal norms unless they share a factor.  A step with
 alpha*a already inside beta*b is degenerate: its splitting is (0, beta^-1)
-with g = beta*b, the values of the general path, which ``euclidean_step``
-returns without an ideal sum or idempotents.
+with g = beta*b, the values of the ``idempotents`` fallback, which
+``euclidean_step`` returns without an ideal sum or idempotents.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from . import determinant, reduction
 from .ideals import FractionalIdeal, IdealError, idempotents
 from .numberfield import FieldElement, NumberField
-from .zlinalg import (Mat, RankDeficiencyError, det_bareiss, hnf_with_modulus, mat_mul,
-                      transpose)
+from .zlinalg import (Mat, RankDeficiencyError, det_bareiss, ext_gcd, hnf_with_modulus,
+                      mat_mul, transpose)
 
 
 class PseudoMatrix:
@@ -120,34 +123,51 @@ def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,
                    alpha: FieldElement, beta: FieldElement, cache=None):
     """Ideal gcd with splitting data: g = alpha*a + beta*b, its inverse, and
     gamma in a*g^-1, delta in b*g^-1 with alpha*gamma + beta*delta = 1.
-    The inverse of g and the ideal b*a^-1 come from the memo of ``cache``
-    (default: the field's ``basis_cache``).
+    The inverses of g, alpha and beta and the ideal b*a^-1 come from the
+    memo of ``cache`` (default: the field's ``basis_cache``).
+
+    g is one Hermite form of the rows of alpha*a and beta*b.  A = alpha*a*g^-1
+    and B = beta*b*g^-1 are integral and coprime and contain their norms, so
+    coprime norms split 1 = u N(A) + v N(B) into (u N(A) / alpha,
+    v N(B) / beta); a common factor falls back to ``idempotents(A, B)``.
 
     When alpha*a lies in beta*b, that is alpha/beta in b*a^-1, the step is
     degenerate and returns (beta*b, (beta*b)^-1, 0, beta^-1), with g = b
     itself when beta = 1, and needs no ideal sum and no idempotents.  These
-    are the values of the general path: the canonical alpha*a + beta*b is
-    then beta*b, and ``idempotents(alpha*a*g^-1, O_K)`` reads its first
-    element as the canonical representative of 0 modulo a lattice, which
-    is 0.
+    are the values of the fallback: the canonical alpha*a + beta*b is then
+    beta*b, and ``idempotents(A, O_K)`` reads its first element as the
+    canonical representative of 0 modulo a lattice, which is 0.
     """
     if not alpha or not beta:
         raise ValueError("euclidean step requires nonzero elements")
     field = a.field
     if cache is None:
         cache = field.basis_cache
-    beta_inv = field.inv(beta)
+    beta_inv = cache.element_inverse(beta)
     if cache.product(b, cache.inverse(a)).contains(field.mul(alpha, beta_inv)):
         g = b if beta == 1 else b.elt_mul(beta)
         return g, cache.inverse(g), field.zero(), beta_inv
-    aa = a.elt_mul(alpha)
-    bb = b.elt_mul(beta)
-    g = aa + bb
-    ginv = cache.inverse(g)
-    gamma_t, delta_t = idempotents(aa * ginv, bb * ginv)
-    gamma = field.mul(gamma_t, field.inv(alpha))
-    delta = field.mul(delta_t, beta_inv)
-    return g, ginv, gamma, delta
+    # the rows of alpha*a and beta*b over one denominator, modulo the gcd of
+    # N(den * x) * min for each product, an integer inside it
+    ka, kb = a.den * alpha.den, b.den * beta.den
+    den = ka * kb // gcd(ka, kb)
+    n_alpha, n_beta = abs(field.norm(alpha)), abs(field.norm(beta))
+    rows, lam = [], 0
+    for ideal, x, n_x, s in ((a, alpha, n_alpha, den // ka), (b, beta, n_beta, den // kb)):
+        rows += [[s * c for c in field.coeff_mul(u, x.coeffs)] for u in ideal.num]
+        lam = gcd(lam, s * ideal.num[0][0] * (n_x * x.den ** field.degree).numerator)
+    g = FractionalIdeal.from_row_lattice(field, rows, den, lam)
+    ginv, alpha_inv, norm_g = cache.inverse(g), cache.element_inverse(alpha), g.norm()
+    norm_a, norm_b = n_alpha * a.norm() / norm_g, n_beta * b.norm() / norm_g
+    if norm_a.denominator != 1 or norm_b.denominator != 1:
+        raise IdealError("internal error: alpha*a*g^-1 or beta*b*g^-1 is not integral")
+    h, u, v = ext_gcd(norm_a.numerator, norm_b.numerator)
+    if h == 1:
+        # u N(A) lies in A, and 1 - u N(A) = v N(B) in B
+        return (g, ginv, field.scalar_mul(u * norm_a.numerator, alpha_inv),
+                field.scalar_mul(v * norm_b.numerator, beta_inv))
+    gamma_t, delta_t = idempotents(a.elt_mul(alpha) * ginv, b.elt_mul(beta) * ginv)
+    return g, ginv, field.mul(gamma_t, alpha_inv), field.mul(delta_t, beta_inv)
 
 
 def _clear_column(vecs: list, ideals: list, i: int, pos: int, cache, normalize, reduce,
@@ -177,16 +197,16 @@ def _clear_column(vecs: list, ideals: list, i: int, pos: int, cache, normalize, 
             vecs[i], vecs[j] = x, y
             ideals[i], ideals[j] = ideals[j], ideals[i]
             continue
-        lam = field.mul(x[pos], field.inv(y[pos]))
+        lam = field.mul(x[pos], cache.element_inverse(y[pos]))
         if cache.product(ideals[i], cache.inverse(ideals[j])).contains(lam):
             minus_lam = -lam
-            vecs[j] = [lincomb(one, s, minus_lam, t) for s, t in zip(x, y)]
+            vecs[j] = [lincomb(one, s, minus_lam, t) if s or t else s for s, t in zip(x, y)]
             reduce(j)
         else:
             g, ginv, gamma, delta = euclidean_step(ideals[i], ideals[j], y[pos], x[pos], cache)
             piv, minus_other = y[pos], -x[pos]
-            vecs[j] = [lincomb(piv, s, minus_other, t) for s, t in zip(x, y)]
-            vecs[i] = [lincomb(gamma, t, delta, s) for s, t in zip(x, y)]
+            vecs[j] = [lincomb(piv, s, minus_other, t) if s or t else s for s, t in zip(x, y)]
+            vecs[i] = [lincomb(gamma, t, delta, s) if s or t else s for s, t in zip(x, y)]
             ideals[j] = cache.product(cache.product(ideals[i], ideals[j]), ginv)
             ideals[i] = g
             for k in (j, i):
@@ -277,9 +297,14 @@ def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, cache, verify: bool
         if trace is not None:
             sizes.append(max(ideals[t].minimum() for t in range(stage + 1)))
 
+    def reduced(row: list, modulus: FractionalIdeal) -> list:
+        row = reduction.reduce_row(row, modulus, cache)
+        if verify and not all(reduction.check_reduced_bound(e, modulus, cache.ctx) for e in row):
+            raise RuntimeError("verify: a reduced entry misses the reduction bound")
+        return row
+
     def reduce(idx: int) -> None:
-        modulus = cache.product(det_ideal, cache.inverse(ideals[idx]))
-        b[idx] = [reduction.reduce_mod_ideal(e, modulus, cache) if e else e for e in b[idx]]
+        b[idx] = reduced(b[idx], cache.product(det_ideal, cache.inverse(ideals[idx])))
 
     for i in range(n):
         normalize(i)
@@ -306,8 +331,7 @@ def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, cache, verify: bool
             continue
         g, ginv, gamma, delta = euclidean_step(ideals[i], running, piv, one, cache)
         new_modulus = cache.product(running, ginv)
-        b[i] = [reduction.reduce_mod_ideal(gamma * x, new_modulus, cache) if x else x
-                for x in b[i]]
+        b[i] = reduced([gamma * x if x else x for x in b[i]], new_modulus)
         ideals[i] = g
         b[i][col] = one
         running = new_modulus
@@ -348,13 +372,9 @@ def canonicalize(pm: PseudoMatrix) -> PseudoMatrix:
         inv_r = pm.ideals[r].inverse()
         for j in range(r - 1, -1, -1):
             beta = rows[r][j]
-            mod_ideal = inv_r * pm.ideals[j]
-            basis = [list(t) for t in mod_ideal.num]
-            reduced = reduction.reduce_mod_ideal(beta, mod_ideal, basis=basis,
-                                                 centered=False) if beta else beta
-            minus_lam = reduced - beta if beta else None
+            minus_lam = beta and reduction._canonical_rep(beta, inv_r * pm.ideals[j]) - beta
             if minus_lam:
-                rows[r] = [field.lincomb(one, x, minus_lam, y)
+                rows[r] = [field.lincomb(one, x, minus_lam, y) if y else x
                            for x, y in zip(rows[r], rows[j])]
     ideals = pm.ideals[:m] + [FractionalIdeal.unit(field)] * (n - m)
     return PseudoMatrix(field, rows, ideals, det_ideal=pm.det_ideal)

@@ -5,7 +5,9 @@ ideal's numerator and subtracts the rounded coordinates, which keeps the
 difference inside the ideal by construction.  With an LLL-reduced basis the
 output satisfies the certified trace-form bound; with the Hermite basis and
 floor rounding it is the unique canonical representative of its class, which
-is what the uniqueness pass of the pseudo-Hermite form uses.
+the uniqueness pass of the pseudo-Hermite form takes by back substitution
+(``_canonical_rep``).  ``reduce_row`` reduces a row against one basis and one
+basis inverse; ``reduce_mod_ideal`` is its one-entry case.
 
 ``ReducedBasisCache`` memoizes the ideal arithmetic of one normal-form call, and
 keeps a factor map, ideal -> (eps, Q) with ideal = eps * Q and Q small: the
@@ -47,10 +49,10 @@ class ReducedBasis(list):
 class ReducedBasisCache:
     """Memoizes the ideal arithmetic of one normal-form call, keyed on the
     ideal's (numerator, denominator): reduced numerator bases, inverses,
-    products and the ideal-only part of ``normalize_row``.  ``pseudo_hnf``
-    and ``pseudo_snf`` build one on entry, which serves the multiple, the
-    elimination and the rerun of ``run``, so no ideal is inverted twice in
-    one call and the memo dies with the call.
+    products and the ideal-only part of ``normalize_row``; and the inverses
+    of pivot entries.  ``pseudo_hnf`` and ``pseudo_snf`` build one on entry,
+    which serves the multiple, the elimination and the rerun of ``run``, so
+    no ideal is inverted twice in one call and the memo dies with the call.
 
     It also knows factorizations ideal = eps * Q with Q small: ``pseudo_hnf``
     records its own multiple delta * P of square input, and ``product(a, b)`` with
@@ -70,12 +72,14 @@ class ReducedBasisCache:
         self._products: dict = {}
         self._normalizations: dict = {}
         self._factors: dict = {}
+        self._element_inverses: dict = {}
 
     def run(self, work):
         """``work(self)``; after a ``QualityError``, once more on a context at
         twice the exponent, keeping the exact memos (inverses, products,
-        factors) and dropping the reduced bases and normalizations; a second
-        miss propagates.  It replaces ``ctx``: for per-call caches only."""
+        factors, element inverses) and dropping the reduced bases and
+        normalizations; a second miss propagates.  It replaces ``ctx``: for
+        per-call caches only."""
         try:
             return work(self)
         except lattice.QualityError:
@@ -117,6 +121,13 @@ class ReducedBasisCache:
             inv = self._inverses[key] = ideal.inverse()
         return inv
 
+    def element_inverse(self, x: FieldElement) -> FieldElement:
+        key = (x.coeffs, x.den)
+        inv = self._element_inverses.get(key)
+        if inv is None:
+            inv = self._element_inverses[key] = x.field.inv(x)
+        return inv
+
     def product(self, a: FractionalIdeal, b: FractionalIdeal) -> FractionalIdeal:
         key = (a.num, a.den, b.num, b.den)
         prod = self._products.get(key)
@@ -146,45 +157,62 @@ def reduce_mod_ideal(alpha: FieldElement, a: FractionalIdeal,
     LLL basis and centered (round-half-up) residues the result satisfies the
     trace-form bound d^(3/2) l^(d(d-1)/2) N(a)^(1/d) sqrt|disc|; passing the
     numerator Hermite basis with centered=False yields the canonical
-    positive-box representative instead.
+    positive-box representative instead.  ``reduce_row`` of one entry.
     """
-    field = alpha.field
-    _same_field_element(a.field, alpha)
-    l = a.den
-    k = alpha.den
-    target = [l * c for c in alpha.coeffs]
-    if basis is None:
-        if cache is None:
-            cache = field.basis_cache
-        basis = cache.reduced_basis(a)
-        adj_cols, den = basis.inverse()
+    return reduce_row([alpha], a, cache, basis, centered)[0]
+
+
+def reduce_row(row: list[FieldElement], a: FractionalIdeal,
+               cache: ReducedBasisCache | None = None,
+               basis=None, centered: bool = True) -> list[FieldElement]:
+    """``reduce_mod_ideal`` of each entry of ``row``, zeros kept, with one
+    basis and one basis inverse for the whole row."""
+    field = a.field
+    for alpha in row:
+        _same_field_element(field, alpha)
+    basis = (ReducedBasis(basis) if basis is not None
+             else (field.basis_cache if cache is None else cache).reduced_basis(a))
+    (adj_cols, den), cols, l = basis.inverse(), list(zip(*basis)), a.den
+    out = []
+    for alpha in row:
+        if not alpha:
+            out.append(alpha)
+            continue
+        k = alpha.den
+        target = [l * c for c in alpha.coeffs]
+        # coordinates of alpha in the basis are v / (den * k)
         v = [sum(map(mul, target, col)) for col in adj_cols]
-    else:
-        (v,), den = solve_left(basis, [target])
-    # coordinates of alpha in the basis are v / (den * k)
-    dk = den * k
-    if centered:
-        r = [lattice._round_half_up(x, dk) for x in v]
-    else:
-        r = [x // dk for x in v]
-    new = [t - k * sum(map(mul, r, col)) for t, col in zip(target, zip(*basis))]
-    return _make(field, new, k * l)
+        dk = den * k
+        r = [lattice._round_half_up(x, dk) if centered else x // dk for x in v]
+        new = [t - k * sum(map(mul, r, col)) for t, col in zip(target, cols)]
+        out.append(_make(field, new, k * l))
+    return out
 
 
-def reduction_bound_sq_scaled(a: FractionalIdeal, ctx: lattice.LatticeContext) -> Fraction:
-    """d-th power of the squared reduction bound: compare against ub(|x|^2)^d."""
-    d = ctx.field.degree
-    nrm = a.norm()
-    return (Fraction(d ** 3) ** d * ctx.quality_sq ** (d * d * (d - 1) // 2)
-            * nrm * nrm * Fraction(abs(ctx.field.disc)) ** d)
+def _canonical_rep(alpha: FieldElement, a: FractionalIdeal) -> FieldElement:
+    """``reduce_mod_ideal(alpha, a, basis=num, centered=False)`` for the Hermite
+    numerator ``num`` of ``a``, by back substitution from its last column."""
+    num, l, k = a.num, a.den, alpha.den
+    target = [l * c for c in alpha.coeffs]
+    # w / dk is what target / k leaves after the coordinates right of j
+    w, dk, r = target, k, [0] * len(num)
+    for j in range(len(num) - 1, -1, -1):
+        p = num[j][j]
+        r[j] = w[j] // (dk * p)
+        w, dk = [p * x - w[j] * y for x, y in zip(w[:j], num[j])], dk * p
+    new = [t - k * sum(map(mul, r, col)) for t, col in zip(target, zip(*num))]
+    return _make(alpha.field, new, k * l)
 
 
 def check_reduced_bound(alpha: FieldElement, a: FractionalIdeal,
                         ctx: lattice.LatticeContext) -> bool:
-    """Certified check of the reduction output bound (exact comparison)."""
-    ub = ctx.t2_bound(alpha.coeffs, alpha.den)
+    """Certified check of the reduction output bound: ub(|alpha|^2)^d against
+    the d-th power of the squared bound, compared exactly."""
     d = ctx.field.degree
-    return ub ** d <= reduction_bound_sq_scaled(a, ctx)
+    nrm = a.norm()
+    return ctx.t2_bound(alpha.coeffs, alpha.den) ** d <= (
+        Fraction(d ** 3) ** d * ctx.quality_sq ** (d * d * (d - 1) // 2)
+        * nrm * nrm * Fraction(abs(ctx.field.disc)) ** d)
 
 
 def normalize_row(row: list[FieldElement], a: FractionalIdeal,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -162,8 +163,10 @@ def _element_of(rng, ideal):
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_euclidean_step_matches_the_general_step(name):
-    # the degenerate branch returns exactly what the general path returns,
-    # with and without a memo, on each kind of input
+    # the degenerate branch returns exactly what the ideal sum and
+    # idempotents return; elsewhere gamma and delta are one choice among
+    # many, so the step keeps the reference's g and g^-1 and the splitting
+    # contract, with and without a memo, on each kind of input
     from okmod.reduction import ReducedBasisCache
     rng = seeded("test_pseudo_hnf::test_euclidean_step_matches_the_general_step")
     K = get_field(name)
@@ -186,8 +189,15 @@ def test_euclidean_step_matches_the_general_step(name):
                       random_element(rng, K, max_den=3), beta))
         for kind, a_, b_, alpha, beta_ in cases:
             ref = reference_euclidean_step(a_, b_, alpha, beta_)
-            assert euclidean_step(a_, b_, alpha, beta_) == ref
-            assert euclidean_step(a_, b_, alpha, beta_, cache) == ref
+            for step in (euclidean_step(a_, b_, alpha, beta_),
+                         euclidean_step(a_, b_, alpha, beta_, cache)):
+                if kind == "degenerate":
+                    assert step == ref
+                    continue
+                g, ginv, gamma, delta = step
+                assert (g, ginv) == ref[:2]
+                assert alpha * gamma + beta_ * delta == K.one()
+                assert (a_ * ginv).contains(gamma) and (b_ * ginv).contains(delta)
             kinds[kind] += not ref[2]
     assert kinds["degenerate"] == 4 and kinds["general"] < 4
 
@@ -220,6 +230,93 @@ def test_degenerate_steps_skip_idempotents(monkeypatch):
     out = pseudo_hnf(pm, dd, verify=True)
     assert module_hnf(out) == module_hnf(pm)
     assert 0 < calls["idempotents"] < calls["euclidean_step"]
+
+
+def test_idempotents_run_only_on_a_common_factor_of_the_norms(monkeypatch):
+    # A = alpha*a*g^-1 and B = beta*b*g^-1 contain their norms; coprime
+    # norms give the splitting by a Bezout relation, and only a common
+    # factor calls idempotents.  Over Q(sqrt-5), 3 = P3 P3' with A = P3 and
+    # B = P3' of norm 3 each for alpha = beta = 1.
+    ph = importlib.import_module("okmod.pseudo_hnf")  # the name is also a function
+    K = get_field("Qm5")
+    calls = []
+    real = ph.idempotents
+    monkeypatch.setattr(ph, "idempotents", lambda a, b: calls.append((a, b)) or real(a, b))
+    one, three = K.one(), K.from_int(3)
+    p3 = FractionalIdeal.from_generators(K, [three, K.element([1, 1])])
+    p3c = FractionalIdeal.from_generators(K, [three, K.element([1, -1])])
+    assert p3 != p3c and p3 * p3c == FractionalIdeal.from_rational(K, 3)
+    g, ginv, gamma, delta = euclidean_step(p3, p3c, one, one)
+    assert g.is_unit() and calls == [(p3, p3c)]
+    assert gamma + delta == one and p3.contains(gamma) and p3c.contains(delta)
+    rng = seeded("test_pseudo_hnf::test_idempotents_run_only_on_a_common_factor_of_the_norms")
+    coprime = 0
+    for _ in range(20):
+        a, b = (random_ideal(rng, K, fractional=True) for _ in range(2))
+        x, y = (random_element(rng, K, max_den=3) for _ in range(2))
+        g = a.elt_mul(x) + b.elt_mul(y)
+        ginv = g.inverse()
+        norms = [(a.elt_mul(x) * ginv).norm(), (b.elt_mul(y) * ginv).norm()]
+        assert all(n.denominator == 1 for n in norms)
+        calls.clear()
+        g_, _, gamma, delta = euclidean_step(a, b, x, y)
+        assert g_ == g and x * gamma + y * delta == one
+        common = gcd(*(n.numerator for n in norms)) != 1
+        assert len(calls) == common
+        coprime += not common
+    assert coprime >= 10
+
+
+def test_a_step_inverts_its_pivot_entry_once(monkeypatch):
+    # the transvection test and the Euclidean step share the pivot entry's
+    # inverse through the call's memo
+    ph = importlib.import_module("okmod.pseudo_hnf")
+    K = get_field("Qm5")
+    u = FractionalIdeal.unit(K)
+    y0, x0 = K.element([2, 1]), K.element([3, 1])   # neither quotient is integral
+    vecs = [[x0, K.one()], [y0, K.zero()]]
+    ideals = [u, u]
+    inverted = []
+    real = type(K).inv
+    monkeypatch.setattr(type(K), "inv", lambda self, a: inverted.append(a) or real(self, a))
+    cache = reduction.ReducedBasisCache(K.lattice_context)
+    ph._clear_column(vecs, ideals, 1, 0, cache, lambda k: None, lambda k: None)
+    assert not vecs[0][0] and vecs[1][0]
+    assert inverted.count(y0) == 1
+
+
+def _full_rank(rng, K, n, m):
+    while True:
+        pm = random_pseudo(rng, K, n, m)
+        try:
+            determinantal_ideal_multiple(pm)
+        except RankDeficiencyError:
+            continue
+        return pm
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_verify_checks_every_reduced_entry_against_the_bound(name):
+    rng = seeded("test_pseudo_hnf::test_verify_checks_every_reduced_entry_against_the_bound")
+    K = get_field(name)
+    for n, m in ((3, 3), (4, 2)):
+        pm = _full_rank(rng, K, n, m)
+        out = pseudo_hnf(pm, verify=True)
+        assert module_hnf(out) == module_hnf(pm)
+
+
+def test_verify_catches_a_reduction_that_skips_the_rounding(monkeypatch):
+    K = get_field("Qm5")
+    u = FractionalIdeal.unit(K)
+    big = 2 * 10 ** 6
+    rows = [[K.from_int(2), K.zero()], [K.zero(), K.from_int(2)],
+            [K.from_int(big), K.from_int(big + 2)]]
+    pm = PseudoMatrix(K, rows, [u] * 3)
+    good = pseudo_hnf(pm, verify=True)
+    assert module_hnf(good) == module_hnf(pm)
+    monkeypatch.setattr(reduction, "reduce_row", lambda row, a, cache=None: list(row))
+    with pytest.raises(RuntimeError, match="reduction bound"):
+        pseudo_hnf(pm, verify=True)
 
 
 # -- pseudo-HNF -------------------------------------------------------------

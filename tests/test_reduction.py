@@ -6,7 +6,7 @@ import pytest
 
 from okmod import (FractionalIdeal, ReducedBasisCache, build_context, normalize_row,
                    reduce_mod_ideal)
-from okmod.reduction import check_reduced_bound
+from okmod.reduction import _canonical_rep, check_reduced_bound, reduce_row
 from okmod.zlinalg import det_bareiss
 
 from conftest import (ALL_FIELDS, echelon_hnf_upper, get_field, norm_sq_bounds, random_element,
@@ -230,6 +230,50 @@ def test_cached_reduction_matches_fraction_solve(field):
     # the inverse's denominator is kept positive whatever the basis orientation
     if field.degree > 1:
         assert signs == {True, False}
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_row_kernel_matches_per_entry_reduction(name):
+    # one basis lookup per row gives what one reduction per entry gives,
+    # zeros included, and both agree with the rational solve
+    K = get_field(name)
+    rrng = seeded("test_reduction row kernel", 2)
+    cache = ReducedBasisCache(K.lattice_context)
+    for _ in range(6):
+        a = random_ideal(rrng, K, fractional=True)
+        row = [random_element(rrng, K, lim=500, max_den=9) if rrng.random() < 0.8 else K.zero()
+               for _ in range(4)]
+        basis = cache.reduced_basis(a)
+        out = reduce_row(row, a, cache)
+        assert out == [reduce_mod_ideal(x, a, cache) for x in row]
+        assert out == [fraction_reduce(x, a, basis, True) if x else x for x in row]
+        hermite = [list(r) for r in a.num]
+        assert (reduce_row(row, a, basis=hermite, centered=False)
+                == [fraction_reduce(x, a, hermite, False) if x else x for x in row])
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_canonical_representative_matches_the_solve_left_path(name):
+    # back substitution against the Hermite numerator floors the same
+    # coordinates as the general solve with that basis
+    K = get_field(name)
+    rrng = seeded("test_reduction canonical rep", 3)
+    for _ in range(12):
+        a = random_ideal(rrng, K, fractional=True)
+        x = random_element(rrng, K, lim=500, max_den=9)
+        hermite = [list(r) for r in a.num]
+        want = reduce_mod_ideal(x, a, basis=hermite, centered=False)
+        assert _canonical_rep(x, a) == want == fraction_reduce(x, a, hermite, False)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_norm_bound_is_computed_once_per_context(name):
+    K = get_field(name)
+    d = K.degree
+    for ctx in (K.lattice_context, build_context(K, 2 * K.lattice_context.e)):
+        bound = ctx.norm_bound_sq()
+        assert bound == ctx.quality_sq ** (d * d) * abs(K.disc)
+        assert ctx.norm_bound_sq() is bound
 
 
 # -- the per-call memo ------------------------------------------------------------
