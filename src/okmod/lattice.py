@@ -10,10 +10,13 @@ basis is checked against the first-vector and product bounds, with the
 rounding-quality constant already absorbed into the stored reduction
 parameter.
 
-The construction runs on integers.  The values of the basis elements at the
-roots come from one power table per root (``numeric.basis_values``); the
-Gram centers and radii are sums over one common denominator each; the
-Cholesky factor takes the centers as the integers floor(G 4^(2 prec)); and
+The construction runs on integers.  The roots are those the field solved
+once, at the precision ``gram_precision`` names, and the values of the
+basis elements at them are those of the field constants C1 and C2
+(``NumberField.root_values``); the Gram centers and radii are sums over one
+common denominator each; the Cholesky factor maps the integers
+floor(G 4^(2 prec)) to the integers L 2^(2 prec), and r_e, its rounding,
+is lower triangular, so det(r_e) is the product of the diagonal; and
 c_quality is formed on integer pairs.  Each rounded bound gets its argument
 reduced once, so every quantity is that of the exact rationals.
 
@@ -47,10 +50,9 @@ basis of Q this way.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from operator import mul
 
-from . import numeric
 from .ideals import IdealError
 from .numeric import (Ball, _lowest, _nth_root_ub, _over_lcm, _sqrt_lb, _sqrt_ub, _up,
                       frac_nth_root_ub, frac_up)
@@ -102,6 +104,13 @@ def default_precision_exponent(field: NumberField) -> int:
     return 2 * (field.degree + abs(field.disc).bit_length()) + 64
 
 
+def gram_precision(field: NumberField, e: int | None = None) -> int:
+    """The root precision that the Gram enclosure at exponent e (by default
+    ``default_precision_exponent``) asks first; ``NumberField.roots`` solves
+    at least at the default one."""
+    return (default_precision_exponent(field) if e is None else e) + 64
+
+
 def build_context(field: NumberField, e: int | None = None) -> LatticeContext:
     """Certified Gram enclosure, fixed-point Cholesky, integer rounding at scale 2^e.
 
@@ -127,7 +136,7 @@ def build_context(field: NumberField, e: int | None = None) -> LatticeContext:
 
 def _try_build(field: NumberField, e: int):
     d = field.degree
-    prec = e + 64
+    prec = gram_precision(field, e)
     while True:
         gram = _gram_balls(field, prec)
         # r + |im| < 2^-(e+2) on every entry
@@ -138,9 +147,10 @@ def _try_build(field: NumberField, e: int):
     # the factor at 2 prec fractional bits: the centers go in as the integers
     # floor(G 4^(2 prec)), so the factor comes out as the integers L 2^(2 prec)
     fbits = 2 * prec
-    low = _cholesky([[(b.x << 2 * fbits) // b.q for b in row] for row in gram], 0)
-    r_e = [[_round_half_up(x.numerator << e, 1 << fbits) for x in row] for row in low]
-    det_re = abs(det_bareiss(r_e))
+    low = _cholesky([[(b.x << 2 * fbits) // b.q for b in row] for row in gram])
+    r_e = [[_round_half_up(x << e, 1 << fbits) for x in row] for row in low]
+    # r_e is lower triangular with a nonnegative diagonal
+    det_re = prod(r_e[i][i] for i in range(d))
     if det_re == 0:
         return None, None
     # |Delta_ik| <= |4^e center_ik - M_ik| + 4^e r_ik on the real parts of
@@ -168,8 +178,8 @@ def _try_build(field: NumberField, e: int):
 def _gram_balls(field: NumberField, prec: int) -> list[list[Ball]]:
     """Enclosures of the Hermitian Gram entries sum_j w_i(z_j) conj(w_k(z_j)).
 
-    The values w_i(z_j) come from one power table per root
-    (``numeric.basis_values``).  The centers are exact integer sums over one
+    The values w_i(z_j) are those C1 and C2 were computed from, one power
+    table per root (``NumberField.root_values``).  The centers are exact integer sums over one
     common denominator; the radius sum_j |v_ij| r_kj + |v_kj| r_ij + r_ij
     r_kj, with |v| the ``Ball.center_abs_ub`` bound on the modulus of a
     center, is summed on integers over one denominator, reduced and rounded
@@ -177,8 +187,7 @@ def _gram_balls(field: NumberField, prec: int) -> list[list[Ball]]:
     not matter.
     """
     d = field.degree
-    vals = [b for row in numeric.basis_values(field.basis_num, field.basis_den,
-                                              field.roots(prec)) for b in row]
+    vals = [b for row in field.root_values(prec) for b in row]
     # entry (i, j), the value of w_i at root j, sits at index i*d + j
     nums, den = _over_lcm([(x, b.q) for b in vals for x in (b.x, b.y)])
     mods, m_den = _over_lcm([b.center_abs_ub() for b in vals])
@@ -200,20 +209,19 @@ def _gram_balls(field: NumberField, prec: int) -> list[list[Ball]]:
     return gram
 
 
-def _cholesky(centers: list[list[Fraction]], prec: int) -> list[list[Fraction]]:
-    """Lower Cholesky factor L of a positive definite matrix G, in fixed
-    point with ``prec`` fractional bits: on the integers G 4^prec (floored)
-    and L 2^prec, each L_jj is the ``isqrt`` of G_jj - sum_k L_jk^2 and each
-    L_ij the floor of (G_ij - sum_k L_ik L_jk) / L_jj."""
-    d = len(centers)
-    g = [[(x.numerator << 2 * prec) // x.denominator for x in row] for row in centers]
+def _cholesky(g: Mat) -> Mat:
+    """Lower Cholesky factor L of a positive definite matrix G in fixed
+    point with p fractional bits: from the integers g = floor(G 4^p), the
+    integers L 2^p, each L_jj the ``isqrt`` of g_jj - sum_k L_jk^2 and each
+    L_ij the floor of (g_ij - sum_k L_ik L_jk) / L_jj."""
+    d = len(g)
     low = [[0] * d for _ in range(d)]
     for j in range(d):
         lj = low[j]
         lj[j] = isqrt(g[j][j] - sum(x * x for x in lj[:j]))
         for i in range(j + 1, d):
             low[i][j] = (g[i][j] - sum(a * b for a, b in zip(low[i][:j], lj))) // lj[j]
-    return [[Fraction(x, 1 << prec) for x in row] for row in low]
+    return low
 
 
 def _round_half_up(num: int, den: int) -> int:

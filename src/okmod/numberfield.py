@@ -259,6 +259,7 @@ class NumberField:
         self.__dict__.update(data)
         self._roots: list[Ball] | None = None
         self._root_prec = 0
+        self._root_values: tuple | None = None
         self._residue_systems: dict[int, object] = {}
         # plan primes not dividing disc(f), in decreasing order: the table
         # primes below 2^126, then primes below 2^62; extended on demand by
@@ -356,7 +357,10 @@ class NumberField:
 
     def norm(self, a: FieldElement) -> Fraction:
         """N(a) = e_d / den^d, e_d the constant term of the characteristic
-        polynomial of den * a up to the sign (-1)^d."""
+        polynomial of den * a up to the sign (-1)^d; (c/q)^d for a rational
+        c/q."""
+        if not any(a.coeffs[1:]):
+            return Fraction(a.coeffs[0] ** self.degree, a.den ** self.degree)
         return Fraction(_char_poly(self, a.coeffs)[1][-1], a.den ** self.degree)
 
     def trace(self, a: FieldElement) -> Fraction:
@@ -380,33 +384,39 @@ class NumberField:
         """Certified disjoint enclosures of the roots of the defining
         polynomial, every radius below 2^-want with want >= min_prec.
 
-        Each solve runs at 32 guard bits above want, so the disks certify at
-        once: the first call solves from scratch, and the cache keeps the
-        largest p with every radius below 2^-p.  A request above it refines
-        the cached enclosures by the same Durand-Kerner iteration, started
-        from their centers; if that fails its
-        certificate the plain solve takes over at the same precision, and a
-        plain solve whose disks are still too wide doubles the precision.
+        want is at least the precision that the Gram enclosure of the
+        default lattice context asks (``lattice.gram_precision``), so the
+        first call solves once for C1, C2 and the Gram matrix alike.  Each
+        solve runs from scratch at 32 guard bits above want, so the disks
+        certify at once, and doubles the precision if they are still too
+        wide; the cache keeps the largest p with every radius below 2^-p, and
+        a request above it solves again.
         """
-        want = max(min_prec, 64 + 4 * max(abs(c) for c in self.poly).bit_length())
+        from .lattice import gram_precision
+        want = max(min_prec, gram_precision(self))
         if self._roots is None or self._root_prec < want:
-            start = self._roots
             prec = want + 32
             while True:
-                balls = numeric.certified_roots(list(self.poly), prec, start)
+                balls = numeric.certified_roots(list(self.poly), prec)
                 if balls is not None and all(b.rn << want < b.rd for b in balls):
-                    # r < 2^-p  <=>  2^p <= (den - 1) // num; exact roots never
-                    # need refining
+                    # r < 2^-p  <=>  2^p <= (den - 1) // num; exact roots are
+                    # good at every precision
                     self._roots = balls
                     self._root_prec = min(
                         (((b.rd - 1) // b.rn).bit_length() - 1 for b in balls if b.rn),
                         default=float("inf"))
                     break
-                if start is not None:
-                    start = None
-                else:
-                    prec *= 2
+                prec *= 2
         return self._roots
+
+    def root_values(self, min_prec: int = 0) -> list[list[Ball]]:
+        """vals[i][j], the enclosure of basis element i at root j of
+        ``roots(min_prec)`` (``numeric.basis_values``), kept with those
+        roots: C1, C2 and the Gram enclosure share one evaluation."""
+        roots = self.roots(min_prec)
+        if self._root_values is None or self._root_values[0] is not roots:
+            self._root_values = roots, numeric.basis_values(self.basis_num, self.basis_den, roots)
+        return self._root_values[1]
 
     @cached_property
     def growth_constant(self) -> Fraction:
@@ -547,10 +557,10 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
         index=index,
         struct_bound=max(abs(x) for row in struct_t for s in row for x in s),
     )
-    # C1^2 and C2 from one set of enclosures of the basis elements at the
-    # cached roots (one power table per root), valid however wide they are
-    vals = numeric.basis_values(field.basis_num, scale, field.roots())
-    field.embed_bound_sq, field.coeff_bound = _conversion_constants(vals, trace_inv_num, trace_den)
+    # C1^2 and C2 from the enclosures of the basis elements at the roots that
+    # the Gram enclosure reads too
+    field.embed_bound_sq, field.coeff_bound = _conversion_constants(
+        field.root_values(), trace_inv_num, trace_den)
     return field
 
 

@@ -12,35 +12,30 @@ classical bound
 valid for any x with f'(x) != 0, which makes the disks rigorous; pairwise
 disjointness then pins one root per disk.  One Durand-Kerner iteration on
 Gaussian integers scaled by 2^prec (``_weierstrass``) finds every center:
-the first solve runs it at 64 bits from the classical start points (once
-more from those points scaled past a bound on the roots if that run does
-not settle) and then at the requested precision, and a request for more
-precision runs it from the cached centers instead of solving again.  The
-refined centers pass the same certificate (the disks above and their
-pairwise disjointness), and each refined disk must lie inside the disk it
-started from, so it encloses the same root.
+each solve runs it at 64 bits from the classical start points (once more
+from those points scaled past a bound on the roots if that run does not
+settle) and then at the requested precision.  The certificate evaluates f
+and f' at the centers by the iteration's own Horner rule (``_value_at``),
+so the whole solve runs on integers.
 
-Everything after the iteration runs on integers.  The roots of one solve
-share one denominator.  A polynomial is evaluated at a root through that
-root's power table (``_power_table``): the powers z^t of the center over
-one denominator, and the weights r t zub^(t-1) of its derivative radius, so
-the value of each basis element (``basis_values``) is one integer dot
-product per part.  Inequalities are compared over one common denominator.
-A value is reduced to lowest terms only where a rounded bound is taken
-(``frac_up``, ``frac_sqrt_ub``, ``frac_sqrt_lb``, ``frac_nth_root_ub``),
-because those bounds depend on the representation of their argument; the
-integer-pair forms ``_up``, ``_sqrt_ub``, ``_sqrt_lb`` and ``_nth_root_ub``
-take the pair ``_lowest`` reduced, so every bound is that of the exact
-value, as the Fraction forms compute it.
+The roots of one solve share the denominator 2^prec.  A polynomial is
+evaluated at a root through that root's power table (``_power_table``): the
+powers z^t of the center over one denominator, and the weights r t
+zub^(t-1) of its derivative radius, so the value of each basis element
+(``basis_values``) is one integer dot product per part.  Inequalities are
+compared over one common denominator.  A value is reduced to lowest terms
+only where a rounded bound is taken (``frac_up``, ``frac_sqrt_ub``,
+``frac_sqrt_lb``, ``frac_nth_root_ub``), because those bounds depend on the
+representation of their argument; the integer-pair forms ``_up``,
+``_sqrt_ub``, ``_sqrt_lb`` and ``_nth_root_ub`` take the pair ``_lowest``
+reduced, so every bound is that of the exact value, as the Fraction forms
+compute it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
-
-Complex = tuple[Fraction, Fraction]
 
 
 def _lowest(n: int, d: int) -> tuple[int, int]:
@@ -225,61 +220,47 @@ def _over_lcm(pairs) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def over_common_denominator(values) -> tuple[list[int], int]:
-    """(nums, den): the numerators of the rationals ``values`` over their
-    least common denominator, so that ``values[i] == nums[i] / den``."""
-    return _over_lcm([(x.numerator, x.denominator) for x in values])
+def _scaled_coeffs(int_coeffs: list[int], prec: int) -> list[int]:
+    """The coefficients of f, leading first, that of x^(n-t) times 2^(t prec),
+    for ``_value_at`` at scale 2^prec."""
+    return [c << t * prec for t, c in enumerate(reversed(int_coeffs))]
 
 
-def _horner(nums: list[int], z: Complex) -> tuple[int, int, int]:
-    """(re, im, den) with sum_i nums[i] z^i = (re + i*im) / den, by Horner's
-    rule on integers: with z = x / q the loop accumulates
-    sum_i nums[i] x^i q^(n-1-i), so den = q^(n-1)."""
-    if not nums:
-        return 0, 0, 1
-    x, y = z
-    q = lcm(x.denominator, y.denominator)
-    xr, xi = x.numerator * (q // x.denominator), y.numerator * (q // y.denominator)
-    re, im = nums[-1], 0
-    qpow = 1
-    for c in reversed(nums[:-1]):
-        qpow *= q
-        re, im = re * xr - im * xi + c * qpow, re * xi + im * xr
-    return re, im, qpow
+def _value_at(scaled: list[int], xr: int, xi: int) -> tuple[int, int]:
+    """(re, im) with f(z) 2^(n prec) = re + i im at z = (xr + i xi) / 2^prec,
+    by Horner's rule on the ``_scaled_coeffs`` of f, which keep every step
+    on Gaussian integers."""
+    fr = fi = 0
+    for c in scaled:
+        fr, fi = fr * xr - fi * xi + c, fr * xi + fi * xr
+    return fr, fi
 
 
-def _abs_sq_at(int_coeffs: list[int], z: Complex) -> tuple[int, int]:
-    """|p(z)|^2 for integer coefficients, in lowest terms as an integer pair."""
-    re, im, den = _horner(int_coeffs, z)
-    return _lowest(re * re + im * im, den * den)
-
-
-def _weierstrass(int_coeffs: list[int], pts: list[Complex], prec: int,
-                 sweeps: int) -> list[Complex] | None:
+def _weierstrass(int_coeffs: list[int], pts: list[Ball], prec: int,
+                 sweeps: int) -> list[Ball] | None:
     """Durand-Kerner (Weierstrass) iteration on Gaussian integers at scale
-    2^prec, from the points ``pts``, one per root.
+    2^prec, from the centers of ``pts``, one per root, each floored to that
+    scale.
 
     Each sweep replaces z_i, in place, by z_i - f(z_i) / (a_n prod_(j!=i)
     (z_i - z_j)).  With z_i = x_i / 2^prec the numerator f(z_i) 2^(n prec) is
-    exact Horner on integers and the denominator is exact too, so one floor
-    division per coordinate is the only rounding.  Stops after the first
-    sweep whose steps are all below 2^-(prec/2) relative to the root
-    (|z| if |z| > 1, else 1), after which the next step would be lost in
-    rounding; None if that never happens within ``sweeps`` or two points
+    exact Horner on integers (``_value_at``) and the denominator is exact
+    too, so one floor division per coordinate is the only rounding.  Stops
+    after the first sweep whose steps are all below 2^-(prec/2) relative to
+    the root (|z| if |z| > 1, else 1), after which the next step would be
+    lost in rounding, and returns the points as balls of radius 0 at scale
+    2^prec; None if that never happens within ``sweeps`` or two points
     coincide.
     """
     lead = int_coeffs[-1]
-    rest = [c << t * prec for t, c in enumerate(reversed(int_coeffs[:-1]), 1)]
+    scaled = _scaled_coeffs(int_coeffs, prec)
     one_sq = 1 << 2 * prec
     tol = 2 * (prec // 2)
-    zs = [((x.numerator << prec) // x.denominator, (y.numerator << prec) // y.denominator)
-          for x, y in pts]
+    zs = [((b.x << prec) // b.q, (b.y << prec) // b.q) for b in pts]
     for _ in range(sweeps):
         settled = True
         for i, (xr, xi) in enumerate(zs):
-            fr, fi = lead, 0
-            for c in rest:
-                fr, fi = fr * xr - fi * xi + c, fr * xi + fi * xr
+            fr, fi = _value_at(scaled, xr, xi)
             dr, di = lead, 0
             for j, (yr, yi) in enumerate(zs):
                 if j != i:
@@ -293,19 +274,19 @@ def _weierstrass(int_coeffs: list[int], pts: list[Complex], prec: int,
             if (sr * sr + si * si) << tol > max(one_sq, xr * xr + xi * xi):
                 settled = False
         if settled:
-            den = 1 << prec
-            return [(Fraction(x, den), Fraction(y, den)) for x, y in zs]
+            return [Ball(x, y, 1 << prec) for x, y in zs]
     return None
 
 
-@lru_cache(maxsize=None)
-def _start_points(deg: int) -> tuple[Complex, ...]:
-    """The classical start points (0.4+0.9i)^k, k < deg, as exact rationals."""
-    return tuple((Fraction(w.real), Fraction(w.imag)) for w in ((0.4 + 0.9j) ** k
-                                                              for k in range(deg)))
+def _start_points(deg: int) -> list[Ball]:
+    """The classical start points (0.4+0.9i)^k, k < deg, as exact dyadic
+    balls (the float parts have power-of-two denominators)."""
+    pts = (_over_lcm([w.real.as_integer_ratio(), w.imag.as_integer_ratio()])
+           for w in ((0.4 + 0.9j) ** k for k in range(deg)))
+    return [Ball(x, y, q) for (x, y), q in pts]
 
 
-def _outer_points(int_coeffs: list[int], pts) -> list[Complex]:
+def _outer_points(int_coeffs: list[int], pts) -> list[Ball]:
     """The points ``pts`` times 2^s, with every root of the polynomial below
     2^s in modulus: Fujiwara's bound 2 max_k |a_(n-k) / a_n|^(1/k), each
     ratio below 2^(bitlen(a_(n-k)) - bitlen(a_n) + 1), rounded up to a power
@@ -313,25 +294,23 @@ def _outer_points(int_coeffs: list[int], pts) -> list[Complex]:
     lead = int_coeffs[-1].bit_length()
     s = max([0] + [1 - (-(c.bit_length() - lead + 1) // k)
                    for k, c in enumerate(reversed(int_coeffs[:-1]), 1) if c])
-    return [(x * (1 << s), y * (1 << s)) for x, y in pts]
+    return [Ball(b.x << s, b.y << s, b.q) for b in pts]
 
 
-def certified_roots(int_coeffs: list[int], prec: int,
-                    start: list[Ball] | None = None) -> list[Ball] | None:
+def certified_roots(int_coeffs: list[int], prec: int) -> list[Ball] | None:
     """Disjoint certified root enclosures of a squarefree integer polynomial.
 
     ``int_coeffs`` is little-endian (constant first) with nonzero leading
-    coefficient.  Without ``start`` the roots are solved from scratch by
-    ``_weierstrass``: a 64-bit run from the points (0.4+0.9i)^k (if it does
-    not settle, once more from those points scaled past every root by
-    ``_outer_points``), then a run at ``prec`` bits from
-    its result; with ``start`` (certified enclosures, one per root) the same
-    iteration refines their centers at ``prec`` bits, and each new disk must
-    lie inside its start disk.  Returns None when the iteration did not
-    settle, the precision was insufficient to separate the disks or the
-    refinement failed its certificate; the caller retries with a plain solve
-    or more precision.  The centers share one denominator.  The disks come in
-    the order of the points; callers use only sums and maxima over the roots.
+    coefficient.  The roots are solved from scratch by ``_weierstrass``: a
+    64-bit run from the points (0.4+0.9i)^k (if it does not settle, once
+    more from those points scaled past every root by ``_outer_points``),
+    then a run at ``prec`` bits from its result.  Each center z at scale
+    2^prec gets the radius deg |f(z)| / |f'(z)|, with f and f' evaluated by
+    the iteration's own Horner rule (``_value_at``).  Returns None when the
+    iteration did not settle or the precision was insufficient to separate
+    the disks; the caller retries with more precision.  The centers share the
+    denominator 2^prec.  The disks come in the order of the points; callers
+    use only sums and maxima over the roots.
     """
     deg = len(int_coeffs) - 1
     if deg == 0:
@@ -339,44 +318,34 @@ def certified_roots(int_coeffs: list[int], prec: int,
     if deg == 1:
         c0, c1 = int_coeffs
         return [Ball(-c0, 0, c1) if c1 > 0 else Ball(c0, 0, -c1)]
-    if start is None:
-        pts = _start_points(deg)
-        pts = (_weierstrass(int_coeffs, pts, 64, 100 + 64)
-               or _weierstrass(int_coeffs, _outer_points(int_coeffs, pts), 64, 100 + 64)
-               or pts)
-        centers = _weierstrass(int_coeffs, pts, prec, 100 + prec)
-    else:
-        centers = _weierstrass(int_coeffs, [(b.re, b.im) for b in start], prec,
-                               prec.bit_length() + 8)
-    if centers is None:
+    pts = _start_points(deg)
+    pts = (_weierstrass(int_coeffs, pts, 64, 100 + 64)
+           or _weierstrass(int_coeffs, _outer_points(int_coeffs, pts), 64, 100 + 64)
+           or pts)
+    balls = _weierstrass(int_coeffs, pts, prec, 100 + prec)
+    if balls is None:
         return None
-    fp = [i * c for i, c in enumerate(int_coeffs)][1:]
-    radii = []
-    for z in centers:
-        fpz = _abs_sq_at(fp, z)
-        if fpz[0] == 0:
+    # |f(z)|^2 = (fr^2 + fi^2) / 4^(deg prec), |f'(z)|^2 = (gr^2 + gi^2) / 4^((deg-1) prec)
+    f = _scaled_coeffs(int_coeffs, prec)
+    fp = _scaled_coeffs([i * c for i, c in enumerate(int_coeffs)][1:], prec)
+    for b in balls:
+        gr, gi = _value_at(fp, b.x, b.y)
+        if not (gr or gi):
             return None
-        ub, ub_den = _sqrt_ub(*_abs_sq_at(int_coeffs, z))
-        lb, lb_den = _sqrt_lb(*fpz)
-        radii.append(_up(*_lowest(deg * ub * lb_den, ub_den * lb)))
-    nums, q = over_common_denominator([x for z in centers for x in z])
-    balls = [Ball(nums[2 * i], nums[2 * i + 1], q, rn, rd) for i, (rn, rd) in enumerate(radii)]
-    # the disjointness and containment tests on integers over one denominator:
-    # disk i has center (nums[2i], nums[2i+1]) and radius nums[2m+i]
-    disks = balls + (start or [])
-    m = len(disks)
-    nums, den = _over_lcm([(v, b.q) for b in disks for v in (b.x, b.y)]
-                          + [(b.rn, b.rd) for b in disks])
-    circles = [(nums[2 * i], nums[2 * i + 1], nums[2 * m + i]) for i in range(m)]
-    for i, (xi, yi, ri) in enumerate(circles[:deg]):
-        for xj, yj, rj in circles[i + 1:deg]:
+        fr, fi = _value_at(f, b.x, b.y)
+        ub, ub_den = _sqrt_ub(*_lowest(fr * fr + fi * fi, 1 << 2 * deg * prec))
+        lb, lb_den = _sqrt_lb(*_lowest(gr * gr + gi * gi, 1 << 2 * (deg - 1) * prec))
+        b.rn, b.rd = _up(*_lowest(deg * ub * lb_den, ub_den * lb))
+    # the disjointness test on integers over one denominator: disk i has
+    # center (nums[2i], nums[2i+1]) and radius nums[2 deg + i]
+    nums, den = _over_lcm([(v, b.q) for b in balls for v in (b.x, b.y)]
+                          + [(b.rn, b.rd) for b in balls])
+    circles = [(nums[2 * i], nums[2 * i + 1], nums[2 * deg + i]) for i in range(deg)]
+    for i, (xi, yi, ri) in enumerate(circles):
+        for xj, yj, rj in circles[i + 1:]:
             rad = ri + rj
             if (xi - xj) ** 2 + (yi - yj) ** 2 <= 4 * rad * rad:
                 return None
-    for (x, y, r), (xo, yo, ro) in zip(circles[:deg], circles[deg:]):
-        slack = ro - r
-        if slack < 0 or (x - xo) ** 2 + (y - yo) ** 2 > slack * slack:
-            return None
     return balls
 
 
@@ -448,5 +417,5 @@ def eval_at_root(power_coeffs: list[Fraction], root: Ball) -> Ball:
     integers over one denominator from the root's power table and rounded up
     once.
     """
-    nums, den = over_common_denominator(power_coeffs)
+    nums, den = _over_lcm([(c.numerator, c.denominator) for c in power_coeffs])
     return _eval_row(nums, den, _power_table(root, len(nums)))

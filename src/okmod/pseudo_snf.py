@@ -167,24 +167,29 @@ def col_pivot(state: SnfState, i: int) -> bool:
     return step_over
 
 
-def offdiag_obstruction_scan(state: SnfState, i: int):
-    """First entry above-left of the pivot whose content escapes the pivot's
-    divisor, with a witness multiplier from b_i b_k^-1.
+def pivot_divisor(state: SnfState, i: int) -> FractionalIdeal:
+    """The divisor d_i the pivot gives now, piv a_i b_i^-1 + M for the
+    modulus M (M alone when piv = 0), with a_i b_i^-1 from the call's memo."""
+    piv = state.a[i][i]
+    if not piv:
+        return state.modulus
+    return state.cache.product(state.col_ideals[i], state.row_inv[i]).elt_mul(piv) + state.modulus
 
-    The divisor is the d_i the pivot would give now, piv a_i b_i^-1 + M for
-    the modulus M (M alone when piv = 0).  The witness g makes e g escape
-    piv a_i a_l^-1 + M a_l^-1 b_i, the ideal that ``reduce_entry(i, l)``
-    reduces modulo, so that adding g times row k to row i leaves an entry
-    that neither the reduction clears nor a degenerate column step absorbs.
-    One exists: if every g kept e g inside, e a_l b_k^-1 would lie in d_i.
+
+def offdiag_obstruction_scan(state: SnfState, i: int, divisor: FractionalIdeal):
+    """First entry above-left of the pivot whose content escapes the pivot's
+    divisor (``pivot_divisor``), with a witness multiplier from b_i b_k^-1.
+
+    The witness g makes e g escape piv a_i a_l^-1 + M a_l^-1 b_i, the ideal
+    that ``reduce_entry(i, l)`` reduces modulo, so that adding g times row k
+    to row i leaves an entry that neither the reduction clears nor a
+    degenerate column step absorbs.  One exists: if every g kept e g inside,
+    e a_l b_k^-1 would lie in d_i.
     """
     a = state.a
     field = state.field
     inv, prod = state.cache.inverse, state.cache.product
     piv = a[i][i]
-    divisor = state.modulus
-    if piv:
-        divisor = (state.col_ideals[i] * state.row_inv[i]).elt_mul(piv) + divisor
     for k in range(i):
         for l in range(i):
             e = a[k][l]
@@ -260,21 +265,21 @@ def _eliminate(bp: BiPseudoMatrix, det_ideal: FractionalIdeal, cache,
         for _round in range(_MAX_PIVOT_ROUNDS):
             col_pivot(state, i)
             step_over = row_pivot(state, i)
+            if verify or step_over:
+                divisor = pivot_divisor(state, i)
             if verify:
-                track = state.modulus
-                if state.a[i][i]:
-                    track = track + (state.col_ideals[i] * state.row_inv[i]).elt_mul(state.a[i][i])
+                # the pivot's content ideal is the divisor it gives
                 if prev_track is not None and not step_over:
-                    if not prev_track.is_subset(track):
+                    if not prev_track.is_subset(divisor):
                         raise RuntimeError("verify: pivot content ideal shrank")
                     # strict growth can stall on rounds whose eliminations are
                     # absorbed by the pivot; it must resume within a few rounds
-                    stall = 0 if prev_track != track else stall + 1
+                    stall = 0 if prev_track != divisor else stall + 1
                     if stall >= 6:
                         raise RuntimeError("verify: pivot content ideal failed to grow")
-                prev_track = track
+                prev_track = divisor
             if step_over:
-                viol = offdiag_obstruction_scan(state, i)
+                viol = offdiag_obstruction_scan(state, i, divisor)
                 if viol is not None:
                     k, _l, gelt = viol
                     state.a[i] = [x + gelt * y for x, y in zip(state.a[i], state.a[k])]
@@ -285,17 +290,16 @@ def _eliminate(bp: BiPseudoMatrix, det_ideal: FractionalIdeal, cache,
                 break
         else:
             raise RuntimeError("pivot loop failed to terminate")
+        # the last round left the state its divisor was built on
         piv = state.a[i][i]
         if piv:
             state.col_ideals[i] = state.col_ideals[i].elt_mul(piv)
-            d_i = state.col_ideals[i] * state.row_inv[i] + state.modulus
         else:
             # pivot class absorbed by the modulus
-            d_i = state.modulus
             state.col_ideals[i] = state.modulus * state.cache.inverse(state.row_inv[i])
         state.a[i][i] = field.one()
-        divisors[i] = d_i
-        state.modulus = state.modulus * state.cache.inverse(d_i)
+        divisors[i] = divisor
+        state.modulus = state.modulus * state.cache.inverse(divisor)
     return DivisorChain(divisors)
 
 

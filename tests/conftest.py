@@ -103,7 +103,8 @@ def get_field(name):
 
 def first_and_gram_roots(name):
     """A freshly built field, and its roots as the first solve left them and
-    at the precision of its Gram matrix."""
+    at the precision of its Gram matrix (one solve, unless the lattice
+    context asked for more)."""
     poly, basis = SPECS[name]
     K = build_field(poly, basis)
     first = K.roots()

@@ -191,15 +191,16 @@ def test_fixed_point_cholesky_matches_mpmath(name):
     K = get_field(name)
     prec = K.lattice_context.e + 64
     centers = [[b.re for b in row] for row in _gram_balls(K, prec)]
-    low = _cholesky(centers, 2 * prec)
+    # the integers floor(G 4^(2 prec)) in, the integers L 2^(2 prec) out
+    low = _cholesky([[(x.numerator << 4 * prec) // x.denominator for x in row]
+                     for row in centers])
     d = K.degree
     with mp.workprec(2 * prec):
         ref = mp.cholesky(mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row]
                                      for row in centers]))
         for i in range(d):
             for j in range(d):
-                x = low[i][j]
-                assert abs(mp.mpf(x.numerator) / x.denominator - ref[i, j]) <= mp.ldexp(1, -prec)
+                assert abs(mp.ldexp(low[i][j], -2 * prec) - ref[i, j]) <= mp.ldexp(1, -prec)
 
 
 def test_build_context_custom_exponent():

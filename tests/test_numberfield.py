@@ -6,12 +6,12 @@ from math import lcm
 import mpmath as mp
 import pytest
 
-from okmod import FieldElement, FieldError, build_field, numeric
+from okmod import FieldElement, FieldError, build_field, numberfield, numeric
 from okmod.numeric import eval_at_root
 
-from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, PINNED_FIELDS, SPECS, abs_sq,
-                      abs_sq_center, abs_sq_ub, abs_ub, fraction_det, get_field, norm_sq_bounds,
-                      random_element, reference_disc_f, reference_horner, seeded)
+from conftest import (ALL_FIELDS, PINNED_FIELDS, SPECS, abs_sq, abs_sq_center, abs_sq_ub,
+                      abs_ub, fraction_det, get_field, norm_sq_bounds, random_element,
+                      reference_disc_f, reference_horner, seeded)
 
 
 def test_build_gaussian_integers():
@@ -201,6 +201,26 @@ def test_norm_multiplicativity(field):
         assert field.norm(a) * field.norm(b) == field.norm(a * b)
 
 
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_rational_norms_take_no_characteristic_polynomial(name, monkeypatch):
+    # N(c/q) = (c/q)^d, read off the element like its inverse
+    K = get_field(name)
+    rng = seeded(f"test_numberfield::test_rational_norms_take_no_characteristic_polynomial"
+                 f"[{name}]")
+    calls = []
+    char_poly = numberfield._char_poly
+
+    def spy(field, u):
+        calls.append(u)
+        return char_poly(field, u)
+
+    monkeypatch.setattr(numberfield, "_char_poly", spy)
+    for _ in range(20):
+        x = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+        assert K.norm(K.from_int(x.numerator) / x.denominator) == x ** K.degree
+    assert calls == []
+
+
 def test_norm_bounded_by_t2_power(field):
     # |N(alpha)| <= |alpha|^d / d^(d/2) on integral elements
     rng = seeded("test_numberfield::test_norm_bounded_by_t2_power")
@@ -230,30 +250,30 @@ def test_size_growth_inequalities(field):
 
 
 # embed_bound_sq, coeff_bound and growth_constant from the enclosures of the
-# first root solve (32 guard bits above its precision), with C1 from a
-# separate ball evaluation of each basis element at the roots and C2 from
-# V^t T^-1 (``numberfield._conversion_constants``)
+# one root solve (at the Gram precision of the default lattice context, plus
+# 32 guard bits), with C1 from a separate ball evaluation of each basis
+# element at the roots and C2 from V^t T^-1 (``numberfield._conversion_constants``)
 FIELD_CONSTANTS = {
     "Q": ("1", "1", "0"),
     "Qi": ("8", "26087635650665564425/36893488147419103232", "196609/32768"),
-    "Qm5": ("106338239662793269832304564822427943673/2658455991569831745807614120560689152",
+    "Qm5": ("425352958651173079329218259289710264321/10633823966279326983230456482242756608",
             "26087635650665564425/36893488147419103232", "174389/16384"),
-    "cubic": ("3230426911267120162261020541127114024943/85070591730234615865843651857942052864",
+    "cubic": ("3230426911267120162261020541104831551739/85070591730234615865843651857942052864",
               "7159275454714133817411390961/9903520314283042199192993792", "3094767/131072"),
-    "golden": ("510423550381407695195061911147653588165/42535295865117307932921825928971026432",
+    "golden": ("510423550381407695195061911147652317185/42535295865117307932921825928971026432",
                "30684935396836052562870278197/39614081257132168796771975168", "234945/32768"),
-    "dedekind": ("723582727092615193812657260974031099337/2658455991569831745807614120560689152",
+    "dedekind": ("5788661816740921550501258087792244823509/21267647932558653966460912964485513216",
                  "48506666222222153324867943871/79228162514264337593543950336", "1192689/32768"),
-    "quartic": ("269888507614176319114101809301775484363/2658455991569831745807614120560689152",
-                "51081118482412045582659777683/79228162514264337593543950336", "436839/8192"),
-    "zeta5": ("85070591730234615865843651859025378095/1329227995784915872903807060280344576",
-              "50108289675009586237282760315/79228162514264337593543950336", "393217/8192"),
-    "quintic": ("8729876357021226759585943791252024805125/42535295865117307932921825928971026432",
-                "6240862678784390149487895579/9903520314283042199192993792", "12584825/131072"),
-    "sextic": ("1955663467156381043611748453595630739461/5316911983139663491615228241121378304",
-               "11646936340591847969096530531/19807040628566084398385987584", "2513493/16384"),
-    "octic": ("301205782028128224547424428680440080397/332306998946228968225951765070086144",
-              "87727344084928394345019546873/158456325028528675187087900672", "643827/2048"),
+    "quartic": ("539777015228352638228203618595384956625/5316911983139663491615228241121378304",
+                "102162236964824091165319555365/158456325028528675187087900672", "436839/8192"),
+    "zeta5": ("340282366920938463463374607431768211457/5316911983139663491615228241121378304",
+              "25054144837504793118641380157/39614081257132168796771975168", "393217/8192"),
+    "quintic": ("8729876357021226759585943791009960802075/42535295865117307932921825928971026432",
+                "49926901430275121195903164631/79228162514264337593543950336", "12584825/131072"),
+    "sextic": ("61114483348636907612867139172386274995/166153499473114484112975882535043072",
+               "93175490724734783752772244245/158456325028528675187087900672", "2513493/16384"),
+    "octic": ("301205782028128224547424428655867425383/332306998946228968225951765070086144",
+              "21931836021232098586254886717/39614081257132168796771975168", "643827/2048"),
 }
 
 
@@ -546,20 +566,18 @@ def test_validating_constructor_refuses_non_integers():
             FieldElement(K, coeffs, den)
 
 
-# -- root enclosures: refinement of the cached disks -------------------------
+# -- root enclosures: one solve per precision --------------------------------
 
 
 def fresh_field(name):
-    poly, basis = {**FIELD_SPECS, **EXTRA_SPECS}[name]
+    poly, basis = SPECS[name]
     return build_field(poly, basis)
-
-
-def ball_data(balls):
-    return [(b.re, b.im, b.r) for b in balls]
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_refined_roots_are_certified_inside_the_coarse_disks(name):
+    # a request above the cached precision solves again from scratch; its
+    # disks enclose the same roots, each inside the disk of the first solve
     K = fresh_field(name)
     coarse = K.roots()
     prec = 400
@@ -589,76 +607,35 @@ def test_roots_meet_every_requested_precision(name):
     K = fresh_field(name)
     for prec in range(64, 260):
         assert all(b.r < Fraction(1, 1 << prec) for b in K.roots(prec))
+    assert all(b.r < Fraction(1, 1 << 300) for b in K.roots(300))
 
 
-@pytest.mark.parametrize("name", ALL_FIELDS)
+@pytest.mark.parametrize("name", PINNED_FIELDS)
 def test_one_plain_root_solve_per_cold_build(name, monkeypatch):
-    # the first solve runs at 32 guard bits, so its disks certify at once;
-    # the Gram enclosure of the lattice context refines them
+    # the first solve runs at the Gram precision of the lattice context, at
+    # 32 guard bits, so C1, C2 and the Gram enclosure read the same disks
     solve = numeric.certified_roots
-    plain = []
+    calls = []
 
-    def spy(coeffs, prec, start=None):
-        if start is None:
-            plain.append(prec)
-        return solve(coeffs, prec, start)
+    def spy(coeffs, prec):
+        calls.append(prec)
+        return solve(coeffs, prec)
 
     monkeypatch.setattr(numeric, "certified_roots", spy)
     fresh_field(name).lattice_context
-    assert len(plain) == 1
-
-
-def refine_fails(coeffs, pts, prec, sweeps):
-    return None
-
-
-def refine_stalls(coeffs, pts, prec, sweeps):
-    return list(pts)
-
-
-def refine_swaps(coeffs, pts, prec, sweeps, weierstrass=numeric._weierstrass):
-    # sharp enclosures, but each of another root than its start disk
-    out = weierstrass(coeffs, pts, prec, sweeps)
-    return out[1:] + out[:1]
-
-
-@pytest.mark.parametrize("refine", [refine_fails, refine_stalls, refine_swaps],
-                         ids=["no-convergence", "radius-too-large", "leaves-start-disk"])
-def test_refinement_failure_falls_back_to_plain_solve(monkeypatch, refine):
-    K = fresh_field("quartic")
-    coarse = [(b.re, b.im) for b in K.roots()]
-    solve = numeric.certified_roots
-    weierstrass = numeric._weierstrass
-    calls = []
-
-    def spy(coeffs, prec, start=None):
-        calls.append((prec, start is not None))
-        return solve(coeffs, prec, start)
-
-    def iterate(coeffs, pts, prec, sweeps):
-        # only the refinement starts from the cached centers
-        return (refine if pts == coarse else weierstrass)(coeffs, pts, prec, sweeps)
-
-    monkeypatch.setattr(numeric, "certified_roots", spy)
-    monkeypatch.setattr(numeric, "_weierstrass", iterate)
-    fine = K.roots(300)
-    # the refinement at 32 guard bits is refused, the plain solve at the same
-    # precision takes over
-    assert calls == [(332, True), (332, False)]
-    assert ball_data(fine) == ball_data(solve(list(K.poly), 332))
-    assert all(b.r < Fraction(1, 1 << 300) for b in fine)
+    assert len(calls) == 1
 
 
 def test_integer_horner_matches_rational_horner():
+    # the Horner rule that the root iteration and its certificate share, on
+    # Gaussian integers at scale 2^prec: f(z) 2^(deg prec) at z = x / 2^prec
     local = seeded("test_numberfield horner", 1)
     for _ in range(200):
-        n = local.randint(0, 7)
-        coeffs = [Fraction(local.randint(-10 ** 6, 10 ** 6), local.randint(1, 60))
-                  for _ in range(n)]
-        if local.random() < 0.3:
-            coeffs = [int(c) for c in coeffs]
-        z = tuple(Fraction(local.randint(-2 ** 70, 2 ** 70), 1 << local.randint(0, 80))
-                  for _ in range(2))
-        nums, den = numeric.over_common_denominator(coeffs)
-        re, im, q = numeric._horner(nums, z)
-        assert (Fraction(re, den * q), Fraction(im, den * q)) == reference_horner(coeffs, z)
+        n = local.randint(1, 8)
+        coeffs = [local.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+        prec = local.randint(0, 80)
+        x = [local.randint(-2 ** 70, 2 ** 70) for _ in range(2)]
+        re, im = numeric._value_at(numeric._scaled_coeffs(coeffs, prec), *x)
+        scale = 1 << (n - 1) * prec
+        z = tuple(Fraction(t, 1 << prec) for t in x)
+        assert (Fraction(re, scale), Fraction(im, scale)) == reference_horner(coeffs, z)

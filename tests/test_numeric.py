@@ -40,7 +40,8 @@ def test_log2_ub_matches_the_fraction_reference():
 
 
 def want_bits(coeffs):
-    """The precision of the first solve, as ``NumberField.roots`` asks it."""
+    """A working precision that grows with the coefficients: 64 bits plus
+    four per bit of the largest one."""
     return 64 + 4 * max(abs(c) for c in coeffs).bit_length()
 
 
@@ -49,9 +50,9 @@ def to_mpf(x):
 
 
 def assert_one_reference_root_per_disk(coeffs):
-    """At the first solve's precision and its double, certified_roots gives
-    one disk per root, and each holds exactly one root of an mpmath solve at
-    three times the larger precision (up to that solve's own error)."""
+    """At ``want_bits`` and its double, certified_roots gives one disk per
+    root, and each holds exactly one root of an mpmath solve at three times
+    the larger precision (up to that solve's own error)."""
     want = want_bits(coeffs)
     ref_prec = 6 * want
     with mp.workprec(ref_prec):
@@ -174,16 +175,36 @@ def reference_root_radius(int_coeffs, z):
     return frac_up(Fraction(deg) * frac_sqrt_ub(fz) / frac_sqrt_lb(fpz))
 
 
+def assert_certificate_matches_the_fraction_reference(int_coeffs, balls):
+    """Each radius is the Fraction reference at its center, and the disks
+    are pairwise disjoint with the margin the certificate asks."""
+    for b in balls:
+        if len(int_coeffs) > 2:
+            assert b.r == reference_root_radius(int_coeffs, (b.re, b.im)), int_coeffs
+    for i, x in enumerate(balls):
+        for y in balls[i + 1:]:
+            assert (x.re - y.re) ** 2 + (x.im - y.im) ** 2 > 4 * (x.r + y.r) ** 2, int_coeffs
+
+
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_root_certificates_match_the_fraction_reference(name):
     K, levels = first_and_gram_roots(name)
     for balls in levels:
-        for b in balls:
-            if K.degree > 1:
-                assert b.r == reference_root_radius(list(K.poly), (b.re, b.im))
-        for i, x in enumerate(balls):
-            for y in balls[i + 1:]:
-                assert (x.re - y.re) ** 2 + (x.im - y.im) ** 2 > 4 * (x.r + y.r) ** 2
+        assert_certificate_matches_the_fraction_reference(list(K.poly), balls)
+
+
+def test_root_certificates_match_the_fraction_reference_on_random_polynomials():
+    # the integer Horner of the certificate against Fraction Horner, on
+    # polynomials of degree 2-8 with leading coefficient 1-3, beyond the
+    # defining polynomials of the test fields
+    rng = seeded("test_numeric::test_root_certificates_match_the_fraction_reference_on_random_"
+                 "polynomials")
+    for n in range(40):
+        coeffs = random_squarefree(rng, 2 + n % 7)
+        for prec in (want_bits(coeffs), 2 * want_bits(coeffs)):
+            balls = certified_roots(coeffs, prec)
+            assert balls is not None and len(balls) == len(coeffs) - 1, (coeffs, prec)
+            assert_certificate_matches_the_fraction_reference(coeffs, balls)
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)

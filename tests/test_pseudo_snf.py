@@ -9,7 +9,8 @@ import pytest
 from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, cli, determinant, lattice,
                    pseudo_snf, quotient_determinantal_ideal)
 from okmod.ideals import IdealError
-from okmod.pseudo_snf import SnfState, col_pivot, offdiag_obstruction_scan, row_pivot
+from okmod.pseudo_snf import (SnfState, col_pivot, offdiag_obstruction_scan, pivot_divisor,
+                              row_pivot)
 from okmod.reduction import ReducedBasisCache
 from okmod.zlinalg import SingularMatrixError, det_bareiss, z_snf
 
@@ -226,7 +227,7 @@ def test_obstruction_scan_example():
     state = SnfState(bp, quotient_determinantal_ideal(bp), ReducedBasisCache(Q.lattice_context))
     col_pivot(state, 1)
     assert row_pivot(state, 1) is True
-    viol = offdiag_obstruction_scan(state, 1)
+    viol = offdiag_obstruction_scan(state, 1, pivot_divisor(state, 1))
     assert viol is not None
     k, l, g = viol
     assert (k, l) == (0, 0) and g == Q.one()
@@ -238,7 +239,7 @@ def test_obstruction_scan_clean_diag():
     state = SnfState(bp, quotient_determinantal_ideal(bp), ReducedBasisCache(Q.lattice_context))
     col_pivot(state, 1)
     assert row_pivot(state, 1) is True
-    assert offdiag_obstruction_scan(state, 1) is None
+    assert offdiag_obstruction_scan(state, 1, pivot_divisor(state, 1)) is None
 
 
 def test_row_pivot_reports_no_op():

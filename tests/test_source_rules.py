@@ -232,3 +232,25 @@ def test_one_step_rule_serves_both_normal_forms():
     loops = sorted((module, scope) for path in paths
                    for module, scope, _ in calls_by_function(path, "_clear_column"))
     assert loops == [("pseudo_hnf.py", "_eliminate"), ("pseudo_snf.py", "row_pivot")]
+
+
+def test_root_path_runs_on_integers():
+    # the root solve, its certificate and the fixed-point Cholesky factor
+    # name no Fraction, and certified_roots takes no start disks: every
+    # solve runs from the classical start points at one precision
+    defs = {}
+    for module in ("numeric", "lattice"):
+        path = os.path.join(SRC, f"{module}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        defs.update({f"{module}.{top.name}": top for top in tree.body
+                     if isinstance(top, ast.FunctionDef)})
+    root_path = ["numeric._weierstrass", "numeric.certified_roots", "numeric._start_points",
+                 "numeric._outer_points", "lattice._cholesky"]
+    naming = [name for name in root_path
+              if any("Fraction" in (getattr(node, "id", None), getattr(node, "attr", None))
+                     for node in ast.walk(defs[name]))]
+    assert naming == []
+    args = defs["numeric.certified_roots"].args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["int_coeffs", "prec"]
+    assert args.vararg is None and args.kwarg is None
