@@ -13,6 +13,8 @@ import random
 from okmod import (FractionalIdeal, PseudoMatrix, build_field, det, det_bound,
                    determinantal_ideal, determinantal_ideal_multiple,
                    plan_primes, rank_and_submatrix, split_prime)
+# internal helpers, imported only to show the bound that det plans from
+from okmod.determinant import _minor_bound, _root_norms
 
 rng = random.Random(11)
 
@@ -33,8 +35,15 @@ A = [[one + i, K.from_int(2)], [K.zero(), K.from_int(3)]]
 print("det [[1+i, 2], [0, 3]] =", det(K, A))
 B = [[one, i], [i, one]]
 print("det [[1, i], [i, 1]]   =", det(K, B))
-print("coefficient bound (log2) for a 4x4 with entries up to 50:",
-      float(det_bound(K, 4, 50)))
+C = [[K.element([rng.randint(-50, 50), rng.randint(-50, 50)]) for _ in range(4)]
+     for _ in range(4)]
+print("a 4x4 with entries up to 50: det =", det(K, C))
+height_bound = det_bound(K, 4, 50)
+row_bound = _minor_bound(K, _root_norms(K, C)[0], 4)
+print("  coefficient bound (log2) from the entry height: %.1f, %d prime(s)"
+      % (height_bound, len(plan_primes(K, height_bound).primes)))
+print("  coefficient bound (log2) from the rows, planned by det: %.1f, %d prime(s)"
+      % (row_bound, len(plan_primes(K, row_bound).primes)))
 
 print()
 print("== rectangular rank probing ==")

@@ -5,7 +5,15 @@ in the residue fields F_p[x]/(g) of enough unramified primes, the table
 primes below 2^126 first (``residues.plan_primes``).  One linear map per
 prime takes the residues at its factors to integral-basis coordinates mod
 p, and CRT across the primes with a symmetric lift recovers them; the prime
-budget comes from a proven bound on them, so the lift is exact.  A probe
+budget comes from a proven bound on them, so the lift is exact.  The bound
+is Hadamard's inequality taken at each root z_j on the rows themselves
+(``_minor_bound``): |sigma_j(minor)|^2 is at most the product of the
+squared norms S_ij = sum_k |sigma_j(a_ik)|^2 of its rows, so the sum over
+the roots of the products of the k largest bounds T2 of every k x k minor,
+and C2 sqrt(T2) bounds its coordinates; the largest of these sums over
+k <= m serves every minor up to m x m.  The S_ij come on integers from
+each row's moments and one Gram matrix per root, the basis values at the
+root scaled by 2^64 and rounded (``root_grams``, kept on the field).  A probe
 eliminates all n >= m rows until a residue field has rank m; its pivot rows
 are the witness W, and the other residue fields eliminate W alone.  A prime
 with a residue field where the witness minor delta vanishes stays out of
@@ -49,7 +57,7 @@ from operator import mul
 from . import residues
 from .ideals import FractionalIdeal
 from .numberfield import FieldElement, NumberField
-from .numeric import frac_sqrt_ub, log2_ub
+from .numeric import frac_sqrt_ub, isqrt_up, log2_ub
 from .residues import Poly, poly_inverse_mod, poly_trim
 from .zlinalg import SingularMatrixError, RankDeficiencyError, hnf_with_modulus
 
@@ -66,16 +74,110 @@ def entry_height(rows: list[list[FieldElement]]) -> int:
 
 
 def det_bound(field: NumberField, n: int, height: int) -> Fraction:
-    """log2 of twice the coefficient bound for det of an n x n integral matrix.
+    """log2 of twice the coefficient bound for det of an n x n integral matrix
+    whose entries have coefficients of absolute value at most ``height``.
 
-    Both orders of the conversion constants are covered, which only costs a
-    few extra primes.
+    The a-priori bound from the height alone, 2 n^n max(C1 C2^n, C2 C1^n)
+    h^n; both orders of the conversion constants are covered.  Prime plans
+    take the tighter bound from the rows themselves (``_minor_bound``).
     """
     c1 = frac_sqrt_ub(field.embed_bound_sq)
     c2 = field.coeff_bound
     base = max(c1 * c2 ** n, c2 * c1 ** n)
     bound = 2 * Fraction(n) ** n * base * Fraction(height) ** n
     return log2_ub(max(bound, Fraction(2)))
+
+
+def _moment_pairs(d: int) -> list[tuple[int, int]]:
+    """The pairs a <= b of basis indices over which the row moments and the
+    root Grams are flattened, the d diagonal pairs first."""
+    return [(a, a) for a in range(d)] + [(a, b) for a in range(d) for b in range(a + 1, d)]
+
+
+def root_grams(field: NumberField):
+    """(grams, eps, log_two_c2): the per-field data of the row bound.
+
+    The values of the basis elements at the roots (``root_values``), times
+    2^64, are rounded to Gaussian integers u_j[a], each within eps of
+    2^64 omega_a(z_j): the rounding is below 1 and the rest is 2^64 times
+    the radius of the ball.  Root j gives the real symmetric matrix
+    G_j[a][b] = Re(u_j[a] conj(u_j[b])), flattened over ``_moment_pairs``
+    with the entries off the diagonal doubled, so that its dot product with
+    the flattened moments M_ab = sum_k x_ka x_kb of vectors x_k is
+    sum_k |sum_a x_ka u_j[a]|^2.  grams holds each distinct G_j once with
+    the number of roots that give it (a complex root and its conjugate
+    nearly always do), and log_two_c2 is an upper bound on log2(2 C2).
+    """
+    vals = field.root_values()
+    pairs = _moment_pairs(field.degree)
+    eps = 0
+    counts: dict = {}
+    for j in range(field.degree):
+        u = []
+        for row in vals:
+            b = row[j]
+            u.append((((b.x << 65) + b.q) // (2 * b.q), ((b.y << 65) + b.q) // (2 * b.q)))
+            eps = max(eps, -(-(b.rn << 64) // b.rd))
+        gram = tuple((1 if a == c else 2) * (u[a][0] * u[c][0] + u[a][1] * u[c][1])
+                     for a, c in pairs)
+        counts[gram] = counts.get(gram, 0) + 1
+    return [(k, g) for g, k in counts.items()], eps + 1, log2_ub(2 * field.coeff_bound)
+
+
+def _root_norms(field: NumberField, rows: list[list[FieldElement]]
+                ) -> tuple[list[list[int]], int]:
+    """(norms, h): norms[i][c] >= 2^64 sqrt(S_ij), S_ij = sum_k |sigma_j(a_ik)|^2
+    the squared norm of integral row i at a root j whose Gram is the c-th of
+    ``field.root_grams``, and h the ``entry_height`` of the rows, read off
+    the same coordinate columns.
+
+    With x_ka the coordinates of entry k of the row and M its moments,
+    2^64 sigma_j(a_ik) is sum_a x_ka u_j[a] plus an error of at most
+    eps sum_a |x_ka| <= eps sqrt(d sum_a x_ka^2).  By the triangle
+    inequality over k, 2^64 sqrt(S_ij) <= sqrt(<G_j, M>) + eps sqrt(d tr M),
+    each square root rounded up.
+    """
+    grams, eps, _ = field.root_grams
+    d = field.degree
+    pairs = _moment_pairs(d)
+    norms = []
+    h = 1
+    for row in rows:
+        cols = list(zip(*[e.coeffs for e in row]))
+        for col in cols:
+            h = max(h, max(col), -min(col))
+        moments = [sum(map(mul, cols[a], cols[b])) for a, b in pairs]
+        err = isqrt_up(eps * eps * d * sum(moments[:d]))
+        norms.append([isqrt_up(sum(map(mul, g, moments))) + err for _, g in grams])
+    return norms, h
+
+
+def _minor_bound(field: NumberField, norms: list[list[int]], m: int) -> Fraction:
+    """log2 of twice a bound on the integral-basis coordinates of every
+    k x k minor, k <= m, of the rows whose ``_root_norms`` are ``norms``.
+
+    By Hadamard's inequality |sigma_j(minor)|^2 is at most the product of
+    the S_ij of its rows, so at most the product of the k largest at root
+    j; their sum over the roots bounds T2 of every k x k minor, and a
+    coordinate is at most C2 sqrt(T2) (``numberfield._conversion_constants``).
+    An S_ij may lie below 1 (a zero row, or a small conjugate), so the sum
+    for k = m need not bound the smaller minors, which rank certification
+    needs too: the bound takes the largest of the m sums.  The sums run on
+    the norms, scaled by 2^64 each, and the log2 of the largest is read off
+    its top 64 bits.
+    """
+    grams, _, log_two_c2 = field.root_grams
+    totals = [0] * m
+    for (count, _), col in zip(grams, zip(*norms)):
+        prod = 1
+        for k, r in enumerate(sorted(col, reverse=True)[:m]):
+            prod *= r
+            totals[k] += count * prod * prod
+    # the sum for k + 1 rows is scaled by 2^(128 (k + 1)); bring all to 2^(128 m)
+    top = max(max(t << 128 * (m - 1 - k) for k, t in enumerate(totals)), 1)
+    shift = max(top.bit_length() - 64, 0)
+    log_t2 = log2_ub(((top - 1) >> shift) + 1) + shift - 128 * m
+    return max(log_two_c2 + log_t2 / 2, Fraction(1))
 
 
 def _mult_matrix(a, g: Poly, p: int) -> list[tuple[int, ...]]:
@@ -302,13 +404,14 @@ def _witness(field: NumberField, rows: list[list[FieldElement]], adjacent: bool 
     rank m, and near is None unless ``adjacent`` and the rank is m.
 
     One packing of A serves every residue field.  The probe eliminates A in
-    the residue fields of the plan for ``det_bound(field, m, h)``, in order,
+    the residue fields of the plan for the row bound of A (``_minor_bound``,
+    over the largest rows at each root, so every minor up to m x m), in order,
     and stops at the first of rank m; its pivot rows are the witness W, and
     its pivot product is delta there.  Every residue field before it has
     rank below m, so delta vanishes in it.  Without ``adjacent``, the other
     residue fields eliminate the m witness rows alone, over the plan for the
-    witness rows' own height, and their pivot products give delta by CRT
-    on its integral-basis coordinates (``residues.basis_coordinates``,
+    row bound of the witness rows, and their pivot products give delta by
+    CRT on its integral-basis coordinates (``residues.basis_coordinates``,
     ``residues.lift_coordinates``).
 
     With ``adjacent``, every elimination carries m extra slots
@@ -323,9 +426,8 @@ def _witness(field: NumberField, rows: list[list[FieldElement]], adjacent: bool 
     to the next admissible primes (``residues.plan_usable_primes``).
     """
     n, m, d = len(rows), len(rows[0]), field.degree
-    h = entry_height(rows)
-    log_bound = det_bound(field, m, h)
-    plan = residues.plan_primes(field, log_bound)
+    norms, h = _root_norms(field, rows)
+    plan = residues.plan_primes(field, _minor_bound(field, norms, m))
     # the widest slots: later primes, a plan's extension included, are smaller
     crows, w = _coefficient_rows(rows, d, h, plan.primes[0])
     extra = m if adjacent else 0
@@ -391,8 +493,9 @@ def _witness(field: NumberField, rows: list[list[FieldElement]], adjacent: bool 
         per_prime.append(residues.basis_coordinates(sys, found))
         return True
 
+    log_bound = plan.log_bound
     if not adjacent and n > m:
-        log_bound = det_bound(field, m, entry_height([rows[i] for i in witness]))
+        log_bound = _minor_bound(field, [norms[i] for i in witness], m)
     lifted = residues.lift_coordinates(
         per_prime, residues.plan_usable_primes(field, log_bound, usable), field)
     near = {r: lifted[1 + t * m:1 + (t + 1) * m] for t, r in enumerate(others)} \
@@ -441,7 +544,7 @@ def _scaled_minor(field: NumberField, rows: list[list[FieldElement]], adjacent: 
         den = 1
         for e in row:
             den = den * e.den // gcd(den, e.den)
-        scaled.append([e * den for e in row])
+        scaled.append([e * den for e in row] if den != 1 else row)
         dens.append(den)
     m = len(rows[0])
     square = len(rows) == m

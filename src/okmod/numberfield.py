@@ -343,8 +343,29 @@ class NumberField:
         if not any(a.coeffs[1:]):
             # a rational c/q, the first basis element being 1
             return self.scalar_div(self.from_int(a.den), a.coeffs[0])
-        d = self.degree
+        return self._cayley_hamilton(a, *_char_poly(self, a.coeffs))
+
+    def norm(self, a: FieldElement) -> Fraction:
+        """N(a) = e_d / den^d, e_d the constant term of the characteristic
+        polynomial of den * a up to the sign (-1)^d; (c/q)^d for a rational
+        c/q."""
+        if not any(a.coeffs[1:]):
+            return Fraction(a.coeffs[0] ** self.degree, a.den ** self.degree)
+        return Fraction(_char_poly(self, a.coeffs)[1][-1], a.den ** self.degree)
+
+    def inv_and_norm(self, a: FieldElement) -> tuple[FieldElement, Fraction]:
+        """(``inv(a)``, ``norm(a)``), from one characteristic polynomial."""
+        if not any(a.coeffs[1:]):
+            # a rational (zero included, which inv refuses): no polynomial
+            return self.inv(a), self.norm(a)
         powers, e = _char_poly(self, a.coeffs)
+        return self._cayley_hamilton(a, powers, e), Fraction(e[-1], a.den ** self.degree)
+
+    def _cayley_hamilton(self, a: FieldElement, powers: list[list[int]],
+                         e: list[int]) -> FieldElement:
+        """a^-1 from the powers and characteristic polynomial of den * a
+        (``_char_poly``), as ``inv`` describes it."""
+        d = self.degree
         # sum_j (-1)^j e_j alpha^(d-1-j), alpha^0 being the first basis element
         acc = [0] * d
         for j in range(d - 1):
@@ -354,14 +375,6 @@ class NumberField:
         # the factor (-1)^(d+1) den / e_d, its sign moved to the numerator
         f = a.den if (d % 2 == 1) == (e[d] > 0) else -a.den
         return _make(self, [f * x for x in acc], abs(e[d]))
-
-    def norm(self, a: FieldElement) -> Fraction:
-        """N(a) = e_d / den^d, e_d the constant term of the characteristic
-        polynomial of den * a up to the sign (-1)^d; (c/q)^d for a rational
-        c/q."""
-        if not any(a.coeffs[1:]):
-            return Fraction(a.coeffs[0] ** self.degree, a.den ** self.degree)
-        return Fraction(_char_poly(self, a.coeffs)[1][-1], a.den ** self.degree)
 
     def trace(self, a: FieldElement) -> Fraction:
         t = sum(c * self.trace_vec[i] for i, c in enumerate(a.coeffs))
@@ -430,6 +443,13 @@ class NumberField:
         return max(2 * d * log_d + d * log_c3, d * d * log_c1 + d * log_c2)
 
     # -- lazy heavyweight attachments ----------------------------------------
+
+    @cached_property
+    def root_grams(self):
+        """The per-root data of the row bound of ``determinant`` (built
+        there by ``determinant.root_grams`` from ``root_values``)."""
+        from . import determinant
+        return determinant.root_grams(self)
 
     @cached_property
     def lattice_context(self):

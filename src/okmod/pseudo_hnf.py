@@ -123,8 +123,9 @@ def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,
                    alpha: FieldElement, beta: FieldElement, cache=None):
     """Ideal gcd with splitting data: g = alpha*a + beta*b, its inverse, and
     gamma in a*g^-1, delta in b*g^-1 with alpha*gamma + beta*delta = 1.
-    The inverses of g, alpha and beta and the ideal b*a^-1 come from the
-    memo of ``cache`` (default: the field's ``basis_cache``).
+    The inverses of g, alpha and beta, the norms of alpha and beta and the
+    ideal b*a^-1 come from the memo of ``cache`` (default: the field's
+    ``basis_cache``).
 
     g is one Hermite form of the rows of alpha*a and beta*b.  A = alpha*a*g^-1
     and B = beta*b*g^-1 are integral and coprime and contain their norms, so
@@ -151,12 +152,13 @@ def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,
     # N(den * x) * min for each product, an integer inside it
     ka, kb = a.den * alpha.den, b.den * beta.den
     den = ka * kb // gcd(ka, kb)
-    n_alpha, n_beta = abs(field.norm(alpha)), abs(field.norm(beta))
-    rows, lam = [], 0
+    n_alpha, n_beta = abs(cache.element_norm(alpha)), abs(cache.element_norm(beta))
+    parts = []
     for ideal, x, n_x, s in ((a, alpha, n_alpha, den // ka), (b, beta, n_beta, den // kb)):
-        rows += [[s * c for c in field.coeff_mul(u, x.coeffs)] for u in ideal.num]
-        lam = gcd(lam, s * ideal.num[0][0] * (n_x * x.den ** field.degree).numerator)
-    g = FractionalIdeal.from_row_lattice(field, rows, den, lam)
+        parts.append(([[s * c for c in field.coeff_mul(u, x.coeffs)] for u in ideal.num],
+                      s * ideal.num[0][0] * (n_x * x.den ** field.degree).numerator))
+    (rows_a, lam_a), (rows_b, lam_b) = parts
+    g = FractionalIdeal.from_row_lattice(field, rows_a + rows_b, den, gcd(lam_a, lam_b))
     ginv, alpha_inv, norm_g = cache.inverse(g), cache.element_inverse(alpha), g.norm()
     norm_a, norm_b = n_alpha * a.norm() / norm_g, n_beta * b.norm() / norm_g
     if norm_a.denominator != 1 or norm_b.denominator != 1:
@@ -166,7 +168,10 @@ def euclidean_step(a: FractionalIdeal, b: FractionalIdeal,
         # u N(A) lies in A, and 1 - u N(A) = v N(B) in B
         return (g, ginv, field.scalar_mul(u * norm_a.numerator, alpha_inv),
                 field.scalar_mul(v * norm_b.numerator, beta_inv))
-    gamma_t, delta_t = idempotents(a.elt_mul(alpha) * ginv, b.elt_mul(beta) * ginv)
+    # A and B from the rows of alpha*a and beta*b above: no second norm
+    big_a = FractionalIdeal.from_row_lattice(field, rows_a, den, lam_a) * ginv
+    big_b = FractionalIdeal.from_row_lattice(field, rows_b, den, lam_b) * ginv
+    gamma_t, delta_t = idempotents(big_a, big_b)
     return g, ginv, field.mul(gamma_t, alpha_inv), field.mul(delta_t, beta_inv)
 
 

@@ -50,9 +50,11 @@ class ReducedBasisCache:
     """Memoizes the ideal arithmetic of one normal-form call, keyed on the
     ideal's (numerator, denominator): reduced numerator bases, inverses,
     products and the ideal-only part of ``normalize_row``; and the inverses
-    of pivot entries.  ``pseudo_hnf`` and ``pseudo_snf`` build one on entry,
-    which serves the multiple, the elimination and the rerun of ``run``, so
-    no ideal is inverted twice in one call and the memo dies with the call.
+    and norms of elements (pivot entries and the pairs of Euclidean steps),
+    both from one characteristic polynomial.  ``pseudo_hnf`` and
+    ``pseudo_snf`` build one on entry, which serves the multiple, the
+    elimination and the rerun of ``run``, so no ideal is inverted twice in
+    one call and the memo dies with the call.
 
     It also knows factorizations ideal = eps * Q with Q small: ``pseudo_hnf``
     records its own multiple delta * P of square input, and ``product(a, b)`` with
@@ -72,13 +74,13 @@ class ReducedBasisCache:
         self._products: dict = {}
         self._normalizations: dict = {}
         self._factors: dict = {}
-        self._element_inverses: dict = {}
+        self._elements: dict = {}
 
     def run(self, work):
         """``work(self)``; after a ``QualityError``, once more on a context at
         twice the exponent, keeping the exact memos (inverses, products,
-        factors, element inverses) and dropping the reduced bases and
-        normalizations; a second miss propagates.  It replaces ``ctx``: for
+        factors, element inverses and norms) and dropping the reduced bases
+        and normalizations; a second miss propagates.  It replaces ``ctx``: for
         per-call caches only."""
         try:
             return work(self)
@@ -122,11 +124,19 @@ class ReducedBasisCache:
         return inv
 
     def element_inverse(self, x: FieldElement) -> FieldElement:
+        return self._element(x)[0]
+
+    def element_norm(self, x: FieldElement) -> Fraction:
+        return self._element(x)[1]
+
+    def _element(self, x: FieldElement) -> tuple[FieldElement, Fraction]:
+        """(x^-1, N(x)), memoized together: one characteristic polynomial
+        gives both (``NumberField.inv_and_norm``)."""
         key = (x.coeffs, x.den)
-        inv = self._element_inverses.get(key)
-        if inv is None:
-            inv = self._element_inverses[key] = x.field.inv(x)
-        return inv
+        data = self._elements.get(key)
+        if data is None:
+            data = self._elements[key] = x.field.inv_and_norm(x)
+        return data
 
     def product(self, a: FractionalIdeal, b: FractionalIdeal) -> FractionalIdeal:
         key = (a.num, a.den, b.num, b.den)

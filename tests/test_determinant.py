@@ -9,14 +9,15 @@ from okmod import (FractionalIdeal, canonicalize, det, det_bound, determinantal_
                    determinantal_ideal_multiple, plan_primes, project_element,
                    pseudo_hnf, rank_and_submatrix)
 from okmod import determinant, residues
-from okmod.determinant import (_coefficient_rows, _elimination_multiple, _eliminate, _pack,
-                               _packed_planes, entry_height)
+from okmod.determinant import (_coefficient_rows, _elimination_multiple, _eliminate,
+                               _minor_bound, _pack, _packed_planes, _root_norms, entry_height)
+from okmod.numeric import log2_ub
 from okmod.pseudo_hnf import PseudoMatrix
 from okmod.reduction import ReducedBasisCache
 from okmod.zlinalg import SingularMatrixError, RankDeficiencyError, det_bareiss
 
-from conftest import (ALL_FIELDS, cofactor_det, get_field, maximal_minor_sum, random_element,
-                      random_ideal, seeded)
+from conftest import (ALL_FIELDS, cofactor_det, get_field, maximal_minor_sum, norm_sq_bounds,
+                      random_element, random_ideal, seeded)
 
 
 def random_matrix(gen, field, n, m=None, lim=9):
@@ -324,7 +325,7 @@ def test_only_tall_input_probes_the_rank(monkeypatch):
         return real(planes, m, g, p, w, extra)
 
     def residue_fields(rows):
-        plan = plan_primes(K, det_bound(K, 3, entry_height(rows)))
+        plan = plan_primes(K, row_bound(K, rows))
         return sum(len(K.residue_system(p).factors) for p in plan.primes)
 
     rng = seeded("test_determinant rank probes")
@@ -710,11 +711,12 @@ def test_degree_one_residue_fields_match_the_oracles(name, monkeypatch):
     assert 1 in degrees
 
 
-def test_a_16_by_16_determinant_over_qm5_takes_four_primes(monkeypatch):
-    # entries up to 10^6 bound the determinant's coordinates by about 2^426:
-    # four table primes below 2^126 cover that, where primes below 2^62 took
-    # seven.  The value is checked through its norm, the integer determinant
-    # of the 32 x 32 block matrix of the entries' regular representations
+def test_a_16_by_16_determinant_over_qm5_takes_three_primes(monkeypatch):
+    # entries up to 10^6: the Hadamard bound of the rows at each root bounds
+    # the determinant's coordinates by about 2^360 (the height alone gives
+    # 2^426): three table primes below 2^126 cover that.  The value is
+    # checked through its norm, the integer determinant of the 32 x 32
+    # block matrix of the entries' regular representations
     K = get_field("Qm5")
     rng = seeded("test_determinant sixteen by sixteen")
     rows = random_matrix(rng, K, 16, lim=10 ** 6)
@@ -728,11 +730,109 @@ def test_a_16_by_16_determinant_over_qm5_takes_four_primes(monkeypatch):
     monkeypatch.setattr(residues, "plan_primes", spy)
     value = det(K, rows)
     (plan,) = plans
-    assert 420 < plan.log_bound < 432
-    assert plan.primes == residues._TOP_PRIMES[:4]
+    assert 355 < plan.log_bound < 365
+    assert plan.primes == residues._TOP_PRIMES[:3]
     blocks = [[K.regular_representation(e) for e in row] for row in rows]
     flat = [[x for block in brow for x in block[i]] for brow in blocks for i in range(2)]
     assert det_bareiss(flat) == value.norm()
+
+
+def sylvester(n):
+    """The n x n Sylvester Hadamard matrix, n a power of two, as +-1 ints."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def row_bound(field, rows, m=None):
+    """The plan bound of the rows: ``_minor_bound`` of their root norms."""
+    return _minor_bound(field, _root_norms(field, rows)[0], m or len(rows[0]))
+
+
+def coefficient_log(x):
+    """log2_ub of twice the largest coefficient of an integral element."""
+    return log2_ub(2 * max(abs(c) for c in x.coeffs))
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_the_row_bound_is_tight_on_hadamard_matrices(name):
+    # alpha * H_n meets Hadamard's inequality with equality at every root,
+    # so the bound is log2(2 C2 sqrt(T2(det))) up to its rounding, and the
+    # coefficients of the determinant lie below it
+    K = get_field(name)
+    alpha = K.element([1, 2] + [0] * (K.degree - 2)) if K.degree > 1 else K.from_int(3)
+    for n in (1, 2, 4, 8):
+        rows = [[alpha * x for x in row] for row in sylvester(n)]
+        bound = row_bound(K, rows)
+        value = det(K, rows)
+        assert value == laplace_det(K, rows)
+        assert coefficient_log(value) <= bound
+        t2_lb, _ = norm_sq_bounds(K, value)
+        exact = log2_ub(2 * K.coeff_bound) + log2_ub(t2_lb) / 2
+        assert exact - Fraction(1, 100) < bound < exact + Fraction(1, 100)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_the_row_bound_covers_every_maximal_minor_of_tall_input(name):
+    # the probe plan's bound, over the m largest rows at each root, bounds
+    # every m x m minor; the bound of any m rows bounds their own minor
+    K = get_field(name)
+    rng = seeded(f"test_determinant::test_the_row_bound_covers_every_maximal_minor_of_tall_input"
+                 f"[{name}]")
+    for n, m in ((4, 2), (5, 3)):
+        rows = random_matrix(rng, K, n, m, lim=rng.choice((3, 100, 10 ** 6)))
+        rows[0] = [x * 7 for x in rows[0]]
+        probe = row_bound(K, rows)
+        for subset in combinations(rows, m):
+            minor = cofactor_det(K, list(subset))
+            if minor:
+                assert coefficient_log(minor) <= row_bound(K, list(subset)) <= probe
+        # and every smaller minor, which rank certification needs as well
+        for k in range(1, m):
+            for ri in combinations(range(n), k):
+                for ci in combinations(range(m), k):
+                    minor = cofactor_det(K, [[rows[i][j] for j in ci] for i in ri])
+                    if minor:
+                        assert coefficient_log(minor) <= probe
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_the_row_bound_covers_the_smaller_minors(name):
+    # a zero row has norm 0, below the factor of 1 that would carry the
+    # bound from the k x k minors to the m x m ones; the rank-2 minor of
+    # diag(q, 1, 0) is q, which the first table prime q alone cannot see
+    K = get_field(name)
+    q = plan_primes(K, 1).primes[0]
+    rows = [[K.from_int(q), K.zero(), K.zero()],
+            [K.zero(), K.one(), K.zero()],
+            [K.zero(), K.zero(), K.zero()]]
+    assert coefficient_log(K.from_int(q)) <= row_bound(K, rows)
+    rank, ridx, cidx, minor = rank_and_submatrix(K, rows)
+    assert (rank, ridx, cidx) == (2, (0, 1), (0, 1))
+    assert minor == K.from_int(q)
+
+
+@pytest.mark.parametrize("name, n, primes", [("quartic", 11, 2), ("quintic", 10, 2)])
+def test_large_determinants_plan_from_the_row_bound(name, n, primes, monkeypatch):
+    # entries up to 10^6: the row bound saves a table prime against the
+    # height bound (the 16 x 16 case over Q(sqrt -5) is pinned above)
+    K = get_field(name)
+    rows = random_matrix(seeded(f"test_determinant row bound plan {name}"), K, n, lim=10 ** 6)
+    plans = []
+    real = residues.plan_primes
+
+    def spy(field, log_bound):
+        plans.append(real(field, log_bound))
+        return plans[-1]
+
+    monkeypatch.setattr(residues, "plan_primes", spy)
+    value = det(K, rows)
+    (plan,) = plans
+    height_plan = plan_primes(K, det_bound(K, n, entry_height(rows)))
+    assert len(plan.primes) == primes < len(height_plan.primes)
+    assert set(plan.primes) <= set(residues._TOP_PRIMES)
+    assert value == laplace_det(K, rows)
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)

@@ -484,6 +484,7 @@ def test_element_inverse_and_norm_equal_the_solve_and_determinant_references(nam
         assert norm == generic_norm(K, x) and x.norm() == norm
         inv = K.inv(x)
         assert inv == generic_inv(K, x) and inv * x == K.one()
+        assert K.inv_and_norm(x) == (inv, norm)
         norms.append(norm)
     assert any(abs(n) == 1 for n in norms)
     if d % 2 or name in ("quartic", "sextic", "octic"):

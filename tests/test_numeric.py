@@ -69,6 +69,8 @@ def assert_one_reference_root_per_disk(coeffs):
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_warm_started_roots_equal_the_plain_solve_on_the_test_fields(name):
+    # each certified disk holds one root of an mpmath solve; the name is
+    # older than the one solve mode and is kept, as its ids are pinned
     poly = {**FIELD_SPECS, **EXTRA_SPECS}[name][0]
     if len(poly) > 2:
         assert_one_reference_root_per_disk(poly)
@@ -86,7 +88,8 @@ def random_squarefree(rng, deg):
             return coeffs
 
 
-def test_warm_started_roots_equal_the_plain_solve_on_random_polynomials():
+def test_each_certified_disk_holds_one_mpmath_root_of_random_polynomials():
+    # the seed keeps the name this test had when it compared two solve modes
     rng = seeded("test_numeric::test_warm_started_roots_equal_the_plain_solve_on_random_polynomials")
     for n in range(200):
         assert_one_reference_root_per_disk(random_squarefree(rng, 2 + n % 7))

@@ -12,7 +12,7 @@ import pytest
 from okmod import (FractionalIdeal, PseudoMatrix, canonicalize,
                    determinantal_ideal, determinantal_ideal_multiple,
                    euclidean_step, module_hnf, pseudo_hnf, to_absolute)
-from okmod import determinant, lattice, reduction
+from okmod import determinant, lattice, numberfield, reduction
 from okmod.ideals import IdealError
 from okmod.zlinalg import (RankDeficiencyError, det_bareiss, hnf_with_modulus, mat_mul,
                           transpose)
@@ -269,7 +269,8 @@ def test_idempotents_run_only_on_a_common_factor_of_the_norms(monkeypatch):
 
 def test_a_step_inverts_its_pivot_entry_once(monkeypatch):
     # the transvection test and the Euclidean step share the pivot entry's
-    # inverse through the call's memo
+    # inverse through the call's memo, which takes it with the norm from
+    # NumberField.inv_and_norm; inversions through either entry count
     ph = importlib.import_module("okmod.pseudo_hnf")
     K = get_field("Qm5")
     u = FractionalIdeal.unit(K)
@@ -277,12 +278,47 @@ def test_a_step_inverts_its_pivot_entry_once(monkeypatch):
     vecs = [[x0, K.one()], [y0, K.zero()]]
     ideals = [u, u]
     inverted = []
-    real = type(K).inv
-    monkeypatch.setattr(type(K), "inv", lambda self, a: inverted.append(a) or real(self, a))
+    for name in ("inv", "inv_and_norm"):
+        real = getattr(type(K), name)
+        monkeypatch.setattr(type(K), name,
+                            lambda self, a, real=real: inverted.append(a) or real(self, a))
     cache = reduction.ReducedBasisCache(K.lattice_context)
     ph._clear_column(vecs, ideals, 1, 0, cache, lambda k: None, lambda k: None)
     assert not vecs[0][0] and vecs[1][0]
     assert inverted.count(y0) == 1
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_a_general_step_builds_one_characteristic_polynomial_per_element(name, monkeypatch):
+    # the norms and inverses of alpha and beta come from one memo entry each,
+    # and the fallback's A and B from the rows of the ideal sum, so a general
+    # step on a fresh cache builds each characteristic polynomial at most once
+    ph = importlib.import_module("okmod.pseudo_hnf")
+    K = get_field(name)
+    rng = seeded(f"test_pseudo_hnf::test_a_general_step_builds_one_characteristic_polynomial"
+                 f"_per_element[{name}]")
+    built, fallbacks = [], []
+    real_poly, real_idem = numberfield._char_poly, ph.idempotents
+    monkeypatch.setattr(numberfield, "_char_poly",
+                        lambda field, u: built.append(tuple(u)) or real_poly(field, u))
+    monkeypatch.setattr(ph, "idempotents", lambda a, b: fallbacks.append(a) or real_idem(a, b))
+    general = 0
+    for _ in range(12):
+        a, b = (random_ideal(rng, K, fractional=True) for _ in range(2))
+        x, y = (random_element(rng, K, max_den=3) for _ in range(2))
+        cache = reduction.ReducedBasisCache(K.lattice_context)
+        if cache.product(b, cache.inverse(a)).contains(x / y):
+            continue
+        built.clear()
+        g, ginv, gamma, delta = euclidean_step(a, b, x, y, cache)
+        assert x * gamma + y * delta == K.one()
+        assert len(built) == len(set(built))
+        assert set(built) >= {e.coeffs for e in (x, y) if any(e.coeffs[1:])}
+        general += 1
+    assert general >= 8
+    if name == "Qm5":
+        # a class number above 1: some of these steps take the fallback
+        assert fallbacks
 
 
 def _full_rank(rng, K, n, m):

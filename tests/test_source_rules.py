@@ -134,6 +134,20 @@ def test_one_crt_loop_serves_every_determinant():
     assert not imported & names, sorted(imported & names)
 
 
+def test_witness_plans_from_the_row_bound():
+    # both prime plans of the witness elimination, the probe's and the
+    # witness rows', come from the per-root Hadamard bound on the rows;
+    # det_bound, the looser bound from the entry height alone, is exported
+    # but called nowhere in determinant.py, and the height for packing comes
+    # from the same pass over the coefficients as the row norms
+    path = os.path.join(SRC, "determinant.py")
+    plans = sorted(scope for _, scope, _ in calls_by_function(path, "_minor_bound"))
+    assert plans == ["_witness", "_witness"]
+    assert calls_by_function(path, "det_bound") == []
+    assert calls_by_function(path, "entry_height") == []
+    assert [scope for _, scope, _ in calls_by_function(path, "_root_norms")] == ["_witness"]
+
+
 def test_one_crt_loop_in_residues():
     # crt_combine_primes and lift_coordinates recombine through the same CRT
     # and symmetric lift, _crt_lift, the one function that reads a plan's
