@@ -3,9 +3,9 @@
 
 A field context bundles everything the normal-form algorithms need: the
 defining polynomial, an integral basis, structure constants, trace data, and
-certified growth constants.  Elements are integer coefficient vectors over
-the integral basis divided by a minimal positive denominator, so every
-operation below is exact.
+certified conversion constants between coefficients and embeddings.
+Elements are integer coefficient vectors over the integral basis divided by
+a minimal positive denominator, so every operation below is exact.
 """
 
 from fractions import Fraction
@@ -39,11 +39,10 @@ x = K3.element([3, -2, 5], 7)
 print("x * x^-1 == 1:", x * K3.inv(x) == K3.one())
 
 print()
-print("certified growth constants (rounded-up rationals):")
+print("certified conversion constants (rounded-up rationals):")
 for name, F in [("Q(i)", K), ("Q(sqrt5)", K5), ("cubic", K3)]:
     print(f"  {name:9} C1^2 = {float(F.embed_bound_sq):9.3f}  "
-          f"C2 = {float(F.coeff_bound):6.3f}  C3 = {F.struct_bound}  "
-          f"C = {float(F.growth_constant):6.3f}")
+          f"C2 = {float(F.coeff_bound):6.3f}")
 
 print()
 print("size surrogate S (bit-size scale, rounded up):")

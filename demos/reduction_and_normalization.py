@@ -54,6 +54,6 @@ for _ in range(3):
     ideal = FractionalIdeal.from_generators(
         K3, [K3.element([rng.randint(-9, 9) for _ in range(3)], rng.randint(1, 3))])
     row = [K3.element([rng.randint(-20, 20) for _ in range(3)]) for _ in range(2)]
-    nrow, nid, scalar = normalize_row(row, ideal, ctx3, cache3)
+    nrow, nid, scalar = normalize_row(row, ideal, cache3)
     print(f"  N(ideal) = {float(ideal.norm()):12.3f} -> N = {float(nid.norm()):6.3f} "
           f"(integral: {nid.is_integral()}, scalar {scalar})")

@@ -62,17 +62,6 @@ from .residues import Poly, poly_inverse_mod, poly_trim
 from .zlinalg import SingularMatrixError, RankDeficiencyError, hnf_with_modulus
 
 
-def entry_height(rows: list[list[FieldElement]]) -> int:
-    """Max absolute coefficient over all (integral) entries; at least 1."""
-    h = 1
-    for row in rows:
-        for e in row:
-            for c in e.coeffs:
-                if abs(c) > h:
-                    h = abs(c)
-    return h
-
-
 def det_bound(field: NumberField, n: int, height: int) -> Fraction:
     """log2 of twice the coefficient bound for det of an n x n integral matrix
     whose entries have coefficients of absolute value at most ``height``.
@@ -128,8 +117,8 @@ def _root_norms(field: NumberField, rows: list[list[FieldElement]]
                 ) -> tuple[list[list[int]], int]:
     """(norms, h): norms[i][c] >= 2^64 sqrt(S_ij), S_ij = sum_k |sigma_j(a_ik)|^2
     the squared norm of integral row i at a root j whose Gram is the c-th of
-    ``field.root_grams``, and h the ``entry_height`` of the rows, read off
-    the same coordinate columns.
+    ``field.root_grams``, and h the largest absolute coefficient of the
+    rows (at least 1), read off the same coordinate columns.
 
     With x_ka the coordinates of entry k of the row and M its moments,
     2^64 sigma_j(a_ik) is sum_a x_ka u_j[a] plus an error of at most

@@ -4,8 +4,8 @@ A :class:`NumberField` is an immutable bundle of precomputed data for a field
 ``K = Q[x]/(f)`` together with an integral basis given over the power basis:
 structure constants and the product compiled from them, trace matrix and
 its scaled inverse, discriminants, the power-basis transformation, certified
-embedding enclosures, and the conversion constants used in size bounds (the
-growth constant is computed on first read).  Elements are integer
+embedding enclosures, and the conversion constants C1 and C2 between
+coefficients and embeddings used in size bounds.  Elements are integer
 coefficient vectors over the integral basis with a minimal positive
 denominator.  The basis is kept as integer rows over their common
 denominator (``basis_num`` / ``basis_den``), and ``build_field`` computes
@@ -282,12 +282,6 @@ class NumberField:
     def element(self, coeffs, den: int = 1) -> FieldElement:
         return FieldElement(self, coeffs, den)
 
-    def to_power_coords(self, elt: FieldElement) -> list[Fraction]:
-        """Coefficients of the element over the power basis, constant first."""
-        den = elt.den * self.basis_den
-        return [Fraction(sum(c * row[j] for c, row in zip(elt.coeffs, self.basis_num)), den)
-                for j in range(self.degree)]
-
     # -- additive and scalar structure --------------------------------------
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
@@ -364,8 +358,12 @@ class NumberField:
     def _cayley_hamilton(self, a: FieldElement, powers: list[list[int]],
                          e: list[int]) -> FieldElement:
         """a^-1 from the powers and characteristic polynomial of den * a
-        (``_char_poly``), as ``inv`` describes it."""
+        (``_char_poly``), as ``inv`` describes it.  A zero constant term
+        e_d makes the nonzero a a zero divisor, so f is reducible."""
         d = self.degree
+        if not e[d]:
+            raise FieldError("element has no inverse: the defining polynomial "
+                             "must be irreducible")
         # sum_j (-1)^j e_j alpha^(d-1-j), alpha^0 being the first basis element
         acc = [0] * d
         for j in range(d - 1):
@@ -431,17 +429,6 @@ class NumberField:
             self._root_values = roots, numeric.basis_values(self.basis_num, self.basis_den, roots)
         return self._root_values[1]
 
-    @cached_property
-    def growth_constant(self) -> Fraction:
-        """Size growth of one product: S(a * b) <= S(a) + S(b) + C, the
-        larger of 2 d log d + d log C3 and d^2 log C1 + d log C2."""
-        d = self.degree
-        log_c1 = log2_ub(self.embed_bound_sq) / 2 if self.embed_bound_sq > 1 else Fraction(0)
-        log_c2 = log2_ub(self.coeff_bound) if self.coeff_bound > 1 else Fraction(0)
-        log_d = log2_ub(d) if d > 1 else Fraction(0)
-        log_c3 = log2_ub(self.struct_bound) if self.struct_bound > 1 else Fraction(0)
-        return max(2 * d * log_d + d * log_c3, d * d * log_c1 + d * log_c2)
-
     # -- lazy heavyweight attachments ----------------------------------------
 
     @cached_property
@@ -501,7 +488,9 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
     ``basis_rows`` gives the integral basis over the power basis, one row per
     basis element (rationals); the default is the power basis itself.  The
     first basis element must be 1 and the rows must span an order; maximality
-    of that order is the caller's responsibility.
+    of that order is the caller's responsibility.  The polynomial must be
+    irreducible: only a squarefree one is refused here, and a reducible one
+    makes inverting a zero divisor raise ``FieldError``.
     """
     poly = [int(c) for c in poly_coeffs]
     if len(poly) < 2:
@@ -575,7 +564,6 @@ def build_field(poly_coeffs: list[int], basis_rows=None) -> NumberField:
         disc_f=disc * index * index,
         disc=disc,
         index=index,
-        struct_bound=max(abs(x) for row in struct_t for s in row for x in s),
     )
     # C1^2 and C2 from the enclosures of the basis elements at the roots that
     # the Gram enclosure reads too

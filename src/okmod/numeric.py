@@ -25,11 +25,10 @@ zub^(t-1) of its derivative radius, so the value of each basis element
 (``basis_values``) is one integer dot product per part.  Inequalities are
 compared over one common denominator.  A value is reduced to lowest terms
 only where a rounded bound is taken (``frac_up``, ``frac_sqrt_ub``,
-``frac_sqrt_lb``, ``frac_nth_root_ub``), because those bounds depend on the
-representation of their argument; the integer-pair forms ``_up``,
-``_sqrt_ub``, ``_sqrt_lb`` and ``_nth_root_ub`` take the pair ``_lowest``
-reduced, so every bound is that of the exact value, as the Fraction forms
-compute it.
+``frac_nth_root_ub``), because those bounds depend on the representation of
+their argument; the integer-pair forms ``_up``, ``_sqrt_ub``, ``_sqrt_lb``
+and ``_nth_root_ub`` take the pair ``_lowest`` reduced, so every bound is
+that of the exact value, as the Fraction forms compute it.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ def _sqrt_ub(n: int, d: int, bits: int = 64) -> tuple[int, int]:
 
 
 def _sqrt_lb(n: int, d: int, bits: int = 64) -> tuple[int, int]:
-    """``frac_sqrt_lb(n / d, bits)`` as an integer pair, for n / d >= 0 in
-    lowest terms."""
+    """A lower bound on sqrt(n / d) with ``bits`` fractional bits, as an
+    integer pair, for n / d >= 0 in lowest terms."""
     return (isqrt(n * d << 2 * bits), d << bits) if n else (0, 1)
 
 
@@ -91,12 +90,6 @@ def frac_sqrt_ub(x: Fraction, bits: int = 64) -> Fraction:
     if x < 0:
         raise ValueError("negative argument")
     return Fraction(*_sqrt_ub(x.numerator, x.denominator, bits))
-
-
-def frac_sqrt_lb(x: Fraction, bits: int = 64) -> Fraction:
-    if x <= 0:
-        return Fraction(0)
-    return Fraction(*_sqrt_lb(x.numerator, x.denominator, bits))
 
 
 def iroot_floor(n: int, k: int) -> int:
@@ -402,20 +395,8 @@ def _eval_row(nums: list[int], den: int, table) -> Ball:
 
 
 def basis_values(rows: list[list[int]], den: int, roots: list[Ball]) -> list[list[Ball]]:
-    """vals[i][j], the ball of the polynomial rows[i] / den at roots[j] (as
-    ``eval_at_root`` gives it), from one power table per root."""
+    """vals[i][j], the ball for p(z), p the polynomial rows[i] / den and z
+    the true root enclosed by roots[j] (``_eval_row``), from one power table
+    per root."""
     tables = [_power_table(root, len(rows[0])) for root in roots]
     return [[_eval_row(row, den, table) for table in tables] for row in rows]
-
-
-def eval_at_root(power_coeffs: list[Fraction], root: Ball) -> Ball:
-    """Ball for p(z) over the true root enclosed by ``root``.
-
-    The center is the exact evaluation at the disk center; the radius adds the
-    root radius scaled by a derivative bound over the disk,
-    sum_(i>=1) i |c_i| zub^(i-1) with zub >= |z| on the disk, summed on
-    integers over one denominator from the root's power table and rounded up
-    once.
-    """
-    nums, den = _over_lcm([(c.numerator, c.denominator) for c in power_coeffs])
-    return _eval_row(nums, den, _power_table(root, len(nums)))

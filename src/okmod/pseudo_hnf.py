@@ -47,10 +47,10 @@ class PseudoMatrix:
         if len(ideals) != len(rows):
             raise ValueError("one coefficient ideal per row required")
         for e in (x for r in rows for x in r):
-            if e.field is not field:
+            if not isinstance(e, FieldElement) or e.field is not field:
                 raise ValueError("entry from a different field")
         for a in ideals:
-            if a.field is not field:
+            if not isinstance(a, FractionalIdeal) or a.field is not field:
                 raise ValueError("ideal from a different field")
         self.field = field
         self.rows = rows
@@ -64,10 +64,6 @@ class PseudoMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0])
-
-    def copy(self) -> "PseudoMatrix":
-        return PseudoMatrix(self.field, [r[:] for r in self.rows], list(self.ideals),
-                            self.det_ideal)
 
     def module_in_ring_power(self) -> bool:
         """Exact test that every a_i * row_i lies inside O_K^m.  A row with an
@@ -291,7 +287,7 @@ def _eliminate(pm: PseudoMatrix, det_ideal: FractionalIdeal, cache, verify: bool
     sizes = []
 
     def normalize(idx: int) -> None:
-        b[idx], ideals[idx], _ = reduction.normalize_row(b[idx], ideals[idx], cache.ctx, cache)
+        b[idx], ideals[idx], _ = reduction.normalize_row(b[idx], ideals[idx], cache)
         if verify:
             nrm = ideals[idx].norm()
             if not ideals[idx].is_integral() or nrm * nrm > bound_sq:

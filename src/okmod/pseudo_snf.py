@@ -38,10 +38,10 @@ class BiPseudoMatrix:
         if len(row_ideals) != n or len(col_ideals) != n:
             raise ValueError("need n row ideals and n column ideals")
         for e in (x for r in rows for x in r):
-            if e.field is not field:
+            if not isinstance(e, FieldElement) or e.field is not field:
                 raise ValueError("entry from a different field")
         for a in (*row_ideals, *col_ideals):
-            if a.field is not field:
+            if not isinstance(a, FractionalIdeal) or a.field is not field:
                 raise ValueError("ideal from a different field")
         self.field = field
         self.rows = rows
@@ -135,8 +135,8 @@ class SnfState:
 
     def normalize_row(self, k: int) -> None:
         """Normalize (row k, b_k^-1); quotient-preserving by the scaling lemma."""
-        self.a[k], self.row_inv[k], _ = reduction.normalize_row(
-            self.a[k], self.row_inv[k], self.cache.ctx, self.cache)
+        self.a[k], self.row_inv[k], _ = reduction.normalize_row(self.a[k], self.row_inv[k],
+                                                                self.cache)
 
 
 def row_pivot(state: SnfState, i: int) -> bool:

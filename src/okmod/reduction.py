@@ -226,7 +226,6 @@ def check_reduced_bound(alpha: FieldElement, a: FractionalIdeal,
 
 
 def normalize_row(row: list[FieldElement], a: FractionalIdeal,
-                  ctx: lattice.LatticeContext | None = None,
                   cache: ReducedBasisCache | None = None):
     """Rescale a pseudo-row so its coefficient ideal is integral and small.
 
@@ -234,14 +233,11 @@ def normalize_row(row: list[FieldElement], a: FractionalIdeal,
     of norm at most l^(d^2) sqrt|disc|, new_row = row / scalar, and the
     products a*row_t = new_ideal*new_row_t unchanged.  The part that depends
     on ``a`` alone is memoized in ``cache`` (default: the field's
-    ``basis_cache``), whose lattice context gives the norm bound; a ``ctx``
-    other than that context is refused with ValueError.
+    ``basis_cache``), whose lattice context gives the norm bound.
     """
     field = a.field
     if cache is None:
         cache = field.basis_cache
-    if ctx is not None and ctx is not cache.ctx:
-        raise ValueError("ctx is not the lattice context of the cache")
     new_ideal, scalar, inv_scalar = cache.normalization(a)
     if inv_scalar.den == 1 and inv_scalar.coeffs[0] == 1 and not any(inv_scalar.coeffs[1:]):
         # scalar 1: the row is its own rescaling

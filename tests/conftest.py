@@ -10,7 +10,7 @@ from operator import mul
 import pytest
 
 from okmod import FractionalIdeal, build_field
-from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_sqrt_ub, frac_up
+from okmod.numeric import _sqrt_lb, basis_values, frac_sqrt_ub, frac_up, log2_ub
 from okmod.ideals import idempotents
 from okmod.zlinalg import RankDeficiencyError, shape
 
@@ -240,6 +240,39 @@ def reference_disc_f(poly):
     return -res if d * (d - 1) // 2 % 2 else res
 
 
+def to_power_coords(K, a):
+    """Coefficients of the element a over the power basis, constant first:
+    the tests' own power-basis reference."""
+    den = a.den * K.basis_den
+    return [Fraction(sum(c * row[j] for c, row in zip(a.coeffs, K.basis_num)), den)
+            for j in range(K.degree)]
+
+
+def values_at_roots(p, roots):
+    """Balls of the polynomial with Fraction coefficients p (constant first)
+    at each root, through ``numeric.basis_values``, the library's evaluation."""
+    den = math.lcm(*(c.denominator for c in p))
+    return basis_values([[c.numerator * (den // c.denominator) for c in p]], den, roots)[0]
+
+
+def sqrt_lb(x):
+    """Lower bound on sqrt(x) for a Fraction x >= 0 (``numeric._sqrt_lb``)."""
+    return Fraction(*_sqrt_lb(x.numerator, x.denominator))
+
+
+def growth_constant(K):
+    """C of the size lemma, S(a * b) <= S(a) + S(b) + C: the larger of
+    2 d log d + d log C3 and d^2 log C1 + d log C2, with C3 the largest
+    structure constant and C1^2, C2 the field's conversion constants."""
+    d = K.degree
+    c3 = max(abs(x) for row in K.struct for s in row for x in s)
+    log_c1 = log2_ub(K.embed_bound_sq) / 2 if K.embed_bound_sq > 1 else Fraction(0)
+    log_c2 = log2_ub(K.coeff_bound) if K.coeff_bound > 1 else Fraction(0)
+    log_d = log2_ub(d) if d > 1 else Fraction(0)
+    log_c3 = log2_ub(c3) if c3 > 1 else Fraction(0)
+    return max(2 * d * log_d + d * log_c3, d * d * log_c1 + d * log_c2)
+
+
 def abs_sq(z):
     """|z|^2 of a complex rational (re, im)."""
     return z[0] * z[0] + z[1] * z[1]
@@ -297,12 +330,10 @@ def norm_sq_bounds(K, a):
     certificate ``LatticeContext.t2_bound``."""
     if not a:
         return Fraction(0), Fraction(0)
-    p = K.to_power_coords(a)
     lb = Fraction(0)
     ub = Fraction(0)
-    for root in K.roots():
-        v = eval_at_root(p, root)
-        low = max(frac_sqrt_lb(abs_sq_center(v)) - v.r, Fraction(0))
+    for v in values_at_roots(to_power_coords(K, a), K.roots()):
+        low = max(sqrt_lb(abs_sq_center(v)) - v.r, Fraction(0))
         lb += low * low
         ub += abs_sq_ub(v)
     return lb, frac_up(ub, 128)

@@ -129,7 +129,7 @@ def test_criterion_4_normalization_contract():
             a = rand_ideal(rng, K, fractional=True)
             m = rng.randint(1, 3)
             row = [rand_elt(rng, K, lim=12, max_den=4) for _ in range(m)]
-            nrow, nid, _ = normalize_row(row, a, ctx, cache)
+            nrow, nid, _ = normalize_row(row, a, cache)
             assert nid.is_integral()
             n = nid.norm()
             assert n * n <= bound_sq

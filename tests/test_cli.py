@@ -317,6 +317,19 @@ def test_singular_square_input_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == "error: pseudo-matrix is singular\n"
 
 
+def test_a_reducible_defining_polynomial_is_refused_at_a_zero_divisor(tmp_path, capsys):
+    # x^2 - 1 passes the squarefree check of build_field; the elimination
+    # then inverts a zero divisor, which exits 1 with a message, not with
+    # an element of denominator 0 or a division by zero
+    f = write(tmp_path, "r.field", "degree 2\npoly -1 0 1\n1 0 / 1\n0 1 / 1\n")
+    m = write(tmp_path, "m.pm", "pseudo 2 2\n" + "ideal hnf\n1 0\n0 1\nden 1\n" * 2
+              + "3 3 / 1  -2 -3 / 1\n1 3 / 1  3 -1 / 1\n")
+    code, out = run_cli(["hnf", "--field", f, "--matrix", m, "--check"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == ("error: element has no inverse: the defining "
+                                       "polynomial must be irreducible\n")
+
+
 def test_parse_error_exit_code(tmp_path):
     f = write(tmp_path, "bad.field", "degree 2\npoly 1 0\n")
     m = write(tmp_path, "m.pm", PSEUDO_FILE)

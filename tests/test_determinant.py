@@ -10,7 +10,7 @@ from okmod import (FractionalIdeal, canonicalize, det, det_bound, determinantal_
                    pseudo_hnf, rank_and_submatrix)
 from okmod import determinant, residues
 from okmod.determinant import (_coefficient_rows, _elimination_multiple, _eliminate,
-                               _minor_bound, _pack, _packed_planes, _root_norms, entry_height)
+                               _minor_bound, _pack, _packed_planes, _root_norms)
 from okmod.numeric import log2_ub
 from okmod.pseudo_hnf import PseudoMatrix
 from okmod.reduction import ReducedBasisCache
@@ -118,7 +118,7 @@ def projected(rows, sys, fi):
 def packed(rows, sys, fi):
     """The planes of rows in residue factor fi, packed as det packs them."""
     m = len(rows[0]) if rows else 0
-    h = entry_height(rows)
+    h = _root_norms(sys.field, rows)[1]
     crows, w = _coefficient_rows(rows, sys.field.degree, h, sys.p)
     return _packed_planes(crows, sys.proj_mats[fi], sys.p, h, _pack([1] * m, w)), w
 
@@ -150,7 +150,7 @@ def test_det_bound_covers_small_cases():
     for _ in range(5):
         rows = random_matrix(rng, K, 2)
         d = cofactor_det(K, rows)
-        bound = det_bound(K, 2, entry_height(rows))
+        bound = det_bound(K, 2, _root_norms(K, rows)[1])
         coeff = max((abs(c) for c in d.coeffs), default=0)
         if coeff:
             from okmod.numeric import log2_ub
@@ -829,7 +829,7 @@ def test_large_determinants_plan_from_the_row_bound(name, n, primes, monkeypatch
     monkeypatch.setattr(residues, "plan_primes", spy)
     value = det(K, rows)
     (plan,) = plans
-    height_plan = plan_primes(K, det_bound(K, n, entry_height(rows)))
+    height_plan = plan_primes(K, det_bound(K, n, _root_norms(K, rows)[1]))
     assert len(plan.primes) == primes < len(height_plan.primes)
     assert set(plan.primes) <= set(residues._TOP_PRIMES)
     assert value == laplace_det(K, rows)

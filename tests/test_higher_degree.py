@@ -69,7 +69,7 @@ def test_reduction_and_normalization(xfield):
         red = reduce_mod_ideal(x, a, cache)
         assert a.contains(x - red)
         assert check_reduced_bound(red, a, ctx)
-        nrow, nid, _ = normalize_row([rand_elt(rng, xfield, 8, 2)], a, ctx, cache)
+        nrow, nid, _ = normalize_row([rand_elt(rng, xfield, 8, 2)], a, cache)
         assert nid.is_integral()
         assert nid.norm() ** 2 <= ctx.norm_bound_sq()
 

@@ -9,11 +9,11 @@ from okmod import (FractionalIdeal, IdealError, QualityError, build_context, bui
                    reduce_ideal_basis, shortest_basis_element)
 from okmod.lattice import (LLL_DELTA, _check_quality, _cholesky, _gram_balls,
                            _lll_with_transform, reduce_start_basis)
-from okmod.numeric import eval_at_root, frac_sqrt_lb, frac_sqrt_ub, frac_up
+from okmod.numeric import basis_values, frac_sqrt_ub, frac_up
 from okmod.zlinalg import mat_mul, transpose
 
 from conftest import (ALL_FIELDS, abs_sq_center, abs_ub, get_field, hnf, norm_sq_bounds,
-                      random_element, random_ideal, reference_quality_holds, seeded)
+                      random_element, random_ideal, reference_quality_holds, seeded, sqrt_lb)
 
 
 def test_context_rationals():
@@ -167,8 +167,7 @@ def test_gram_centers_equal_ball_products(name):
     prec = K.lattice_context.e + 64
     d = K.degree
     roots = K.roots(prec)
-    vals = [[eval_at_root(K.to_power_coords(K.element([int(t == i) for t in range(d)])), r)
-             for r in roots] for i in range(d)]
+    vals = basis_values(K.basis_num, K.basis_den, roots)
     gram = _gram_balls(K, prec)
     for i in range(d):
         for k in range(d):
@@ -180,7 +179,7 @@ def test_gram_centers_equal_ball_products(name):
                 frac_sqrt_ub(abs_sq_center(x)) * y.r + frac_sqrt_ub(abs_sq_center(y)) * x.r
                 + x.r * y.r for x, y in zip(vals[i], vals[k])))
             assert gram[i][k].r >= sum(
-                frac_sqrt_lb(abs_sq_center(x)) * y.r + frac_sqrt_lb(abs_sq_center(y)) * x.r
+                sqrt_lb(abs_sq_center(x)) * y.r + sqrt_lb(abs_sq_center(y)) * x.r
                 + x.r * y.r for x, y in zip(vals[i], vals[k]))
 
 

@@ -7,18 +7,18 @@ import mpmath as mp
 import pytest
 
 from okmod import FieldElement, FieldError, build_field, numberfield, numeric
-from okmod.numeric import eval_at_root
 
 from conftest import (ALL_FIELDS, PINNED_FIELDS, SPECS, abs_sq, abs_sq_center, abs_sq_ub,
-                      abs_ub, fraction_det, get_field, norm_sq_bounds, random_element,
-                      reference_disc_f, reference_horner, seeded)
+                      abs_ub, fraction_det, get_field, growth_constant, norm_sq_bounds,
+                      random_element, reference_disc_f, reference_horner, seeded,
+                      to_power_coords)
 
 
 def test_build_gaussian_integers():
     K = get_field("Qi")
     assert K.degree == 2
     assert K.disc == -4
-    assert K.struct_bound == 1
+    assert max(abs(x) for row in K.struct for s in row for x in s) == 1
     # omega_2 * omega_2 = -omega_1
     assert K.struct[1][1] == (-1, 0)
 
@@ -27,7 +27,7 @@ def test_build_rationals():
     Q = get_field("Q")
     assert Q.degree == 1
     assert Q.disc == 1
-    assert Q.growth_constant == 0
+    assert growth_constant(Q) == 0
 
 
 def test_build_golden_ratio_order():
@@ -46,6 +46,18 @@ def test_build_field_errors():
         build_field([1, 0, 1], [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]])
     with pytest.raises(FieldError):
         build_field([1, 0, 1], [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1, 3)]])
+
+
+def test_a_zero_divisor_has_no_inverse():
+    # x^2 - 1 is squarefree but reducible, so build_field accepts it, and
+    # x - 1 is a nonzero zero divisor: both inverses refuse it rather than
+    # return an element with denominator 0
+    K = build_field([-1, 0, 1])
+    a = K.element([-1, 1])
+    assert K.norm(a) == 0
+    for invert in (K.inv, K.inv_and_norm):
+        with pytest.raises(FieldError, match="defining polynomial must be irreducible"):
+            invert(a)
 
 
 @pytest.mark.parametrize("name", PINNED_FIELDS)
@@ -165,8 +177,8 @@ def test_mul_matches_power_basis_polynomials(field):
     for _ in range(20):
         a = random_element(rng, field, max_den=3)
         b = random_element(rng, field, max_den=3)
-        direct = field.to_power_coords(a * b)
-        via_poly = polymul_mod(field.to_power_coords(a), field.to_power_coords(b))
+        direct = to_power_coords(field, a * b)
+        via_poly = polymul_mod(to_power_coords(field, a), to_power_coords(field, b))
         assert direct == via_poly
 
 
@@ -238,7 +250,7 @@ def test_size_growth_inequalities(field):
     # of the inverse has coefficients of the order |alpha|^(d-1), an
     # S-contribution of (d-1)*S(alpha) on top of the denominator's d*S(alpha)
     rng = seeded("test_numberfield::test_size_growth_inequalities")
-    c = field.growth_constant
+    c = growth_constant(field)
     d = field.degree
     for _ in range(20):
         a = random_element(rng, field, lim=30, max_den=6)
@@ -249,10 +261,12 @@ def test_size_growth_inequalities(field):
     assert field.size(field.zero()) == 0
 
 
-# embed_bound_sq, coeff_bound and growth_constant from the enclosures of the
-# one root solve (at the Gram precision of the default lattice context, plus
-# 32 guard bits), with C1 from a separate ball evaluation of each basis
-# element at the roots and C2 from V^t T^-1 (``numberfield._conversion_constants``)
+# embed_bound_sq and coeff_bound from the enclosures of the one root solve
+# (at the Gram precision of the default lattice context, plus 32 guard bits),
+# with C1 from the ball values of the basis elements at the roots and C2 from
+# V^t T^-1 (``numberfield._conversion_constants``); and the size lemma's
+# constant C (``conftest.growth_constant``), read off both and the structure
+# constants
 FIELD_CONSTANTS = {
     "Q": ("1", "1", "0"),
     "Qi": ("8", "26087635650665564425/36893488147419103232", "196609/32768"),
@@ -281,7 +295,7 @@ FIELD_CONSTANTS = {
 def test_field_constants_unchanged(name):
     K = get_field(name)
     c1_sq, c2, growth = (Fraction(x) for x in FIELD_CONSTANTS[name])
-    assert (K.embed_bound_sq, K.coeff_bound, K.growth_constant) == (c1_sq, c2, growth)
+    assert (K.embed_bound_sq, K.coeff_bound, growth_constant(K)) == (c1_sq, c2, growth)
 
 
 # the lattice context of each field (exponent e, integer embedding r_e,
@@ -427,12 +441,6 @@ def reference_complex_inverse(mat):
     return [row[n:] for row in work]
 
 
-def basis_values(K, roots):
-    d = K.degree
-    return [[eval_at_root(K.to_power_coords(K.element([int(t == i) for t in range(d)])), r)
-             for r in roots] for i in range(d)]
-
-
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_integer_constants_match_the_fraction_loops(name):
     # C1 is the Fraction row sum of squared modulus bounds on the enclosures
@@ -444,13 +452,13 @@ def test_integer_constants_match_the_fraction_loops(name):
     # largest eigenvalue of 4^e G M^-1 with M = r_e r_e^t
     K = fresh_field(name)
     d = K.degree
-    first = basis_values(K, K.roots())
+    first = numeric.basis_values(K.basis_num, K.basis_den, K.roots())
     assert K.embed_bound_sq == max(numeric.frac_up(sum(abs_sq_ub(v) for v in row), 128)
                                    for row in first) * d * d
     ctx = K.lattice_context
     e = ctx.e
     prec = 4 * (e + 64)
-    vals = basis_values(K, K.roots(prec))
+    vals = numeric.basis_values(K.basis_num, K.basis_den, K.roots(prec))
     # |v| >= |center| - r, so |v|^2 >= |center|^2 - 2 |center| r
     c1_lo = max(sum(abs_sq_center(v) - 2 * abs_ub(v) * v.r for v in row) for row in vals) * d * d
     c1_hi = max(sum(abs_sq_ub(v) for v in row) for row in vals) * d * d
@@ -575,7 +583,7 @@ def fresh_field(name):
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
-def test_refined_roots_are_certified_inside_the_coarse_disks(name):
+def test_a_higher_precision_solve_lies_inside_the_first_solves_disks(name):
     # a request above the cached precision solves again from scratch; its
     # disks enclose the same roots, each inside the disk of the first solve
     K = fresh_field(name)

@@ -11,11 +11,11 @@ import pytest
 from okmod import build_field, numeric
 from okmod.lattice import _gram_balls
 from okmod.numberfield import _conversion_constants
-from okmod.numeric import certified_roots, eval_at_root, frac_sqrt_lb, frac_sqrt_ub, frac_up, log2_ub
+from okmod.numeric import basis_values, certified_roots, frac_sqrt_ub, frac_up, log2_ub
 
 from conftest import (ALL_FIELDS, EXTRA_SPECS, FIELD_SPECS, PINNED_FIELDS, SPECS, abs_sq,
                       first_and_gram_roots, get_field, reference_horner, reference_log2_ub,
-                      seeded, sylvester_resultant)
+                      seeded, sqrt_lb, sylvester_resultant, to_power_coords, values_at_roots)
 
 
 def test_log2_ub_matches_the_fraction_reference():
@@ -68,9 +68,7 @@ def assert_one_reference_root_per_disk(coeffs):
 
 
 @pytest.mark.parametrize("name", ALL_FIELDS)
-def test_warm_started_roots_equal_the_plain_solve_on_the_test_fields(name):
-    # each certified disk holds one root of an mpmath solve; the name is
-    # older than the one solve mode and is kept, as its ids are pinned
+def test_each_certified_disk_holds_one_mpmath_root_on_the_test_fields(name):
     poly = {**FIELD_SPECS, **EXTRA_SPECS}[name][0]
     if len(poly) > 2:
         assert_one_reference_root_per_disk(poly)
@@ -175,7 +173,7 @@ def reference_root_radius(int_coeffs, z):
     fp = [i * c for i, c in enumerate(int_coeffs)][1:]
     fz = abs_sq(reference_horner([Fraction(c) for c in int_coeffs], z))
     fpz = abs_sq(reference_horner([Fraction(c) for c in fp], z))
-    return frac_up(Fraction(deg) * frac_sqrt_ub(fz) / frac_sqrt_lb(fpz))
+    return frac_up(Fraction(deg) * frac_sqrt_ub(fz) / sqrt_lb(fpz))
 
 
 def assert_certificate_matches_the_fraction_reference(int_coeffs, balls):
@@ -215,13 +213,16 @@ def test_eval_at_root_matches_the_fraction_reference(name):
     rng = seeded(f"test_numeric::test_eval_at_root_matches_the_fraction_reference[{name}]")
     K, levels = first_and_gram_roots(name)
     d = K.degree
-    polys = [K.to_power_coords(K.element([int(t == i) for t in range(d)])) for i in range(d)]
+    polys = [to_power_coords(K, K.element([int(t == i) for t in range(d)])) for i in range(d)]
     polys += [[Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(rng.randint(0, 7))]
               for _ in range(6)]
     for roots in levels:
-        for p in polys:
-            for root in roots:
-                ball = eval_at_root(p, root)
+        # the basis elements over their common denominator, as the field
+        # evaluates them, and each random polynomial over its own
+        vals = basis_values(K.basis_num, K.basis_den, roots)
+        vals += [values_at_roots(p, roots) for p in polys[d:]]
+        for p, row in zip(polys, vals):
+            for root, ball in zip(roots, row):
                 assert ((ball.re, ball.im), ball.r) == reference_eval_at_root(p, root)
 
 

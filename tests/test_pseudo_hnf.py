@@ -700,7 +700,7 @@ from fractions import Fraction
 from okmod import FractionalIdeal, PseudoMatrix, build_field, pseudo_hnf, reduction
 K = build_field([5, 0, 1])
 half = FractionalIdeal.from_rational(K, Fraction(1, 2))
-reduction.normalize_row = lambda row, a, ctx, cache: (row, half, K.one())
+reduction.normalize_row = lambda row, a, cache: (row, half, K.one())
 u = FractionalIdeal.unit(K)
 pm = PseudoMatrix(K, [[K.from_int(2), K.one()], [K.one(), K.from_int(3)]], [u, u])
 try:

@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, cli, determinant, lattice,
-                   pseudo_snf, quotient_determinantal_ideal)
+from okmod import (BiPseudoMatrix, DivisorChain, FractionalIdeal, PseudoMatrix, cli,
+                   determinant, lattice, pseudo_snf, quotient_determinantal_ideal)
 from okmod.ideals import IdealError
 from okmod.pseudo_snf import (SnfState, col_pivot, offdiag_obstruction_scan, pivot_divisor,
                               row_pivot)
@@ -73,6 +73,22 @@ def test_entries_and_ideals_of_another_field_are_refused():
             (rows, [u, u], [v, u], "ideal from a different field")):
         with pytest.raises(ValueError, match=message):
             BiPseudoMatrix(K, bad_rows, row_ideals, col_ideals)
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda K, u: PseudoMatrix(K, [[1, 2], [3, 4]], [u, u]), "entry"),
+    (lambda K, u: PseudoMatrix(K, [[K.one()]], [1]), "ideal"),
+    (lambda K, u: BiPseudoMatrix(K, [[1]], [u], [u]), "entry"),
+    (lambda K, u: BiPseudoMatrix(K, [[K.one()]], [K.one()], [u]), "ideal"),
+    (lambda K, u: BiPseudoMatrix(K, [[K.one()]], [u], [Fraction(1)]), "ideal"),
+], ids=["pseudo-int-entries", "pseudo-int-ideal", "bipseudo-int-entry",
+        "bipseudo-element-row-ideal", "bipseudo-rational-col-ideal"])
+def test_non_field_entries_and_ideals_are_refused(build, what):
+    # an int or a rational is not an element or ideal of the field: both
+    # constructors refuse it as det does, not with an AttributeError
+    K = get_field("Qm5")
+    with pytest.raises(ValueError, match=f"{what} from a different field"):
+        build(K, FractionalIdeal.unit(K))
 
 
 def reference_integrality_violation(bp):

@@ -59,7 +59,7 @@ SIGNATURES = {
     "idempotents": "(a, b)",
     "lift_to_field": "(coeffs, field, modulus)",
     "module_hnf": "(pm)",
-    "normalize_row": "(row, a, ctx=None, cache=None)",
+    "normalize_row": "(row, a, cache=None)",
     "plan_primes": "(field, log_bound)",
     "project_element": "(beta, sys)",
     "pseudo_hnf": "(pm, det_ideal=None, verify=False, trace=None)",
